@@ -1,0 +1,123 @@
+"""Behaviour oracle: outputs recorded in ``golden_outputs.json`` must not move.
+
+The recorded values are hom-basis digests for every ordered pair of the pa2
+and pa3 fixture modules, the ``dl-verify --all-pairs --json`` checksums of
+both fixtures, digests of seeded ``random_morphism`` draws over all pa2
+pairs, and the canonical homotopy-class forms of the pa2 replacement maps.
+Hom-basis order feeds the seeded sampling, so any change to it shows here.
+
+Rewrite the file only in a change that means to alter these outputs:
+
+    PYTHONPATH=src python tests/test_golden_outputs.py --record
+"""
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from frobcat.algebra_repr import hom_basis
+from frobcat.axiom_suite import random_morphism
+from frobcat.cli import dispatch
+from frobcat.fixtures import build_fixture, emit_fixture
+from frobcat.localization import ho_class_of
+from frobcat.rigid_model import build_context, cofibrant_replacement
+
+GOLDEN = Path(__file__).resolve().with_name("golden_outputs.json")
+SEEDS = range(5)
+
+
+def _digest(morphisms) -> str:
+    h = hashlib.sha256()
+    for f in morphisms:
+        for v in f.source.algebra.vertices:
+            h.update(",".join(f.comps[v].format_entries()).encode())
+            h.update(b";")
+        h.update(b"|")
+    return h.hexdigest()[:16]
+
+
+def _pairs(modules):
+    return [(xn, x, yn, y) for xn, x in sorted(modules.items())
+            for yn, y in sorted(modules.items())]
+
+
+def hom_basis_digests(tag: str) -> dict:
+    _, modules, _ = build_fixture(tag)
+    return {f"{xn}->{yn}": _digest(hom_basis(x, y)) for xn, x, yn, y in _pairs(modules)}
+
+
+def dl_verify_checksums(tag: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = emit_fixture(tag, str(Path(tmp) / tag))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = dispatch(["--json", "dl-verify", "--all-pairs", "--project", str(root)])
+    assert code == 0
+    return {"->".join(p["pair"]): p["checksum"] for p in json.loads(out.getvalue())["pairs"]}
+
+
+def _pa2_context():
+    alg, modules, project = build_fixture("pa2")
+    ctx = build_context(alg, [modules[n] for n in project["M_gen"]], project["mode"])
+    return ctx, modules
+
+
+def random_morphism_digests() -> dict:
+    ctx, modules = _pa2_context()
+    return {
+        f"{xn}->{yn}": [_digest([random_morphism(ctx, x, y, seed)]) for seed in SEEDS]
+        for xn, x, yn, y in _pairs(modules)
+    }
+
+
+def ho_class_canonicals() -> dict:
+    ctx, modules = _pa2_context()
+    field = ctx.alg.field
+    out = {}
+    for name, x in sorted(modules.items()):
+        cls = ho_class_of(ctx, cofibrant_replacement(ctx, x).phi)
+        out[name] = [field.format(c) for c in cls.canonical]
+    return out
+
+
+def compute() -> dict:
+    return {
+        "hom_basis": {tag: hom_basis_digests(tag) for tag in ("pa2", "pa3")},
+        "dl_verify": {tag: dl_verify_checksums(tag) for tag in ("pa2", "pa3")},
+        "random_morphism": random_morphism_digests(),
+        "ho_class_of_phi": ho_class_canonicals(),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("tag", ["pa2", "pa3"])
+def test_hom_bases_unchanged(golden, tag):
+    assert hom_basis_digests(tag) == golden["hom_basis"][tag]
+
+
+@pytest.mark.parametrize("tag", ["pa2", "pa3"])
+def test_dl_verify_checksums_unchanged(golden, tag):
+    assert dl_verify_checksums(tag) == golden["dl_verify"][tag]
+
+
+def test_seeded_random_morphisms_unchanged(golden):
+    assert random_morphism_digests() == golden["random_morphism"]
+
+
+def test_replacement_classes_unchanged(golden):
+    assert ho_class_canonicals() == golden["ho_class_of_phi"]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    GOLDEN.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
