@@ -98,7 +98,7 @@ class Algebra:
         self._build_basis()
         self._check_admissible()
         self._opposite: Optional["Algebra"] = None
-        self._hom_cache: Dict[tuple, list] = {}
+        self._hom_cache: Dict[tuple, Matrix] = {}
         self._module_cache: Dict[str, "Module"] = {}
         self._check_regular_modules()
 
@@ -755,11 +755,12 @@ def _kron(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return field.reduce(np.kron(a, b))
 
 
-def hom_basis(x: Module, y: Module) -> List[Morphism]:
+def hom_matrix(x: Module, y: Module) -> Matrix:
     """Deterministic basis of Hom(x, y), solving the intertwiner equations.
 
-    Cached per algebra by module content, so structurally equal modules share
-    one computation.
+    The basis elements are the rows of a k x width matrix in ``Morphism.vec()``
+    coordinates. Cached per algebra by module content, so structurally equal
+    modules share one computation.
     """
     alg = x.algebra
     cache_key = (x.key, y.key)
@@ -796,14 +797,27 @@ def hom_basis(x: Module, y: Module) -> List[Morphism]:
             system = Matrix.vstack(rows)
         else:
             system = Matrix.zeros(field, 0, n)
-        ker = system.kernel()
-        cached = [ker.data[:, k].copy() for k in range(ker.cols)]
+        cached = system.kernel().transpose()
         alg._hom_cache[cache_key] = cached
-    return [Morphism.from_vec(x, y, v) for v in cached]
+    return cached
+
+
+def hom_basis(x: Module, y: Module) -> List[Morphism]:
+    """The rows of :func:`hom_matrix` as morphisms, in the same order."""
+    return [Morphism.from_vec(x, y, v) for v in hom_matrix(x, y).data]
+
+
+def combine(x: Module, y: Module, coeffs: Sequence) -> Morphism:
+    """The combination sum_k coeffs[k] * hom_basis(x, y)[k]."""
+    basis = hom_matrix(x, y)
+    if not basis.rows:
+        return Morphism.zero(x, y)
+    coeffs = np.asarray(coeffs, dtype=x.algebra.field.dtype)
+    return Morphism.from_vec(x, y, coeffs.dot(basis.data))
 
 
 def hom_dim(x: Module, y: Module) -> int:
-    return len(hom_basis(x, y))
+    return hom_matrix(x, y).rows
 
 
 # -- kernels, cokernels, sums ----------------------------------------------------
@@ -925,18 +939,6 @@ def direct_sum(parts: Sequence[Module],
         injections.append(Morphism(part, total, inj, check=False))
         projections.append(Morphism(total, part, proj, check=False))
     return total, injections, projections
-
-
-def sum_morphism_into(target: Module, pieces: Sequence[Morphism]) -> Morphism:
-    """(f_1 ... f_k): ⊕ sources -> target, stacking components side by side."""
-    sources = [f.source for f in pieces]
-    total, _, projections = direct_sum(sources) if sources else (None, None, None)
-    if not pieces:
-        raise InputError("need at least one piece")
-    out = pieces[0] @ projections[0]
-    for f, pr in zip(pieces[1:], projections[1:]):
-        out = out + (f @ pr)
-    return out
 
 
 def pushout(f: Morphism, g: Morphism) -> Tuple[Module, Morphism, Morphism]:

@@ -74,7 +74,10 @@ def load_project(path: str) -> ProjectConfig:
     algebra = load_algebra((root / config["algebra"]).read_text())
     modules = {}
     for name, fname in config.get("modules", {}).items():
-        modules[name] = Module.from_dict(algebra, json.loads((root / fname).read_text()))
+        try:
+            modules[name] = Module.from_dict(algebra, json.loads((root / fname).read_text()))
+        except ValueError as e:  # json.JSONDecodeError included
+            raise InputError(f"module file {fname}: {e}") from e
     for name in config.get("M_gen", []):
         if name not in modules:
             raise InputError(f"M_gen references unknown module {name!r}")

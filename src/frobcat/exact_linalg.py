@@ -392,6 +392,22 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
     return m.solve_cols(b)
 
 
+def solve_in_span(field: Field, images: Sequence[np.ndarray],
+                  rhs: np.ndarray) -> Optional[np.ndarray]:
+    """Coefficients c with sum_k c[k] * images[k] = rhs, or None when rhs is
+    outside their span.
+
+    The solution is the particular one of :meth:`Matrix.solve_cols` (free
+    coefficients zero), so callers recombining a basis get reproducible
+    witnesses.
+    """
+    if not len(images):
+        return None if np.any(rhs != 0) else np.empty(0, dtype=field.dtype)
+    cols = Matrix(field, np.vstack(images).T)
+    sol = cols.solve_cols(Matrix(field, rhs.reshape(-1, 1)))
+    return None if sol is None else sol.data[:, 0]
+
+
 class RowSpan:
     """Incrementally maintained row space kept in reduced echelon form.
 

@@ -13,16 +13,18 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .exact_linalg import Field, Matrix, RowSpan
+from .exact_linalg import Field, Matrix, RowSpan, solve_in_span
 from .algebra_repr import (
     Algebra,
     Module,
     Morphism,
     ShortExactSequence,
     cokernel,
+    combine,
     direct_sum,
     dual_module,
     hom_basis,
+    hom_matrix,
     is_epi,
     is_mono,
     kernel,
@@ -51,11 +53,6 @@ def radical_span(x: Module) -> dict:
                 span.add(m.data[:, j].copy())
         spans[v] = span
     return spans
-
-
-def top_dims(x: Module) -> dict:
-    spans = radical_span(x)
-    return {v: x.dims[v] - spans[v].rank for v in x.algebra.vertices}
 
 
 def projective_cover(x: Module) -> Tuple[Module, Morphism]:
@@ -220,17 +217,10 @@ class QuotientSpace:
 
     def coords(self, vector: np.ndarray) -> np.ndarray:
         """Coordinates of the coset of vector in the representative basis."""
-        c = self.canonical(vector)
-        if not self.rep_canonicals:
-            if np.any(c != 0):
-                raise InternalCheckError("vector has nonzero class in a zero quotient")
-            return np.empty(0, dtype=self.field.dtype)
-        mat = Matrix(self.field, np.vstack(self.rep_canonicals).T)
-        rhs = Matrix(self.field, c.reshape(-1, 1))
-        sol = mat.solve_cols(rhs)
+        sol = solve_in_span(self.field, self.rep_canonicals, self.canonical(vector))
         if sol is None:
             raise InternalCheckError("coset does not lie in the representative span")
-        return sol.data[:, 0]
+        return sol
 
 
 # -- add-subspaces and stable hom ---------------------------------------------------
@@ -256,18 +246,11 @@ class AddSubspace:
 
     def factorize(self, f: Morphism) -> Tuple[Morphism, Morphism]:
         """Explicit x -> z^n -> y recomposing to f, for f in the span."""
-        if not self._pairs:
-            if f.is_zero():
-                z0 = zero_module(self.x.algebra)
-                return Morphism.zero(self.x, z0), Morphism.zero(z0, self.y)
-            raise InputError("morphism does not factor through add(z)")
-        cols = Matrix(self.x.algebra.field, np.vstack([
-            ((b @ a).vec()) for a, b in self._pairs
-        ]).T)
-        sol = cols.solve_cols(Matrix(self.x.algebra.field, f.vec().reshape(-1, 1)))
+        images = [(b @ a).vec() for a, b in self._pairs]
+        sol = solve_in_span(self.x.algebra.field, images, f.vec())
         if sol is None:
             raise InputError("morphism does not factor through add(z)")
-        chosen = [(k, sol.data[k, 0]) for k in range(len(self._pairs)) if sol.data[k, 0] != 0]
+        chosen = [(k, c) for k, c in enumerate(sol) if c != 0]
         if not chosen:
             z0 = zero_module(self.x.algebra)
             return Morphism.zero(self.x, z0), Morphism.zero(z0, self.y)
@@ -355,18 +338,24 @@ def _proj_sum(alg: Algebra) -> Module:
     return alg._module_cache[key]
 
 
+def quotient_hom(x: Module, z: Module,
+                 y: Module) -> Tuple[List[Morphism], QuotientSpace, List[Morphism]]:
+    """Hom(x, y) modulo the maps factoring through add(z): the ambient basis,
+    the quotient coordinates (representatives chosen in ambient order) and
+    the basis of the subspace factored out."""
+    sub = factors_through_add(x, z, y)
+    basis = hom_matrix(x, y)
+    q = QuotientSpace(x.algebra.field, basis.cols, [m.vec() for m in sub.basis])
+    for i, h in enumerate(basis.data):
+        q.offer_representative(i, h)
+    return hom_basis(x, y), q, sub.basis
+
+
 def stable_hom(x: Module, y: Module, kind: str = MOD_INJECTIVES) -> StableHomSpace:
     if kind not in (MOD_INJECTIVES, MOD_PROJECTIVES):
         raise InputError(f"unknown stable-hom kind {kind!r}")
-    alg = x.algebra
-    z = _inj_sum(alg) if kind == MOD_INJECTIVES else _proj_sum(alg)
-    sub = factors_through_add(x, z, y)
-    ambient = hom_basis(x, y)
-    width = sum(y.dims[v] * x.dims[v] for v in alg.vertices)
-    q = QuotientSpace(alg.field, width, [m.vec() for m in sub.basis])
-    for i, h in enumerate(ambient):
-        q.offer_representative(i, h.vec())
-    return StableHomSpace(x, y, kind, ambient, q, sub.basis)
+    z = _inj_sum(x.algebra) if kind == MOD_INJECTIVES else _proj_sum(x.algebra)
+    return StableHomSpace(x, y, kind, *quotient_hom(x, z, y))
 
 
 # -- Frobenius-side predicates --------------------------------------------------------
@@ -383,21 +372,7 @@ def is_self_injective(alg: Algebra) -> bool:
 
 def ses_split(ses: ShortExactSequence) -> Optional[Morphism]:
     """A section s of the deflation (p @ s = id) when one exists."""
-    p = ses.p
-    candidates = hom_basis(p.target, p.source)
-    if not candidates:
-        return Morphism.identity(p.target) if p.target.is_zero() else None
-    alg = p.source.algebra
-    target_vec = Morphism.identity(p.target).vec()
-    cols = Matrix(alg.field, np.vstack([(p @ s).vec() for s in candidates]).T)
-    sol = cols.solve_cols(Matrix(alg.field, target_vec.reshape(-1, 1)))
-    if sol is None:
-        return None
-    section = Morphism.zero(p.target, p.source)
-    for k, s in enumerate(candidates):
-        if sol.data[k, 0] != 0:
-            section = section + s.scale(sol.data[k, 0])
-    return section
+    return solve_postcompose(ses.p, Morphism.identity(ses.p.target))
 
 
 # -- linear lifting helpers ------------------------------------------------------------
@@ -405,42 +380,6 @@ def ses_split(ses: ShortExactSequence) -> Optional[Morphism]:
 
 def solve_postcompose(left: Morphism, rhs: Morphism) -> Optional[Morphism]:
     """Some s with left @ s = rhs, searched inside Hom(rhs.source, left.source)."""
-    candidates = hom_basis(rhs.source, left.source)
-    alg = left.source.algebra
-    width = rhs.vec().size
-    if not candidates:
-        return (
-            Morphism.zero(rhs.source, left.source)
-            if not np.any(rhs.vec() != 0)
-            else None
-        )
-    cols = Matrix(alg.field, np.vstack([(left @ s).vec() for s in candidates]).T)
-    sol = cols.solve_cols(Matrix(alg.field, rhs.vec().reshape(-1, 1)))
-    if sol is None:
-        return None
-    out = Morphism.zero(rhs.source, left.source)
-    for k, s in enumerate(candidates):
-        if sol.data[k, 0] != 0:
-            out = out + s.scale(sol.data[k, 0])
-    return out
-
-
-def solve_precompose(right: Morphism, rhs: Morphism) -> Optional[Morphism]:
-    """Some s with s @ right = rhs, searched inside Hom(right.target, rhs.target)."""
-    candidates = hom_basis(right.target, rhs.target)
-    alg = right.source.algebra
-    if not candidates:
-        return (
-            Morphism.zero(right.target, rhs.target)
-            if not np.any(rhs.vec() != 0)
-            else None
-        )
-    cols = Matrix(alg.field, np.vstack([(s @ right).vec() for s in candidates]).T)
-    sol = cols.solve_cols(Matrix(alg.field, rhs.vec().reshape(-1, 1)))
-    if sol is None:
-        return None
-    out = Morphism.zero(right.target, rhs.target)
-    for k, s in enumerate(candidates):
-        if sol.data[k, 0] != 0:
-            out = out + s.scale(sol.data[k, 0])
-    return out
+    images = [(left @ s).vec() for s in hom_basis(rhs.source, left.source)]
+    coeffs = solve_in_span(left.source.algebra.field, images, rhs.vec())
+    return None if coeffs is None else combine(rhs.source, left.source, coeffs)

@@ -17,9 +17,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .exact_linalg import Matrix, RowSpan
-from .algebra_repr import Module, Morphism, hom_basis
-from .homological import QuotientSpace, factors_through_add
+from .exact_linalg import Matrix, RowSpan, solve_in_span
+from .algebra_repr import Module, Morphism, combine
+from .homological import QuotientSpace, quotient_hom
 from .rigid_model import (
     RigidContext,
     cofibrant_replacement,
@@ -183,6 +183,7 @@ class HoHomSpace:
     qy: Module
     quotient: QuotientSpace
     ambient: List[Morphism]
+    quotient_by: List[Morphism]
 
     @property
     def dim(self) -> int:
@@ -213,13 +214,8 @@ def ho_hom(ctx: RigidContext, x: Module, y: Module) -> HoHomSpace:
     if got is None:
         qx = cofibrant_replacement(ctx, x).a
         qy = cofibrant_replacement(ctx, y).a
-        sub = factors_through_add(qx, ctx.U, qy)
-        ambient = hom_basis(qx, qy)
-        width = sum(qy.dims[v] * qx.dims[v] for v in ctx.alg.vertices)
-        q = QuotientSpace(ctx.alg.field, width, [m.vec() for m in sub.basis])
-        for i, h in enumerate(ambient):
-            q.offer_representative(i, h.vec())
-        got = HoHomSpace(ctx, x, y, qx, qy, q, ambient)
+        ambient, q, sub = quotient_hom(qx, ctx.U, qy)
+        got = HoHomSpace(ctx, x, y, qx, qy, q, ambient, sub)
         cache[key] = got
     return got
 
@@ -256,22 +252,11 @@ def _ho_inverse(ctx: RigidContext, cls: HoClass) -> HoClass:
     target = fwd_endo.quotient.canonical(
         Morphism.identity(cofibrant_replacement(ctx, cls.y).a).vec()
     )
-    candidates = hom_basis(back.qx, back.qy)
-    field = ctx.alg.field
-    if not candidates:
-        if not np.any(target != 0):
-            return back.class_of(Morphism.zero(back.qx, back.qy))
+    images = [fwd_endo.quotient.canonical((cls.rep @ t).vec()) for t in back.ambient]
+    coeffs = solve_in_span(ctx.alg.field, images, target)
+    if coeffs is None:
         raise InputError("class is not invertible")
-    cols = Matrix(field, np.vstack(
-        [fwd_endo.quotient.canonical((cls.rep @ t).vec()) for t in candidates]
-    ).T)
-    sol = cols.solve_cols(Matrix(field, target.reshape(-1, 1)))
-    if sol is None:
-        raise InputError("class is not invertible")
-    t = Morphism.zero(back.qx, back.qy)
-    for k, cand in enumerate(candidates):
-        if sol.data[k, 0] != 0:
-            t = t + cand.scale(sol.data[k, 0])
+    t = combine(back.qx, back.qy, coeffs)
     inv = back.class_of(t)
     # a right inverse of an invertible class is the inverse
     other = ho_hom(ctx, cls.x, cls.x)
@@ -359,7 +344,7 @@ def dl_verify(ctx: RigidContext, x: Module, y: Module,
         images.append(_g_transport(ctx, x, y, cls.rep))
     # well-defined: anything in the homotopy subspace must map to zero
     well_defined = True
-    for m in factors_through_add(space.qx, ctx.U, space.qy).basis:
+    for m in space.quotient_by:
         if not _g_transport(ctx, x, y, m).is_zero():
             well_defined = False
             break

@@ -37,6 +37,7 @@ from .algebra_repr import (
 )
 from .homological import (
     MOD_INJECTIVES,
+    _inj_sum,
     cosyzygy,
     ext1_dim,
     factors_through_add,
@@ -345,16 +346,8 @@ def fibration_via_cone(ctx: RigidContext, f: Morphism) -> bool:
     if not is_epi(f):
         return False
     z, g, _ = cone_of(ctx, f)
-    inj = _inj_sum_of(ctx)
-    sub = factors_through_add(ctx.U, inj, z)
+    sub = factors_through_add(ctx.U, _inj_sum(ctx.alg), z)
     return all(sub.contains(g @ b) for b in hom_basis(ctx.U, f.target))
-
-
-def _inj_sum_of(ctx: RigidContext) -> Module:
-    key = "inj-sum"
-    if key not in ctx.alg._module_cache:
-        ctx.alg._module_cache[key] = direct_sum(ctx.alg.injectives())[0]
-    return ctx.alg._module_cache[key]
 
 
 def lift(ctx: RigidContext, g: Morphism, f: Morphism) -> Morphism:
@@ -389,10 +382,6 @@ def is_cofibrant(ctx: RigidContext, x: Module) -> bool:
         got = solve_postcompose(rep.phi, Morphism.identity(x)) is not None
         cache[x.key] = got
     return got
-
-
-def in_pr_M(ctx: RigidContext, x: Module) -> bool:
-    return is_cofibrant(ctx, x)
 
 
 def in_mho_M(ctx: RigidContext, x: Module) -> bool:

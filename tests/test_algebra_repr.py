@@ -1,10 +1,12 @@
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobcat.errors import InputError
-from frobcat.exact_linalg import Matrix, prime_field, rational_field
+from frobcat.exact_linalg import Matrix, RowSpan, prime_field, rational_field, solve_in_span
 from frobcat.algebra_repr import (
     Algebra,
     Module,
@@ -13,9 +15,11 @@ from frobcat.algebra_repr import (
     algebra_from_dict,
     cokernel,
     cokernel_factor,
+    combine,
     direct_sum,
     enumerate_submodules,
     hom_basis,
+    hom_dim,
     invert,
     is_epi,
     is_iso,
@@ -329,3 +333,52 @@ def test_opposite_is_involutive(pa2):
     alg, _ = pa2
     assert alg.opposite().opposite() is alg
     assert alg.opposite().dim == alg.dim
+
+
+def _reference_combine(x, y, coeffs):
+    """The zero-start scale-and-add loop that combine replaces."""
+    out = Morphism.zero(x, y)
+    for h, c in zip(hom_basis(x, y), coeffs):
+        if c != 0:
+            out = out + h.scale(c)
+    return out
+
+
+_PA2_BY_FIELD = {
+    name: preprojective(2, field)
+    for name, field in (("F2", prime_field(2)), ("F5", prime_field(5)), ("Q", rational_field()))
+}
+
+
+@given(field_name=st.sampled_from(sorted(_PA2_BY_FIELD)), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_combine_and_solve_in_span_match_the_reference(field_name, data):
+    alg = _PA2_BY_FIELD[field_name]
+    field = alg.field
+    indecomposables = alg.simples() + alg.projectives()
+
+    def module():
+        picks = data.draw(st.lists(st.sampled_from(indecomposables), min_size=1, max_size=2))
+        return direct_sum(picks)[0]
+
+    def scalars(n):
+        ints = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        return [field.coerce(c) for c in ints]
+
+    x, y, z = module(), module(), module()
+    coeffs = scalars(hom_dim(x, y))
+    got = combine(x, y, coeffs)
+    want = _reference_combine(x, y, coeffs)
+    assert got == want
+    assert got.to_dict("x", "y") == want.to_dict("x", "y")
+
+    f = combine(y, z, scalars(hom_dim(y, z)))
+    images = [(f @ h).vec() for h in hom_basis(x, y)]
+    width = (f @ got).vec().size
+    span = RowSpan(field, width)
+    span.add_all(images)
+    for rhs in ((f @ got).vec(), np.array(scalars(width), dtype=field.dtype)):
+        sol = solve_in_span(field, images, rhs)
+        assert (sol is None) == (not span.contains(rhs))
+        if sol is not None:
+            assert (f @ combine(x, y, sol)).vec().tolist() == field.reduce(rhs).tolist()

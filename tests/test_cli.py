@@ -127,3 +127,35 @@ def test_emitted_pa2_matches_stated_matrices(tmp_path):
     cfg = json.loads((tmp_path / "x" / "project.json").read_text())
     assert cfg["M_gen"] == ["P1", "P2", "S1"]
     assert cfg["mode"] == "frobenius"
+
+
+def _with_module_file(text):
+    def mutate(root):
+        (root / "S1.json").write_text(text)
+    return mutate
+
+
+MALFORMED = {
+    "zero-samples": (None, ["--samples", "0"]),
+    "negative-samples": (None, ["--samples", "-5"]),
+    "module-not-json": (_with_module_file("{not json"), []),
+    "module-bad-dim": (_with_module_file(json.dumps({"dims": {"1": "x"}})), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_one_line(pa2_project, tmp_path, capsys, case):
+    import shutil
+    mutate, extra = MALFORMED[case]
+    root = tmp_path / case
+    shutil.copytree(pa2_project, root)
+    if mutate is not None:
+        mutate(root)
+    code = dispatch(["axioms", "--check", "mho_rigid", "--project", str(root)] + extra)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == ""
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    if mutate is not None:
+        assert "S1.json" in lines[0]

@@ -168,3 +168,10 @@ def test_ses_split(pa2):
         Morphism.zero(zero_module(alg), mods["P1"]), Morphism.identity(mods["P1"])
     ).validate()
     assert ses_split(ident) is not None
+    # zero quotient: the section is the zero map 0 -> P1
+    to_zero = ShortExactSequence(
+        Morphism.identity(mods["P1"]), Morphism.zero(mods["P1"], zero_module(alg))
+    ).validate()
+    split = ses_split(to_zero)
+    assert split is not None and split.target.key == mods["P1"].key
+    assert (to_zero.p @ split) == Morphism.identity(to_zero.quotient)

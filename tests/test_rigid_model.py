@@ -22,7 +22,6 @@ from frobcat.rigid_model import (
     factorize2,
     fibration_via_cone,
     in_mho_M,
-    in_pr_M,
     is_cofibrant,
     is_fibration,
     is_trivial_fibration,
@@ -189,7 +188,6 @@ def test_cofibrancy(pa2_ctx, pa2_deg_ctx, pa2):
     alg, mods = pa2
     for x in mods.values():
         assert is_cofibrant(pa2_ctx, x)  # small-algebra degeneracy
-        assert in_pr_M(pa2_ctx, x)
     assert not is_cofibrant(pa2_deg_ctx, mods["S1"])
     assert not is_cofibrant(pa2_deg_ctx, mods["S2"])
     assert is_cofibrant(pa2_deg_ctx, mods["P1"])
@@ -211,7 +209,7 @@ def test_in_mho_M(pa2_ctx, pa2):
         assert in_mho_M(pa2_ctx, alg.injective(v))
     # the class is exactly: presentable and invisible to the functor
     for x in mods.values():
-        expected = in_pr_M(pa2_ctx, x) and pa2_ctx.stable_from_generator(x).dim == 0
+        expected = is_cofibrant(pa2_ctx, x) and pa2_ctx.stable_from_generator(x).dim == 0
         assert in_mho_M(pa2_ctx, x) == expected
 
 
