@@ -820,6 +820,57 @@ def hom_dim(x: Module, y: Module) -> int:
     return hom_matrix(x, y).rows
 
 
+def hom_width(x: Module, y: Module) -> int:
+    """The length of ``Morphism.vec()`` for maps x -> y."""
+    return sum(x.dims[v] * y.dims[v] for v in x.algebra.vertices)
+
+
+def _blocks(rows: np.ndarray, x: Module, y: Module):
+    """Per vertex, the k x dims_y x dims_x stack of the rows' components."""
+    k = rows.shape[0]
+    for v, off, r, c in Morphism.hom_dim_layout(x, y):
+        yield v, rows[:, off : off + r * c].reshape(k, r, c)
+
+
+def _flatten(field: Field, k: int, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """k rows joining the row-major flattened blocks; explicit sizes, since
+    reshape(k, -1) is ambiguous for k = 0."""
+    if not blocks:
+        return np.empty((k, 0), dtype=field.dtype)
+    return np.hstack([b.reshape(k, b.shape[-2] * b.shape[-1]) for b in blocks])
+
+
+def compose_basis(rows: np.ndarray, x: Module, y: Module, left: Optional[Morphism] = None,
+                  right: Optional[Morphism] = None) -> np.ndarray:
+    """The rows vec(left ∘ b ∘ right), for b running over the rows of a k x width
+    matrix in Hom(x, y) coordinates (such as ``hom_matrix(x, y).data``).
+
+    One batched product per vertex block and side, each reduced at once, so
+    the int64 residue path keeps its bound.
+    """
+    field = x.algebra.field
+    out = []
+    for v, block in _blocks(rows, x, y):
+        if left is not None:
+            block = field.reduce(np.matmul(left.comps[v].data, block))
+        if right is not None:
+            block = field.reduce(np.matmul(block, right.comps[v].data))
+        out.append(block)
+    return _flatten(field, rows.shape[0], out)
+
+
+def compose_pairs(a_rows: np.ndarray, x: Module, z: Module, b_rows: np.ndarray,
+                  y: Module) -> np.ndarray:
+    """The rows vec(b ∘ a) for a over the rows of a Hom(x, z) matrix (outer)
+    and b over the rows of a Hom(z, y) matrix (inner): row i * len(b_rows) + j
+    is b_j ∘ a_i."""
+    field = x.algebra.field
+    b_blocks = dict(_blocks(b_rows, z, y))
+    out = [field.reduce(np.matmul(b_blocks[v][None, :], a[:, None]))
+           for v, a in _blocks(a_rows, x, z)]
+    return _flatten(field, a_rows.shape[0] * b_rows.shape[0], out)
+
+
 # -- kernels, cokernels, sums ----------------------------------------------------
 
 

@@ -25,10 +25,12 @@ from .algebra_repr import (
     Morphism,
     cokernel,
     combine,
+    compose_basis,
+    compose_pairs,
     direct_sum,
-    hom_basis,
     hom_dim,
     hom_matrix,
+    hom_width,
     is_epi,
     is_iso,
     is_mono,
@@ -50,7 +52,6 @@ from .homological import (
     syzygy,
 )
 from .rigid_model import (
-    FROBENIUS,
     RigidContext,
     are_homotopic,
     cofibrant_replacement,
@@ -263,33 +264,22 @@ def _sample_composable(ctx: RigidContext, rng: random.Random, universe):
 def rlp_holds(ctx: RigidContext, g: Morphism, f: Morphism) -> bool:
     """Exact right-lifting-property test of f against g.
 
-    Linear formulation: the image of l -> (l∘g, f∘l) must contain the kernel
-    of (a, b) -> f∘a - b∘g, so no square sampling is involved.
+    Linear formulation: l -> (l∘g, f∘l) maps Hom(g.target, f.source) into the
+    space K of squares {(a, b) : f∘a = b∘g}, so every square has a lift iff
+    the image has dimension dim K. Both sides are ranks; no square sampling.
     """
     field = ctx.alg.field
-    a_dim = sum(f.source.dims[v] * g.source.dims[v] for v in ctx.alg.vertices)
-    b_dim = sum(f.target.dims[v] * g.target.dims[v] for v in ctx.alg.vertices)
-    lifts = hom_basis(g.target, f.source)
-    phi_span = RowSpan(field, a_dim + b_dim)
-    for l in lifts:
-        phi_span.add(np.concatenate([(l @ g).vec(), (f @ l).vec()]))
-    homs_a = hom_basis(g.source, f.source)
-    homs_b = hom_basis(g.target, f.target)
-    n = len(homs_a) + len(homs_b)
-    if n == 0:
+    homs_a = hom_matrix(g.source, f.source)
+    homs_b = hom_matrix(g.target, f.target)
+    system = np.vstack([compose_basis(homs_a.data, g.source, f.source, left=f),
+                        compose_basis(homs_b.data, g.target, f.target, right=g)])
+    dim_k = homs_a.rows + homs_b.rows - Matrix(field, system).rank()
+    if dim_k == 0:
         return True
-    width = sum(f.target.dims[v] * g.source.dims[v] for v in ctx.alg.vertices)
-    rows = []
-    for a in homs_a:
-        rows.append((f @ a).vec())
-    for b in homs_b:
-        rows.append(-((b @ g).vec()))
-    system = Matrix(field, np.vstack(rows).T) if width else Matrix.zeros(field, 0, n)
-    # each kernel vector, recombined in both hom bases, is a square (a, b)
-    bases = Matrix.block_diag(field, [hom_matrix(g.source, f.source),
-                                      hom_matrix(g.target, f.target)])
-    squares = system.kernel().data.T.dot(bases.data)
-    return all(phi_span.contains(v) for v in squares)
+    lifts = hom_matrix(g.target, f.source).data
+    image = np.hstack([compose_basis(lifts, g.target, f.source, right=g),
+                       compose_basis(lifts, g.target, f.source, left=f)])
+    return Matrix(field, image).rank() == dim_k
 
 
 def _presentation_element(ctx: RigidContext, pres) -> Morphism:
@@ -326,8 +316,8 @@ def _tailored_lifting_elements(ctx: RigidContext, f: Morphism) -> List[Morphism]
     approx = right_M_approximation(ctx, f.source)
     i_m, iota_m = injective_envelope(ctx.M_gen)
     out = []
-    for b in hom_basis(ctx.M_gen, k):
-        h = solve_postcompose(approx, inc @ b)
+    for b in compose_basis(hom_matrix(ctx.M_gen, k).data, ctx.M_gen, k, left=inc):
+        h = solve_postcompose(approx, Morphism.from_vec(ctx.M_gen, f.source, b))
         if h is None:
             continue
         total, injections, _ = direct_sum([approx.source, i_m])
@@ -488,7 +478,8 @@ def _check_sq_J_in_W(ctx, rng, samples, universe, pred) -> List[Violation]:
 def morphism_kills_generator_stably(ctx: RigidContext, h: Morphism) -> bool:
     """Every composite (h ∘ map from the generator) factors through an injective."""
     sub = factors_through_add(ctx.M_gen, _inj_sum(ctx.alg), h.target)
-    return all(sub.contains(h @ b) for b in hom_basis(ctx.M_gen, h.source))
+    return sub.contains_rows(compose_basis(hom_matrix(ctx.M_gen, h.source).data, ctx.M_gen,
+                                           h.source, left=h))
 
 
 def weq_via_cones(ctx: RigidContext, f: Morphism) -> bool:
@@ -539,27 +530,24 @@ def _left_u_approximation(ctx: RigidContext, x: Module) -> Morphism:
     of the co-evaluation nor membership of its cokernel in add(U).
     """
     components = list(ctx.U_components)
-    endo = hom_basis(ctx.U, ctx.U)
-    width = sum(ctx.U.dims[v] * x.dims[v] for v in ctx.alg.vertices)
-    span = RowSpan(ctx.alg.field, width)
+    endo = hom_matrix(ctx.U, ctx.U).data
+    span = RowSpan(ctx.alg.field, hom_width(x, ctx.U))
     _, u_injections, _ = direct_sum(components)
-    kept: List[Tuple[int, Morphism]] = []
+    kept: List[Tuple[int, np.ndarray]] = []
     for ci, comp in enumerate(components):
-        for h in hom_basis(x, comp):
-            hfull = u_injections[ci] @ h
-            if span.contains(hfull.vec()):
+        basis = hom_matrix(x, comp).data
+        full = compose_basis(basis, x, comp, left=u_injections[ci])
+        for h, hfull in zip(basis, full):
+            if span.contains(hfull):
                 continue
             kept.append((ci, h))
-            for e in endo:
-                span.add((e @ hfull).vec())
-    parts = [components[ci] for ci, _ in kept]
-    if not parts:
+            span.add_all(compose_pairs(hfull[None], x, ctx.U, endo, ctx.U))
+    if not kept:
         return Morphism.zero(x, zero_module(ctx.alg))
-    total, injections, _ = direct_sum(parts)
-    coev = Morphism.zero(x, total)
-    for (ci, h), inj in zip(kept, injections):
-        coev = coev + (inj @ h)
-    return coev
+    total, _, _ = direct_sum([components[ci] for ci, _ in kept])
+    gens = [Morphism.from_vec(x, components[ci], h) for ci, h in kept]
+    comps = {v: Matrix.vstack([h.comps[v] for h in gens]) for v in ctx.alg.vertices}
+    return Morphism(x, total, comps, check=False)
 
 
 def in_copr_mho(ctx: RigidContext, x: Module) -> bool:
@@ -660,16 +648,15 @@ def search_fraction_witness(ctx: RigidContext, left, right, seed: int = 0,
         s.source, t.source, cofibrant_replacement(ctx, s.source).a,
     ]
     for c in sources:
-        basis_a = hom_basis(c, s.source)
-        basis_b = hom_basis(c, t.source)
-        if not basis_a and not basis_b:
+        basis_a = hom_matrix(c, s.source).data
+        basis_b = hom_matrix(c, t.source).data
+        if not len(basis_a) and not len(basis_b):
             continue
-        cols = []
-        for a in basis_a:
-            cols.append(np.concatenate([(s @ a).vec(), (f @ a).vec()]))
-        for b in basis_b:
-            cols.append(np.concatenate([-((t @ b).vec()), -((g @ b).vec())]))
-        system = Matrix(field, np.vstack(cols).T)
+        rows_a = np.hstack([compose_basis(basis_a, c, s.source, left=s),
+                            compose_basis(basis_a, c, s.source, left=f)])
+        rows_b = np.hstack([compose_basis(basis_b, c, t.source, left=t),
+                            compose_basis(basis_b, c, t.source, left=g)])
+        system = Matrix(field, np.vstack([rows_a, field.reduce(-rows_b)]).T)
         ker = system.kernel()
         if ker.cols == 0:
             continue

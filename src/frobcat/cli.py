@@ -82,22 +82,33 @@ def load_project(path: str) -> ProjectConfig:
         if name not in modules:
             raise InputError(f"M_gen references unknown module {name!r}")
     options = config.get("options", {})
+    try:
+        seed, samples = int(options.get("seed", 42)), int(options.get("samples", 200))
+    except (TypeError, ValueError) as e:
+        raise InputError(f"project.json options: seed and samples must be integers: {e}") from e
     return ProjectConfig(
         root=root,
         algebra=algebra,
         modules=modules,
         m_gen_names=list(config.get("M_gen", [])),
         mode=config.get("mode", "exact"),
-        seed=int(options.get("seed", 42)),
-        samples=int(options.get("samples", 200)),
+        seed=seed,
+        samples=samples,
     )
 
 
 def load_morphism(project: ProjectConfig, path: str) -> Morphism:
-    data = json.loads(Path(path).read_text())
-    source = project.module(data["source"])
-    target = project.module(data["target"])
-    return Morphism.from_dict(data, source, target)
+    try:
+        data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise InputError(f"morphism file {path}: expected a JSON object")
+        source = project.module(data["source"])
+        target = project.module(data["target"])
+        return Morphism.from_dict(data, source, target)
+    except KeyError as e:
+        raise InputError(f"morphism file {path}: missing key {e}") from e
+    except ValueError as e:  # json.JSONDecodeError included
+        raise InputError(f"morphism file {path}: {e}") from e
 
 
 class Report:

@@ -463,8 +463,3 @@ class RowSpan:
     def add_all(self, vectors) -> None:
         for v in vectors:
             self.add(v)
-
-    def basis_matrix(self) -> Matrix:
-        if not self.rows:
-            return Matrix.zeros(self.field, 0, self.width)
-        return Matrix(self.field, np.vstack(self.rows))

@@ -21,6 +21,8 @@ from .algebra_repr import (
     ShortExactSequence,
     cokernel,
     combine,
+    compose_basis,
+    compose_pairs,
     direct_sum,
     dual_module,
     hom_basis,
@@ -154,14 +156,10 @@ def cosyzygy(x: Module) -> Tuple[Module, ShortExactSequence]:
 
 def _precompose_rank(inc: Morphism, y: Module) -> Tuple[int, int]:
     """rank of Hom(P0, y) -> Hom(Omega x, y) and dim Hom(Omega x, y)."""
-    alg = y.algebra
-    hp = hom_basis(inc.target, y)
-    homega = hom_basis(inc.source, y)
-    width = sum(y.dims[v] * inc.source.dims[v] for v in alg.vertices)
-    span = RowSpan(alg.field, width)
-    for h in hp:
-        span.add((h @ inc).vec())
-    return span.rank, len(homega)
+    homega = hom_matrix(inc.source, y)
+    span = RowSpan(y.algebra.field, homega.cols)
+    span.add_all(compose_basis(hom_matrix(inc.target, y).data, inc.target, y, right=inc))
+    return span.rank, homega.rows
 
 
 def ext1_dim(x: Module, y: Module) -> int:
@@ -174,14 +172,10 @@ def ext1_dim(x: Module, y: Module) -> int:
 def ext1_dim_via_copresentation(x: Module, y: Module) -> int:
     """Independent cross-check: dim coker(Hom(x, I0) -> Hom(x, cosyzygy y))."""
     mho, ses = cosyzygy(y)
-    hi = hom_basis(x, ses.middle)
-    hm = hom_basis(x, mho)
-    alg = x.algebra
-    width = sum(mho.dims[v] * x.dims[v] for v in alg.vertices)
-    span = RowSpan(alg.field, width)
-    for h in hi:
-        span.add((ses.p @ h).vec())
-    return len(hm) - span.rank
+    hm = hom_matrix(x, mho)
+    span = RowSpan(x.algebra.field, hm.cols)
+    span.add_all(compose_basis(hom_matrix(x, ses.middle).data, x, ses.middle, left=ses.p))
+    return hm.rows - span.rank
 
 
 # -- quotient coordinates ---------------------------------------------------------
@@ -228,38 +222,50 @@ class QuotientSpace:
 
 @dataclass
 class AddSubspace:
-    """span{ b∘a : a in Hom(x,z), b in Hom(z,y) } with factorization witnesses."""
+    """span{ b∘a : a in Hom(x,z), b in Hom(z,y) } with factorization witnesses.
+
+    ``images`` holds the composites b∘a in pair order (a outer, b inner over
+    the hom bases) and ``span`` their reduced echelon form."""
 
     x: Module
     z: Module
     y: Module
-    basis: List[Morphism]
-    _span: RowSpan
-    _pairs: List[Tuple[Morphism, Morphism]]
+    span: RowSpan
+    images: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.span.rank
+
+    @property
+    def basis(self) -> List[Morphism]:
+        return [Morphism.from_vec(self.x, self.y, row.copy()) for row in self.span.rows]
 
     def contains(self, f: Morphism) -> bool:
-        return self._span.contains(f.vec())
+        return self.span.contains(f.vec())
+
+    def contains_rows(self, rows: np.ndarray) -> bool:
+        """True iff every row (in Hom(x, y) coordinates) lies in the span."""
+        return all(self.span.contains(v) for v in rows)
 
     def factorize(self, f: Morphism) -> Tuple[Morphism, Morphism]:
         """Explicit x -> z^n -> y recomposing to f, for f in the span."""
-        images = [(b @ a).vec() for a, b in self._pairs]
-        sol = solve_in_span(self.x.algebra.field, images, f.vec())
+        sol = solve_in_span(self.x.algebra.field, self.images, f.vec())
         if sol is None:
             raise InputError("morphism does not factor through add(z)")
         chosen = [(k, c) for k, c in enumerate(sol) if c != 0]
         if not chosen:
             z0 = zero_module(self.x.algebra)
             return Morphism.zero(self.x, z0), Morphism.zero(z0, self.y)
+        homs_xz, homs_zy = hom_matrix(self.x, self.z), hom_matrix(self.z, self.y)
         parts = [self.z] * len(chosen)
         total, injections, projections = direct_sum(parts)
         into = Morphism.zero(self.x, total)
         outof = Morphism.zero(total, self.y)
         for slot, (k, coeff) in enumerate(chosen):
-            a, b = self._pairs[k]
+            i, j = divmod(k, homs_zy.rows)
+            a = Morphism.from_vec(self.x, self.z, homs_xz.data[i])
+            b = Morphism.from_vec(self.z, self.y, homs_zy.data[j])
             into = into + (injections[slot] @ a)
             outof = outof + (b.scale(coeff) @ projections[slot])
         return into, outof
@@ -271,21 +277,10 @@ def factors_through_add(x: Module, z: Module, y: Module) -> AddSubspace:
     A morphism lies in the span of the pairwise composites iff it factors
     through z^n for some finite n, so the linear test is exact.
     """
-    alg = x.algebra
-    width = sum(y.dims[v] * x.dims[v] for v in alg.vertices)
-    span = RowSpan(alg.field, width)
-    pairs: List[Tuple[Morphism, Morphism]] = []
-    basis: List[Morphism] = []
-    if not z.is_zero():
-        into = hom_basis(x, z)
-        outof = hom_basis(z, y)
-        for a in into:
-            for b in outof:
-                pairs.append((a, b))
-                span.add((b @ a).vec())
-    for row in span.rows:
-        basis.append(Morphism.from_vec(x, y, row.copy()))
-    return AddSubspace(x, z, y, basis, span, pairs)
+    images = compose_pairs(hom_matrix(x, z).data, x, z, hom_matrix(z, y).data, y)
+    span = RowSpan(x.algebra.field, images.shape[1])
+    span.add_all(images)
+    return AddSubspace(x, z, y, span, images)
 
 
 def in_add(x: Module, z: Module) -> bool:
@@ -345,7 +340,7 @@ def quotient_hom(x: Module, z: Module,
     the basis of the subspace factored out."""
     sub = factors_through_add(x, z, y)
     basis = hom_matrix(x, y)
-    q = QuotientSpace(x.algebra.field, basis.cols, [m.vec() for m in sub.basis])
+    q = QuotientSpace(x.algebra.field, basis.cols, sub.span.rows)
     for i, h in enumerate(basis.data):
         q.offer_representative(i, h)
     return hom_basis(x, y), q, sub.basis
@@ -380,6 +375,7 @@ def ses_split(ses: ShortExactSequence) -> Optional[Morphism]:
 
 def solve_postcompose(left: Morphism, rhs: Morphism) -> Optional[Morphism]:
     """Some s with left @ s = rhs, searched inside Hom(rhs.source, left.source)."""
-    images = [(left @ s).vec() for s in hom_basis(rhs.source, left.source)]
-    coeffs = solve_in_span(left.source.algebra.field, images, rhs.vec())
-    return None if coeffs is None else combine(rhs.source, left.source, coeffs)
+    x, y = rhs.source, left.source
+    images = compose_basis(hom_matrix(x, y).data, x, y, left=left)
+    coeffs = solve_in_span(x.algebra.field, images, rhs.vec())
+    return None if coeffs is None else combine(x, y, coeffs)

@@ -25,13 +25,14 @@ from .algebra_repr import (
     ShortExactSequence,
     cokernel,
     cokernel_factor,
+    compose_basis,
+    compose_pairs,
     direct_sum,
-    hom_basis,
+    hom_matrix,
+    hom_width,
     is_epi,
-    is_iso,
     is_mono,
     kernel,
-    pullback,
     pushout,
     zero_module,
 )
@@ -156,53 +157,46 @@ def build_context(alg: Algebra, m_gen, mode: str,
 
 
 def _greedy_generators(ctx: RigidContext, components: Sequence[Module], x: Module,
-                       minimize: bool) -> List[Tuple[int, Morphism]]:
-    """Hom-basis maps component -> x kept as right approximation generators.
+                       minimize: bool) -> List[Tuple[int, np.ndarray]]:
+    """Hom-basis maps component -> x kept as right approximation generators,
+    as (component index, row of ``hom_matrix(component, x)``).
 
     A map is dropped when it already lies in kept ∘ End(C); the drop order is
     fixed (component order, then hom-basis order) so results are reproducible.
     """
+    if not minimize:
+        return [(ci, h) for ci, comp in enumerate(components) for h in hom_matrix(comp, x).data]
     total, _, projections = direct_sum(list(components))
-    kept: List[Tuple[int, Morphism]] = []
-    if minimize:
-        endo = hom_basis(total, total)
-        width = sum(x.dims[v] * total.dims[v] for v in ctx.alg.vertices)
-        span = RowSpan(ctx.alg.field, width)
-        for ci, comp in enumerate(components):
-            for h in hom_basis(comp, x):
-                hfull = h @ projections[ci]
-                if span.contains(hfull.vec()):
-                    continue
-                kept.append((ci, h))
-                for e in endo:
-                    span.add((hfull @ e).vec())
-    else:
-        for ci, comp in enumerate(components):
-            for h in hom_basis(comp, x):
-                kept.append((ci, h))
+    endo = hom_matrix(total, total).data
+    span = RowSpan(ctx.alg.field, hom_width(total, x))
+    kept: List[Tuple[int, np.ndarray]] = []
+    for ci, comp in enumerate(components):
+        basis = hom_matrix(comp, x).data
+        full = compose_basis(basis, comp, x, right=projections[ci])
+        for h, hfull in zip(basis, full):
+            if span.contains(hfull):
+                continue
+            kept.append((ci, h))
+            span.add_all(compose_pairs(endo, total, total, hfull[None], x))
     return kept
 
 
 def _evaluation_map(ctx: RigidContext, components: Sequence[Module], x: Module,
                     minimize: bool) -> Morphism:
+    """The sum of the kept generators on the direct sum of their components."""
     kept = _greedy_generators(ctx, components, x, minimize)
-    parts = [components[ci] for ci, _ in kept]
-    if not parts:
+    if not kept:
         return Morphism.zero(zero_module(ctx.alg), x)
-    total, _, projections = direct_sum(parts)
-    out = Morphism.zero(total, x)
-    for (ci, h), proj in zip(kept, projections):
-        out = out + (h @ proj)
-    return out
+    total, _, _ = direct_sum([components[ci] for ci, _ in kept])
+    gens = [Morphism.from_vec(components[ci], x, h) for ci, h in kept]
+    comps = {v: Matrix.hstack([h.comps[v] for h in gens]) for v in ctx.alg.vertices}
+    return Morphism(total, x, comps, check=False)
 
 
-def _check_approximation(ctx: RigidContext, components: Sequence[Module], x: Module,
+def _check_approximation(ctx: RigidContext, components: Sequence[Module],
                          ev: Morphism) -> None:
-    total, _, projections = direct_sum(list(components))
-    for ci, comp in enumerate(components):
-        for h in hom_basis(comp, x):
-            if solve_postcompose(ev, h) is None:
-                raise InternalCheckError("evaluation map is not an approximation")
+    if not all(_post_map_surjective(ctx, comp, ev) for comp in components):
+        raise InternalCheckError("evaluation map is not an approximation")
 
 
 def right_M_approximation(ctx: RigidContext, x: Module) -> Morphism:
@@ -212,7 +206,7 @@ def right_M_approximation(ctx: RigidContext, x: Module) -> Morphism:
     if got is None:
         got = _evaluation_map(ctx, ctx.components, x, ctx.minimize)
         if ctx.debug:
-            _check_approximation(ctx, ctx.components, x, got)
+            _check_approximation(ctx, ctx.components, got)
         if not is_epi(got):
             raise InternalCheckError("M-approximation is not epi")
         cache[x.key] = got
@@ -228,7 +222,7 @@ def mho_approximation(ctx: RigidContext, x: Module) -> Morphism:
     if got is None:
         got = _evaluation_map(ctx, ctx.U_components, x, ctx.minimize)
         if ctx.debug:
-            _check_approximation(ctx, ctx.U_components, x, got)
+            _check_approximation(ctx, ctx.U_components, got)
         cache[x.key] = got
     if got.target is not x:
         got = Morphism(got.source, x, got.comps, check=False)
@@ -306,16 +300,11 @@ def is_weak_equivalence(ctx: RigidContext, f: Morphism) -> bool:
 
 
 def _post_map_surjective(ctx: RigidContext, probe: Module, f: Morphism) -> bool:
-    """Surjectivity of Hom(probe, source) -> Hom(probe, target)."""
-    hy = hom_basis(probe, f.target)
-    if not hy:
-        return True
-    hx = hom_basis(probe, f.source)
-    width = hy[0].vec().size
-    span = RowSpan(ctx.alg.field, width)
-    for h in hx:
-        span.add((f @ h).vec())
-    return all(span.contains(h.vec()) for h in hy)
+    """Surjectivity of Hom(probe, source) -> Hom(probe, target), by rank."""
+    target = hom_matrix(probe, f.target)
+    span = RowSpan(ctx.alg.field, target.cols)
+    span.add_all(compose_basis(hom_matrix(probe, f.source).data, probe, f.source, left=f))
+    return span.rank == target.rows
 
 
 def is_fibration(ctx: RigidContext, f: Morphism) -> bool:
@@ -347,7 +336,8 @@ def fibration_via_cone(ctx: RigidContext, f: Morphism) -> bool:
         return False
     z, g, _ = cone_of(ctx, f)
     sub = factors_through_add(ctx.U, _inj_sum(ctx.alg), z)
-    return all(sub.contains(g @ b) for b in hom_basis(ctx.U, f.target))
+    return sub.contains_rows(compose_basis(hom_matrix(ctx.U, f.target).data, ctx.U, f.target,
+                                           left=g))
 
 
 def lift(ctx: RigidContext, g: Morphism, f: Morphism) -> Morphism:

@@ -16,10 +16,14 @@ from frobcat.algebra_repr import (
     cokernel,
     cokernel_factor,
     combine,
+    compose_basis,
+    compose_pairs,
     direct_sum,
     enumerate_submodules,
     hom_basis,
     hom_dim,
+    hom_matrix,
+    hom_width,
     invert,
     is_epi,
     is_iso,
@@ -344,9 +348,11 @@ def _reference_combine(x, y, coeffs):
     return out
 
 
+# F_1048573 is the largest prime below 2^20, the top of the int64 residue path
 _PA2_BY_FIELD = {
     name: preprojective(2, field)
-    for name, field in (("F2", prime_field(2)), ("F5", prime_field(5)), ("Q", rational_field()))
+    for name, field in (("F2", prime_field(2)), ("F5", prime_field(5)),
+                        ("F1048573", prime_field(1048573)), ("Q", rational_field()))
 }
 
 
@@ -382,3 +388,103 @@ def test_combine_and_solve_in_span_match_the_reference(field_name, data):
         assert (sol is None) == (not span.contains(rhs))
         if sol is not None:
             assert (f @ combine(x, y, sol)).vec().tolist() == field.reduce(rhs).tolist()
+
+
+def _reference_compose(x, y, rows, left=None, right=None):
+    """vec(left ∘ b ∘ right) for each row b, one Morphism at a time."""
+    out = []
+    for row in rows:
+        b = Morphism.from_vec(x, y, row)
+        if left is not None:
+            b = left @ b
+        if right is not None:
+            b = b @ right
+        out.append(b.vec().tolist())
+    return out
+
+
+def _reference_pairs(x, z, y, a_rows, b_rows):
+    return [(Morphism.from_vec(z, y, b) @ Morphism.from_vec(x, z, a)).vec().tolist()
+            for a in a_rows for b in b_rows]
+
+
+def _dense_rows(x, y):
+    """The hom basis plus the combination of all of it with coefficients -1,
+    -2, ...: dense entries, so sums of products pass p and a missing
+    reduction shows."""
+    field = x.algebra.field
+    full = combine(x, y, [field.coerce(-1 - k) for k in range(hom_dim(x, y))])
+    return np.vstack([hom_matrix(x, y).data, full.vec()[None]])
+
+
+@pytest.mark.parametrize("field_name", sorted(_PA2_BY_FIELD))
+def test_compose_on_empty_bases_and_zero_vertices(field_name):
+    """Every triple of S1 (dims (1, 0)), S2 (dims (0, 1)), P1, P2, P1 + P2 and
+    the zero module: empty hom bases and zero-dimensional vertices included."""
+    alg = _PA2_BY_FIELD[field_name]
+    mods = (alg.simples() + alg.projectives()
+            + [direct_sum(alg.projectives())[0], zero_module(alg)])
+    for x in mods:
+        for y in mods:
+            rows = hom_matrix(x, y).data
+            ident = compose_basis(rows, x, y, left=Morphism.identity(y),
+                                  right=Morphism.identity(x))
+            assert ident.shape == rows.shape and ident.tolist() == rows.tolist()
+            dense = _dense_rows(x, y)
+            for z in mods:
+                left, right = _dense_rows(y, z)[-1], _dense_rows(z, x)[-1]
+                left, right = Morphism.from_vec(y, z, left), Morphism.from_vec(z, x, right)
+                for kw in ({"left": left}, {"right": right}, {"left": left, "right": right}):
+                    got = compose_basis(dense, x, y, **kw)
+                    assert got.tolist() == _reference_compose(x, y, dense, **kw)
+                a_rows, b_rows = _dense_rows(x, z), _dense_rows(z, y)
+                pairs = compose_pairs(a_rows, x, z, b_rows, y)
+                want = _reference_pairs(x, z, y, a_rows, b_rows)
+                assert pairs.shape == (len(want), hom_width(x, y))
+                assert pairs.tolist() == want
+            empty = hom_matrix(x, y).data[:0]
+            assert compose_basis(empty, x, y).shape == (0, hom_width(x, y))
+
+
+@given(field_name=st.sampled_from(sorted(_PA2_BY_FIELD)), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_compose_basis_and_pairs_match_per_element_composition(field_name, data):
+    alg = _PA2_BY_FIELD[field_name]
+    field = alg.field
+    indecomposables = alg.simples() + alg.projectives()
+
+    def module():
+        picks = data.draw(st.lists(st.sampled_from(indecomposables), max_size=2))
+        return direct_sum(picks, alg)[0]
+
+    def morphism(x, y):
+        # nonzero coefficients: a zero combination hides a missing reduction
+        ints = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                  min_size=hom_dim(x, y), max_size=hom_dim(x, y)))
+        return combine(x, y, [field.coerce(c) for c in ints])
+
+    def rows(x, y):
+        """A few random elements of Hom(x, y), not just basis rows, so that
+        sums of products exceed p and a missing reduction shows."""
+        n = data.draw(st.integers(0, 3))
+        vecs = [morphism(x, y).vec() for _ in range(n)]
+        return np.array(vecs, dtype=field.dtype).reshape(n, hom_width(x, y))
+
+    x, y, z = module(), module(), module()
+    left = morphism(y, module()) if data.draw(st.booleans()) else None
+    right = morphism(module(), x) if data.draw(st.booleans()) else None
+    elements = rows(x, y)
+    got = compose_basis(elements, x, y, left=left, right=right)
+    want = _reference_compose(x, y, elements, left, right)
+    src = x if right is None else right.source
+    tgt = y if left is None else left.target
+    assert got.shape == (len(want), hom_width(src, tgt))
+    assert got.dtype == field.dtype
+    assert got.tolist() == want
+
+    a_rows, b_rows = rows(x, z), rows(z, y)
+    pairs = compose_pairs(a_rows, x, z, b_rows, y)
+    want = _reference_pairs(x, z, y, a_rows, b_rows)
+    assert pairs.shape == (len(want), hom_width(x, y))
+    assert pairs.dtype == field.dtype
+    assert pairs.tolist() == want

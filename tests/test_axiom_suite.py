@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
+from frobcat import axiom_suite
 from frobcat.errors import InputError
-from frobcat.algebra_repr import Morphism, direct_sum, hom_basis
+from frobcat.exact_linalg import Matrix, RowSpan, prime_field, rational_field
+from frobcat.algebra_repr import Morphism, direct_sum, hom_basis, hom_matrix, preprojective
 from frobcat.rigid_model import build_context
 from frobcat.axiom_suite import (
     CheckRun,
@@ -94,6 +97,76 @@ def test_rlp_exactness(pa2_ctx, pa2):
     assert not rlp_holds(
         pa2_ctx, Morphism.zero(z, mods["S1"]), Morphism.zero(z, mods["S1"])
     )
+
+
+def _reference_rlp_holds(ctx, g, f):
+    """The membership form that the rank form of rlp_holds replaced, kept as
+    its reference: every square (a, b), recombined from a kernel vector of
+    (a, b) -> f∘a - b∘g, must lie in the span of the lifts' images (l∘g, f∘l)."""
+    field = ctx.alg.field
+    a_dim = sum(f.source.dims[v] * g.source.dims[v] for v in ctx.alg.vertices)
+    b_dim = sum(f.target.dims[v] * g.target.dims[v] for v in ctx.alg.vertices)
+    lifts = hom_basis(g.target, f.source)
+    phi_span = RowSpan(field, a_dim + b_dim)
+    for l in lifts:
+        phi_span.add(np.concatenate([(l @ g).vec(), (f @ l).vec()]))
+    homs_a = hom_basis(g.source, f.source)
+    homs_b = hom_basis(g.target, f.target)
+    n = len(homs_a) + len(homs_b)
+    if n == 0:
+        return True
+    width = sum(f.target.dims[v] * g.source.dims[v] for v in ctx.alg.vertices)
+    rows = []
+    for a in homs_a:
+        rows.append((f @ a).vec())
+    for b in homs_b:
+        rows.append(-((b @ g).vec()))
+    system = Matrix(field, np.vstack(rows).T) if width else Matrix.zeros(field, 0, n)
+    bases = Matrix.block_diag(field, [hom_matrix(g.source, f.source),
+                                      hom_matrix(g.target, f.target)])
+    squares = system.kernel().data.T.dot(bases.data)
+    return all(phi_span.contains(v) for v in squares)
+
+
+def _lifting_verdicts(monkeypatch, ctx, objects, samples):
+    """(rank form, reference) on every (g, f) pair that the lifting check
+    evaluates at seed 42; the check itself must pass."""
+    verdicts = []
+
+    def both(ctx_, g, f):
+        got = rlp_holds(ctx_, g, f)
+        verdicts.append((got, _reference_rlp_holds(ctx_, g, f)))
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(axiom_suite, "rlp_holds", both)
+        run = run_check(ctx, "lifting_I_eq_JW", 42, samples, objects)
+    assert run.passed, run.to_text()
+    return verdicts
+
+
+def _preprojective_context(n, field, generator, objects):
+    alg = preprojective(n, field)
+    make = {"S": alg.simple, "P": alg.projective}
+    ctx = build_context(alg, [make[g[0]](g[1:]) for g in generator], "frobenius")
+    return ctx, [(name, make[name[0]](name[1:])) for name in objects]
+
+
+def test_rlp_rank_form_matches_the_reference(monkeypatch, pa2_ctx, pa2):
+    streams = {
+        "pa2": _lifting_verdicts(monkeypatch, pa2_ctx, _objects(pa2), 20),
+        "A4/F2": _lifting_verdicts(monkeypatch, *_preprojective_context(
+            4, prime_field(2), ["P1", "P2", "P3", "P4"], ["S1", "S2", "S3", "S4"]), 2),
+        "A2/Q": _lifting_verdicts(monkeypatch, *_preprojective_context(
+            2, rational_field(), ["P1", "P2", "S1"], ["S1", "S2"]), 6),
+    }
+    for name, verdicts in streams.items():
+        assert verdicts, name
+        mismatches = [k for k, (got, want) in enumerate(verdicts) if got != want]
+        assert not mismatches, (name, mismatches)
+    # both verdicts occur, so agreement is not agreement on a constant
+    assert {got for got, _ in streams["pa2"]} == {True, False}
+    assert {got for got, _ in streams["A2/Q"]} == {True, False}
 
 
 def test_weq_via_cones_matches(pa2_ctx, pa2):

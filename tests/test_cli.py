@@ -129,33 +129,54 @@ def test_emitted_pa2_matches_stated_matrices(tmp_path):
     assert cfg["mode"] == "frobenius"
 
 
-def _with_module_file(text):
+def _with_file(name, text):
     def mutate(root):
-        (root / "S1.json").write_text(text)
+        (root / name).write_text(text)
     return mutate
 
 
+def _with_options(**options):
+    def mutate(root):
+        cfg = json.loads((root / "project.json").read_text())
+        cfg["options"].update(options)
+        (root / "project.json").write_text(json.dumps(cfg))
+    return mutate
+
+
+AXIOMS = ["axioms", "--check", "mho_rigid"]
+WEQ = ["weq", "--morphism", "{root}/f.json"]
+
+# case -> (project mutation, command, the file the error line must name)
 MALFORMED = {
-    "zero-samples": (None, ["--samples", "0"]),
-    "negative-samples": (None, ["--samples", "-5"]),
-    "module-not-json": (_with_module_file("{not json"), []),
-    "module-bad-dim": (_with_module_file(json.dumps({"dims": {"1": "x"}})), []),
+    "zero-samples": (None, AXIOMS + ["--samples", "0"], None),
+    "negative-samples": (None, AXIOMS + ["--samples", "-5"], None),
+    "module-not-json": (_with_file("S1.json", "{not json"), AXIOMS, "S1.json"),
+    "module-bad-dim": (_with_file("S1.json", json.dumps({"dims": {"1": "x"}})), AXIOMS,
+                       "S1.json"),
+    "morphism-not-json": (_with_file("f.json", "{bad"), WEQ, "f.json"),
+    "morphism-bad-entry": (_with_file("f.json", json.dumps(
+        {"source": "S2", "target": "S2", "comps": {"2": ["x"]}})), WEQ, "f.json"),
+    "morphism-missing-key": (_with_file("f.json", json.dumps({"target": "S2", "comps": {}})),
+                             WEQ, "f.json"),
+    "options-samples-not-int": (_with_options(samples="many"), AXIOMS, "project.json"),
+    "options-seed-not-int": (_with_options(seed="x"), AXIOMS, "project.json"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2_with_one_line(pa2_project, tmp_path, capsys, case):
     import shutil
-    mutate, extra = MALFORMED[case]
+    mutate, command, named = MALFORMED[case]
     root = tmp_path / case
     shutil.copytree(pa2_project, root)
     if mutate is not None:
         mutate(root)
-    code = dispatch(["axioms", "--check", "mho_rigid", "--project", str(root)] + extra)
+    argv = [a.format(root=root) for a in command] + ["--project", str(root)]
+    code = dispatch(argv)
     out, err = capsys.readouterr()
     assert code == 2
     assert err == ""
     lines = out.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    if mutate is not None:
-        assert "S1.json" in lines[0]
+    if named is not None:
+        assert named in lines[0]
