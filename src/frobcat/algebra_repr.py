@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .exact_linalg import Field, Matrix, RowSpan, prime_field, rational_field
+from .exact_linalg import Field, Matrix, RowSpan, kron, prime_field, rational_field
 
 DEFAULT_PATH_CAP = 64
 DEFAULT_DIM_CAP = 4096
@@ -751,10 +751,6 @@ class Morphism:
 # -- hom spaces ----------------------------------------------------------------
 
 
-def _kron(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return field.reduce(np.kron(a, b))
-
-
 def hom_matrix(x: Module, y: Module) -> Matrix:
     """Deterministic basis of Hom(x, y), solving the intertwiner equations.
 
@@ -782,7 +778,7 @@ def hom_matrix(x: Module, y: Module) -> Matrix:
             if rj[1] * rj[2]:
                 # C_j X_a  ~  (I ⊗ X_a^T) vec(C_j), row-major vec
                 eye = Matrix.identity(field, y.dims[j]).data
-                block.data[:, rj[0] : rj[0] + rj[1] * rj[2]] = _kron(
+                block.data[:, rj[0] : rj[0] + rj[1] * rj[2]] = kron(
                     field, eye, x.action[a.name].data.T
                 )
             if ri[1] * ri[2]:
@@ -790,7 +786,7 @@ def hom_matrix(x: Module, y: Module) -> Matrix:
                 eye = Matrix.identity(field, x.dims[i]).data
                 block.data[:, ri[0] : ri[0] + ri[1] * ri[2]] = field.reduce(
                     block.data[:, ri[0] : ri[0] + ri[1] * ri[2]]
-                    - _kron(field, y.action[a.name].data, eye)
+                    - kron(field, y.action[a.name].data, eye)
                 )
             rows.append(block)
         if rows:
@@ -813,7 +809,7 @@ def combine(x: Module, y: Module, coeffs: Sequence) -> Morphism:
     if not basis.rows:
         return Morphism.zero(x, y)
     coeffs = np.asarray(coeffs, dtype=x.algebra.field.dtype)
-    return Morphism.from_vec(x, y, coeffs.dot(basis.data))
+    return Morphism.from_vec(x, y, x.algebra.field.matmul(coeffs, basis.data))
 
 
 def hom_dim(x: Module, y: Module) -> int:
@@ -845,16 +841,15 @@ def compose_basis(rows: np.ndarray, x: Module, y: Module, left: Optional[Morphis
     """The rows vec(left ∘ b ∘ right), for b running over the rows of a k x width
     matrix in Hom(x, y) coordinates (such as ``hom_matrix(x, y).data``).
 
-    One batched product per vertex block and side, each reduced at once, so
-    the int64 residue path keeps its bound.
+    One batched ``Field.matmul`` per vertex block and side.
     """
     field = x.algebra.field
     out = []
     for v, block in _blocks(rows, x, y):
         if left is not None:
-            block = field.reduce(np.matmul(left.comps[v].data, block))
+            block = field.matmul(left.comps[v].data, block)
         if right is not None:
-            block = field.reduce(np.matmul(block, right.comps[v].data))
+            block = field.matmul(block, right.comps[v].data)
         out.append(block)
     return _flatten(field, rows.shape[0], out)
 
@@ -866,7 +861,7 @@ def compose_pairs(a_rows: np.ndarray, x: Module, z: Module, b_rows: np.ndarray,
     is b_j ∘ a_i."""
     field = x.algebra.field
     b_blocks = dict(_blocks(b_rows, z, y))
-    out = [field.reduce(np.matmul(b_blocks[v][None, :], a[:, None]))
+    out = [field.matmul(b_blocks[v][None, :], a[:, None])
            for v, a in _blocks(a_rows, x, z)]
     return _flatten(field, a_rows.shape[0] * b_rows.shape[0], out)
 

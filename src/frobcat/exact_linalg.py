@@ -5,12 +5,18 @@ canonical integer residues in ``[0, p)``.  Matrices wrap numpy arrays purely
 as exact containers: residues live in int64 arrays (reduced mod p after
 every operation), rationals in object arrays.  No floating point anywhere.
 
+Rational elimination and products run fraction-free: rows and operands are
+cleared of denominators into Python integers, eliminated by cross-multiplying
+(Bareiss-style, with each updated row divided by the gcd of its entries) or
+multiplied as integers, and one ``Fraction`` per entry is built at the end.
+
 All operations are pure and all values are immutable by convention, so they
 can be shared freely across concurrent tasks.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,8 +26,14 @@ from .errors import InputError
 RATIONAL = "rational"
 PRIME = "prime"
 
-# int64 dot products of residues stay exact while cols * (p-1)^2 < 2^63.
+# Residues of p < 2^20 live in int64: each product of two is below 2^40.
 _INT64_LIMIT = 1 << 20
+
+
+def _int64_chunk(p: int) -> int:
+    """The longest inner dimension whose sum of residue products, each at most
+    (p-1)^2, stays below 2^63."""
+    return ((1 << 63) - 1) // (p - 1) ** 2
 
 
 def _is_prime(n: int) -> bool:
@@ -53,6 +65,7 @@ class Field:
             raise InputError(f"unknown field kind {kind!r}")
         self.kind = kind
         self._int64 = kind == PRIME and self.characteristic < _INT64_LIMIT
+        self._chunk = _int64_chunk(self.characteristic) if self._int64 else None
 
     # -- scalars ---------------------------------------------------------
 
@@ -124,6 +137,22 @@ class Field:
             return out
         return arr
 
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The reduced product ``np.matmul(a, b)``, batched like it; b has at
+        least two dimensions.
+
+        Residues are summed in int64 over chunks of the inner axis short enough
+        that no partial sum reaches 2^63; rationals are multiplied as integers
+        with each operand's denominators cleared.
+        """
+        if self._int64:
+            if a.shape[-1] <= self._chunk:
+                return np.matmul(a, b) % self.characteristic
+            return _chunked_matmul(a, b, self.characteristic, self._chunk)
+        if self.kind == RATIONAL:
+            return _rational_matmul(a, b)
+        return self.reduce(np.matmul(a, b))
+
     def array(self, values, shape: Tuple[int, int]) -> np.ndarray:
         flat = [self.coerce(v) for v in values]
         if len(flat) != shape[0] * shape[1]:
@@ -147,6 +176,134 @@ class Field:
         if self.kind == PRIME:
             return f"Field(F_{self.characteristic})"
         return "Field(Q)"
+
+
+def _chunked_matmul(a: np.ndarray, b: np.ndarray, p: int, chunk: int) -> np.ndarray:
+    """np.matmul(a, b) % p as a sum of reduced products over chunks of the
+    inner axis, each at most `chunk` long."""
+    out = None
+    for s in range(0, a.shape[-1], chunk):
+        part = np.matmul(a[..., s : s + chunk], b[..., s : s + chunk, :]) % p
+        out = part if out is None else (out + part) % p
+    return out
+
+
+def _cleared(values: list) -> Tuple[List[int], int]:
+    """(integers, d) with values = integers / d, d the lcm of the denominators."""
+    d = lcm(*[x.denominator for x in values])
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _object_array(values: list, shape) -> np.ndarray:
+    out = np.empty(shape, dtype=object)
+    out.reshape(-1)[:] = values
+    return out
+
+
+def _rational_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    ia, da = _cleared(a.reshape(-1).tolist())
+    ib, db = _cleared(b.reshape(-1).tolist())
+    prod = np.matmul(_object_array(ia, a.shape), _object_array(ib, b.shape))
+    d = da * db
+    return _object_array([Fraction(x, d) for x in prod.reshape(-1).tolist()], prod.shape)
+
+
+def _primitive(row: List[int]) -> List[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [u // g for u in row]
+
+
+def _rref_rational(a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows."""
+    nrows, ncols = a.shape
+    rows = [_primitive(_cleared(row)[0]) for row in a.tolist()]
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            x = row[c]
+            if x and i != r:
+                g = gcd(p, x)
+                m, n = p // g, x // g
+                rows[i] = _primitive([m * u - n * v for u, v in zip(row, prow)])
+        pivots.append(c)
+        r += 1
+    zero = Fraction(0)
+    out = np.empty((nrows, ncols), dtype=object)
+    for i, c in enumerate(pivots):
+        p = rows[i][c]
+        out[i] = [Fraction(u, p) if u else zero for u in rows[i]]
+    out[r:] = zero
+    return out, pivots
+
+
+# Up to this many cells a residue matrix is eliminated on Python-int rows,
+# where numpy's per-call cost would outweigh the work; above it, on the array.
+_ROW_CELLS = 2048
+
+
+def _rref_residues(field: Field, a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Gauss-Jordan elimination, on the array or on Python-int rows by size,
+    touching only the rows nonzero in the pivot column and only from the pivot
+    column on (left of it the pivot row is zero)."""
+    if a.size <= _ROW_CELLS:
+        return _rref_residue_rows(field, a)
+    a = a.copy()
+    nrows, ncols = a.shape
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if not len(nz):
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r, c:] = field.reduce(a[r, c:] * field.inv(a[r, c]))
+        hit = a[:, c].nonzero()[0]
+        hit = hit[hit != r]
+        if len(hit):
+            # each product is below p^2 < 2^40, so the difference is reduced at once
+            a[hit, c:] = field.reduce(a[hit, c:] - np.outer(a[hit, c], a[r, c:]))
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _rref_residue_rows(field: Field, a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    p = field.characteristic
+    nrows, ncols = a.shape
+    rows = a.tolist()
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.inv(rows[r][c])
+        tail = [u * inv % p for u in rows[r][c:]]
+        rows[r] = rows[r][:c] + tail
+        for i, row in enumerate(rows):
+            x = row[c]
+            if x and i != r:
+                rows[i] = row[:c] + [(u - x * v) % p for u, v in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+    return np.array(rows, dtype=a.dtype).reshape(nrows, ncols), pivots
 
 
 def rational_field() -> Field:
@@ -230,7 +387,7 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        return Matrix(self.field, self.field.reduce(self.data.dot(other.data)))
+        return Matrix(self.field, self.field.matmul(self.data, other.data))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return Matrix(self.field, self.field.reduce(self.data + other.data))
@@ -302,32 +459,11 @@ class Matrix:
         Pivot choice is deterministic: leftmost nonzero column, topmost row.
         Returns (reduced matrix, pivot column list, rank).
         """
-        field = self.field
-        a = self.data.copy()
-        nrows, ncols = a.shape
-        pivots: List[int] = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            piv = None
-            for i in range(r, nrows):
-                if a[i, c] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            if piv != r:
-                a[[r, piv]] = a[[piv, r]]
-            inv = field.inv(a[r, c])
-            a[r] = field.reduce(a[r] * inv)
-            col = a[:, c].copy()
-            col[r] = field.zero()
-            if np.any(col != 0):
-                a = field.reduce(a - np.outer(col, a[r]))
-            pivots.append(c)
-            r += 1
-        return Matrix(field, a), pivots, len(pivots)
+        if self.field.kind == RATIONAL:
+            red, pivots = _rref_rational(self.data)
+        else:
+            red, pivots = _rref_residues(self.field, self.data)
+        return Matrix(self.field, red), pivots, len(pivots)
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -340,14 +476,13 @@ class Matrix:
         pivots.
         """
         field = self.field
-        red, pivots, _ = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
+        red, pivots, rank = self.rref()
+        taken = set(pivots)
+        free = [c for c in range(self.cols) if c not in taken]
         out = Matrix.zeros(field, self.cols, len(free))
-        one = field.one()
-        for k, c in enumerate(free):
-            out.data[c, k] = one
-            for i, pc in enumerate(pivots):
-                out.data[pc, k] = field.neg(red.data[i, c])
+        ks = np.arange(len(free))
+        out.data[free, ks] = field.one()
+        out.data[np.ix_(pivots, ks)] = field.reduce(-red.data[:rank, free])
         return out
 
     def solve_cols(self, b: "Matrix") -> Optional["Matrix"]:
@@ -374,22 +509,10 @@ class Matrix:
         return inv
 
 
-# function-style operation surface -------------------------------------------
-
-
-def rref(m: Matrix) -> Tuple[Matrix, List[int], int]:
-    return m.rref()
-
-
-def kernel_basis(m: Matrix) -> List[Matrix]:
-    k = m.kernel()
-    return [k.column_vector(j) for j in range(k.cols)]
-
-
-def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
-    if b.cols != 1:
-        raise InputError("solve expects a column vector")
-    return m.solve_cols(b)
+def kron(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The reduced Kronecker product of two matrices, as one broadcast product."""
+    (m, n), (p, q) = a.shape, b.shape
+    return field.reduce((a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q))
 
 
 def solve_in_span(field: Field, images: Sequence[np.ndarray],

@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .exact_linalg import Matrix, RowSpan, solve_in_span
+from .exact_linalg import Matrix, RowSpan, kron, solve_in_span
 from .algebra_repr import Module, Morphism, combine
 from .homological import QuotientSpace, quotient_hom
 from .rigid_model import (
@@ -133,7 +133,7 @@ def ebar_hom_basis(ctx: RigidContext, gx: EbarModule, gy: EbarModule) -> List[Ma
         ry = gy.action[j].data
         eye_y = Matrix.identity(field, gy.dim).data
         eye_x = Matrix.identity(field, gx.dim).data
-        block = field.reduce(np.kron(eye_y, rx.T) - np.kron(ry, eye_x))
+        block = field.reduce(kron(field, eye_y, rx.T) - kron(field, ry, eye_x))
         rows.append(block)
     if rows:
         system = Matrix(field, np.vstack(rows))

@@ -21,7 +21,9 @@ from frobcat.algebra_repr import (
     hom_basis,
     is_epi,
     is_mono,
+    preprojective,
 )
+from frobcat.exact_linalg import rational_field
 from frobcat.homological import ext1_dim
 from frobcat.rigid_model import (
     build_context,
@@ -35,7 +37,7 @@ from frobcat.rigid_model import (
     is_weak_equivalence,
 )
 from frobcat.localization import dl_verify_all, ho_hom, stable_endo
-from frobcat.axiom_suite import random_morphism, weq_via_cones
+from frobcat.axiom_suite import default_objects, random_morphism, run_all, weq_via_cones
 
 
 def _report(n, label, elapsed, budget):
@@ -209,3 +211,17 @@ def test_criterion_7_pa3_rigidity_search(capsys):
     with capsys.disabled():
         _report(7, f"pa3 search: {rigid_found} rigid candidates, all pairs verified",
                 elapsed, 120)
+
+
+def test_criterion_8_rational_battery_on_a3(capsys):
+    start = time.perf_counter()
+    alg = preprojective(3, rational_field())
+    ctx = build_context(alg, alg.projectives(), "frobenius")
+    report = run_all(ctx, 42, 5, default_objects(ctx))
+    elapsed = time.perf_counter() - start
+    assert report.passed, report.to_text()
+    assert len(report.runs) == 14 and not report.skipped
+    assert elapsed < 60.0
+    with capsys.disabled():
+        _report(8, "axioms on preprojective A3/Q, seed=42 samples=5, 14 checks",
+                elapsed, 60)

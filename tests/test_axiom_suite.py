@@ -124,7 +124,7 @@ def _reference_rlp_holds(ctx, g, f):
     system = Matrix(field, np.vstack(rows).T) if width else Matrix.zeros(field, 0, n)
     bases = Matrix.block_diag(field, [hom_matrix(g.source, f.source),
                                       hom_matrix(g.target, f.target)])
-    squares = system.kernel().data.T.dot(bases.data)
+    squares = field.matmul(system.kernel().data.T, bases.data)
     return all(phi_span.contains(v) for v in squares)
 
 
@@ -158,7 +158,7 @@ def test_rlp_rank_form_matches_the_reference(monkeypatch, pa2_ctx, pa2):
         "A4/F2": _lifting_verdicts(monkeypatch, *_preprojective_context(
             4, prime_field(2), ["P1", "P2", "P3", "P4"], ["S1", "S2", "S3", "S4"]), 2),
         "A2/Q": _lifting_verdicts(monkeypatch, *_preprojective_context(
-            2, rational_field(), ["P1", "P2", "S1"], ["S1", "S2"]), 6),
+            2, rational_field(), ["P1", "P2", "S1"], ["S1", "S2", "P1", "P2"]), 6),
     }
     for name, verdicts in streams.items():
         assert verdicts, name

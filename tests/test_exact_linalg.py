@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobcat import exact_linalg
 from frobcat.errors import InputError
 from frobcat.exact_linalg import (
     Field,
     Matrix,
     RowSpan,
-    kernel_basis,
+    _int64_chunk,
+    _chunked_matmul,
     prime_field,
     rational_field,
-    rref,
-    solve,
 )
 
 F5 = prime_field(5)
@@ -39,14 +40,14 @@ def test_element_strings():
 
 def test_rref_empty():
     m = Matrix.zeros(Q, 0, 0)
-    red, pivots, rank = rref(m)
+    red, pivots, rank = m.rref()
     assert (red.rows, red.cols) == (0, 0)
     assert pivots == [] and rank == 0
 
 
 def test_rref_identity_f5():
     m = Matrix.identity(F5, 3)
-    red, pivots, rank = rref(m)
+    red, pivots, rank = m.rref()
     assert red == Matrix.identity(F5, 3)
     assert pivots == [0, 1, 2] and rank == 3
 
@@ -54,48 +55,47 @@ def test_rref_identity_f5():
 def test_rref_rank_one():
     # hand row reduction: second row is half the first
     m = Matrix.from_rows(Q, [[2, 4], [1, 2]])
-    red, pivots, rank = rref(m)
+    red, pivots, rank = m.rref()
     assert rank == 1 and pivots == [0]
     assert red.to_lists() == [[1, 2], [0, 0]]
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(F5, 4)) == []
+    assert Matrix.identity(F5, 4).kernel().cols == 0
 
 
 def test_kernel_zero_matrix_full():
-    vecs = kernel_basis(Matrix.zeros(Q, 2, 3))
-    assert len(vecs) == 3
+    assert Matrix.zeros(Q, 2, 3).kernel().cols == 3
 
 
 def test_kernel_pivot_convention():
     # free column 1 gives (-1, 1, 0), canonically (4, 1, 0) over F_5
     m = Matrix.from_rows(F5, [[1, 1, 0], [0, 0, 1]])
-    vecs = kernel_basis(m)
-    assert len(vecs) == 1
-    assert vecs[0].entries == [4, 1, 0]
+    ker = m.kernel()
+    assert ker.cols == 1
+    assert ker.column_vector(0).entries == [4, 1, 0]
 
 
 def test_solve_identity():
     b = Matrix.column(Q, [3, Fraction(1, 2)])
-    x = solve(Matrix.identity(Q, 2), b)
+    x = Matrix.identity(Q, 2).solve_cols(b)
     assert x == b
 
 
 def test_solve_inconsistent():
-    assert solve(Matrix.zeros(F5, 2, 2), Matrix.column(F5, [1, 0])) is None
+    assert Matrix.zeros(F5, 2, 2).solve_cols(Matrix.column(F5, [1, 0])) is None
 
 
 def test_solve_underdetermined():
     m = Matrix.from_rows(Q, [[1, 2], [2, 4]])
-    x = solve(m, Matrix.column(Q, [1, 2]))
+    x = m.solve_cols(Matrix.column(Q, [1, 2]))
     assert x is not None
     assert x.entries[0] + 2 * x.entries[1] == 1
 
 
 def test_solve_shape_contract():
     with pytest.raises(InputError):
-        solve(Matrix.identity(Q, 2), Matrix.column(Q, [1, 2, 3]))
+        Matrix.identity(Q, 2).solve_cols(Matrix.column(Q, [1, 2, 3]))
 
 
 def _random_matrix(field, rng, rows, cols):
@@ -110,11 +110,11 @@ def test_rank_nullity_and_exact_kernel(field):
     for _ in range(40):
         rows, cols = rng.randrange(0, 5), rng.randrange(0, 5)
         m = _random_matrix(field, rng, rows, cols)
-        _, _, rank = rref(m)
-        vecs = kernel_basis(m)
-        assert rank + len(vecs) == cols
-        for v in vecs:
-            assert (m @ v).is_zero()
+        _, _, rank = m.rref()
+        ker = m.kernel()
+        assert rank + ker.cols == cols
+        for j in range(ker.cols):
+            assert (m @ ker.column_vector(j)).is_zero()
 
 
 @pytest.mark.parametrize("field", [F5, Q], ids=["F5", "Q"])
@@ -122,8 +122,8 @@ def test_rref_idempotent(field):
     rng = random.Random(11)
     for _ in range(30):
         m = _random_matrix(field, rng, rng.randrange(0, 5), rng.randrange(0, 5))
-        red, _, _ = rref(m)
-        again, _, _ = rref(red)
+        red, _, _ = m.rref()
+        again, _, _ = red.rref()
         assert again == red
 
 
@@ -136,7 +136,7 @@ def test_solve_iff_rank_condition(field):
         b = _random_matrix(field, rng, rows, 1)
         augmented = Matrix.hstack([m, b])
         solvable = m.rank() == augmented.rank()
-        x = solve(m, b)
+        x = m.solve_cols(b)
         assert (x is not None) == solvable
         if x is not None:
             assert (m @ x) == b
@@ -152,7 +152,7 @@ def test_solve_iff_rank_condition(field):
 @settings(max_examples=60, deadline=None)
 def test_rref_projects_to_row_space(rows):
     m = Matrix.from_rows(Q, rows)
-    red, pivots, rank = rref(m)
+    red, pivots, rank = m.rref()
     # every original row reduces to zero against the echelon rows
     span = RowSpan(Q, m.cols)
     for i in range(rank):
@@ -171,3 +171,206 @@ def test_rowspan_membership():
     # (0, 1, 0) forces a zero multiple of (1, 2, 0), so it is outside
     assert span.contains(Matrix.from_rows(F5, [[0, 1, 0]]).data[0].copy()) is False
     assert span.contains(Matrix.from_rows(F5, [[3, 1, 1]]).data[0].copy()) is True
+
+
+# -- kept references ---------------------------------------------------------------
+#
+# The per-column elimination loop and the ``reduce(a.dot(b))`` product that the
+# fraction-free rational kernel, the row-restricted residue kernel and
+# ``Field.matmul`` replaced. RREF is unique, so the fast kernels must agree with
+# them entry for entry.
+
+
+def _reference_rref(m):
+    field = m.field
+    a = m.data.copy()
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = None
+        for i in range(r, nrows):
+            if a[i, c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = field.inv(a[r, c])
+        a[r] = field.reduce(a[r] * inv)
+        col = a[:, c].copy()
+        col[r] = field.zero()
+        if np.any(col != 0):
+            a = field.reduce(a - np.outer(col, a[r]))
+        pivots.append(c)
+        r += 1
+    return Matrix(field, a), pivots, len(pivots)
+
+
+def _reference_matmul(field, a, b):
+    return field.reduce(a.dot(b))
+
+
+def _reference_kernel(m):
+    field = m.field
+    red, pivots, _ = _reference_rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    out = Matrix.zeros(field, m.cols, len(free))
+    for k, c in enumerate(free):
+        out.data[c, k] = field.one()
+        for i, pc in enumerate(pivots):
+            out.data[pc, k] = field.neg(red.data[i, c])
+    return out
+
+
+def _reference_solve_cols(m, b):
+    red, pivots, _ = _reference_rref(Matrix.hstack([m, b]))
+    if any(p >= m.cols for p in pivots):
+        return None
+    x = Matrix.zeros(m.field, m.cols, b.cols)
+    for i, pc in enumerate(pivots):
+        x.data[pc, :] = red.data[i, m.cols :]
+    return x
+
+
+def _reference_inverse(m):
+    if m.rows != m.cols:
+        return None
+    ident = Matrix.identity(m.field, m.rows)
+    inv = _reference_solve_cols(m, ident)
+    if inv is None or Matrix(m.field, _reference_matmul(m.field, m.data, inv.data)) != ident:
+        return None
+    return inv
+
+
+# F_1048573 is the largest int64 residue field, F_1048583 the smallest prime
+# on the object-dtype residue path.
+FIELDS = {
+    "F2": prime_field(2),
+    "F5": F5,
+    "F1048573": prime_field(1048573),
+    "F1048583": prime_field(1048583),
+    "Q": Q,
+}
+
+
+@st.composite
+def _matrix(draw, field, rows, cols):
+    if field.kind == "rational":
+        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    else:
+        p = field.characteristic
+        entry = st.one_of(st.integers(0, min(p - 1, 3)), st.integers(max(p - 3, 0), p - 1),
+                          st.integers(0, p - 1))
+    values = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return Matrix.from_entries(field, rows, cols, values)
+
+
+@st.composite
+def _case(draw):
+    """(field, matrix): dense, zero or of deficient rank, any side possibly 0."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["dense", "zero", "deficient"]))
+    if kind == "zero":
+        return field, Matrix.zeros(field, rows, cols)
+    if kind == "deficient":
+        inner = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
+        left, right = draw(_matrix(field, rows, inner)), draw(_matrix(field, inner, cols))
+        prod = _reference_matmul(field, left.data, right.data)
+        return field, Matrix.from_entries(field, rows, cols, list(prod.reshape(-1)))
+    return field, draw(_matrix(field, rows, cols))
+
+
+def _same(got, want):
+    """Equal entries, dtype and signature (the canonical byte/str form)."""
+    if got is None or want is None:
+        return got is None and want is None
+    return (got == want and got.data.dtype == want.data.dtype
+            and got.signature() == want.signature())
+
+
+@given(case=_case(), data=st.data(),
+       row_cells=st.sampled_from([0, exact_linalg._ROW_CELLS]))
+@settings(max_examples=300, deadline=None)
+def test_kernels_match_the_references(case, data, row_cells):
+    # row_cells = 0 sends small residue matrices down the array path too
+    field, m = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_linalg, "_ROW_CELLS", row_cells)
+        _check_against_references(field, m, data)
+
+
+def _check_against_references(field, m, data):
+    red, pivots, rank = m.rref()
+    want_red, want_pivots, want_rank = _reference_rref(m)
+    assert _same(red, want_red)
+    assert (pivots, rank) == (want_pivots, want_rank)
+    assert _same(m.kernel(), _reference_kernel(m))
+    b = data.draw(_matrix(field, m.rows, data.draw(st.integers(0, 3))))
+    assert _same(m.solve_cols(b), _reference_solve_cols(m, b))
+    assert _same(m.inverse(), _reference_inverse(m))
+    other = data.draw(_matrix(field, m.cols, data.draw(st.integers(0, 4))))
+    got = field.matmul(m.data, other.data)
+    assert _same(Matrix(field, got), Matrix(field, _reference_matmul(field, m.data, other.data)))
+    # batched: a stack of left factors against one right factor
+    stack = [data.draw(_matrix(field, 2, m.cols)) for _ in range(3)]
+    batched = field.matmul(np.stack([s.data for s in stack]), other.data)
+    for s, slab in zip(stack, batched):
+        assert _same(Matrix(field, slab), Matrix(field, _reference_matmul(field, s.data, other.data)))
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)], ids=["0x3", "3x0", "0x0"])
+def test_kernels_on_empty_shapes(name, shape):
+    field = FIELDS[name]
+    m = Matrix.zeros(field, *shape)
+    assert _same(m.rref()[0], _reference_rref(m)[0])
+    assert _same(m.kernel(), _reference_kernel(m))
+    b = Matrix.zeros(field, shape[0], 2)
+    assert _same(m.solve_cols(b), _reference_solve_cols(m, b))
+    other = Matrix.zeros(field, shape[1], 2)
+    assert _same(Matrix(field, field.matmul(m.data, other.data)),
+                 Matrix(field, _reference_matmul(field, m.data, other.data)))
+
+
+@pytest.mark.parametrize("name", ["F2", "F5", "F1048573", "F1048583"])
+def test_large_residue_matrices_match_the_reference(name):
+    # above _ROW_CELLS cells, so elimination runs on the array
+    field = FIELDS[name]
+    rng = random.Random(17)
+    left = _random_matrix(field, rng, 40, 12)
+    right = _random_matrix(field, rng, 12, 70)
+    m = left @ right
+    assert m.rows * m.cols > exact_linalg._ROW_CELLS
+    assert _same(m.rref()[0], _reference_rref(m)[0])
+    assert m.rank() <= 12
+    assert _same(m.kernel(), _reference_kernel(m))
+    b = _random_matrix(field, rng, 40, 2)
+    assert _same(m.solve_cols(b), _reference_solve_cols(m, b))
+
+
+def test_int64_bound_and_chunked_products():
+    p = 1048573
+    limit = _int64_chunk(p)
+    # the longest inner dimension whose worst-case sum stays below 2^63
+    assert limit * (p - 1) ** 2 < 2 ** 63 <= (limit + 1) * (p - 1) ** 2
+    assert limit == 8388672
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, p, size=(3, 4, 19), dtype=np.int64)
+    a[0] = p - 1
+    b = rng.integers(0, p, size=(19, 5), dtype=np.int64)
+    b[:, 0] = p - 1
+    whole = prime_field(p).matmul(a, b)
+    exact = np.array([[[sum(int(x) * int(y) for x, y in zip(row, col)) % p
+                        for col in b.T] for row in slab] for slab in a])
+    assert np.array_equal(whole, exact)
+    for chunk in (1, 2, 7, 18, 19, limit):
+        assert np.array_equal(_chunked_matmul(a, b, p, chunk), whole)
+    # an inner axis longer than the field's chunk takes the chunked sum
+    short = prime_field(p)
+    short._chunk = 5
+    assert np.array_equal(short.matmul(a, b), whole)
