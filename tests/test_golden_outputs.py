@@ -6,6 +6,12 @@ both fixtures, digests of seeded ``random_morphism`` draws over all pa2
 pairs, and the canonical homotopy-class forms of the pa2 replacement maps.
 Hom-basis order feeds the seeded sampling, so any change to it shows here.
 
+Over Q, the preprojective A2 context with generator P1+P2+S1 pins the
+rational path: ``dl_verify_all`` checksums over the sample universe
+(simples, projectives and their two-fold sums), the canonical forms of the
+replacement maps' classes, and digests of those of seeded random morphisms
+between objects with a nonzero localized hom-set.
+
 Rewrite the file only in a change that means to alter these outputs:
 
     PYTHONPATH=src python tests/test_golden_outputs.py --record
@@ -20,11 +26,12 @@ from pathlib import Path
 
 import pytest
 
-from frobcat.algebra_repr import hom_basis
-from frobcat.axiom_suite import random_morphism
+from frobcat.algebra_repr import hom_basis, preprojective
+from frobcat.axiom_suite import random_morphism, sample_universe
 from frobcat.cli import dispatch
+from frobcat.exact_linalg import rational_field
 from frobcat.fixtures import build_fixture, emit_fixture
-from frobcat.localization import ho_class_of
+from frobcat.localization import dl_verify_all, ho_class_of
 from frobcat.rigid_model import build_context, cofibrant_replacement
 
 GOLDEN = Path(__file__).resolve().with_name("golden_outputs.json")
@@ -75,14 +82,42 @@ def random_morphism_digests() -> dict:
     }
 
 
+def _class_form(ctx, f) -> list:
+    return [ctx.alg.field.format(c) for c in ho_class_of(ctx, f).canonical]
+
+
+def _class_digest(ctx, f) -> str:
+    return hashlib.sha256(",".join(_class_form(ctx, f)).encode()).hexdigest()[:16]
+
+
 def ho_class_canonicals() -> dict:
     ctx, modules = _pa2_context()
-    field = ctx.alg.field
-    out = {}
-    for name, x in sorted(modules.items()):
-        cls = ho_class_of(ctx, cofibrant_replacement(ctx, x).phi)
-        out[name] = [field.format(c) for c in cls.canonical]
-    return out
+    return {name: _class_form(ctx, cofibrant_replacement(ctx, x).phi)
+            for name, x in sorted(modules.items())}
+
+
+def _a2q_context():
+    alg = preprojective(2, rational_field())
+    ctx = build_context(alg, [alg.projective("1"), alg.projective("2"), alg.simple("1")],
+                        "frobenius")
+    return ctx, sample_universe(ctx, None)
+
+
+def a2q_outputs() -> dict:
+    ctx, universe = _a2q_context()
+    reports = dl_verify_all(ctx, universe)
+    modules = dict(universe)
+    nonzero = [r.pair for r in reports if r.dim_ho]
+    return {
+        "dl_verify": {"->".join(r.pair): r.checksum for r in reports},
+        "ho_class_of_phi": {name: _class_form(ctx, cofibrant_replacement(ctx, x).phi)
+                            for name, x in universe},
+        "ho_class_of_random": {
+            f"{xn}->{yn}": [_class_digest(ctx, random_morphism(ctx, modules[xn], modules[yn], seed))
+                            for seed in SEEDS]
+            for xn, yn in nonzero
+        },
+    }
 
 
 def compute() -> dict:
@@ -91,6 +126,7 @@ def compute() -> dict:
         "dl_verify": {tag: dl_verify_checksums(tag) for tag in ("pa2", "pa3")},
         "random_morphism": random_morphism_digests(),
         "ho_class_of_phi": ho_class_canonicals(),
+        "a2q": a2q_outputs(),
     }
 
 
@@ -115,6 +151,10 @@ def test_seeded_random_morphisms_unchanged(golden):
 
 def test_replacement_classes_unchanged(golden):
     assert ho_class_canonicals() == golden["ho_class_of_phi"]
+
+
+def test_rational_context_unchanged(golden):
+    assert a2q_outputs() == golden["a2q"]
 
 
 if __name__ == "__main__":
