@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,14 @@ from .exact_linalg import Field, Matrix, RowSpan, kron, prime_field, rational_fi
 
 DEFAULT_PATH_CAP = 64
 DEFAULT_DIM_CAP = 4096
+
+
+def _memo(store: dict, key, build: Callable):
+    """store[key], computed by build() on the first request: the one cache
+    mechanism of the per-algebra and per-context stores."""
+    if key not in store:
+        store[key] = build()
+    return store[key]
 
 
 @dataclass(frozen=True)
@@ -185,14 +193,12 @@ class Algebra:
                 elt_cols = sorted({c for v in vecs for c in v if isinstance(c, int)})
                 col_keys = [("c", j) for j in members] + [("e", i) for i in elt_cols]
                 col_of = {ck: n for n, ck in enumerate(col_keys)}
-                span = RowSpan(field, len(col_keys))
-                for v in vecs:
-                    arr = np.empty(len(col_keys), dtype=field.dtype)
-                    arr[...] = field.zero()
+                stack = Matrix.zeros(field, len(vecs), len(col_keys)).data
+                for arr, v in zip(stack, vecs):
                     for c, cf in v.items():
-                        ck = ("e", c) if isinstance(c, int) else c
-                        arr[col_of[ck]] = cf
-                    span.add(arr)
+                        arr[col_of[("e", c) if isinstance(c, int) else c]] = cf
+                span = RowSpan(field, len(col_keys))
+                span.add(stack)
                 dead = set()
                 for row, p in zip(span.rows, span.pivots):
                     ck = col_keys[p]
@@ -279,38 +285,20 @@ class Algebra:
         if not radical:
             return
         field = self.field
-        span = RowSpan(field, dim)
-        vecs = []
-        for idx in radical:
-            v = np.empty(dim, dtype=field.dtype)
-            v[...] = field.zero()
-            v[idx] = field.one()
-            vecs.append(v)
-            span.add(v)
+        vecs = Matrix.zeros(field, len(radical), dim).data
+        vecs[np.arange(len(radical)), radical] = field.one()
         for _ in range(dim + 1):
-            if not vecs:
+            images = Matrix.zeros(field, len(self.arrows) * len(vecs), dim).data
+            for w, (ai, v) in zip(images, itertools.product(range(len(self.arrows)), vecs)):
+                for eid in range(dim):
+                    if v[eid] == 0:
+                        continue
+                    for tid, cf in self._mult.get((ai, eid), {}).items():
+                        w[tid] = field.coerce(w[tid] + v[eid] * cf)
+            span = RowSpan(field, dim)
+            if not span.add(images):
                 return
-            nxt_span = RowSpan(field, dim)
-            nxt_vecs = []
-            for ai in range(len(self.arrows)):
-                for v in vecs:
-                    w = np.empty(dim, dtype=field.dtype)
-                    w[...] = field.zero()
-                    hit = False
-                    for eid in range(dim):
-                        if v[eid] == 0:
-                            continue
-                        entry = self._mult.get((ai, eid))
-                        if entry is None:
-                            continue
-                        hit = True
-                        for tid, cf in entry.items():
-                            w[tid] = field.coerce(w[tid] + v[eid] * cf)
-                    if hit and nxt_span.add(w):
-                        nxt_vecs.append(nxt_span.rows[-1])
-            if nxt_span.rank == 0:
-                return
-            vecs, span = nxt_span.rows, nxt_span
+            vecs = span.rows
         raise InputError("relations do not generate an admissible ideal (radical not nilpotent)")
 
     def _check_regular_modules(self) -> None:
@@ -383,38 +371,33 @@ class Algebra:
     # -- distinguished modules -------------------------------------------------
 
     def simple(self, v: str) -> "Module":
-        key = f"S:{v}"
-        if key not in self._module_cache:
-            dims = {w: (1 if w == v else 0) for w in self.vertices}
-            self._module_cache[key] = Module(self, dims, {}, check=False)
-        return self._module_cache[key]
+        return _memo(self._module_cache, f"S:{v}", lambda: Module(
+            self, {w: int(w == v) for w in self.vertices}, {}, check=False))
 
     def projective(self, v: str) -> "Module":
         """The indecomposable projective at v: path representatives out of v."""
-        key = f"P:{v}"
-        if key not in self._module_cache:
-            vi = self._vindex[v]
-            grp = {w: [e.idx for e in self._elts if e.source == vi and e.target == w]
-                   for w in range(len(self.vertices))}
-            pos = {eid: k for w in grp for k, eid in enumerate(grp[w])}
-            dims = {self.vertices[w]: len(grp[w]) for w in grp}
-            action = {}
-            for ai, arrow in enumerate(self.arrows):
-                si, ti = self._vindex[arrow.source], self._vindex[arrow.target]
-                m = Matrix.zeros(self.field, len(grp[ti]), len(grp[si]))
-                for col, eid in enumerate(grp[si]):
-                    for tid, cf in self._mult[(ai, eid)].items():
-                        m.data[pos[tid], col] = cf
-                action[arrow.name] = m
-            self._module_cache[key] = Module(self, dims, action, check=False)
-        return self._module_cache[key]
+        return _memo(self._module_cache, f"P:{v}", lambda: self._build_projective(v))
+
+    def _build_projective(self, v: str) -> "Module":
+        vi = self._vindex[v]
+        grp = {w: [e.idx for e in self._elts if e.source == vi and e.target == w]
+               for w in range(len(self.vertices))}
+        pos = {eid: k for w in grp for k, eid in enumerate(grp[w])}
+        dims = {self.vertices[w]: len(grp[w]) for w in grp}
+        action = {}
+        for ai, arrow in enumerate(self.arrows):
+            si, ti = self._vindex[arrow.source], self._vindex[arrow.target]
+            m = Matrix.zeros(self.field, len(grp[ti]), len(grp[si]))
+            for col, eid in enumerate(grp[si]):
+                for tid, cf in self._mult[(ai, eid)].items():
+                    m.data[pos[tid], col] = cf
+            action[arrow.name] = m
+        return Module(self, dims, action, check=False)
 
     def injective(self, v: str) -> "Module":
         """The indecomposable injective at v, dual of the opposite projective."""
-        key = f"I:{v}"
-        if key not in self._module_cache:
-            self._module_cache[key] = dual_module(self.opposite().projective(v))
-        return self._module_cache[key]
+        return _memo(self._module_cache, f"I:{v}",
+                     lambda: dual_module(self.opposite().projective(v)))
 
     def simples(self) -> List["Module"]:
         return [self.simple(v) for v in self.vertices]
@@ -758,44 +741,43 @@ def hom_matrix(x: Module, y: Module) -> Matrix:
     coordinates. Cached per algebra by module content, so structurally equal
     modules share one computation.
     """
+    return _memo(x.algebra._hom_cache, (x.key, y.key), lambda: _solve_hom(x, y))
+
+
+def _solve_hom(x: Module, y: Module) -> Matrix:
     alg = x.algebra
-    cache_key = (x.key, y.key)
-    cached = alg._hom_cache.get(cache_key)
-    if cached is None:
-        field = alg.field
-        layout = Morphism.hom_dim_layout(x, y)
-        offsets = {v: (off, r, c) for v, off, r, c in layout}
-        n = sum(r * c for _, _, r, c in layout)
-        rows = []
-        for a in alg.arrows:
-            i, j = a.source, a.target
-            ri = offsets[i]
-            rj = offsets[j]
-            neqs = y.dims[j] * x.dims[i]
-            if neqs == 0:
-                continue
-            block = Matrix.zeros(field, neqs, n)
-            if rj[1] * rj[2]:
-                # C_j X_a  ~  (I ⊗ X_a^T) vec(C_j), row-major vec
-                eye = Matrix.identity(field, y.dims[j]).data
-                block.data[:, rj[0] : rj[0] + rj[1] * rj[2]] = kron(
-                    field, eye, x.action[a.name].data.T
-                )
-            if ri[1] * ri[2]:
-                # Y_a C_i  ~  (Y_a ⊗ I) vec(C_i)
-                eye = Matrix.identity(field, x.dims[i]).data
-                block.data[:, ri[0] : ri[0] + ri[1] * ri[2]] = field.reduce(
-                    block.data[:, ri[0] : ri[0] + ri[1] * ri[2]]
-                    - kron(field, y.action[a.name].data, eye)
-                )
-            rows.append(block)
-        if rows:
-            system = Matrix.vstack(rows)
-        else:
-            system = Matrix.zeros(field, 0, n)
-        cached = system.kernel().transpose()
-        alg._hom_cache[cache_key] = cached
-    return cached
+    field = alg.field
+    layout = Morphism.hom_dim_layout(x, y)
+    offsets = {v: (off, r, c) for v, off, r, c in layout}
+    n = sum(r * c for _, _, r, c in layout)
+    rows = []
+    for a in alg.arrows:
+        i, j = a.source, a.target
+        ri = offsets[i]
+        rj = offsets[j]
+        neqs = y.dims[j] * x.dims[i]
+        if neqs == 0:
+            continue
+        block = Matrix.zeros(field, neqs, n)
+        if rj[1] * rj[2]:
+            # C_j X_a  ~  (I ⊗ X_a^T) vec(C_j), row-major vec
+            eye = Matrix.identity(field, y.dims[j]).data
+            block.data[:, rj[0] : rj[0] + rj[1] * rj[2]] = kron(
+                field, eye, x.action[a.name].data.T
+            )
+        if ri[1] * ri[2]:
+            # Y_a C_i  ~  (Y_a ⊗ I) vec(C_i)
+            eye = Matrix.identity(field, x.dims[i]).data
+            block.data[:, ri[0] : ri[0] + ri[1] * ri[2]] = field.reduce(
+                block.data[:, ri[0] : ri[0] + ri[1] * ri[2]]
+                - kron(field, y.action[a.name].data, eye)
+            )
+        rows.append(block)
+    if rows:
+        system = Matrix.vstack(rows)
+    else:
+        system = Matrix.zeros(field, 0, n)
+    return system.kernel().transpose()
 
 
 def hom_basis(x: Module, y: Module) -> List[Morphism]:
@@ -896,19 +878,11 @@ def cokernel(f: Morphism) -> Tuple[Module, Morphism]:
     for v in alg.vertices:
         fv = f.comps[v]
         dy = fv.rows
-        _, pivots, _ = fv.rref()
-        # image basis: pivot columns of the original matrix
-        img = fv.data[:, pivots] if pivots else np.empty((dy, 0), dtype=field.dtype)
-        span = RowSpan(field, dy)
-        for j in range(img.shape[1]):
-            span.add(img[:, j].copy())
-        complement = []
-        for i in range(dy):
-            e = np.empty(dy, dtype=field.dtype)
-            e[...] = field.zero()
-            e[i] = field.one()
-            if span.add(e):
-                complement.append(i)
+        # pivot columns of [f_v | 1]: an image basis among the columns of f_v,
+        # then the standard vectors completing it
+        _, pivots, _ = Matrix.hstack([fv, Matrix.identity(field, dy)]).rref()
+        img = fv.data[:, [c for c in pivots if c < fv.cols]]
+        complement = [c - fv.cols for c in pivots if c >= fv.cols]
         sel = Matrix.zeros(field, dy, len(complement))
         for k, i in enumerate(complement):
             sel.data[i, k] = field.one()

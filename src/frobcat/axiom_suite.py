@@ -541,7 +541,7 @@ def _left_u_approximation(ctx: RigidContext, x: Module) -> Morphism:
             if span.contains(hfull):
                 continue
             kept.append((ci, h))
-            span.add_all(compose_pairs(hfull[None], x, ctx.U, endo, ctx.U))
+            span.add(compose_pairs(hfull[None], x, ctx.U, endo, ctx.U))
     if not kept:
         return Morphism.zero(x, zero_module(ctx.alg))
     total, _, _ = direct_sum([components[ci] for ci, _ in kept])
@@ -723,6 +723,9 @@ def run_check(ctx: RigidContext, name: str, seed: int, samples: int,
         raise InputError(f"unknown check {name!r}; known: {', '.join(_CHECKS)}")
     if samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
+    for obj_name, m in objects or ():
+        if m.algebra is not ctx.alg:
+            raise InputError(f"object {obj_name!r} belongs to another algebra than the context")
     fn, modes = _CHECKS[name]
     if ctx.mode not in modes:
         raise InputError(f"check {name!r} requires mode in {modes}, context is {ctx.mode!r}")

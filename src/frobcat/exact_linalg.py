@@ -10,6 +10,11 @@ cleared of denominators into Python integers, eliminated by cross-multiplying
 (Bareiss-style, with each updated row divided by the gcd of its entries) or
 multiplied as integers, and one ``Fraction`` per entry is built at the end.
 
+:meth:`Matrix.rref` is the one elimination routine. A :class:`RowSpan` is the
+unique RREF of the vectors inserted into it, built by one ``rref`` per
+insertion of a vector or a stack; its canonical forms are one
+:meth:`Field.matmul` against the stored rows.
+
 All operations are pure and all values are immutable by convention, so they
 can be shared freely across concurrent tasks.
 """
@@ -532,57 +537,54 @@ def solve_in_span(field: Field, images: Sequence[np.ndarray],
 
 
 class RowSpan:
-    """Incrementally maintained row space kept in reduced echelon form.
+    """The row space of the vectors inserted so far, held as its unique reduced
+    row echelon form: ``rows`` (rank x width) with pivot columns ``pivots``.
 
-    Used for span membership tests and quotient-space canonical forms; the
-    reduction is stable so canonical forms are reproducible across runs.
+    Every insertion is one :meth:`Matrix.rref` of the stored rows stacked on
+    the new ones, so the result does not depend on how insertions are batched
+    and canonical forms are reproducible across runs. Methods take one vector
+    or a stack of them.
     """
 
     def __init__(self, field: Field, width: int):
         self.field = field
         self.width = width
-        self.rows: List[np.ndarray] = []
+        self.rows = Matrix.zeros(field, 0, width).data
         self.pivots: List[int] = []
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def _pivot_of(self, v: np.ndarray) -> Optional[int]:
-        for j in range(self.width):
-            if v[j] != 0:
-                return j
-        return None
+    def _stack(self, vectors) -> np.ndarray:
+        return self.field.reduce(np.asarray(vectors, dtype=self.field.dtype)).reshape(
+            -1, self.width)
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
+        """The canonical form of v modulo the span, row by row for a stack."""
         field = self.field
-        v = field.reduce(v.copy())
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                v = field.reduce(v - v[p] * row)
-        return v
+        v = field.reduce(np.asarray(v, dtype=field.dtype))
+        return field.reduce(v - field.matmul(v[..., self.pivots], self.rows))
 
     def contains(self, v: np.ndarray) -> bool:
+        """True iff v (every row of a stack) lies in the span."""
         return not np.any(self.reduce(v) != 0)
 
-    def add(self, v: np.ndarray) -> bool:
-        """Insert v; returns True when the span grew."""
-        field = self.field
-        v = self.reduce(v)
-        p = self._pivot_of(v)
-        if p is None:
-            return False
-        v = field.reduce(v * field.inv(v[p]))
-        for i, row in enumerate(self.rows):
-            if row[p] != 0:
-                self.rows[i] = field.reduce(row - row[p] * v)
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < p:
-            pos += 1
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, p)
-        return True
+    def add(self, vectors) -> int:
+        """Insert a vector or a stack; returns how much the rank grew."""
+        if not self.width:
+            return 0
+        before = self.rank
+        red, self.pivots, rank = Matrix(
+            self.field, np.vstack([self.rows, self._stack(vectors)])).rref()
+        self.rows = red.data[:rank].copy()
+        return rank - before
 
-    def add_all(self, vectors) -> None:
-        for v in vectors:
-            self.add(v)
+    def independent(self, candidates) -> List[int]:
+        """Positions of the candidates that would enlarge the span if inserted
+        in order: the pivot columns, past the span's own rows, of one rref of
+        the column stack. The span is left unchanged."""
+        if not self.width:
+            return []
+        cols = Matrix(self.field, np.vstack([self.rows, self._stack(candidates)]).T)
+        return [c - self.rank for c in cols.rref()[1][self.rank:]]

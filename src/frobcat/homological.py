@@ -8,17 +8,18 @@ single-writer insertion under the GIL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .exact_linalg import Field, Matrix, RowSpan, solve_in_span
+from .exact_linalg import Matrix, RowSpan, solve_in_span
 from .algebra_repr import (
     Algebra,
     Module,
     Morphism,
     ShortExactSequence,
+    _memo,
     cokernel,
     combine,
     compose_basis,
@@ -41,41 +42,24 @@ MOD_PROJECTIVES = "modulo-projectives"
 # -- radical, top, covers -----------------------------------------------------
 
 
-def radical_span(x: Module) -> dict:
-    """Per vertex, a RowSpan of rad(x) = sum of images of incoming arrows."""
-    alg = x.algebra
-    spans = {}
-    for v in alg.vertices:
-        span = RowSpan(alg.field, x.dims[v])
-        for a in alg.arrows:
-            if a.target != v:
-                continue
-            m = x.action[a.name]
-            for j in range(m.cols):
-                span.add(m.data[:, j].copy())
-        spans[v] = span
-    return spans
-
-
 def projective_cover(x: Module) -> Tuple[Module, Morphism]:
     """Minimal projective cover P -> x; P = ⊕ P_v per top generator.
 
-    Generators are deterministic: standard vectors completing the radical at
-    each vertex, in vertex order. Each P_v copy maps its path basis element b
+    Generators are deterministic: at each vertex, in vertex order, the
+    standard vectors that complete rad(x) (the sum of the images of the
+    incoming arrows) in order. Each P_v copy maps its path basis element b
     to (action of b on x) applied to the generator.
     """
     alg = x.algebra
     field = alg.field
-    spans = radical_span(x)
     generators: List[Tuple[str, np.ndarray]] = []
     for v in alg.vertices:
-        span = spans[v]
-        for i in range(x.dims[v]):
-            e = np.empty(x.dims[v], dtype=field.dtype)
-            e[...] = field.zero()
-            e[i] = field.one()
-            if span.add(e):
-                generators.append((v, e))
+        radical = RowSpan(field, x.dims[v])
+        for a in alg.arrows:
+            if a.target == v:
+                radical.add(x.action[a.name].data.T)
+        ident = Matrix.identity(field, x.dims[v]).data
+        generators += [(v, ident[i]) for i in radical.independent(ident)]
     parts = [alg.projective(v) for v, _ in generators]
     if not parts:
         p = zero_module(alg)
@@ -158,7 +142,7 @@ def _precompose_rank(inc: Morphism, y: Module) -> Tuple[int, int]:
     """rank of Hom(P0, y) -> Hom(Omega x, y) and dim Hom(Omega x, y)."""
     homega = hom_matrix(inc.source, y)
     span = RowSpan(y.algebra.field, homega.cols)
-    span.add_all(compose_basis(hom_matrix(inc.target, y).data, inc.target, y, right=inc))
+    span.add(compose_basis(hom_matrix(inc.target, y).data, inc.target, y, right=inc))
     return span.rank, homega.rows
 
 
@@ -174,7 +158,7 @@ def ext1_dim_via_copresentation(x: Module, y: Module) -> int:
     mho, ses = cosyzygy(y)
     hm = hom_matrix(x, mho)
     span = RowSpan(x.algebra.field, hm.cols)
-    span.add_all(compose_basis(hom_matrix(x, ses.middle).data, x, ses.middle, left=ses.p))
+    span.add(compose_basis(hom_matrix(x, ses.middle).data, x, ses.middle, left=ses.p))
     return hm.rows - span.rank
 
 
@@ -182,25 +166,16 @@ def ext1_dim_via_copresentation(x: Module, y: Module) -> int:
 
 
 class QuotientSpace:
-    """Coordinates on ambient/sub with RREF-canonical coset forms."""
+    """Coordinates on ambient/sub with RREF-canonical coset forms.
 
-    def __init__(self, field: Field, width: int, sub_vectors: Sequence[np.ndarray]):
-        self.field = field
-        self.width = width
-        self.sub = RowSpan(field, width)
-        for v in sub_vectors:
-            self.sub.add(v)
-        self.rep_indices: List[int] = []
-        self.rep_canonicals: List[np.ndarray] = []
-        self._repspan = RowSpan(field, width)
+    The representatives are the candidates whose canonical forms are
+    independent, chosen in candidate order."""
 
-    def offer_representative(self, index: int, vector: np.ndarray) -> bool:
-        c = self.sub.reduce(vector)
-        if self._repspan.add(c):
-            self.rep_indices.append(index)
-            self.rep_canonicals.append(c)
-            return True
-        return False
+    def __init__(self, sub: RowSpan, candidates: np.ndarray):
+        self.sub = sub
+        canonicals = sub.reduce(candidates)
+        self.rep_indices = RowSpan(sub.field, sub.width).independent(canonicals)
+        self.rep_canonicals = canonicals[self.rep_indices]
 
     @property
     def dim(self) -> int:
@@ -211,7 +186,7 @@ class QuotientSpace:
 
     def coords(self, vector: np.ndarray) -> np.ndarray:
         """Coordinates of the coset of vector in the representative basis."""
-        sol = solve_in_span(self.field, self.rep_canonicals, self.canonical(vector))
+        sol = solve_in_span(self.sub.field, self.rep_canonicals, self.canonical(vector))
         if sol is None:
             raise InternalCheckError("coset does not lie in the representative span")
         return sol
@@ -246,7 +221,7 @@ class AddSubspace:
 
     def contains_rows(self, rows: np.ndarray) -> bool:
         """True iff every row (in Hom(x, y) coordinates) lies in the span."""
-        return all(self.span.contains(v) for v in rows)
+        return self.span.contains(rows)
 
     def factorize(self, f: Morphism) -> Tuple[Morphism, Morphism]:
         """Explicit x -> z^n -> y recomposing to f, for f in the span."""
@@ -279,7 +254,7 @@ def factors_through_add(x: Module, z: Module, y: Module) -> AddSubspace:
     """
     images = compose_pairs(hom_matrix(x, z).data, x, z, hom_matrix(z, y).data, y)
     span = RowSpan(x.algebra.field, images.shape[1])
-    span.add_all(images)
+    span.add(images)
     return AddSubspace(x, z, y, span, images)
 
 
@@ -320,17 +295,11 @@ class StableHomSpace:
 
 
 def _inj_sum(alg: Algebra) -> Module:
-    key = "inj-sum"
-    if key not in alg._module_cache:
-        alg._module_cache[key] = direct_sum(alg.injectives())[0]
-    return alg._module_cache[key]
+    return _memo(alg._module_cache, "inj-sum", lambda: direct_sum(alg.injectives())[0])
 
 
 def _proj_sum(alg: Algebra) -> Module:
-    key = "proj-sum"
-    if key not in alg._module_cache:
-        alg._module_cache[key] = direct_sum(alg.projectives())[0]
-    return alg._module_cache[key]
+    return _memo(alg._module_cache, "proj-sum", lambda: direct_sum(alg.projectives())[0])
 
 
 def quotient_hom(x: Module, z: Module,
@@ -339,11 +308,7 @@ def quotient_hom(x: Module, z: Module,
     the quotient coordinates (representatives chosen in ambient order) and
     the basis of the subspace factored out."""
     sub = factors_through_add(x, z, y)
-    basis = hom_matrix(x, y)
-    q = QuotientSpace(x.algebra.field, basis.cols, sub.span.rows)
-    for i, h in enumerate(basis.data):
-        q.offer_representative(i, h)
-    return hom_basis(x, y), q, sub.basis
+    return hom_basis(x, y), QuotientSpace(sub.span, hom_matrix(x, y).data), sub.basis
 
 
 def stable_hom(x: Module, y: Module, kind: str = MOD_INJECTIVES) -> StableHomSpace:

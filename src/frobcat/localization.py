@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, InternalCheckError
 from .exact_linalg import Matrix, RowSpan, kron, solve_in_span
-from .algebra_repr import Module, Morphism, combine
+from .algebra_repr import Module, Morphism, _memo, combine
 from .homological import QuotientSpace, quotient_hom
 from .rigid_model import (
     RigidContext,
@@ -44,17 +44,18 @@ class StableEndoAlgebra:
 
 
 def stable_endo(ctx: RigidContext) -> StableEndoAlgebra:
-    cache = ctx._caches.setdefault("endo", {})
-    if "value" not in cache:
-        space = ctx.stable_from_generator(ctx.M_gen)
-        reps = space.rep_morphisms()
-        table = [[space.coords(ei @ ej) for ej in reps] for ei in reps]
-        if reps:
-            unit = space.coords(Morphism.identity(ctx.M_gen))
-        else:
-            unit = np.empty(0, dtype=ctx.alg.field.dtype)
-        cache["value"] = StableEndoAlgebra(ctx, reps, table, unit)
-    return cache["value"]
+    return _memo(ctx._caches["endo"], "value", lambda: _build_stable_endo(ctx))
+
+
+def _build_stable_endo(ctx: RigidContext) -> StableEndoAlgebra:
+    space = ctx.stable_from_generator(ctx.M_gen)
+    reps = space.rep_morphisms()
+    table = [[space.coords(ei @ ej) for ej in reps] for ei in reps]
+    if reps:
+        unit = space.coords(Morphism.identity(ctx.M_gen))
+    else:
+        unit = np.empty(0, dtype=ctx.alg.field.dtype)
+    return StableEndoAlgebra(ctx, reps, table, unit)
 
 
 @dataclass
@@ -208,16 +209,14 @@ class HoHomSpace:
 def ho_hom(ctx: RigidContext, x: Module, y: Module) -> HoHomSpace:
     """Hom in the localized category: maps between replacements modulo those
     factoring through the cosyzygy-class generator."""
-    cache = ctx._caches.setdefault("ho_hom", {})
-    key = (x.key, y.key)
-    got = cache.get(key)
-    if got is None:
-        qx = cofibrant_replacement(ctx, x).a
-        qy = cofibrant_replacement(ctx, y).a
-        ambient, q, sub = quotient_hom(qx, ctx.U, qy)
-        got = HoHomSpace(ctx, x, y, qx, qy, q, ambient, sub)
-        cache[key] = got
-    return got
+    return _memo(ctx._caches["ho_hom"], (x.key, y.key), lambda: _build_ho_hom(ctx, x, y))
+
+
+def _build_ho_hom(ctx: RigidContext, x: Module, y: Module) -> HoHomSpace:
+    qx = cofibrant_replacement(ctx, x).a
+    qy = cofibrant_replacement(ctx, y).a
+    ambient, q, sub = quotient_hom(qx, ctx.U, qy)
+    return HoHomSpace(ctx, x, y, qx, qy, q, ambient, sub)
 
 
 def ho_class_of(ctx: RigidContext, f: Morphism) -> HoClass:
@@ -348,23 +347,15 @@ def dl_verify(ctx: RigidContext, x: Module, y: Module,
         if not _g_transport(ctx, x, y, m).is_zero():
             well_defined = False
             break
-    # images must be module maps and linearly independent in their span
+    # images must be module maps and linearly independent
     width = gy.dim * gx.dim
-    span = RowSpan(field, width)
-    in_mod_span = True
+    mod_rows, image_rows = (
+        np.array([m.data.reshape(-1) for m in ms], dtype=field.dtype).reshape(len(ms), width)
+        for ms in (mod_basis, images))
     mod_span = RowSpan(field, width)
-    for m in mod_basis:
-        mod_span.add(m.data.reshape(-1).copy())
-    injective = True
-    for img in images:
-        v = img.data.reshape(-1).copy()
-        if width and not mod_span.contains(v):
-            in_mod_span = False
-        if width:
-            if not span.add(v):
-                injective = False
-        elif np.any(v != 0):
-            injective = False
+    mod_span.add(mod_rows)
+    in_mod_span = mod_span.contains(image_rows)
+    injective = RowSpan(field, width).add(image_rows) == len(images)
     bijective = (
         well_defined
         and in_mod_span

@@ -23,6 +23,7 @@ from .algebra_repr import (
     Module,
     Morphism,
     ShortExactSequence,
+    _memo,
     cokernel,
     cokernel_factor,
     compose_basis,
@@ -101,17 +102,13 @@ class RigidContext:
             "stable": {},
             "approx": {},
             "mho_approx": {},
+            "endo": {},
+            "ho_hom": {},
         }
 
-    # -- caching helpers -----------------------------------------------------
-
     def stable_from_generator(self, x: Module):
-        cache = self._caches["stable"]
-        got = cache.get(x.key)
-        if got is None:
-            got = stable_hom(self.M_gen, x, MOD_INJECTIVES)
-            cache[x.key] = got
-        return got
+        return _memo(self._caches["stable"], x.key,
+                     lambda: stable_hom(self.M_gen, x, MOD_INJECTIVES))
 
     def __repr__(self):
         return (
@@ -177,7 +174,7 @@ def _greedy_generators(ctx: RigidContext, components: Sequence[Module], x: Modul
             if span.contains(hfull):
                 continue
             kept.append((ci, h))
-            span.add_all(compose_pairs(endo, total, total, hfull[None], x))
+            span.add(compose_pairs(endo, total, total, hfull[None], x))
     return kept
 
 
@@ -193,23 +190,22 @@ def _evaluation_map(ctx: RigidContext, components: Sequence[Module], x: Module,
     return Morphism(total, x, comps, check=False)
 
 
-def _check_approximation(ctx: RigidContext, components: Sequence[Module],
-                         ev: Morphism) -> None:
-    if not all(_post_map_surjective(ctx, comp, ev) for comp in components):
+def _checked_approximation(ctx: RigidContext, components: Sequence[Module], x: Module,
+                           epi: bool) -> Morphism:
+    """The evaluation map, verified to be an approximation (in debug mode)
+    and, when asked, to be epi."""
+    ev = _evaluation_map(ctx, components, x, ctx.minimize)
+    if ctx.debug and not all(_post_map_surjective(ctx, comp, ev) for comp in components):
         raise InternalCheckError("evaluation map is not an approximation")
+    if epi and not is_epi(ev):
+        raise InternalCheckError("M-approximation is not epi")
+    return ev
 
 
 def right_M_approximation(ctx: RigidContext, x: Module) -> Morphism:
     """A right add(M_gen)-approximation of x, epi since projectives lie in M."""
-    cache = ctx._caches["approx"]
-    got = cache.get(x.key)
-    if got is None:
-        got = _evaluation_map(ctx, ctx.components, x, ctx.minimize)
-        if ctx.debug:
-            _check_approximation(ctx, ctx.components, got)
-        if not is_epi(got):
-            raise InternalCheckError("M-approximation is not epi")
-        cache[x.key] = got
+    got = _memo(ctx._caches["approx"], x.key, lambda: _checked_approximation(
+        ctx, ctx.components, x, epi=True))
     if got.target is not x:
         got = Morphism(got.source, x, got.comps, check=False)
     return got
@@ -217,13 +213,8 @@ def right_M_approximation(ctx: RigidContext, x: Module) -> Morphism:
 
 def mho_approximation(ctx: RigidContext, x: Module) -> Morphism:
     """A right approximation of x by the cosyzygy class generator U."""
-    cache = ctx._caches["mho_approx"]
-    got = cache.get(x.key)
-    if got is None:
-        got = _evaluation_map(ctx, ctx.U_components, x, ctx.minimize)
-        if ctx.debug:
-            _check_approximation(ctx, ctx.U_components, got)
-        cache[x.key] = got
+    got = _memo(ctx._caches["mho_approx"], x.key, lambda: _checked_approximation(
+        ctx, ctx.U_components, x, epi=False))
     if got.target is not x:
         got = Morphism(got.source, x, got.comps, check=False)
     return got
@@ -238,13 +229,14 @@ def cofibrant_replacement(ctx: RigidContext, x: Module) -> Replacement:
 
     phi: A -> x is verified to be a trivial fibration (and epi) before return.
     """
-    cache = ctx._caches["replacement"]
-    got = cache.get(x.key)
-    if got is not None:
-        if got.x is not x:
-            phi = Morphism(got.a, x, got.phi.comps, check=False)
-            got = Replacement(x, got.a, phi, got.witness)
-        return got
+    got = _memo(ctx._caches["replacement"], x.key, lambda: _build_replacement(ctx, x))
+    if got.x is not x:
+        phi = Morphism(got.a, x, got.phi.comps, check=False)
+        got = Replacement(x, got.a, phi, got.witness)
+    return got
+
+
+def _build_replacement(ctx: RigidContext, x: Module) -> Replacement:
     a_map = right_M_approximation(ctx, x)  # a: M0 -> x, epi
     m0 = a_map.source
     k0, inc_k0 = kernel(a_map)
@@ -265,9 +257,7 @@ def cofibrant_replacement(ctx: RigidContext, x: Module) -> Replacement:
         raise InternalCheckError("replacement map is not a fibration")
     if not is_weak_equivalence(ctx, phi):
         raise InternalCheckError("replacement map is not a weak equivalence")
-    rep = Replacement(x, a_obj, phi, witness)
-    cache[x.key] = rep
-    return rep
+    return Replacement(x, a_obj, phi, witness)
 
 
 def _projection_of(total: Module, parts: Sequence[Module], index: int) -> Morphism:
@@ -303,7 +293,7 @@ def _post_map_surjective(ctx: RigidContext, probe: Module, f: Morphism) -> bool:
     """Surjectivity of Hom(probe, source) -> Hom(probe, target), by rank."""
     target = hom_matrix(probe, f.target)
     span = RowSpan(ctx.alg.field, target.cols)
-    span.add_all(compose_basis(hom_matrix(probe, f.source).data, probe, f.source, left=f))
+    span.add(compose_basis(hom_matrix(probe, f.source).data, probe, f.source, left=f))
     return span.rank == target.rows
 
 
@@ -365,13 +355,8 @@ def lift(ctx: RigidContext, g: Morphism, f: Morphism) -> Morphism:
 def is_cofibrant(ctx: RigidContext, x: Module) -> bool:
     """Section-solving against the replacement: x is cofibrant iff the
     replacement map splits, iff x admits a two-step presentation in M."""
-    cache = ctx._caches["cofibrant"]
-    got = cache.get(x.key)
-    if got is None:
-        rep = cofibrant_replacement(ctx, x)
-        got = solve_postcompose(rep.phi, Morphism.identity(x)) is not None
-        cache[x.key] = got
-    return got
+    return _memo(ctx._caches["cofibrant"], x.key, lambda: solve_postcompose(
+        cofibrant_replacement(ctx, x).phi, Morphism.identity(x)) is not None)
 
 
 def in_mho_M(ctx: RigidContext, x: Module) -> bool:

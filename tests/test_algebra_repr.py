@@ -382,7 +382,7 @@ def test_combine_and_solve_in_span_match_the_reference(field_name, data):
     images = [(f @ h).vec() for h in hom_basis(x, y)]
     width = (f @ got).vec().size
     span = RowSpan(field, width)
-    span.add_all(images)
+    span.add(images)
     for rhs in ((f @ got).vec(), np.array(scalars(width), dtype=field.dtype)):
         sol = solve_in_span(field, images, rhs)
         assert (sol is None) == (not span.contains(rhs))

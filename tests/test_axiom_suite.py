@@ -87,6 +87,16 @@ def test_unknown_check_and_mode_mismatch(pa2_ctx, pa2):
         run_check(ctx, "factorization2", 1, 1)
 
 
+def test_objects_from_another_algebra_are_rejected(pa2_ctx, pa3):
+    _, mods3 = pa3
+    with pytest.raises(InputError, match="'P3'"):
+        run_check(pa2_ctx, "two_out_of_three", 1, 1, [("P3", mods3["P3"])])
+    # an equal but separately built algebra is another algebra too
+    other = preprojective(2, prime_field(5))
+    with pytest.raises(InputError, match="'S1'"):
+        run_check(pa2_ctx, "two_out_of_three", 1, 1, [("S1", other.simple("1"))])
+
+
 def test_rlp_exactness(pa2_ctx, pa2):
     alg, mods = pa2
     from frobcat.algebra_repr import zero_module

@@ -270,19 +270,25 @@ def _matrix(draw, field, rows, cols):
 
 
 @st.composite
-def _case(draw):
-    """(field, matrix): dense, zero or of deficient rank, any side possibly 0."""
-    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
-    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+def _shaped(draw, field, rows, cols):
+    """A rows x cols matrix: dense, zero or of deficient rank."""
     kind = draw(st.sampled_from(["dense", "zero", "deficient"]))
     if kind == "zero":
-        return field, Matrix.zeros(field, rows, cols)
+        return Matrix.zeros(field, rows, cols)
     if kind == "deficient":
         inner = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
         left, right = draw(_matrix(field, rows, inner)), draw(_matrix(field, inner, cols))
         prod = _reference_matmul(field, left.data, right.data)
-        return field, Matrix.from_entries(field, rows, cols, list(prod.reshape(-1)))
-    return field, draw(_matrix(field, rows, cols))
+        return Matrix.from_entries(field, rows, cols, list(prod.reshape(-1)))
+    return draw(_matrix(field, rows, cols))
+
+
+@st.composite
+def _case(draw):
+    """(field, matrix): dense, zero or of deficient rank, any side possibly 0."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return field, draw(_shaped(field, rows, cols))
 
 
 def _same(got, want):
@@ -321,6 +327,115 @@ def _check_against_references(field, m, data):
     batched = field.matmul(np.stack([s.data for s in stack]), other.data)
     for s, slab in zip(stack, batched):
         assert _same(Matrix(field, slab), Matrix(field, _reference_matmul(field, s.data, other.data)))
+
+
+class _ReferenceRowSpan:
+    """The incremental span that the batched RowSpan replaced: one vector
+    inserted at a time, every stored row re-reduced by a Python loop."""
+
+    def __init__(self, field, width):
+        self.field = field
+        self.width = width
+        self.rows = []
+        self.pivots = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def _pivot_of(self, v):
+        for j in range(self.width):
+            if v[j] != 0:
+                return j
+        return None
+
+    def reduce(self, v):
+        field = self.field
+        v = field.reduce(v.copy())
+        for row, p in zip(self.rows, self.pivots):
+            if v[p] != 0:
+                v = field.reduce(v - v[p] * row)
+        return v
+
+    def contains(self, v):
+        return not np.any(self.reduce(v) != 0)
+
+    def add(self, v):
+        field = self.field
+        v = self.reduce(v)
+        p = self._pivot_of(v)
+        if p is None:
+            return False
+        v = field.reduce(v * field.inv(v[p]))
+        for i, row in enumerate(self.rows):
+            if row[p] != 0:
+                self.rows[i] = field.reduce(row - row[p] * v)
+        pos = 0
+        while pos < len(self.pivots) and self.pivots[pos] < p:
+            pos += 1
+        self.rows.insert(pos, v)
+        self.pivots.insert(pos, p)
+        return True
+
+
+def _rows_matrix(field, width, rows):
+    out = Matrix.zeros(field, len(rows), width)
+    for i, row in enumerate(rows):
+        out.data[i] = row
+    return out
+
+
+def _check_span(span, ref, probe):
+    field, width = ref.field, ref.width
+    assert (span.pivots, span.rank) == (ref.pivots, ref.rank)
+    assert _same(Matrix(field, span.rows), _rows_matrix(field, width, ref.rows))
+    reduced = span.reduce(probe.data)
+    want = _rows_matrix(field, width, [ref.reduce(r) for r in probe.data])
+    assert _same(Matrix(field, reduced), want)
+    assert span.contains(probe.data) == all(ref.contains(r) for r in probe.data)
+    for row in probe.data:
+        assert _same(Matrix(field, span.reduce(row)[None]), Matrix(field, ref.reduce(row)[None]))
+        assert span.contains(row) == ref.contains(row)
+
+
+@given(name=st.sampled_from(sorted(FIELDS)), width=st.integers(0, 5),
+       count=st.integers(0, 8), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_rowspan_matches_the_reference(name, width, count, data):
+    # random vectors inserted in random batch splits, some batches empty and
+    # some of one vector given unstacked
+    field = FIELDS[name]
+    vectors = data.draw(_shaped(field, count, width)).data
+    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=4)))
+    span, ref = RowSpan(field, width), _ReferenceRowSpan(field, width)
+    for lo, hi in zip([0] + cuts, cuts + [count]):
+        batch = vectors[lo:hi]
+        if len(batch) == 1 and data.draw(st.booleans()):
+            batch = batch[0]
+        grew = [ref.add(v) for v in vectors[lo:hi]]
+        assert span.independent(batch) == [i for i, g in enumerate(grew) if g]
+        assert span.add(batch) == sum(grew)
+        _check_span(span, ref, data.draw(_shaped(field, data.draw(st.integers(0, 4)), width)))
+    assert span.contains(vectors)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_rowspan_edge_cases(name):
+    field = FIELDS[name]
+    flat = RowSpan(field, 0)
+    assert flat.add(Matrix.zeros(field, 3, 0).data) == 0 and flat.rank == 0
+    assert flat.independent(Matrix.zeros(field, 2, 0).data) == []
+    assert flat.contains(Matrix.zeros(field, 2, 0).data)
+    assert flat.reduce(Matrix.zeros(field, 2, 0).data).shape == (2, 0)
+    span = RowSpan(field, 3)
+    for empty in (Matrix.zeros(field, 0, 3).data, []):
+        assert span.add(empty) == 0 and span.independent(empty) == []
+    assert span.reduce(Matrix.zeros(field, 0, 3).data).shape == (0, 3)
+    assert span.add(Matrix.zeros(field, 2, 3).data) == 0 and span.rank == 0
+    ident = Matrix.identity(field, 3).data
+    assert span.independent(ident) == [0, 1, 2] and span.rank == 0
+    assert span.add(ident[1]) == 1 and span.independent(ident) == [0, 2]
+    assert span.add(ident) == 2 and span.contains(ident) and span.pivots == [0, 1, 2]
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
