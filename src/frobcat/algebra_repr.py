@@ -332,12 +332,6 @@ class Algebra:
             for e in self._elts
         ]
 
-    def vertex_index(self, v: str) -> int:
-        return self._vindex[v]
-
-    def arrow_index(self, name: str) -> int:
-        return self._aindex[name]
-
     def signature(self) -> tuple:
         return (
             self.field.kind,

@@ -19,18 +19,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .exact_linalg import Matrix, RowSpan
+from .exact_linalg import Matrix
 from .algebra_repr import (
     Module,
     Morphism,
     cokernel,
     combine,
     compose_basis,
-    compose_pairs,
     direct_sum,
     hom_dim,
     hom_matrix,
-    hom_width,
     is_epi,
     is_iso,
     is_mono,
@@ -52,7 +50,9 @@ from .homological import (
     syzygy,
 )
 from .rigid_model import (
+    LEFT,
     RigidContext,
+    approximation,
     are_homotopic,
     cofibrant_replacement,
     factorize1,
@@ -521,39 +521,11 @@ def _check_fib_cone_characterization(ctx, rng, samples, universe, pred) -> List[
     return out
 
 
-def _left_u_approximation(ctx: RigidContext, x: Module) -> Morphism:
-    """Co-evaluation x -> (sum of U components) through which every map into
-    add(U) factors.
-
-    Mirrors the right-approximation reduction: a hom-basis map is dropped
-    when it already lies in End(U) ∘ kept, which changes neither injectivity
-    of the co-evaluation nor membership of its cokernel in add(U).
-    """
-    components = list(ctx.U_components)
-    endo = hom_matrix(ctx.U, ctx.U).data
-    span = RowSpan(ctx.alg.field, hom_width(x, ctx.U))
-    _, u_injections, _ = direct_sum(components)
-    kept: List[Tuple[int, np.ndarray]] = []
-    for ci, comp in enumerate(components):
-        basis = hom_matrix(x, comp).data
-        full = compose_basis(basis, x, comp, left=u_injections[ci])
-        for h, hfull in zip(basis, full):
-            if span.contains(hfull):
-                continue
-            kept.append((ci, h))
-            span.add(compose_pairs(hfull[None], x, ctx.U, endo, ctx.U))
-    if not kept:
-        return Morphism.zero(x, zero_module(ctx.alg))
-    total, _, _ = direct_sum([components[ci] for ci, _ in kept])
-    gens = [Morphism.from_vec(x, components[ci], h) for ci, h in kept]
-    comps = {v: Matrix.vstack([h.comps[v] for h in gens]) for v in ctx.alg.vertices}
-    return Morphism(x, total, comps, check=False)
-
-
 def in_copr_mho(ctx: RigidContext, x: Module) -> bool:
-    """Existence of an inflation into add(U) with cokernel in add(U),
-    tested on the reduced co-evaluation map."""
-    coev = _left_u_approximation(ctx, x)
+    """Existence of an inflation into add(U) with cokernel in add(U), tested
+    on the minimal left approximation by the summands of U (the
+    co-evaluation), through which every map into add(U) factors."""
+    coev = approximation(ctx, ctx.U_components, x, LEFT)
     if coev.target.is_zero():
         return x.is_zero()
     if not is_mono(coev):

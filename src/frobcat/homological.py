@@ -92,13 +92,6 @@ def projective_cover(x: Module) -> Tuple[Module, Morphism]:
     return total, cover
 
 
-def dual_morphism(f: Morphism) -> Morphism:
-    src = dual_module(f.target)
-    tgt = dual_module(f.source)
-    comps = {v: f.comps[v].transpose() for v in f.source.algebra.vertices}
-    return Morphism(src, tgt, comps, check=False)
-
-
 def _undual_module(m: Module, algebra: Algebra) -> Module:
     """Reinterpret a module over opposite(opposite) as a module over algebra."""
     action = {a.name: m.action[a.name] for a in algebra.arrows}
@@ -289,9 +282,6 @@ class StableHomSpace:
 
     def coords(self, f: Morphism) -> np.ndarray:
         return self.quotient.coords(f.vec())
-
-    def is_stably_zero(self, f: Morphism) -> bool:
-        return not np.any(self.canonical(f) != 0)
 
 
 def _inj_sum(alg: Algebra) -> Module:

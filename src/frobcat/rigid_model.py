@@ -76,32 +76,35 @@ class Factorization:
 class RigidContext:
     """An algebra together with the additive generator of a rigid subcategory.
 
-    components are the named direct summands of the generator; approximations
-    are assembled from sums of components, after a deterministic greedy drop
-    of hom-basis maps that already factor through the kept ones.
+    components are the named direct summands of the generator. U_components
+    are the summands of the class generator U: the nonzero cosyzygies of the
+    non-injective components, then the injectives, each key once. Both lists
+    are approximated against by :func:`approximation`.
     """
 
     def __init__(self, alg: Algebra, components: Sequence[Module], mode: str,
-                 minimize_approximations: bool = True, debug_checks: bool = False):
+                 debug_checks: bool = False):
         self.alg = alg
         self.components = list(components)
         self.mode = mode
-        self.minimize = minimize_approximations
         self.debug = debug_checks
         self.M_gen, self._component_injections, _ = direct_sum(self.components)
         self.injectives = alg.injectives()
         self.projectives = alg.projectives()
-        mho, ses = cosyzygy(self.M_gen)
-        self.mho_M_gen = mho
-        self.mho_ses = ses
-        self.U_components = [self.mho_M_gen] + list(self.injectives)
+        injective_keys = {i.key for i in self.injectives}
+        mhos = [cosyzygy(c)[0] for c in self.components if c.key not in injective_keys]
+        mhos = [c for c in mhos if not c.is_zero()]
+        self.mho_M_gen, _, _ = direct_sum(mhos, alg)
+        unique: Dict[tuple, Module] = {}
+        for c in mhos + self.injectives:
+            unique.setdefault(c.key, c)
+        self.U_components = list(unique.values())
         self.U, _, _ = direct_sum(self.U_components)
         self._caches: Dict[str, dict] = {
             "replacement": {},
             "cofibrant": {},
             "stable": {},
             "approx": {},
-            "mho_approx": {},
             "endo": {},
             "ho_hom": {},
         }
@@ -118,7 +121,6 @@ class RigidContext:
 
 
 def build_context(alg: Algebra, m_gen, mode: str,
-                  minimize_approximations: bool = True,
                   debug_checks: bool = False) -> RigidContext:
     """Validate every hypothesis and assemble the cached structures.
 
@@ -131,7 +133,7 @@ def build_context(alg: Algebra, m_gen, mode: str,
     components = [m_gen] if isinstance(m_gen, Module) else list(m_gen)
     if not components:
         raise InputError("M_gen needs at least one component")
-    ctx = RigidContext(alg, components, mode, minimize_approximations, debug_checks)
+    ctx = RigidContext(alg, components, mode, debug_checks)
     violations = []
     if ext1_dim(ctx.M_gen, ctx.M_gen) != 0:
         violations.append("M_gen is not rigid: Ext^1(M_gen, M_gen) != 0")
@@ -152,72 +154,73 @@ def build_context(alg: Algebra, m_gen, mode: str,
 
 # -- approximations ------------------------------------------------------------
 
+RIGHT = "right"
+LEFT = "left"
 
-def _greedy_generators(ctx: RigidContext, components: Sequence[Module], x: Module,
-                       minimize: bool) -> List[Tuple[int, np.ndarray]]:
-    """Hom-basis maps component -> x kept as right approximation generators,
-    as (component index, row of ``hom_matrix(component, x)``).
 
-    A map is dropped when it already lies in kept ∘ End(C); the drop order is
-    fixed (component order, then hom-basis order) so results are reproducible.
+def approximation(ctx: RigidContext, components: Sequence[Module], x: Module,
+                  side: str) -> Morphism:
+    """The minimal right add(T)-approximation ⊕kept -> x (side RIGHT), or its
+    dual, the minimal left approximation x -> ⊕kept (side LEFT), where T is
+    the sum of components.
+
+    Hom-basis maps between the components and x are visited in a fixed order
+    (component order, then basis order); one is dropped when it already lies
+    in kept ∘ End(T) (right) or End(T) ∘ kept (left). Cached per list, side
+    and x.key; in debug mode a right approximation is verified to be one.
     """
-    if not minimize:
-        return [(ci, h) for ci, comp in enumerate(components) for h in hom_matrix(comp, x).data]
-    total, _, projections = direct_sum(list(components))
+    key = (tuple(c.key for c in components), side, x.key)
+    got = _memo(ctx._caches["approx"], key,
+                lambda: _minimal_approximation(ctx, components, x, side))
+    if side == RIGHT and got.target is not x:
+        got = Morphism(got.source, x, got.comps, check=False)
+    elif side == LEFT and got.source is not x:
+        got = Morphism(x, got.target, got.comps, check=False)
+    return got
+
+
+def _minimal_approximation(ctx: RigidContext, components: Sequence[Module], x: Module,
+                           side: str) -> Morphism:
+    right = side == RIGHT
+    total, injections, projections = direct_sum(list(components))
     endo = hom_matrix(total, total).data
     span = RowSpan(ctx.alg.field, hom_width(total, x))
-    kept: List[Tuple[int, np.ndarray]] = []
+    kept: List[Morphism] = []
     for ci, comp in enumerate(components):
-        basis = hom_matrix(comp, x).data
-        full = compose_basis(basis, comp, x, right=projections[ci])
+        ends = (comp, x) if right else (x, comp)
+        basis = hom_matrix(*ends).data
+        full = (compose_basis(basis, comp, x, right=projections[ci]) if right
+                else compose_basis(basis, x, comp, left=injections[ci]))
         for h, hfull in zip(basis, full):
             if span.contains(hfull):
                 continue
-            kept.append((ci, h))
-            span.add(compose_pairs(endo, total, total, hfull[None], x))
-    return kept
-
-
-def _evaluation_map(ctx: RigidContext, components: Sequence[Module], x: Module,
-                    minimize: bool) -> Morphism:
-    """The sum of the kept generators on the direct sum of their components."""
-    kept = _greedy_generators(ctx, components, x, minimize)
-    if not kept:
-        return Morphism.zero(zero_module(ctx.alg), x)
-    total, _, _ = direct_sum([components[ci] for ci, _ in kept])
-    gens = [Morphism.from_vec(components[ci], x, h) for ci, h in kept]
-    comps = {v: Matrix.hstack([h.comps[v] for h in gens]) for v in ctx.alg.vertices}
-    return Morphism(total, x, comps, check=False)
-
-
-def _checked_approximation(ctx: RigidContext, components: Sequence[Module], x: Module,
-                           epi: bool) -> Morphism:
-    """The evaluation map, verified to be an approximation (in debug mode)
-    and, when asked, to be epi."""
-    ev = _evaluation_map(ctx, components, x, ctx.minimize)
-    if ctx.debug and not all(_post_map_surjective(ctx, comp, ev) for comp in components):
+            kept.append(Morphism.from_vec(*ends, h))
+            span.add(compose_pairs(endo, total, total, hfull[None], x) if right
+                     else compose_pairs(hfull[None], x, total, endo, total))
+    if not kept:  # no component has a nonzero map to (right) or from (left) x
+        none = zero_module(ctx.alg)
+        return Morphism.zero(none, x) if right else Morphism.zero(x, none)
+    kept_sum, _, _ = direct_sum([g.source if right else g.target for g in kept])
+    stack = Matrix.hstack if right else Matrix.vstack
+    comps = {v: stack([g.comps[v] for g in kept]) for v in ctx.alg.vertices}
+    approx = (Morphism(kept_sum, x, comps, check=False) if right
+              else Morphism(x, kept_sum, comps, check=False))
+    if right and ctx.debug and not all(_post_map_surjective(ctx, c, approx) for c in components):
         raise InternalCheckError("evaluation map is not an approximation")
-    if epi and not is_epi(ev):
-        raise InternalCheckError("M-approximation is not epi")
-    return ev
+    return approx
 
 
 def right_M_approximation(ctx: RigidContext, x: Module) -> Morphism:
     """A right add(M_gen)-approximation of x, epi since projectives lie in M."""
-    got = _memo(ctx._caches["approx"], x.key, lambda: _checked_approximation(
-        ctx, ctx.components, x, epi=True))
-    if got.target is not x:
-        got = Morphism(got.source, x, got.comps, check=False)
-    return got
+    approx = approximation(ctx, ctx.components, x, RIGHT)
+    if not is_epi(approx):
+        raise InternalCheckError("M-approximation is not epi")
+    return approx
 
 
 def mho_approximation(ctx: RigidContext, x: Module) -> Morphism:
-    """A right approximation of x by the cosyzygy class generator U."""
-    got = _memo(ctx._caches["mho_approx"], x.key, lambda: _checked_approximation(
-        ctx, ctx.U_components, x, epi=False))
-    if got.target is not x:
-        got = Morphism(got.source, x, got.comps, check=False)
-    return got
+    """A right approximation of x by the summands of the class generator U."""
+    return approximation(ctx, ctx.U_components, x, RIGHT)
 
 
 # -- cofibrant replacement --------------------------------------------------------

@@ -23,8 +23,8 @@ from frobcat.algebra_repr import (
     is_mono,
     preprojective,
 )
-from frobcat.exact_linalg import rational_field
-from frobcat.homological import ext1_dim
+from frobcat.exact_linalg import prime_field, rational_field
+from frobcat.homological import ext1_dim, in_add
 from frobcat.rigid_model import (
     build_context,
     cofibrant_replacement,
@@ -225,3 +225,43 @@ def test_criterion_8_rational_battery_on_a3(capsys):
     with capsys.disabled():
         _report(8, "axioms on preprojective A3/Q, seed=42 samples=5, 14 checks",
                 elapsed, 60)
+
+
+def _greedy_maximal_rigid(alg):
+    """The projectives, completed greedily by the nonzero submodules and
+    quotients of projectives, in (total_dim, key) order: each one not yet in
+    add(gen) is kept when the sum stays rigid."""
+    gen = [alg.projective(v) for v in alg.vertices]
+    candidates = {}
+    for p in list(gen):
+        for sub, inc in enumerate_submodules(p):
+            for m in (sub, cokernel(inc)[0]):
+                if not m.is_zero():
+                    candidates.setdefault(m.key, m)
+    for key in sorted(candidates, key=lambda k: (candidates[k].total_dim, k)):
+        m = candidates[key]
+        if in_add(m, direct_sum(gen)[0]):
+            continue
+        trial, _, _ = direct_sum(gen + [m])
+        if ext1_dim(trial, trial) == 0:
+            gen.append(m)
+    return gen
+
+
+def test_criterion_9_maximal_rigid_battery_on_a4(capsys):
+    start = time.perf_counter()
+    alg = preprojective(4, prime_field(2))
+    gen = _greedy_maximal_rigid(alg)
+    assert len(gen) == 4 * 5 // 2  # n(n+1)/2 summands: maximal rigid
+    ctx = build_context(alg, gen, "frobenius")
+    assert ctx.U.dims_tuple() == (8, 11, 15, 9)
+    named = ([(f"S{v}", alg.simple(v)) for v in alg.vertices]
+             + [(f"P{v}", alg.projective(v)) for v in alg.vertices])
+    report = run_all(ctx, 42, 3, named)
+    elapsed = time.perf_counter() - start
+    assert report.passed, report.to_text()
+    assert len(report.runs) == 14 and not report.skipped
+    assert elapsed < 60.0
+    with capsys.disabled():
+        _report(9, "axioms on a maximal rigid generator of preprojective A4/F_2, "
+                "seed=42 samples=3, 14 checks", elapsed, 60)

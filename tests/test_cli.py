@@ -180,3 +180,15 @@ def test_malformed_input_exits_2_with_one_line(pa2_project, tmp_path, capsys, ca
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if named is not None:
         assert named in lines[0]
+
+
+def test_validate_reports_summed_cosyzygy(tmp_path, capsys):
+    # P1+P2+P3+S1+S3 on pa3: the cosyzygy of M_gen is summed from its components
+    dest = tmp_path / "pa3"
+    emit_fixture("pa3", str(dest))
+    config = json.loads((dest / "project.json").read_text())
+    config["M_gen"] = ["P1", "P2", "P3", "S1", "S3"]
+    (dest / "project.json").write_text(json.dumps(config))
+    assert dispatch(["--json", "validate", "--project", str(dest)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mho_M_gen_dims"] == [1, 2, 1]

@@ -5,16 +5,23 @@ import pytest
 from frobcat.errors import HypothesisError, InputError
 from frobcat.algebra_repr import (
     Morphism,
+    compose_basis,
     direct_sum,
     hom_basis,
+    hom_matrix,
+    hom_width,
     is_epi,
     is_mono,
     cokernel,
     preprojective,
     zero_module,
 )
+from frobcat.exact_linalg import RowSpan
 from frobcat.homological import cosyzygy, in_add, solve_postcompose
+from frobcat.axiom_suite import default_objects, run_all
 from frobcat.rigid_model import (
+    LEFT,
+    approximation,
     build_context,
     cofibrant_replacement,
     cone_of,
@@ -80,21 +87,53 @@ def test_right_approximation(pa2_ctx, pa2):
     assert solve_postcompose(a_gen, Morphism.identity(pa2_ctx.M_gen)) is not None
 
 
+def _full_evaluation(components, x):
+    """The unminimized evaluation map: every hom-basis map from every component."""
+    gens = [h for comp in components for h in hom_basis(comp, x)]
+    if not gens:
+        return Morphism.zero(zero_module(x.algebra), x)
+    total, _, projections = direct_sum([h.source for h in gens])
+    ev = Morphism.zero(total, x)
+    for h, pr in zip(gens, projections):
+        ev = ev + (h @ pr)
+    return ev
+
+
 def test_full_evaluation_agrees_with_reduced(pa2):
     alg, mods = pa2
-    full = build_context(alg, [mods["P1"], mods["P2"], mods["S1"]], "frobenius",
-                         minimize_approximations=False, debug_checks=True)
-    reduced = build_context(alg, [mods["P1"], mods["P2"], mods["S1"]], "frobenius",
-                            debug_checks=True)
+    ctx = build_context(alg, [mods["P1"], mods["P2"], mods["S1"]], "frobenius",
+                        debug_checks=True)
     for x in mods.values():
-        a_full = right_M_approximation(full, x)
-        a_red = right_M_approximation(reduced, x)
+        a_full = _full_evaluation(ctx.components, x)
+        a_red = right_M_approximation(ctx, x)
         assert is_epi(a_full) and is_epi(a_red)
         assert a_red.source.total_dim <= a_full.source.total_dim
-        rep_f = cofibrant_replacement(full, x)
-        rep_r = cofibrant_replacement(reduced, x)
-        assert is_trivial_fibration(full, rep_f.phi)
-        assert is_trivial_fibration(reduced, rep_r.phi)
+        # each factors through the other, so both are approximations
+        assert solve_postcompose(a_red, a_full) is not None
+        assert solve_postcompose(a_full, a_red) is not None
+        assert is_trivial_fibration(ctx, cofibrant_replacement(ctx, x).phi)
+
+
+def test_summand_approximations_cover_the_block(pa3):
+    """P1+P2+P3+S1+S3 on preprojective A3/F_2 is rigid, and it is the smallest
+    input where the summands of U differ from the cosyzygy of M_gen taken as
+    one block: approximations against the summands still approximate it."""
+    alg, mods = pa3
+    ctx = build_context(alg, [mods[n] for n in ("P1", "P2", "P3", "S1", "S3")], "frobenius")
+    assert [c.dims_tuple() for c in ctx.U_components[:2]] == [(0, 1, 1), (1, 1, 0)]
+    mho = ctx.mho_M_gen
+    assert mho.dims_tuple() == (1, 2, 1)
+    for x in list(mods.values()) + [mho]:
+        a = mho_approximation(ctx, x)
+        for h in hom_basis(mho, x):
+            assert solve_postcompose(a, h) is not None
+        coev = approximation(ctx, ctx.U_components, x, LEFT)
+        through = RowSpan(alg.field, hom_width(x, mho))
+        through.add(compose_basis(hom_matrix(coev.target, mho).data, coev.target, mho,
+                                  right=coev))
+        assert through.contains(hom_matrix(x, mho).data)
+    report = run_all(ctx, 42, 5, default_objects(ctx))
+    assert report.passed, report.to_text()
 
 
 def test_mho_approximation(pa2_ctx, pa2):
