@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .exact_linalg import Field, Matrix, RowSpan, kron, prime_field, rational_field
+from .exact_linalg import Field, Matrix, RowSpan, intertwiners, prime_field, rational_field
 
 DEFAULT_PATH_CAP = 64
 DEFAULT_DIM_CAP = 4096
@@ -120,10 +120,7 @@ class Algebra:
                 coeff, path_names = term["coeff"], term["path"]
             else:
                 coeff, path_names = term
-            if isinstance(coeff, str):
-                coeff = self.field.parse(coeff)
-            else:
-                coeff = self.field.coerce(coeff)
+            coeff = _json_scalar(coeff, f"relation {k}: coefficient", self.field.coerce)
             path = tuple(self._aindex[n] for n in path_names)
             if len(path) < 2:
                 raise InputError(f"relation {k}: path shorter than 2 is not admissible")
@@ -426,10 +423,21 @@ class Algebra:
         return f"Algebra({len(self.vertices)} vertices, {len(self.arrows)} arrows, dim {self.dim})"
 
 
+def _json_scalar(x, what: str, parse):
+    """parse(x) for a string or an integer read from a JSON file. Anything
+    else, such as 1.5 or true, is refused rather than truncated to an int."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise InputError(f"{what} must be an integer or a string, got {x!r}")
+    try:
+        return parse(x)
+    except ValueError as e:
+        raise InputError(f"{what}: {e}") from e
+
+
 def algebra_from_dict(d: Mapping, **caps) -> Algebra:
     fd = d["field"]
     if fd["kind"] == "prime":
-        field = prime_field(int(fd["p"]))
+        field = prime_field(_json_scalar(fd["p"], "field characteristic p", int))
     elif fd["kind"] == "rational":
         field = rational_field()
     else:
@@ -530,7 +538,7 @@ class Module:
 
     @staticmethod
     def from_dict(algebra: Algebra, d: Mapping) -> "Module":
-        dims = {v: int(n) for v, n in d["dims"].items()}
+        dims = {v: _json_scalar(n, f"dim at vertex {v}", int) for v, n in d["dims"].items()}
         action = {}
         for a in algebra.arrows:
             entries = d.get("action", {}).get(a.name)
@@ -539,7 +547,8 @@ class Module:
                     algebra.field,
                     dims.get(a.target, 0),
                     dims.get(a.source, 0),
-                    [algebra.field.parse(s) if isinstance(s, str) else s for s in entries],
+                    [_json_scalar(s, f"action of {a.name}", algebra.field.coerce)
+                     for s in entries],
                 )
         return Module(algebra, dims, action)
 
@@ -717,7 +726,8 @@ class Morphism:
             if entries is not None:
                 comps[v] = Matrix.from_entries(
                     alg.field, target.dims[v], source.dims[v],
-                    [alg.field.parse(s) if isinstance(s, str) else s for s in entries],
+                    [_json_scalar(s, f"component at vertex {v}", alg.field.coerce)
+                     for s in entries],
                 )
         return Morphism(source, target, comps)
 
@@ -740,38 +750,10 @@ def hom_matrix(x: Module, y: Module) -> Matrix:
 
 def _solve_hom(x: Module, y: Module) -> Matrix:
     alg = x.algebra
-    field = alg.field
-    layout = Morphism.hom_dim_layout(x, y)
-    offsets = {v: (off, r, c) for v, off, r, c in layout}
-    n = sum(r * c for _, _, r, c in layout)
-    rows = []
-    for a in alg.arrows:
-        i, j = a.source, a.target
-        ri = offsets[i]
-        rj = offsets[j]
-        neqs = y.dims[j] * x.dims[i]
-        if neqs == 0:
-            continue
-        block = Matrix.zeros(field, neqs, n)
-        if rj[1] * rj[2]:
-            # C_j X_a  ~  (I ⊗ X_a^T) vec(C_j), row-major vec
-            eye = Matrix.identity(field, y.dims[j]).data
-            block.data[:, rj[0] : rj[0] + rj[1] * rj[2]] = kron(
-                field, eye, x.action[a.name].data.T
-            )
-        if ri[1] * ri[2]:
-            # Y_a C_i  ~  (Y_a ⊗ I) vec(C_i)
-            eye = Matrix.identity(field, x.dims[i]).data
-            block.data[:, ri[0] : ri[0] + ri[1] * ri[2]] = field.reduce(
-                block.data[:, ri[0] : ri[0] + ri[1] * ri[2]]
-                - kron(field, y.action[a.name].data, eye)
-            )
-        rows.append(block)
-    if rows:
-        system = Matrix.vstack(rows)
-    else:
-        system = Matrix.zeros(field, 0, n)
-    return system.kernel().transpose()
+    return intertwiners(
+        alg.field, x.dims_tuple(), y.dims_tuple(),
+        [(alg._vindex[a.source], alg._vindex[a.target], x.action[a.name].data,
+          y.action[a.name].data) for a in alg.arrows])
 
 
 def hom_basis(x: Module, y: Module) -> List[Morphism]:

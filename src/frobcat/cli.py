@@ -76,7 +76,7 @@ def load_project(path: str) -> ProjectConfig:
     for name, fname in config.get("modules", {}).items():
         try:
             modules[name] = Module.from_dict(algebra, json.loads((root / fname).read_text()))
-        except ValueError as e:  # json.JSONDecodeError included
+        except (ValueError, InputError) as e:  # json.JSONDecodeError included
             raise InputError(f"module file {fname}: {e}") from e
     for name in config.get("M_gen", []):
         if name not in modules:
@@ -101,13 +101,13 @@ def load_morphism(project: ProjectConfig, path: str) -> Morphism:
     try:
         data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
-            raise InputError(f"morphism file {path}: expected a JSON object")
+            raise InputError("expected a JSON object")
         source = project.module(data["source"])
         target = project.module(data["target"])
         return Morphism.from_dict(data, source, target)
     except KeyError as e:
         raise InputError(f"morphism file {path}: missing key {e}") from e
-    except ValueError as e:  # json.JSONDecodeError included
+    except (ValueError, InputError) as e:  # json.JSONDecodeError included
         raise InputError(f"morphism file {path}: {e}") from e
 
 

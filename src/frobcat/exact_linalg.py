@@ -10,10 +10,11 @@ cleared of denominators into Python integers, eliminated by cross-multiplying
 (Bareiss-style, with each updated row divided by the gcd of its entries) or
 multiplied as integers, and one ``Fraction`` per entry is built at the end.
 
-:meth:`Matrix.rref` is the one elimination routine. A :class:`RowSpan` is the
-unique RREF of the vectors inserted into it, built by one ``rref`` per
-insertion of a vector or a stack; its canonical forms are one
-:meth:`Field.matmul` against the stored rows.
+:meth:`Matrix.rref` and :meth:`Matrix.rank` share one elimination routine;
+``rank`` runs it forward only. A :class:`RowSpan` is the unique RREF of the
+vectors inserted into it, built by one ``rref`` per insertion of a vector or
+a stack; its canonical forms are one :meth:`Field.matmul` against the stored
+rows. :func:`intertwiners` solves the linear systems of hom spaces.
 
 All operations are pure and all values are immutable by convention, so they
 can be shared freely across concurrent tasks.
@@ -21,6 +22,7 @@ can be shared freely across concurrent tasks.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -104,12 +106,6 @@ class Field:
         if f == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / f
-
-    def parse(self, s: str):
-        s = s.strip()
-        if self.kind == PRIME:
-            return int(s, 10) % self.characteristic
-        return Fraction(s)
 
     def format(self, x) -> str:
         if self.kind == PRIME:
@@ -195,8 +191,11 @@ def _chunked_matmul(a: np.ndarray, b: np.ndarray, p: int, chunk: int) -> np.ndar
 
 def _cleared(values: list) -> Tuple[List[int], int]:
     """(integers, d) with values = integers / d, d the lcm of the denominators."""
-    d = lcm(*[x.denominator for x in values])
-    return [x.numerator * (d // x.denominator) for x in values], d
+    ratios = [x.as_integer_ratio() for x in values]
+    d = lcm(*[q for _, q in ratios])
+    if d == 1:
+        return [n for n, _ in ratios], 1
+    return [n * (d // q) for n, q in ratios], d
 
 
 def _object_array(values: list, shape) -> np.ndarray:
@@ -210,6 +209,8 @@ def _rational_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ib, db = _cleared(b.reshape(-1).tolist())
     prod = np.matmul(_object_array(ia, a.shape), _object_array(ib, b.shape))
     d = da * db
+    if d == 1:  # Fraction(x) skips the gcd that Fraction(x, d) takes
+        return _object_array([Fraction(x) for x in prod.reshape(-1).tolist()], prod.shape)
     return _object_array([Fraction(x, d) for x in prod.reshape(-1).tolist()], prod.shape)
 
 
@@ -219,8 +220,9 @@ def _primitive(row: List[int]) -> List[int]:
     return row if g <= 1 else [u // g for u in row]
 
 
-def _rref_rational(a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """Fraction-free Gauss-Jordan elimination on integer rows."""
+def _rref_rational(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows; without
+    `reduced`, forward elimination only, and no matrix is returned."""
     nrows, ncols = a.shape
     rows = [_primitive(_cleared(row)[0]) for row in a.tolist()]
     pivots: List[int] = []
@@ -234,7 +236,8 @@ def _rref_rational(a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
         p = prow[c]
-        for i, row in enumerate(rows):
+        for i in range(0 if reduced else r + 1, nrows):
+            row = rows[i]
             x = row[c]
             if x and i != r:
                 g = gcd(p, x)
@@ -242,6 +245,8 @@ def _rref_rational(a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
                 rows[i] = _primitive([m * u - n * v for u, v in zip(row, prow)])
         pivots.append(c)
         r += 1
+    if not reduced:
+        return None, pivots
     zero = Fraction(0)
     out = np.empty((nrows, ncols), dtype=object)
     for i, c in enumerate(pivots):
@@ -256,12 +261,14 @@ def _rref_rational(a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
 _ROW_CELLS = 2048
 
 
-def _rref_residues(field: Field, a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+def _rref_residues(field: Field, a: np.ndarray,
+                   reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
     """Gauss-Jordan elimination, on the array or on Python-int rows by size,
     touching only the rows nonzero in the pivot column and only from the pivot
-    column on (left of it the pivot row is zero)."""
+    column on (left of it the pivot row is zero). Without `reduced`, only the
+    rows below each pivot are cleared and no matrix is returned."""
     if a.size <= _ROW_CELLS:
-        return _rref_residue_rows(field, a)
+        return _rref_residue_rows(field, a, reduced)
     a = a.copy()
     nrows, ncols = a.shape
     pivots: List[int] = []
@@ -276,17 +283,19 @@ def _rref_residues(field: Field, a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
         a[r, c:] = field.reduce(a[r, c:] * field.inv(a[r, c]))
-        hit = a[:, c].nonzero()[0]
+        top = 0 if reduced else r + 1
+        hit = top + a[top:, c].nonzero()[0]
         hit = hit[hit != r]
         if len(hit):
             # each product is below p^2 < 2^40, so the difference is reduced at once
             a[hit, c:] = field.reduce(a[hit, c:] - np.outer(a[hit, c], a[r, c:]))
         pivots.append(c)
         r += 1
-    return a, pivots
+    return (a if reduced else None), pivots
 
 
-def _rref_residue_rows(field: Field, a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+def _rref_residue_rows(field: Field, a: np.ndarray,
+                       reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
     p = field.characteristic
     nrows, ncols = a.shape
     rows = a.tolist()
@@ -302,12 +311,15 @@ def _rref_residue_rows(field: Field, a: np.ndarray) -> Tuple[np.ndarray, List[in
         inv = field.inv(rows[r][c])
         tail = [u * inv % p for u in rows[r][c:]]
         rows[r] = rows[r][:c] + tail
-        for i, row in enumerate(rows):
+        for i in range(0 if reduced else r + 1, nrows):
+            row = rows[i]
             x = row[c]
             if x and i != r:
                 rows[i] = row[:c] + [(u - x * v) % p for u, v in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
+    if not reduced:
+        return None, pivots
     return np.array(rows, dtype=a.dtype).reshape(nrows, ncols), pivots
 
 
@@ -374,9 +386,6 @@ class Matrix:
     @property
     def entries(self) -> list:
         return [x for x in self.data.reshape(-1)]
-
-    def entry(self, i: int, j: int):
-        return self.data[i, j]
 
     def to_lists(self) -> List[list]:
         return [list(row) for row in self.data]
@@ -464,14 +473,18 @@ class Matrix:
         Pivot choice is deterministic: leftmost nonzero column, topmost row.
         Returns (reduced matrix, pivot column list, rank).
         """
-        if self.field.kind == RATIONAL:
-            red, pivots = _rref_rational(self.data)
-        else:
-            red, pivots = _rref_residues(self.field, self.data)
+        red, pivots = self._eliminate(reduced=True)
         return Matrix(self.field, red), pivots, len(pivots)
 
     def rank(self) -> int:
-        return self.rref()[2]
+        """The pivot count of a forward elimination, which clears only the
+        rows below each pivot and builds no reduced matrix."""
+        return len(self._eliminate(reduced=False)[1])
+
+    def _eliminate(self, reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
+        if self.field.kind == RATIONAL:
+            return _rref_rational(self.data, reduced)
+        return _rref_residues(self.field, self.data, reduced)
 
     def kernel(self) -> "Matrix":
         """Basis of the right null space, one column per basis vector.
@@ -487,7 +500,7 @@ class Matrix:
         out = Matrix.zeros(field, self.cols, len(free))
         ks = np.arange(len(free))
         out.data[free, ks] = field.one()
-        out.data[np.ix_(pivots, ks)] = field.reduce(-red.data[:rank, free])
+        out.data[pivots] = field.reduce(-red.data[:rank, free])
         return out
 
     def solve_cols(self, b: "Matrix") -> Optional["Matrix"]:
@@ -514,10 +527,31 @@ class Matrix:
         return inv
 
 
-def kron(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The reduced Kronecker product of two matrices, as one broadcast product."""
-    (m, n), (p, q) = a.shape, b.shape
-    return field.reduce((a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q))
+def intertwiners(field: Field, dx: Sequence[int], dy: Sequence[int],
+                 maps: Sequence[Tuple[int, int, np.ndarray, np.ndarray]]) -> Matrix:
+    """Basis rows of the families (C_v : k^dx[v] -> k^dy[v]) with
+    C_t A = B C_s for every (s, t, A, B) in `maps`, in ``Morphism.vec()``
+    order: row-major C_0, C_1, ...
+
+    Each map's dy[t] * dx[s] equations go straight into one zero array: A^T
+    onto the diagonal of a (dy[t], dx[s], dy[t], dx[t]) view of C_t's columns,
+    then B subtracted through a (dy[t], dx[s], dy[s], dx[s]) view of C_s's.
+    Subtracted, not assigned: on a loop (s == t) both land on the same entries.
+    """
+    offsets = [0, *accumulate(m * n for m, n in zip(dy, dx))]
+    heights = [dy[t] * dx[s] for s, t, _, _ in maps]
+    system = Matrix.zeros(field, sum(heights), offsets[-1]).data
+    top = 0
+    for (s, t, a, b), h in zip(maps, heights):
+        block = system[top : top + h]
+        ct = block[:, offsets[t] : offsets[t + 1]].reshape(dy[t], dx[s], dy[t], dx[t])
+        diag = np.arange(dy[t])
+        ct[diag, :, diag, :] = a.T
+        cs = block[:, offsets[s] : offsets[s + 1]].reshape(dy[t], dx[s], dy[s], dx[s])
+        diag = np.arange(dx[s])
+        cs[:, diag, :, diag] -= b
+        top += h
+    return Matrix(field, field.reduce(system)).kernel().transpose()
 
 
 def solve_in_span(field: Field, images: Sequence[np.ndarray],

@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .exact_linalg import Matrix, RowSpan, kron, solve_in_span
+from .exact_linalg import Matrix, RowSpan, intertwiners, solve_in_span
 from .algebra_repr import Module, Morphism, _memo, combine
 from .homological import QuotientSpace, quotient_hom
 from .rigid_model import (
@@ -122,31 +122,14 @@ def G_morphism(ctx: RigidContext, f: Morphism) -> Matrix:
 def ebar_hom_basis(ctx: RigidContext, gx: EbarModule, gy: EbarModule) -> List[Matrix]:
     """Basis of module maps gx -> gy over the stable endomorphism algebra,
     by solving the intertwiner equations over the structure constants."""
-    endo = stable_endo(ctx)
-    field = ctx.alg.field
-    n_unknowns = gy.dim * gx.dim
-    if n_unknowns == 0:
+    if gx.dim * gy.dim == 0:
         return []
-    rows = []
-    for j in range(endo.dim):
-        # N @ rho_x(e_j) = rho_y(e_j) @ N, row-major vec
-        rx = gx.action[j].data
-        ry = gy.action[j].data
-        eye_y = Matrix.identity(field, gy.dim).data
-        eye_x = Matrix.identity(field, gx.dim).data
-        block = field.reduce(kron(field, eye_y, rx.T) - kron(field, ry, eye_x))
-        rows.append(block)
-    if rows:
-        system = Matrix(field, np.vstack(rows))
-    else:
-        system = Matrix.zeros(field, 0, n_unknowns)
-    ker = system.kernel()
-    out = []
-    for k in range(ker.cols):
-        arr = np.empty((gy.dim, gx.dim), dtype=field.dtype)
-        arr.reshape(-1)[...] = ker.data[:, k]
-        out.append(Matrix(field, field.reduce(arr)))
-    return out
+    field = ctx.alg.field
+    # N rho_x(e_j) = rho_y(e_j) N: a one-vertex algebra with a loop per e_j
+    basis = intertwiners(field, [gx.dim], [gy.dim],
+                         [(0, 0, gx.action[j].data, gy.action[j].data)
+                          for j in range(stable_endo(ctx).dim)])
+    return [Matrix(field, row.reshape(gy.dim, gx.dim)) for row in basis.data]
 
 
 # -- homotopy-category hom sets ----------------------------------------------------

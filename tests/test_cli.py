@@ -143,8 +143,17 @@ def _with_options(**options):
     return mutate
 
 
+def _edited(name, edit):
+    def mutate(root):
+        doc = json.loads((root / name).read_text())
+        edit(doc)
+        (root / name).write_text(json.dumps(doc))
+    return mutate
+
+
 AXIOMS = ["axioms", "--check", "mho_rigid"]
 WEQ = ["weq", "--morphism", "{root}/f.json"]
+HOM = ["hom", "S1", "P1"]
 
 # case -> (project mutation, command, the file the error line must name)
 MALFORMED = {
@@ -158,6 +167,21 @@ MALFORMED = {
         {"source": "S2", "target": "S2", "comps": {"2": ["x"]}})), WEQ, "f.json"),
     "morphism-missing-key": (_with_file("f.json", json.dumps({"target": "S2", "comps": {}})),
                              WEQ, "f.json"),
+    # JSON numbers other than integers are refused, not truncated by int()
+    "module-float-entry": (_edited("P1.json", lambda d: d["action"].update(a1=[0.5])), HOM,
+                           "P1.json"),
+    "module-float-dim": (_edited("S1.json", lambda d: d["dims"].update({"1": 1.5})), HOM,
+                         "S1.json"),
+    "module-bool-entry": (_edited("P1.json", lambda d: d["action"].update(a1=[True])), HOM,
+                          "P1.json"),
+    "morphism-float-entry": (_with_file("f.json", json.dumps(
+        {"source": "S2", "target": "S2", "comps": {"2": [0.5]}})), WEQ, "f.json"),
+    "algebra-float-coeff": (_edited("algebra.json",
+                                    lambda d: d["relations"][1][0].update(coeff=4.7)), HOM, None),
+    "algebra-float-characteristic": (_edited("algebra.json", lambda d: d["field"].update(p=5.9)),
+                                     HOM, None),
+    "algebra-unparsable-characteristic": (
+        _edited("algebra.json", lambda d: d["field"].update(p="abc")), HOM, None),
     "options-samples-not-int": (_with_options(samples="many"), AXIOMS, "project.json"),
     "options-seed-not-int": (_with_options(seed="x"), AXIOMS, "project.json"),
 }

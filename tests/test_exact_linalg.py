@@ -31,10 +31,10 @@ def test_field_validation():
 
 
 def test_element_strings():
-    assert F5.format(F5.parse("-1")) == "4"
+    assert F5.format(F5.coerce("-1")) == "4"
     assert F5.format(12) == "2"
-    assert Q.format(Q.parse("2/4")) == "1/2"
-    assert Q.format(Q.parse("-6/4")) == "-3/2"
+    assert Q.format(Q.coerce("2/4")) == "1/2"
+    assert Q.format(Q.coerce("-6/4")) == "-3/2"
     assert Q.format(Fraction(3)) == "3"
 
 
@@ -258,8 +258,10 @@ FIELDS = {
 
 
 @st.composite
-def _matrix(draw, field, rows, cols):
-    if field.kind == "rational":
+def _matrix(draw, field, rows, cols, integer=False):
+    if field.kind == "rational" and integer:
+        entry = st.builds(Fraction, st.integers(-9, 9))
+    elif field.kind == "rational":
         entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
     else:
         p = field.characteristic
@@ -271,8 +273,12 @@ def _matrix(draw, field, rows, cols):
 
 @st.composite
 def _shaped(draw, field, rows, cols):
-    """A rows x cols matrix: dense, zero or of deficient rank."""
-    kind = draw(st.sampled_from(["dense", "zero", "deficient"]))
+    """A rows x cols matrix: dense, zero or of deficient rank; over Q also
+    dense with integer entries, which the rational kernel keeps unscaled."""
+    kinds = ["dense", "zero", "deficient"] + (["integer"] if field.kind == "rational" else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "integer":
+        return draw(_matrix(field, rows, cols, integer=True))
     if kind == "zero":
         return Matrix.zeros(field, rows, cols)
     if kind == "deficient":
@@ -315,11 +321,14 @@ def _check_against_references(field, m, data):
     want_red, want_pivots, want_rank = _reference_rref(m)
     assert _same(red, want_red)
     assert (pivots, rank) == (want_pivots, want_rank)
+    assert m.rank() == want_rank
+    # stacked on itself, every row of the lower copy depends on rows above it
+    assert Matrix.vstack([m, m]).rank() == want_rank
     assert _same(m.kernel(), _reference_kernel(m))
-    b = data.draw(_matrix(field, m.rows, data.draw(st.integers(0, 3))))
+    b = data.draw(_shaped(field, m.rows, data.draw(st.integers(0, 3))))
     assert _same(m.solve_cols(b), _reference_solve_cols(m, b))
     assert _same(m.inverse(), _reference_inverse(m))
-    other = data.draw(_matrix(field, m.cols, data.draw(st.integers(0, 4))))
+    other = data.draw(_shaped(field, m.cols, data.draw(st.integers(0, 4))))
     got = field.matmul(m.data, other.data)
     assert _same(Matrix(field, got), Matrix(field, _reference_matmul(field, m.data, other.data)))
     # batched: a stack of left factors against one right factor
@@ -327,6 +336,47 @@ def _check_against_references(field, m, data):
     batched = field.matmul(np.stack([s.data for s in stack]), other.data)
     for s, slab in zip(stack, batched):
         assert _same(Matrix(field, slab), Matrix(field, _reference_matmul(field, s.data, other.data)))
+
+
+def _reference_kron(field, a, b):
+    (m, n), (p, q) = a.shape, b.shape
+    return field.reduce((a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q))
+
+
+def _reference_intertwiners(field, dx, dy, maps):
+    """The system that ``intertwiners`` replaced: per map (s, t, A, B), the
+    block (I ⊗ A^T) on C_t's columns minus (B ⊗ I) on C_s's, built from
+    Kronecker products and stacked, then its reference kernel."""
+    offsets = [0]
+    for m, n in zip(dy, dx):
+        offsets.append(offsets[-1] + m * n)
+    blocks = []
+    for s, t, a, b in maps:
+        block = Matrix.zeros(field, dy[t] * dx[s], offsets[-1]).data
+        ct, cs = slice(offsets[t], offsets[t + 1]), slice(offsets[s], offsets[s + 1])
+        block[:, ct] = _reference_kron(field, Matrix.identity(field, dy[t]).data, a.T)
+        block[:, cs] = field.reduce(
+            block[:, cs] - _reference_kron(field, b, Matrix.identity(field, dx[s]).data))
+        blocks.append(block)
+    system = Matrix(field, np.vstack(blocks)) if blocks else Matrix.zeros(field, 0, offsets[-1])
+    return _reference_kernel(system).transpose()
+
+
+@given(name=st.sampled_from(sorted(FIELDS)), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_intertwiners_match_the_reference(name, data):
+    # with at most 3 vertices and 4 maps, loops (s == t) and parallel maps
+    # are frequent; one vertex makes every map a loop
+    field = FIELDS[name]
+    nv = data.draw(st.integers(1, 3))
+    dx = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
+    dy = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
+    ends = data.draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
+                              max_size=4))
+    maps = [(s, t, data.draw(_shaped(field, dx[t], dx[s])).data,
+             data.draw(_shaped(field, dy[t], dy[s])).data) for s, t in ends]
+    assert _same(exact_linalg.intertwiners(field, dx, dy, maps),
+                 _reference_intertwiners(field, dx, dy, maps))
 
 
 class _ReferenceRowSpan:
@@ -462,7 +512,7 @@ def test_large_residue_matrices_match_the_reference(name):
     m = left @ right
     assert m.rows * m.cols > exact_linalg._ROW_CELLS
     assert _same(m.rref()[0], _reference_rref(m)[0])
-    assert m.rank() <= 12
+    assert m.rank() == _reference_rref(m)[2] <= 12
     assert _same(m.kernel(), _reference_kernel(m))
     b = _random_matrix(field, rng, 40, 2)
     assert _same(m.solve_cols(b), _reference_solve_cols(m, b))
