@@ -91,8 +91,10 @@ class Algebra:
                 arrow = a
             elif isinstance(a, dict):
                 arrow = Arrow(a["name"], a["from"], a["to"])
-            else:
+            elif isinstance(a, (list, tuple)) and len(a) == 3:
                 arrow = Arrow(*a)
+            else:
+                raise InputError(f"arrow {a!r} must be an object or a [name, from, to] list")
             if arrow.source not in self._vindex or arrow.target not in self._vindex:
                 raise InputError(f"arrow {arrow.name!r} references unknown vertex")
             self.arrows.append(arrow)
@@ -118,8 +120,13 @@ class Algebra:
         for term in rel:
             if isinstance(term, dict):
                 coeff, path_names = term["coeff"], term["path"]
-            else:
+            elif isinstance(term, (list, tuple)) and len(term) == 2:
                 coeff, path_names = term
+            else:
+                raise InputError(f"relation {k}: term {term!r} must be an object or a pair")
+            if not (isinstance(path_names, (list, tuple))
+                    and all(isinstance(n, str) for n in path_names)):
+                raise InputError(f"relation {k}: path must be a list of arrow names")
             coeff = _json_scalar(coeff, f"relation {k}: coefficient", self.field.coerce)
             path = tuple(self._aindex[n] for n in path_names)
             if len(path) < 2:
@@ -434,15 +441,28 @@ def _json_scalar(x, what: str, parse):
         raise InputError(f"{what}: {e}") from e
 
 
+def _json_typed(x, kind: type, what: str):
+    """x when it is a JSON object (kind dict) or list (kind list), as the
+    file's shape requires; any other JSON value is refused."""
+    if not isinstance(x, kind):
+        raise InputError(f"{what} must be a JSON {'object' if kind is dict else 'list'}, "
+                         f"got {type(x).__name__}")
+    return x
+
+
 def algebra_from_dict(d: Mapping, **caps) -> Algebra:
-    fd = d["field"]
+    fd = _json_typed(_json_typed(d, dict, "the algebra")["field"], dict, "field")
     if fd["kind"] == "prime":
         field = prime_field(_json_scalar(fd["p"], "field characteristic p", int))
     elif fd["kind"] == "rational":
         field = rational_field()
     else:
         raise InputError(f"unknown field kind {fd['kind']!r}")
-    return Algebra(field, d["vertices"], d["arrows"], d.get("relations", []), **caps)
+    relations = _json_typed(d.get("relations", []), list, "relations")
+    for k, rel in enumerate(relations):
+        _json_typed(rel, list, f"relation {k}")
+    return Algebra(field, _json_typed(d["vertices"], list, "vertices"),
+                   _json_typed(d["arrows"], list, "arrows"), relations, **caps)
 
 
 def load_algebra(text: str, **caps) -> Algebra:
@@ -450,7 +470,7 @@ def load_algebra(text: str, **caps) -> Algebra:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
-        raise InputError(f"algebra file is not valid JSON: {e}") from e
+        raise InputError(f"not valid JSON: {e}") from e
     return algebra_from_dict(data, **caps)
 
 
@@ -538,17 +558,20 @@ class Module:
 
     @staticmethod
     def from_dict(algebra: Algebra, d: Mapping) -> "Module":
-        dims = {v: _json_scalar(n, f"dim at vertex {v}", int) for v, n in d["dims"].items()}
+        d = _json_typed(d, dict, "a module")
+        dims = {v: _json_scalar(n, f"dim at vertex {v}", int)
+                for v, n in _json_typed(d["dims"], dict, "dims").items()}
+        given = _json_typed(d.get("action", {}), dict, "action")
         action = {}
         for a in algebra.arrows:
-            entries = d.get("action", {}).get(a.name)
+            entries = given.get(a.name)
             if entries is not None:
                 action[a.name] = Matrix.from_entries(
                     algebra.field,
                     dims.get(a.target, 0),
                     dims.get(a.source, 0),
                     [_json_scalar(s, f"action of {a.name}", algebra.field.coerce)
-                     for s in entries],
+                     for s in _json_typed(entries, list, f"action of {a.name}")],
                 )
         return Module(algebra, dims, action)
 
@@ -720,14 +743,15 @@ class Morphism:
     @staticmethod
     def from_dict(d: Mapping, source: Module, target: Module) -> "Morphism":
         alg = source.algebra
+        given = _json_typed(d.get("comps", {}), dict, "comps")
         comps = {}
         for v in alg.vertices:
-            entries = d.get("comps", {}).get(v)
+            entries = given.get(v)
             if entries is not None:
                 comps[v] = Matrix.from_entries(
                     alg.field, target.dims[v], source.dims[v],
                     [_json_scalar(s, f"component at vertex {v}", alg.field.coerce)
-                     for s in entries],
+                     for s in _json_typed(entries, list, f"component at vertex {v}")],
                 )
         return Morphism(source, target, comps)
 

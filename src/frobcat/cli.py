@@ -16,7 +16,8 @@ from typing import Dict, List
 
 from . import __version__
 from .errors import HypothesisError, InputError
-from .algebra_repr import Algebra, Module, Morphism, load_algebra, zero_module
+from .algebra_repr import (Algebra, Module, Morphism, _json_scalar, _json_typed, hom_basis,
+                           load_algebra, zero_module)
 from .homological import ext1_dim
 from .rigid_model import (
     RigidContext,
@@ -32,7 +33,6 @@ from .rigid_model import (
 from .localization import dl_verify, dl_verify_all, ho_hom
 from .axiom_suite import registered_checks, run_all, run_check
 from .fixtures import FIXTURE_TAGS, emit_fixture
-from .algebra_repr import hom_basis
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -68,29 +68,36 @@ def load_project(path: str) -> ProjectConfig:
     if not config_file.is_file():
         raise InputError(f"no project.json under {root}")
     try:
-        config = json.loads(config_file.read_text())
+        config = _json_typed(json.loads(config_file.read_text()), dict, "project.json")
     except json.JSONDecodeError as e:
         raise InputError(f"project.json is not valid JSON: {e}") from e
-    algebra = load_algebra((root / config["algebra"]).read_text())
+    files = _json_typed(config.get("modules", {}), dict, "project.json: modules")
+    m_gen = config.get("M_gen", [])
+    options = _json_typed(config.get("options", {}), dict, "project.json: options")
+    if not all(isinstance(f, str) for f in [config["algebra"], *files.values()]):
+        raise InputError("project.json: the algebra and module files must be file names")
+    if not isinstance(m_gen, list) or not all(isinstance(n, str) for n in m_gen):
+        raise InputError("project.json: M_gen must be a list of module names")
+    try:
+        algebra = load_algebra((root / config["algebra"]).read_text())
+    except InputError as e:
+        raise InputError(f"algebra file {config['algebra']}: {e}") from e
     modules = {}
-    for name, fname in config.get("modules", {}).items():
+    for name, fname in files.items():
         try:
             modules[name] = Module.from_dict(algebra, json.loads((root / fname).read_text()))
         except (ValueError, InputError) as e:  # json.JSONDecodeError included
             raise InputError(f"module file {fname}: {e}") from e
-    for name in config.get("M_gen", []):
+    for name in m_gen:
         if name not in modules:
             raise InputError(f"M_gen references unknown module {name!r}")
-    options = config.get("options", {})
-    try:
-        seed, samples = int(options.get("seed", 42)), int(options.get("samples", 200))
-    except (TypeError, ValueError) as e:
-        raise InputError(f"project.json options: seed and samples must be integers: {e}") from e
+    seed = _json_scalar(options.get("seed", 42), "project.json options: seed", int)
+    samples = _json_scalar(options.get("samples", 200), "project.json options: samples", int)
     return ProjectConfig(
         root=root,
         algebra=algebra,
         modules=modules,
-        m_gen_names=list(config.get("M_gen", [])),
+        m_gen_names=m_gen,
         mode=config.get("mode", "exact"),
         seed=seed,
         samples=samples,

@@ -557,17 +557,21 @@ def intertwiners(field: Field, dx: Sequence[int], dy: Sequence[int],
 def solve_in_span(field: Field, images: Sequence[np.ndarray],
                   rhs: np.ndarray) -> Optional[np.ndarray]:
     """Coefficients c with sum_k c[k] * images[k] = rhs, or None when rhs is
-    outside their span.
+    outside their span. For a stack of right-hand sides, one row of
+    coefficients per row of rhs, in one elimination; None when any row is
+    outside.
 
     The solution is the particular one of :meth:`Matrix.solve_cols` (free
     coefficients zero), so callers recombining a basis get reproducible
     witnesses.
     """
-    if not len(images):
-        return None if np.any(rhs != 0) else np.empty(0, dtype=field.dtype)
-    cols = Matrix(field, np.vstack(images).T)
-    sol = cols.solve_cols(Matrix(field, rhs.reshape(-1, 1)))
-    return None if sol is None else sol.data[:, 0]
+    rows = np.atleast_2d(rhs)  # not reshape(-1, width): it raises for width 0
+    if len(images):
+        found = Matrix(field, np.vstack(images).T).solve_cols(Matrix(field, rows.T))
+        sol = None if found is None else found.data.T
+    else:
+        sol = None if np.any(rows != 0) else np.empty((rows.shape[0], 0), dtype=field.dtype)
+    return sol if sol is None or rhs.ndim == 2 else sol[0]
 
 
 class RowSpan:

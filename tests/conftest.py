@@ -1,7 +1,7 @@
 import pytest
 
 from frobcat.exact_linalg import prime_field, rational_field
-from frobcat.algebra_repr import Algebra, preprojective
+from frobcat.algebra_repr import Algebra, direct_sum, preprojective
 from frobcat.rigid_model import build_context
 
 
@@ -53,6 +53,52 @@ def pa3_ctx(pa3):
 
 
 @pytest.fixture(scope="session")
+def pa3_s_ctx(pa3):
+    """pa3 with generator P1+P2+P3+S1+S3: a nonzero stable category."""
+    alg, mods = pa3
+    return build_context(alg, [mods[n] for n in ("P1", "P2", "P3", "S1", "S3")], "frobenius")
+
+
+@pytest.fixture(scope="session")
+def a2q():
+    """Preprojective A2 over Q, its generator P1+P2+S1, and the simples,
+    projectives and S1+S1 as objects."""
+    alg = preprojective(2, rational_field())
+    mods = {"S1": alg.simple("1"), "S2": alg.simple("2"),
+            "P1": alg.projective("1"), "P2": alg.projective("2")}
+    mods["S1+S1"] = direct_sum([mods["S1"], mods["S1"]])[0]
+    ctx = build_context(alg, [mods["P1"], mods["P2"], mods["S1"]], "frobenius")
+    return ctx, mods
+
+
+@pytest.fixture(scope="session")
 def ka2():
     """The hereditary path algebra of A2 (no relations), not self-injective."""
     return Algebra(rational_field(), ["1", "2"], [("a", "1", "2")])
+
+
+@pytest.fixture(scope="session")
+def pa2_ss_ctx(pa2):
+    """pa2 with generator P1+P2+S1+S1: its stable endomorphism algebra is the
+    2 x 2 matrices, so products and actions do not commute."""
+    alg, mods = pa2
+    return build_context(alg, [mods[n] for n in ("P1", "P2", "S1", "S1")], "frobenius")
+
+
+@pytest.fixture(params=["pa2", "pa2-deg", "pa2+S1+S1", "pa3+S1+S3", "a2q"])
+def row_case(request, pa2, pa2_ctx, pa2_deg_ctx, pa2_ss_ctx, pa3, pa3_s_ctx, a2q):
+    """A context and its objects: the pa2 and pa3 fixtures (pa3 with S1+S3
+    added, whose G-image is 2-dimensional), A2/Q with S1+S1, pa2 over the
+    generator P1+P2+S1+S1 with S1+S1 added, and pa2-deg, where the stable
+    category is zero and every stack is empty."""
+    if request.param == "a2q":
+        return a2q
+    if request.param == "pa3+S1+S3":
+        mods = dict(pa3[1])
+        mods["S1+S3"] = direct_sum([mods["S1"], mods["S3"]])[0]
+        return pa3_s_ctx, mods
+    if request.param == "pa2+S1+S1":
+        mods = dict(pa2[1])
+        mods["S1+S1"] = direct_sum([mods["S1"], mods["S1"]])[0]
+        return pa2_ss_ctx, mods
+    return (pa2_ctx if request.param == "pa2" else pa2_deg_ctx), pa2[1]

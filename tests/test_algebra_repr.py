@@ -383,11 +383,22 @@ def test_combine_and_solve_in_span_match_the_reference(field_name, data):
     width = (f @ got).vec().size
     span = RowSpan(field, width)
     span.add(images)
-    for rhs in ((f @ got).vec(), np.array(scalars(width), dtype=field.dtype)):
+    inside = (f @ combine(x, y, scalars(hom_dim(x, y)))).vec()
+    outside = np.array(scalars(width), dtype=field.dtype)
+    for rhs in ((f @ got).vec(), outside):
         sol = solve_in_span(field, images, rhs)
         assert (sol is None) == (not span.contains(rhs))
         if sol is not None:
             assert (f @ combine(x, y, sol)).vec().tolist() == field.reduce(rhs).tolist()
+    # a stack is solved row by row in one call, and refused when any row is outside
+    stack = np.array([(f @ got).vec(), inside], dtype=field.dtype).reshape(2, width)
+    sols = solve_in_span(field, images, stack)
+    assert sols.shape == (2, len(images)) and sols.dtype == field.dtype
+    for sol, rhs in zip(sols, stack):
+        assert sol.tolist() == solve_in_span(field, images, rhs).tolist()
+    assert solve_in_span(field, images, stack[:0]).shape == (0, len(images))
+    mixed = solve_in_span(field, images, np.vstack([stack, outside[None]]))
+    assert (mixed is None) == (not span.contains(outside))
 
 
 def _reference_compose(x, y, rows, left=None, right=None):

@@ -184,6 +184,25 @@ MALFORMED = {
         _edited("algebra.json", lambda d: d["field"].update(p="abc")), HOM, None),
     "options-samples-not-int": (_with_options(samples="many"), AXIOMS, "project.json"),
     "options-seed-not-int": (_with_options(seed="x"), AXIOMS, "project.json"),
+    "options-samples-float": (_with_options(samples=2.9), AXIOMS, "project.json"),
+    "options-seed-bool": (_with_options(seed=True), AXIOMS, "project.json"),
+    # a JSON container of the wrong type is refused where its file is loaded
+    "project-top-level-array": (_with_file("project.json", json.dumps(["algebra.json"])),
+                                AXIOMS, "project.json"),
+    "project-modules-list": (_edited("project.json", lambda d: d.update(
+        modules=sorted(d["modules"].values()))), AXIOMS, "project.json"),
+    "project-m-gen-entry-list": (_edited("project.json", lambda d: d["M_gen"].append(["S1"])),
+                                 AXIOMS, "project.json"),
+    "algebra-arrow-string": (_edited("algebra.json", lambda d: d["arrows"].__setitem__(0, "ab")),
+                             HOM, "algebra.json"),
+    "module-dims-list": (_edited("S1.json", lambda d: d.update(dims=[1, 0])), HOM, "S1.json"),
+    "module-action-number": (_edited("P1.json", lambda d: d["action"].update(a1=5)), HOM,
+                             "P1.json"),
+    "algebra-relations-number": (_edited("algebra.json", lambda d: d.update(relations=5)), HOM,
+                                 "algebra.json"),
+    "algebra-relation-term-number": (_edited("algebra.json",
+                                             lambda d: d["relations"][0].__setitem__(0, 5)),
+                                     HOM, "algebra.json"),
 }
 
 

@@ -129,7 +129,8 @@ def test_factorization_witnesses_recompose(pa2):
     m_gen, _, _ = direct_sum([mods["P1"], mods["P2"], mods["S1"]])
     for x, y in itertools.product([mods["S1"], mods["S2"], mods["P2"]], repeat=2):
         sub = factors_through_add(x, m_gen, y)
-        for f in sub.basis:
+        for row in sub.span.rows:
+            f = Morphism.from_vec(x, y, row)
             into, outof = sub.factorize(f)
             assert (outof @ into) == f
 

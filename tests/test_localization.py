@@ -1,15 +1,27 @@
+import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from frobcat.errors import InputError
-from frobcat.algebra_repr import Morphism, direct_sum, hom_basis, zero_module
+from frobcat.exact_linalg import Matrix
+from frobcat.algebra_repr import (
+    Morphism,
+    compose_pairs,
+    direct_sum,
+    hom_basis,
+    hom_matrix,
+    zero_module,
+)
 from frobcat.homological import cosyzygy
 from frobcat.rigid_model import cofibrant_replacement, is_weak_equivalence
 from frobcat.localization import (
     G_morphism,
     G_object,
+    _g_images,
+    _transport,
     dl_verify,
     dl_verify_all,
     ebar_hom_basis,
@@ -182,3 +194,136 @@ def test_ebar_hom_matches_report(pa2_ctx, pa2):
     gx = G_object(pa2_ctx, mods["S1"])
     gy = G_object(pa2_ctx, mods["S1"])
     assert len(ebar_hom_basis(pa2_ctx, gx, gy)) == 1
+
+
+# -- the per-morphism forms that the row-stack G side replaced, kept as references
+
+
+def _reps(space, source):
+    """The stable representatives as morphisms M_gen -> source."""
+    return [Morphism.from_vec(space.x, source, row) for row in space.rep_rows]
+
+
+def _reference_G_morphism(ctx, f):
+    sx = ctx.stable_from_generator(f.source)
+    sy = ctx.stable_from_generator(f.target)
+    m = Matrix.zeros(ctx.alg.field, sy.dim, sx.dim)
+    for col, h in enumerate(_reps(sx, f.source)):
+        m.data[:, col] = sy.coords((f @ h).vec())
+    return m
+
+
+def _reference_stable_endo(ctx):
+    """(basis, structure constants, unit) of the stable endomorphism algebra."""
+    space = ctx.stable_from_generator(ctx.M_gen)
+    reps = _reps(space, ctx.M_gen)
+    table = [[space.coords((ei @ ej).vec()) for ej in reps] for ei in reps]
+    if reps:
+        unit = space.coords(Morphism.identity(ctx.M_gen).vec())
+    else:
+        unit = np.empty(0, dtype=ctx.alg.field.dtype)
+    return reps, table, unit
+
+
+def _reference_G_object(ctx, x):
+    space = ctx.stable_from_generator(x)
+    n = space.dim
+    action = []
+    for e in _reference_stable_endo(ctx)[0]:
+        m = Matrix.zeros(ctx.alg.field, n, n)
+        for col, h in enumerate(_reps(space, x)):
+            m.data[:, col] = space.coords((h @ e).vec())
+        action.append(m)
+    return action
+
+
+def _reference_g_transport(ctx, x, y, rep):
+    rx = cofibrant_replacement(ctx, x)
+    ry = cofibrant_replacement(ctx, y)
+    inv = _reference_G_morphism(ctx, rx.phi).inverse()
+    return _reference_G_morphism(ctx, ry.phi) @ _reference_G_morphism(ctx, rep) @ inv
+
+
+def _assert_same(new, ref):
+    """Equal entries, shape and dtype."""
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    assert new.dtype == ref.dtype
+    assert np.array_equal(new, ref)
+    assert [str(v) for v in new.reshape(-1)] == [str(v) for v in ref.reshape(-1)]
+
+
+def _assert_same_stack(stack, refs, shape):
+    """A (k, rows, cols) stack against k reference matrices of that shape."""
+    assert stack.shape == (len(refs), *shape)
+    for image, ref in zip(stack, refs):
+        assert ref.data.shape == shape
+        _assert_same(image, ref.data)
+
+
+def test_stable_endo_matches_the_reference(row_case):
+    ctx, _ = row_case
+    endo = stable_endo(ctx)
+    reps, table, unit = _reference_stable_endo(ctx)
+    assert endo.dim == len(reps) == len(endo.basis)
+    for row, e in zip(endo.basis, reps):
+        _assert_same(row, e.vec())
+    assert len(endo.structure_constants) == len(table)
+    for new_row, ref_row in zip(endo.structure_constants, table):
+        assert len(new_row) == len(ref_row)
+        for new, ref in zip(new_row, ref_row):
+            _assert_same(new, ref)
+    _assert_same(endo.unit, unit)
+
+
+def test_G_object_matches_the_reference(row_case):
+    ctx, mods = row_case
+    for x in mods.values():
+        g = G_object(ctx, x)
+        refs = _reference_G_object(ctx, x)
+        assert g.dim == ctx.stable_from_generator(x).dim
+        assert len(g.action) == len(refs)
+        for new, ref in zip(g.action, refs):
+            _assert_same(new.data, ref.data)
+
+
+def test_G_images_match_the_reference(row_case):
+    ctx, mods = row_case
+    for x, y in itertools.product(mods.values(), repeat=2):
+        basis = hom_basis(x, y)
+        refs = [_reference_G_morphism(ctx, f) for f in basis]
+        shape = (ctx.stable_from_generator(y).dim, ctx.stable_from_generator(x).dim)
+        _assert_same_stack(_g_images(ctx, x, y, hom_matrix(x, y).data), refs, shape)
+        for f, ref in zip(basis, refs):
+            _assert_same(G_morphism(ctx, f).data, ref.data)
+
+
+def test_transport_matches_the_reference(row_case):
+    ctx, mods = row_case
+    field = ctx.alg.field
+    for (xn, x), (yn, y) in itertools.product(mods.items(), repeat=2):
+        q = ho_hom(ctx, x, y).quotient
+        transport = _transport(ctx, x, y)
+        shape = (G_object(ctx, y).dim, G_object(ctx, x).dim)
+        reps = [Morphism.from_vec(q.x, q.y, row) for row in q.rep_rows]
+        refs = [_reference_g_transport(ctx, x, y, r) for r in reps]
+        _assert_same_stack(transport(q.rep_rows), refs, shape)
+        sub = [_reference_g_transport(ctx, x, y, Morphism.from_vec(q.x, q.y, row))
+               for row in q.sub.rows]
+        _assert_same_stack(transport(q.sub.rows), sub, shape)
+        assert all(m.is_zero() for m in sub)
+        if x.key == y.key:
+            # row i * k + j of the pairwise composites is rep_j ∘ rep_i
+            pairs = [_reference_g_transport(ctx, x, y, b @ a) for a in reps for b in reps]
+            _assert_same_stack(transport(compose_pairs(q.rep_rows, q.x, q.x, q.rep_rows, q.x)),
+                               pairs, shape)
+        # the checksum is the digest of the reference images
+        digest = hashlib.sha256()
+        for ref in refs:
+            for entry in ref.format_entries():
+                digest.update(entry.encode())
+            digest.update(b"|")
+        report = dl_verify(ctx, x, y, names=(xn, yn))
+        assert report.passed
+        assert report.checksum == digest.hexdigest()[:16]
+        assert report.dim_ho == len(refs)

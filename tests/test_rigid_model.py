@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from frobcat.errors import HypothesisError, InputError
@@ -16,9 +17,9 @@ from frobcat.algebra_repr import (
     preprojective,
     zero_module,
 )
-from frobcat.exact_linalg import RowSpan
+from frobcat.exact_linalg import Matrix, RowSpan
 from frobcat.homological import cosyzygy, in_add, solve_postcompose
-from frobcat.axiom_suite import default_objects, run_all
+from frobcat.axiom_suite import default_objects, random_morphism, run_all
 from frobcat.rigid_model import (
     LEFT,
     approximation,
@@ -327,3 +328,31 @@ def test_cone_of_identity_is_the_envelope(pa2_ctx, pa2):
     assert z.dims_tuple() == (1, 1)
     assert is_mono(u) and is_epi(u)
     assert is_mono(g)
+
+
+def _reference_is_weak_equivalence(ctx, f):
+    """The per-representative form that the row-stack test replaced."""
+    sx = ctx.stable_from_generator(f.source)
+    sy = ctx.stable_from_generator(f.target)
+    if sx.dim != sy.dim:
+        return False
+    if sx.dim == 0:
+        return True
+    cols = [sy.canonical((f @ Morphism.from_vec(sx.x, f.source, row)).vec())
+            for row in sx.rep_rows]
+    return Matrix(ctx.alg.field, np.vstack(cols).T).rank() == sy.dim
+
+
+def test_weak_equivalence_matches_the_reference(row_case):
+    ctx, mods = row_case
+    ranked = 0  # verdicts reached through the rank test
+    for x, y in itertools.product(mods.values(), repeat=2):
+        candidates = [Morphism.zero(x, y)] + [random_morphism(ctx, x, y, s) for s in range(3)]
+        if x.key == y.key:
+            candidates.append(Morphism.identity(x))
+        for f in candidates:
+            assert is_weak_equivalence(ctx, f) == _reference_is_weak_equivalence(ctx, f)
+            ranked += ctx.stable_from_generator(x).dim == ctx.stable_from_generator(y).dim > 0
+    for x in mods.values():
+        assert is_weak_equivalence(ctx, cofibrant_replacement(ctx, x).phi)
+    assert (ranked > 0) == (ctx.stable_from_generator(ctx.M_gen).dim > 0)
