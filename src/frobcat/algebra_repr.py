@@ -86,11 +86,11 @@ class Algebra:
             raise InputError("duplicate vertex names")
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
         self.arrows: List[Arrow] = []
-        for a in arrows:
+        for i, a in enumerate(arrows):
             if isinstance(a, Arrow):
                 arrow = a
             elif isinstance(a, dict):
-                arrow = Arrow(a["name"], a["from"], a["to"])
+                arrow = Arrow(*(_json_key(a, key, f"arrow {i}") for key in ("name", "from", "to")))
             elif isinstance(a, (list, tuple)) and len(a) == 3:
                 arrow = Arrow(*a)
             else:
@@ -119,7 +119,8 @@ class Algebra:
         src = tgt = None
         for term in rel:
             if isinstance(term, dict):
-                coeff, path_names = term["coeff"], term["path"]
+                coeff, path_names = (_json_key(term, key, f"a term of relation {k}")
+                                     for key in ("coeff", "path"))
             elif isinstance(term, (list, tuple)) and len(term) == 2:
                 coeff, path_names = term
             else:
@@ -128,7 +129,8 @@ class Algebra:
                     and all(isinstance(n, str) for n in path_names)):
                 raise InputError(f"relation {k}: path must be a list of arrow names")
             coeff = _json_scalar(coeff, f"relation {k}: coefficient", self.field.coerce)
-            path = tuple(self._aindex[n] for n in path_names)
+            path = tuple(self._aindex[n] for n in _json_known(path_names, self._aindex, "arrow",
+                                                              f"relation {k}"))
             if len(path) < 2:
                 raise InputError(f"relation {k}: path shorter than 2 is not admissible")
             for a, b in zip(path, path[1:]):
@@ -450,19 +452,39 @@ def _json_typed(x, kind: type, what: str):
     return x
 
 
+def _json_key(d: Mapping, key: str, what: str):
+    """d[key] from a JSON object; a missing key is refused, naming it."""
+    if key not in d:
+        raise InputError(f"missing key {key!r} in {what}")
+    return d[key]
+
+
+def _json_known(names, known, noun: str, what: str):
+    """names (the keys of a JSON object, or a list) when each is a known
+    vertex or arrow; the first unknown one is refused rather than dropped."""
+    for name in names:
+        if name not in known:
+            raise InputError(f"unknown {noun} {name!r} in {what}")
+    return names
+
+
 def algebra_from_dict(d: Mapping, **caps) -> Algebra:
-    fd = _json_typed(_json_typed(d, dict, "the algebra")["field"], dict, "field")
-    if fd["kind"] == "prime":
-        field = prime_field(_json_scalar(fd["p"], "field characteristic p", int))
-    elif fd["kind"] == "rational":
+    d = _json_typed(d, dict, "the algebra")
+    fd = _json_typed(_json_key(d, "field", "the algebra"), dict, "field")
+    kind = _json_key(fd, "kind", "field")
+    if kind == "prime":
+        field = prime_field(_json_scalar(_json_key(fd, "p", "field"), "field characteristic p",
+                                         int))
+    elif kind == "rational":
         field = rational_field()
     else:
-        raise InputError(f"unknown field kind {fd['kind']!r}")
+        raise InputError(f"unknown field kind {kind!r}")
     relations = _json_typed(d.get("relations", []), list, "relations")
     for k, rel in enumerate(relations):
         _json_typed(rel, list, f"relation {k}")
-    return Algebra(field, _json_typed(d["vertices"], list, "vertices"),
-                   _json_typed(d["arrows"], list, "arrows"), relations, **caps)
+    return Algebra(field, _json_typed(_json_key(d, "vertices", "the algebra"), list, "vertices"),
+                   _json_typed(_json_key(d, "arrows", "the algebra"), list, "arrows"), relations,
+                   **caps)
 
 
 def load_algebra(text: str, **caps) -> Algebra:
@@ -559,9 +581,11 @@ class Module:
     @staticmethod
     def from_dict(algebra: Algebra, d: Mapping) -> "Module":
         d = _json_typed(d, dict, "a module")
+        given_dims = _json_typed(_json_key(d, "dims", "the module"), dict, "dims")
         dims = {v: _json_scalar(n, f"dim at vertex {v}", int)
-                for v, n in _json_typed(d["dims"], dict, "dims").items()}
-        given = _json_typed(d.get("action", {}), dict, "action")
+                for v, n in _json_known(given_dims, algebra._vindex, "vertex", "dims").items()}
+        given = _json_known(_json_typed(d.get("action", {}), dict, "action"), algebra._aindex,
+                            "arrow", "action")
         action = {}
         for a in algebra.arrows:
             entries = given.get(a.name)
@@ -668,6 +692,16 @@ class Morphism:
     def zero(source: Module, target: Module) -> "Morphism":
         return Morphism(source, target, {}, check=False)
 
+    @staticmethod
+    def hstack(maps: Sequence["Morphism"]) -> "Morphism":
+        """(f_1 … f_n): the sum of the sources -> their common target."""
+        return _stack(maps, along_source=True)
+
+    @staticmethod
+    def vstack(maps: Sequence["Morphism"]) -> "Morphism":
+        """(f_1; …; f_n): the common source -> the sum of the targets."""
+        return _stack(maps, along_source=False)
+
     def __matmul__(self, other: "Morphism") -> "Morphism":
         """Composition self after other."""
         if other.target.key != self.source.key:
@@ -743,7 +777,8 @@ class Morphism:
     @staticmethod
     def from_dict(d: Mapping, source: Module, target: Module) -> "Morphism":
         alg = source.algebra
-        given = _json_typed(d.get("comps", {}), dict, "comps")
+        given = _json_known(_json_typed(d.get("comps", {}), dict, "comps"), alg._vindex,
+                            "vertex", "comps")
         comps = {}
         for v in alg.vertices:
             entries = given.get(v)
@@ -757,6 +792,22 @@ class Morphism:
 
     def __repr__(self):
         return f"Morphism({self.source.dims_tuple()} -> {self.target.dims_tuple()})"
+
+
+def _stack(maps: Sequence[Morphism], along_source: bool) -> Morphism:
+    """The block map of :meth:`Morphism.hstack` (along_source) or
+    :meth:`Morphism.vstack`; the sum is built by :func:`sum_module`."""
+    if not maps:
+        raise InputError("a block map needs at least one block")
+    shared = [f.target if along_source else f.source for f in maps]
+    if any(m.key != shared[0].key for m in shared):
+        raise InputError("the blocks need a common " + ("target" if along_source else "source"))
+    total = sum_module([f.source if along_source else f.target for f in maps])
+    stack = Matrix.hstack if along_source else Matrix.vstack
+    comps = {v: stack([f.comps[v] for f in maps]) for v in total.algebra.vertices}
+    if along_source:
+        return Morphism(total, shared[0], comps, check=False)
+    return Morphism(shared[0], total, comps, check=False)
 
 
 # -- hom spaces ----------------------------------------------------------------
@@ -927,64 +978,73 @@ def cokernel_factor(proj: Morphism, g: Morphism) -> Morphism:
     return Morphism(proj.target, g.target, comps, check=False)
 
 
-def direct_sum(parts: Sequence[Module],
-               algebra: Optional[Algebra] = None) -> Tuple[Module, List[Morphism], List[Morphism]]:
-    """Block-diagonal sum with canonical injections and projections.
+def sum_module(parts: Sequence[Module], algebra: Optional[Algebra] = None) -> Module:
+    """The block-diagonal sum of parts, in their order: the one block layout
+    of a sum, shared by :func:`direct_sum` and by the block maps of
+    :meth:`Morphism.hstack` and :meth:`Morphism.vstack`.
 
     An empty list yields the zero module, for which the algebra is required.
     """
     if not parts:
         if algebra is None:
-            raise InputError("direct_sum of an empty list needs the algebra argument")
-        return zero_module(algebra), [], []
+            raise InputError("the sum of an empty list needs the algebra argument")
+        return zero_module(algebra)
     alg = parts[0].algebra
-    field = alg.field
     dims = {v: sum(p.dims[v] for p in parts) for v in alg.vertices}
-    action = {
-        a.name: Matrix.block_diag(field, [p.action[a.name] for p in parts])
-        for a in alg.arrows
-    }
-    total = Module(alg, dims, action, check=False)
-    injections, projections = [], []
-    for k, part in enumerate(parts):
-        inj, proj = {}, {}
-        for v in alg.vertices:
-            before = sum(p.dims[v] for p in parts[:k])
-            m = Matrix.zeros(field, dims[v], part.dims[v])
-            one = field.one()
-            for i in range(part.dims[v]):
-                m.data[before + i, i] = one
-            inj[v] = m
-            proj[v] = m.transpose()
-        injections.append(Morphism(part, total, inj, check=False))
-        projections.append(Morphism(total, part, proj, check=False))
-    return total, injections, projections
+    action = {a.name: Matrix.block_diag(alg.field, [p.action[a.name] for p in parts])
+              for a in alg.arrows}
+    return Module(alg, dims, action, check=False)
+
+
+def direct_sum(parts: Sequence[Module],
+               algebra: Optional[Algebra] = None) -> Tuple[Module, List[Morphism], List[Morphism]]:
+    """:func:`sum_module` with its canonical injections and projections: the
+    column and the row blocks of its identity."""
+    ident = Morphism.identity(sum_module(parts, algebra))
+    return (ident.source, _split(ident, parts, at_source=True),
+            _split(ident, parts, at_source=False))
+
+
+def _split(f: Morphism, parts: Sequence[Module], at_source: bool) -> List[Morphism]:
+    """The blocks of f along the sum of parts: at its source, the column
+    blocks part -> f.target; at its target, the row blocks f.source -> part."""
+    field = f.source.algebra.field
+    offsets = dict.fromkeys(f.source.algebra.vertices, 0)
+    out = []
+    for part in parts:
+        comps = {}
+        for v, off in offsets.items():
+            end = off + part.dims[v]
+            data = f.comps[v].data
+            comps[v] = Matrix(field, (data[:, off:end] if at_source else data[off:end]).copy())
+            offsets[v] = end
+        out.append(Morphism(part, f.target, comps, check=False) if at_source
+                   else Morphism(f.source, part, comps, check=False))
+    return out
 
 
 def pushout(f: Morphism, g: Morphism) -> Tuple[Module, Morphism, Morphism]:
     """Pushout of f: A -> B along g: A -> C.
 
-    Returns (D, B -> D, C -> D), computed as the cokernel of (f, -g): A -> B ⊕ C.
+    Returns (D, B -> D, C -> D), computed as the cokernel of (f; -g): A -> B ⊕ C,
+    whose column blocks are the two legs.
     """
     if f.source.key != g.source.key:
         raise InputError("pushout needs a common source")
-    total, injections, _ = direct_sum([f.target, g.target])
-    u = (injections[0] @ f) - (injections[1] @ g)
-    d, proj = cokernel(u)
-    return d, proj @ injections[0], proj @ injections[1]
+    d, proj = cokernel(Morphism.vstack([f, -g]))
+    return (d, *_split(proj, [f.target, g.target], at_source=True))
 
 
 def pullback(f: Morphism, g: Morphism) -> Tuple[Module, Morphism, Morphism]:
     """Pullback of f: B -> A along g: C -> A.
 
-    Returns (E, E -> B, E -> C), computed as the kernel of (f, -g): B ⊕ C -> A.
+    Returns (E, E -> B, E -> C), computed as the kernel of (f -g): B ⊕ C -> A,
+    whose row blocks are the two legs.
     """
     if f.target.key != g.target.key:
         raise InputError("pullback needs a common target")
-    total, _, projections = direct_sum([f.source, g.source])
-    u = (f @ projections[0]) - (g @ projections[1])
-    e, inc = kernel(u)
-    return e, projections[0] @ inc, projections[1] @ inc
+    e, inc = kernel(Morphism.hstack([f, -g]))
+    return (e, *_split(inc, [f.source, g.source], at_source=False))
 
 
 def is_mono(f: Morphism) -> bool:

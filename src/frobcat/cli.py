@@ -16,8 +16,8 @@ from typing import Dict, List
 
 from . import __version__
 from .errors import HypothesisError, InputError
-from .algebra_repr import (Algebra, Module, Morphism, _json_scalar, _json_typed, hom_basis,
-                           load_algebra, zero_module)
+from .algebra_repr import (Algebra, Module, Morphism, _json_key, _json_scalar, _json_typed,
+                           hom_basis, load_algebra, zero_module)
 from .homological import ext1_dim
 from .rigid_model import (
     RigidContext,
@@ -74,14 +74,15 @@ def load_project(path: str) -> ProjectConfig:
     files = _json_typed(config.get("modules", {}), dict, "project.json: modules")
     m_gen = config.get("M_gen", [])
     options = _json_typed(config.get("options", {}), dict, "project.json: options")
-    if not all(isinstance(f, str) for f in [config["algebra"], *files.values()]):
+    algebra_file = _json_key(config, "algebra", "project.json")
+    if not all(isinstance(f, str) for f in [algebra_file, *files.values()]):
         raise InputError("project.json: the algebra and module files must be file names")
     if not isinstance(m_gen, list) or not all(isinstance(n, str) for n in m_gen):
         raise InputError("project.json: M_gen must be a list of module names")
     try:
-        algebra = load_algebra((root / config["algebra"]).read_text())
+        algebra = load_algebra((root / algebra_file).read_text())
     except InputError as e:
-        raise InputError(f"algebra file {config['algebra']}: {e}") from e
+        raise InputError(f"algebra file {algebra_file}: {e}") from e
     modules = {}
     for name, fname in files.items():
         try:
@@ -109,11 +110,9 @@ def load_morphism(project: ProjectConfig, path: str) -> Morphism:
         data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
             raise InputError("expected a JSON object")
-        source = project.module(data["source"])
-        target = project.module(data["target"])
+        source = project.module(_json_key(data, "source", "the morphism"))
+        target = project.module(_json_key(data, "target", "the morphism"))
         return Morphism.from_dict(data, source, target)
-    except KeyError as e:
-        raise InputError(f"morphism file {path}: missing key {e}") from e
     except (ValueError, InputError) as e:  # json.JSONDecodeError included
         raise InputError(f"morphism file {path}: {e}") from e
 

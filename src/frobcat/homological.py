@@ -10,8 +10,7 @@ quotients are recomputed on every call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .algebra_repr import (
     combine,
     compose_basis,
     compose_pairs,
-    direct_sum,
     dual_module,
     hom_basis,  # unused here; the benchmark's tracer test checks it is rebound in this module
     hom_matrix,
@@ -35,6 +33,7 @@ from .algebra_repr import (
     is_mono,
     kernel,
     path_matrix,
+    sum_module,
     zero_module,
 )
 
@@ -50,8 +49,8 @@ def projective_cover(x: Module) -> Tuple[Module, Morphism]:
 
     Generators are deterministic: at each vertex, in vertex order, the
     standard vectors that complete rad(x) (the sum of the images of the
-    incoming arrows) in order. Each P_v copy maps its path basis element b
-    to (action of b on x) applied to the generator.
+    incoming arrows) in order. The cover is the block map of one
+    :func:`_generator_map` per generator.
     """
     alg = x.algebra
     field = alg.field
@@ -63,42 +62,29 @@ def projective_cover(x: Module) -> Tuple[Module, Morphism]:
                 radical.add(x.action[a.name].data.T)
         ident = Matrix.identity(field, x.dims[v]).data
         generators += [(v, ident[i]) for i in radical.independent(ident)]
-    parts = [alg.projective(v) for v, _ in generators]
-    if not parts:
+    if not generators:
         p = zero_module(alg)
         return p, Morphism(p, x, {}, check=False)
-    total, injections, projections = direct_sum(parts)
-    vi = {v: i for i, v in enumerate(alg.vertices)}
-    comps = {w: Matrix.zeros(field, x.dims[w], total.dims[w]) for w in alg.vertices}
-    col_offset = {w: 0 for w in alg.vertices}
-    for (v, gen), part in zip(generators, parts):
-        src = vi[v]
-        for e in alg._elts:
-            if e.source != src:
-                continue
-            w = alg.vertices[e.target]
-            if e.length == 0:
-                col = Matrix.column(field, list(gen))
-            else:
-                col = path_matrix(x, e.path) @ Matrix.column(field, list(gen))
-            # position of e within P_v's basis at w
-            local = [pe.idx for pe in alg._elts if pe.source == src and pe.target == e.target]
-            k = local.index(e.idx)
-            comps[w].data[:, col_offset[w] + k] = col.data[:, 0]
-        for w in alg.vertices:
-            col_offset[w] += part.dims[w]
-    cover = Morphism(total, x, comps, check=False)
+    cover = Morphism.hstack([_generator_map(x, v, gen) for v, gen in generators])
     if not cover.intertwines():
         raise InternalCheckError("projective cover does not intertwine")
     if not is_epi(cover):
         raise InternalCheckError("projective cover is not epi")
-    return total, cover
+    return cover.source, cover
 
 
-def _undual_module(m: Module, algebra: Algebra) -> Module:
-    """Reinterpret a module over opposite(opposite) as a module over algebra."""
-    action = {a.name: m.action[a.name] for a in algebra.arrows}
-    return Module(algebra, dict(m.dims), action, check=False)
+def _generator_map(x: Module, v: str, gen: np.ndarray) -> Morphism:
+    """The map P_v -> x sending each path b out of v, a basis vector of P_v
+    at b's target, to (action of b on x) applied to gen."""
+    alg = x.algebra
+    src, column = alg._vindex[v], Matrix.column(alg.field, list(gen))
+    cols: Dict[str, List[Matrix]] = {w: [] for w in alg.vertices}
+    for e in alg._elts:
+        if e.source == src:
+            cols[alg.vertices[e.target]].append(
+                path_matrix(x, e.path) @ column if e.length else column)
+    comps = {w: Matrix.hstack(c) for w, c in cols.items() if c}
+    return Morphism(alg.projective(v), x, comps, check=False)
 
 
 def injective_envelope(x: Module) -> Tuple[Module, Morphism]:
@@ -106,8 +92,7 @@ def injective_envelope(x: Module) -> Tuple[Module, Morphism]:
     alg = x.algebra
     dx = dual_module(x)
     p, cover = projective_cover(dx)
-    i_dual = dual_module(p)
-    env = _undual_module(i_dual, alg)
+    env = dual_module(p)  # over alg: opposite() links both ways
     comps = {v: cover.comps[v].transpose() for v in alg.vertices}
     mono = Morphism(x, env, comps, check=False)
     if not mono.intertwines():
@@ -152,48 +137,9 @@ def ext1_dim_via_copresentation(x: Module, y: Module) -> int:
 # -- add-subspaces and quotient hom spaces ----------------------------------------
 
 
-@dataclass
-class AddSubspace:
-    """span{ b∘a : a in Hom(x,z), b in Hom(z,y) } with factorization witnesses.
-
-    ``images`` holds the composites b∘a in pair order (a outer, b inner over
-    the hom bases) and ``span`` their reduced echelon form."""
-
-    x: Module
-    z: Module
-    y: Module
-    span: RowSpan
-    images: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.span.rank
-
-    def factorize(self, f: Morphism) -> Tuple[Morphism, Morphism]:
-        """Explicit x -> z^n -> y recomposing to f, for f in the span."""
-        sol = solve_in_span(self.x.algebra.field, self.images, f.vec())
-        if sol is None:
-            raise InputError("morphism does not factor through add(z)")
-        chosen = [(k, c) for k, c in enumerate(sol) if c != 0]
-        if not chosen:
-            z0 = zero_module(self.x.algebra)
-            return Morphism.zero(self.x, z0), Morphism.zero(z0, self.y)
-        homs_xz, homs_zy = hom_matrix(self.x, self.z), hom_matrix(self.z, self.y)
-        parts = [self.z] * len(chosen)
-        total, injections, projections = direct_sum(parts)
-        into = Morphism.zero(self.x, total)
-        outof = Morphism.zero(total, self.y)
-        for slot, (k, coeff) in enumerate(chosen):
-            i, j = divmod(k, homs_zy.rows)
-            a = Morphism.from_vec(self.x, self.z, homs_xz.data[i])
-            b = Morphism.from_vec(self.z, self.y, homs_zy.data[j])
-            into = into + (injections[slot] @ a)
-            outof = outof + (b.scale(coeff) @ projections[slot])
-        return into, outof
-
-
-def factors_through_add(x: Module, z: Module, y: Module) -> AddSubspace:
-    """Subspace of Hom(x,y) of morphisms factoring through a finite power of z.
+def factors_through_add(x: Module, z: Module, y: Module) -> RowSpan:
+    """The subspace of Hom(x, y), in ``Morphism.vec()`` coordinates, of the
+    morphisms factoring through a finite power of z.
 
     A morphism lies in the span of the pairwise composites iff it factors
     through z^n for some finite n, so the linear test is exact.
@@ -201,14 +147,14 @@ def factors_through_add(x: Module, z: Module, y: Module) -> AddSubspace:
     images = compose_pairs(hom_matrix(x, z).data, x, z, hom_matrix(z, y).data, y)
     span = RowSpan(x.algebra.field, images.shape[1])
     span.add(images)
-    return AddSubspace(x, z, y, span, images)
+    return span
 
 
 def in_add(x: Module, z: Module) -> bool:
     """True iff x is a direct summand of a finite power of z."""
     if x.is_zero():
         return True
-    return factors_through_add(x, z, x).span.contains(Morphism.identity(x).vec())
+    return factors_through_add(x, z, x).contains(Morphism.identity(x).vec())
 
 
 class QuotientHom:
@@ -224,8 +170,7 @@ class QuotientHom:
 
     def __init__(self, x: Module, z: Module, y: Module):
         self.x, self.z, self.y = x, z, y
-        # the span only: the AddSubspace would also hold every pairwise composite
-        self.sub = factors_through_add(x, z, y).span
+        self.sub = factors_through_add(x, z, y)
         basis = hom_matrix(x, y).data
         canonicals = self.sub.reduce(basis)
         self.rep_indices = RowSpan(self.sub.field, self.sub.width).independent(canonicals)
@@ -248,11 +193,11 @@ class QuotientHom:
 
 
 def _inj_sum(alg: Algebra) -> Module:
-    return _memo(alg._module_cache, "inj-sum", lambda: direct_sum(alg.injectives())[0])
+    return _memo(alg._module_cache, "inj-sum", lambda: sum_module(alg.injectives()))
 
 
 def _proj_sum(alg: Algebra) -> Module:
-    return _memo(alg._module_cache, "proj-sum", lambda: direct_sum(alg.projectives())[0])
+    return _memo(alg._module_cache, "proj-sum", lambda: sum_module(alg.projectives()))
 
 
 def stable_hom(x: Module, y: Module, kind: str = MOD_INJECTIVES) -> QuotientHom:

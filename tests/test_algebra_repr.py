@@ -499,3 +499,126 @@ def test_compose_basis_and_pairs_match_per_element_composition(field_name, data)
     assert pairs.shape == (len(want), hom_width(x, y))
     assert pairs.dtype == field.dtype
     assert pairs.tolist() == want
+
+
+# the block constructors against the compositions with direct_sum's injections
+# and projections they replace; F_1048583 runs the object-dtype residue path
+_SUM_ALGEBRAS = {
+    name: preprojective(2, field)
+    for name, field in (("F2", prime_field(2)), ("F5", prime_field(5)),
+                        ("F1048583", prime_field(1048583)), ("Q", rational_field()))
+}
+
+
+def _reference_direct_sum(parts):
+    """The sum with its injections and projections, written out index by
+    index as direct_sum built them before it split an identity."""
+    alg = parts[0].algebra
+    field = alg.field
+    dims = {v: sum(p.dims[v] for p in parts) for v in alg.vertices}
+    action = {a.name: Matrix.block_diag(field, [p.action[a.name] for p in parts])
+              for a in alg.arrows}
+    total = Module(alg, dims, action, check=False)
+    injections, projections = [], []
+    for k, part in enumerate(parts):
+        inj = {}
+        for v in alg.vertices:
+            before = sum(p.dims[v] for p in parts[:k])
+            inj[v] = Matrix.zeros(field, dims[v], part.dims[v])
+            for i in range(part.dims[v]):
+                inj[v].data[before + i, i] = field.one()
+        injections.append(Morphism(part, total, inj, check=False))
+        projections.append(Morphism(total, part, {v: m.transpose() for v, m in inj.items()},
+                                    check=False))
+    return total, injections, projections
+
+
+def _reference_hstack(maps):
+    total, _, projections = _reference_direct_sum([f.source for f in maps])
+    out = Morphism.zero(total, maps[0].target)
+    for f, pr in zip(maps, projections):
+        out = out + (f @ pr)
+    return out
+
+
+def _reference_vstack(maps):
+    total, injections, _ = _reference_direct_sum([f.target for f in maps])
+    out = Morphism.zero(maps[0].source, total)
+    for f, inj in zip(maps, injections):
+        out = out + (inj @ f)
+    return out
+
+
+def _reference_pushout(f, g):
+    _, injections, _ = _reference_direct_sum([f.target, g.target])
+    d, proj = cokernel((injections[0] @ f) - (injections[1] @ g))
+    return d, proj @ injections[0], proj @ injections[1]
+
+
+def _reference_pullback(f, g):
+    _, _, projections = _reference_direct_sum([f.source, g.source])
+    e, inc = kernel((f @ projections[0]) - (g @ projections[1]))
+    return e, projections[0] @ inc, projections[1] @ inc
+
+
+def _same_map(got, want):
+    assert got.source.key == want.source.key and got.target.key == want.target.key
+    assert got.to_dict("s", "t") == want.to_dict("s", "t")
+    dtype = got.source.algebra.field.dtype
+    assert all(got.comps[v].data.dtype == dtype for v in got.comps)
+
+
+@given(field_name=st.sampled_from(sorted(_SUM_ALGEBRAS)), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_block_maps_match_the_structure_map_compositions(field_name, data):
+    """hstack, vstack and the pushout and pullback legs, on summands that may
+    be zero and modules with zero-dimensional vertices (S1, S2)."""
+    alg = _SUM_ALGEBRAS[field_name]
+    field = alg.field
+    indecomposables = alg.simples() + alg.projectives() + [zero_module(alg)]
+
+    def module():
+        picks = data.draw(st.lists(st.sampled_from(indecomposables), max_size=2))
+        return direct_sum(picks, alg)[0]
+
+    def morphism(x, y):
+        # nonzero coefficients, so that a dropped sign or block shows
+        ints = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                  min_size=hom_dim(x, y), max_size=hom_dim(x, y)))
+        return combine(x, y, [field.coerce(c) for c in ints])
+
+    parts = [module() for _ in range(data.draw(st.integers(1, 3)))]
+    got, want = direct_sum(parts), _reference_direct_sum(parts)
+    assert got[0].key == want[0].key
+    for ours, ref in zip(got[1] + got[2], want[1] + want[2]):
+        _same_map(ours, ref)
+    y = module()
+    maps = [morphism(p, y) for p in parts]
+    _same_map(Morphism.hstack(maps), _reference_hstack(maps))
+    maps = [morphism(y, p) for p in parts]
+    _same_map(Morphism.vstack(maps), _reference_vstack(maps))
+
+    a, b, c = module(), module(), module()
+    f, g = morphism(a, b), morphism(a, c)
+    got, want = pushout(f, g), _reference_pushout(f, g)
+    assert got[0].key == want[0].key
+    for leg, ref in zip(got[1:], want[1:]):
+        _same_map(leg, ref)
+    f, g = morphism(b, a), morphism(c, a)
+    got, want = pullback(f, g), _reference_pullback(f, g)
+    assert got[0].key == want[0].key
+    for leg, ref in zip(got[1:], want[1:]):
+        _same_map(leg, ref)
+
+
+def test_block_maps_refuse_no_blocks_and_unshared_ends(pa2):
+    alg, mods = pa2
+    with pytest.raises(InputError):
+        Morphism.hstack([])
+    with pytest.raises(InputError):
+        Morphism.vstack([])
+    s1, s2 = Morphism.identity(mods["S1"]), Morphism.identity(mods["S2"])
+    with pytest.raises(InputError):
+        Morphism.hstack([s1, s2])
+    with pytest.raises(InputError):
+        Morphism.vstack([s1, s2])

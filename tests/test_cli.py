@@ -155,7 +155,8 @@ AXIOMS = ["axioms", "--check", "mho_rigid"]
 WEQ = ["weq", "--morphism", "{root}/f.json"]
 HOM = ["hom", "S1", "P1"]
 
-# case -> (project mutation, command, the file the error line must name)
+# case -> (project mutation, command, the file the error line must name, or a tuple of
+# the file and the key it must name)
 MALFORMED = {
     "zero-samples": (None, AXIOMS + ["--samples", "0"], None),
     "negative-samples": (None, AXIOMS + ["--samples", "-5"], None),
@@ -203,6 +204,32 @@ MALFORMED = {
     "algebra-relation-term-number": (_edited("algebra.json",
                                              lambda d: d["relations"][0].__setitem__(0, 5)),
                                      HOM, "algebra.json"),
+    # a missing key is named with its file, not reported as a bare KeyError
+    "project-missing-algebra": (_edited("project.json", lambda d: d.pop("algebra")), AXIOMS,
+                                ("project.json", "'algebra'")),
+    "algebra-missing-field": (_edited("algebra.json", lambda d: d.pop("field")), HOM,
+                              ("algebra.json", "'field'")),
+    "algebra-missing-field-kind": (_edited("algebra.json", lambda d: d["field"].pop("kind")),
+                                   HOM, ("algebra.json", "'kind'")),
+    "algebra-missing-arrow-end": (_edited("algebra.json", lambda d: d["arrows"][0].pop("from")),
+                                  HOM, ("algebra.json", "'from'")),
+    "algebra-missing-term-path": (_edited("algebra.json",
+                                          lambda d: d["relations"][0][0].pop("path")),
+                                  HOM, ("algebra.json", "'path'")),
+    "module-missing-dims": (_edited("S1.json", lambda d: d.pop("dims")), HOM,
+                            ("S1.json", "'dims'")),
+    # an unknown arrow or vertex is refused, not dropped into a different module
+    "algebra-unknown-relation-arrow": (
+        _edited("algebra.json", lambda d: d["relations"][0][0]["path"].__setitem__(0, "zz")),
+        HOM, ("algebra.json", "'zz'")),
+    "module-unknown-action-arrow": (
+        _edited("P1.json", lambda d: d["action"].update(a1x=d["action"].pop("a1"))), HOM,
+        ("P1.json", "'a1x'")),
+    "module-unknown-dims-vertex": (_edited("P1.json", lambda d: d["dims"].update({"9": 1})), HOM,
+                                   ("P1.json", "'9'")),
+    "morphism-unknown-comps-vertex": (_with_file("f.json", json.dumps(
+        {"source": "S2", "target": "S2", "comps": {"2": ["1"], "9": ["1"]}})), WEQ,
+        ("f.json", "'9'")),
 }
 
 
@@ -221,8 +248,8 @@ def test_malformed_input_exits_2_with_one_line(pa2_project, tmp_path, capsys, ca
     assert err == ""
     lines = out.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    if named is not None:
-        assert named in lines[0]
+    for part in (named,) if isinstance(named, str) else named or ():
+        assert part in lines[0]
 
 
 def test_validate_reports_summed_cosyzygy(tmp_path, capsys):

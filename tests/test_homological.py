@@ -1,11 +1,14 @@
 import itertools
 
+import pytest
+
 from frobcat.exact_linalg import prime_field, rational_field
 from frobcat.algebra_repr import (
     Algebra,
     Morphism,
     ShortExactSequence,
     direct_sum,
+    dual_module,
     hom_basis,
     is_epi,
     is_mono,
@@ -47,6 +50,20 @@ def test_envelope_of_socle_simple(pa2):
     i, env = injective_envelope(mods["S1"])
     assert i.key == mods["P2"].key  # socle of P2 is S1
     assert is_mono(env)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("field", [prime_field(5), rational_field()], ids=["F5", "Q"])
+def test_double_dual_is_over_the_same_algebra(n, field):
+    """opposite() links both ways, so the envelope's dual of a dual needs no
+    re-typing onto the algebra; on an opposite algebra too."""
+    alg = preprojective(n, field)
+    for a in (alg, alg.opposite()):
+        for x in a.simples() + a.projectives():
+            back = dual_module(dual_module(x))
+            assert back.algebra is a and back.key == x.key
+            i, env = injective_envelope(x)
+            assert i.algebra is a and env.source is x and is_mono(env)
 
 
 def test_syzygies(pa2):
@@ -107,32 +124,21 @@ def test_stable_hom_dims(pa2):
 def test_factors_through_zero(pa2):
     alg, mods = pa2
     sub = factors_through_add(mods["S1"], zero_module(alg), mods["S1"])
-    assert sub.dim == 0
+    assert sub.rank == 0
 
 
 def test_factors_through_self_is_full_endos(pa2):
     alg, mods = pa2
     x = mods["P1"]
     sub = factors_through_add(x, x, x)
-    assert sub.dim == len(hom_basis(x, x))
+    assert sub.rank == len(hom_basis(x, x))
 
 
 def test_factors_through_add_zero_span(pa2):
     alg, mods = pa2
     # Hom(P1, S2) = 0, so nothing factors through S2 on the way to S1
     sub = factors_through_add(mods["P1"], mods["S2"], mods["S1"])
-    assert sub.dim == 0
-
-
-def test_factorization_witnesses_recompose(pa2):
-    alg, mods = pa2
-    m_gen, _, _ = direct_sum([mods["P1"], mods["P2"], mods["S1"]])
-    for x, y in itertools.product([mods["S1"], mods["S2"], mods["P2"]], repeat=2):
-        sub = factors_through_add(x, m_gen, y)
-        for row in sub.span.rows:
-            f = Morphism.from_vec(x, y, row)
-            into, outof = sub.factorize(f)
-            assert (outof @ into) == f
+    assert sub.rank == 0
 
 
 def test_in_add(pa2):

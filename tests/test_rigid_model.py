@@ -22,6 +22,7 @@ from frobcat.homological import cosyzygy, in_add, solve_postcompose
 from frobcat.axiom_suite import default_objects, random_morphism, run_all
 from frobcat.rigid_model import (
     LEFT,
+    _post_map_surjective,
     approximation,
     build_context,
     cofibrant_replacement,
@@ -102,12 +103,12 @@ def _full_evaluation(components, x):
 
 def test_full_evaluation_agrees_with_reduced(pa2):
     alg, mods = pa2
-    ctx = build_context(alg, [mods["P1"], mods["P2"], mods["S1"]], "frobenius",
-                        debug_checks=True)
+    ctx = build_context(alg, [mods["P1"], mods["P2"], mods["S1"]], "frobenius")
     for x in mods.values():
         a_full = _full_evaluation(ctx.components, x)
         a_red = right_M_approximation(ctx, x)
         assert is_epi(a_full) and is_epi(a_red)
+        assert all(_post_map_surjective(ctx, c, a_red) for c in ctx.components)
         assert a_red.source.total_dim <= a_full.source.total_dim
         # each factors through the other, so both are approximations
         assert solve_postcompose(a_red, a_full) is not None
