@@ -90,7 +90,9 @@ class Algebra:
             if isinstance(a, Arrow):
                 arrow = a
             elif isinstance(a, dict):
-                arrow = Arrow(*(_json_key(a, key, f"arrow {i}") for key in ("name", "from", "to")))
+                keys = ("name", "from", "to")
+                _json_known(a, keys, "key", f"arrow {i}")
+                arrow = Arrow(*(_json_key(a, key, f"arrow {i}") for key in keys))
             elif isinstance(a, (list, tuple)) and len(a) == 3:
                 arrow = Arrow(*a)
             else:
@@ -119,8 +121,9 @@ class Algebra:
         src = tgt = None
         for term in rel:
             if isinstance(term, dict):
-                coeff, path_names = (_json_key(term, key, f"a term of relation {k}")
-                                     for key in ("coeff", "path"))
+                what, keys = f"a term of relation {k}", ("coeff", "path")
+                _json_known(term, keys, "key", what)
+                coeff, path_names = (_json_key(term, key, what) for key in keys)
             elif isinstance(term, (list, tuple)) and len(term) == 2:
                 coeff, path_names = term
             else:
@@ -461,16 +464,19 @@ def _json_key(d: Mapping, key: str, what: str):
 
 def _json_known(names, known, noun: str, what: str):
     """names (the keys of a JSON object, or a list) when each is a known
-    vertex or arrow; the first unknown one is refused rather than dropped."""
+    vertex, arrow or key; the first unknown one is refused rather than
+    dropped, so a misspelt name cannot load as a different object."""
     for name in names:
         if name not in known:
             raise InputError(f"unknown {noun} {name!r} in {what}")
     return names
 
 
-def algebra_from_dict(d: Mapping, **caps) -> Algebra:
-    d = _json_typed(d, dict, "the algebra")
-    fd = _json_typed(_json_key(d, "field", "the algebra"), dict, "field")
+def algebra_from_dict(d: Mapping) -> Algebra:
+    d = _json_known(_json_typed(d, dict, "the algebra"),
+                    ("field", "vertices", "arrows", "relations"), "key", "the algebra")
+    fd = _json_known(_json_typed(_json_key(d, "field", "the algebra"), dict, "field"),
+                     ("kind", "p"), "key", "field")
     kind = _json_key(fd, "kind", "field")
     if kind == "prime":
         field = prime_field(_json_scalar(_json_key(fd, "p", "field"), "field characteristic p",
@@ -483,20 +489,19 @@ def algebra_from_dict(d: Mapping, **caps) -> Algebra:
     for k, rel in enumerate(relations):
         _json_typed(rel, list, f"relation {k}")
     return Algebra(field, _json_typed(_json_key(d, "vertices", "the algebra"), list, "vertices"),
-                   _json_typed(_json_key(d, "arrows", "the algebra"), list, "arrows"), relations,
-                   **caps)
+                   _json_typed(_json_key(d, "arrows", "the algebra"), list, "arrows"), relations)
 
 
-def load_algebra(text: str, **caps) -> Algebra:
+def load_algebra(text: str) -> Algebra:
     """Parse an algebra file (JSON text per the documented schema)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"not valid JSON: {e}") from e
-    return algebra_from_dict(data, **caps)
+    return algebra_from_dict(data)
 
 
-def preprojective(n: int, field: Field, **caps) -> Algebra:
+def preprojective(n: int, field: Field) -> Algebra:
     """The preprojective algebra of the linearly oriented A_n quiver.
 
     The double quiver carries arrows a_i: i -> i+1 and a_i*: i+1 -> i; the
@@ -519,7 +524,7 @@ def preprojective(n: int, field: Field, **caps) -> Algebra:
             terms.append({"coeff": minus, "path": [f"a{v-1}*", f"a{v-1}"]})
         if terms:
             relations.append(terms)
-    return Algebra(field, vertices, arrows, relations, **caps)
+    return Algebra(field, vertices, arrows, relations)
 
 
 class Module:
@@ -580,7 +585,7 @@ class Module:
 
     @staticmethod
     def from_dict(algebra: Algebra, d: Mapping) -> "Module":
-        d = _json_typed(d, dict, "a module")
+        d = _json_known(_json_typed(d, dict, "a module"), ("dims", "action"), "key", "the module")
         given_dims = _json_typed(_json_key(d, "dims", "the module"), dict, "dims")
         dims = {v: _json_scalar(n, f"dim at vertex {v}", int)
                 for v, n in _json_known(given_dims, algebra._vindex, "vertex", "dims").items()}
@@ -630,15 +635,6 @@ def relation_violations(module: Module) -> List[str]:
         if not total.is_zero():
             bad.append(f"relation {k} at vertex {src_v}")
     return bad
-
-
-def validate_module(algebra: Algebra, module: Module) -> Module:
-    if module.algebra is not algebra:
-        raise InputError("module belongs to a different algebra instance")
-    bad = relation_violations(module)
-    if bad:
-        raise InputError("module violates relations: " + "; ".join(bad))
-    return module
 
 
 def dual_module(m: Module) -> Module:
@@ -777,6 +773,7 @@ class Morphism:
     @staticmethod
     def from_dict(d: Mapping, source: Module, target: Module) -> "Morphism":
         alg = source.algebra
+        _json_known(d, ("source", "target", "comps"), "key", "the morphism")
         given = _json_known(_json_typed(d.get("comps", {}), dict, "comps"), alg._vindex,
                             "vertex", "comps")
         comps = {}
@@ -921,49 +918,32 @@ def kernel(f: Morphism) -> Tuple[Module, Morphism]:
 
 
 def cokernel(f: Morphism) -> Tuple[Module, Morphism]:
-    """Vertexwise cokernel with induced arrow action and its projection."""
+    """Vertexwise cokernel with induced arrow action and its projection.
+
+    At each vertex the rref of [f_v | 1] is E [f_v | 1] for an invertible E.
+    Its pivot columns are an image basis among the columns of f_v, then the
+    standard vectors completing it; the rows of E below rank f_v kill the
+    image and are the identity on those standard vectors, so they are the
+    projection q_v, and the cokernel's basis is the completing vectors.
+    """
     alg = f.source.algebra
     field = alg.field
-    quots = {}
-    dims = {}
+    quots, complements = {}, {}
     for v in alg.vertices:
         fv = f.comps[v]
-        dy = fv.rows
-        # pivot columns of [f_v | 1]: an image basis among the columns of f_v,
-        # then the standard vectors completing it
-        _, pivots, _ = Matrix.hstack([fv, Matrix.identity(field, dy)]).rref()
-        img = fv.data[:, [c for c in pivots if c < fv.cols]]
-        complement = [c - fv.cols for c in pivots if c >= fv.cols]
-        sel = Matrix.zeros(field, dy, len(complement))
-        for k, i in enumerate(complement):
-            sel.data[i, k] = field.one()
-        t = Matrix(field, np.hstack([img, sel.data]))
-        tinv = t.inverse()
-        if tinv is None:
-            raise InternalCheckError("cokernel complement is not a basis")
-        q = Matrix(field, tinv.data[img.shape[1] :, :].copy())
-        quots[v] = (q, sel)
-        dims[v] = len(complement)
+        red, pivots, _ = Matrix.hstack([fv, Matrix.identity(field, fv.rows)]).rref()
+        rank = sum(c < fv.cols for c in pivots)
+        q = Matrix(field, red.data[rank:, fv.cols :].copy())
+        if not (q @ fv).is_zero():
+            raise InternalCheckError("cokernel projection does not kill the image")
+        quots[v] = q
+        complements[v] = [c - fv.cols for c in pivots[rank:]]
     action = {}
-    for a in alg.arrows:
-        qw, _ = quots[a.target]
-        _, sv = quots[a.source]
-        action[a.name] = qw @ f.target.action[a.name] @ sv
-    c = Module(alg, dims, action, check=False)
-    proj = Morphism(f.target, c, {v: quots[v][0] for v in alg.vertices}, check=False)
-    return c, proj
-
-
-def kernel_factor(inc: Morphism, g: Morphism) -> Morphism:
-    """The unique h with inc @ h = g, for g killed by the cokernel side."""
-    alg = inc.source.algebra
-    comps = {}
-    for v in alg.vertices:
-        sol = inc.comps[v].solve_cols(g.comps[v])
-        if sol is None:
-            raise InputError("morphism does not factor through the kernel")
-        comps[v] = sol
-    return Morphism(g.source, inc.source, comps, check=False)
+    for a in alg.arrows:  # q_t Y_a on the cokernel's basis at the source
+        cols = f.target.action[a.name].data[:, complements[a.source]]
+        action[a.name] = quots[a.target] @ Matrix(field, cols)
+    c = Module(alg, {v: len(complements[v]) for v in alg.vertices}, action, check=False)
+    return c, Morphism(f.target, c, quots, check=False)
 
 
 def cokernel_factor(proj: Morphism, g: Morphism) -> Morphism:
@@ -1061,13 +1041,6 @@ def is_iso(f: Morphism) -> bool:
     )
 
 
-def invert(f: Morphism) -> Morphism:
-    if not is_iso(f):
-        raise InputError("morphism is not invertible")
-    comps = {v: f.comps[v].inverse() for v in f.source.algebra.vertices}
-    return Morphism(f.target, f.source, comps, check=False)
-
-
 # -- short exact sequences -------------------------------------------------------
 
 
@@ -1146,19 +1119,13 @@ def enumerate_submodules(x: Module, max_total_dim: int = 6) -> List[Tuple[Module
     results = []
     for combo in itertools.product(*(per_vertex[v] for v in alg.vertices)):
         family = dict(zip(alg.vertices, combo))
-        stable = True
-        for a in alg.arrows:
-            img = x.action[a.name] @ family[a.source]
-            if family[a.target].solve_cols(img) is None:
-                stable = False
-                break
-        if not stable:
-            continue
-        dims = {v: family[v].cols for v in alg.vertices}
         action = {}
-        for a in alg.arrows:
-            action[a.name] = family[a.target].solve_cols(x.action[a.name] @ family[a.source])
-        sub = Module(alg, dims, action, check=False)
-        inc = Morphism(sub, x, family, check=False)
-        results.append((sub, inc))
+        for a in alg.arrows:  # stable iff every arrow's system is solvable; keep the solutions
+            sol = family[a.target].solve_cols(x.action[a.name] @ family[a.source])
+            if sol is None:
+                break
+            action[a.name] = sol
+        else:
+            sub = Module(alg, {v: family[v].cols for v in alg.vertices}, action, check=False)
+            results.append((sub, Morphism(sub, x, family, check=False)))
     return results

@@ -16,8 +16,8 @@ from typing import Dict, List
 
 from . import __version__
 from .errors import HypothesisError, InputError
-from .algebra_repr import (Algebra, Module, Morphism, _json_key, _json_scalar, _json_typed,
-                           hom_basis, load_algebra, zero_module)
+from .algebra_repr import (Algebra, Module, Morphism, _json_key, _json_known, _json_scalar,
+                           _json_typed, hom_basis, load_algebra, zero_module)
 from .homological import ext1_dim
 from .rigid_model import (
     RigidContext,
@@ -71,9 +71,11 @@ def load_project(path: str) -> ProjectConfig:
         config = _json_typed(json.loads(config_file.read_text()), dict, "project.json")
     except json.JSONDecodeError as e:
         raise InputError(f"project.json is not valid JSON: {e}") from e
+    _json_known(config, ("algebra", "modules", "M_gen", "mode", "options"), "key", "project.json")
     files = _json_typed(config.get("modules", {}), dict, "project.json: modules")
     m_gen = config.get("M_gen", [])
-    options = _json_typed(config.get("options", {}), dict, "project.json: options")
+    options = _json_known(_json_typed(config.get("options", {}), dict, "project.json: options"),
+                          ("seed", "samples"), "key", "project.json: options")
     algebra_file = _json_key(config, "algebra", "project.json")
     if not all(isinstance(f, str) for f in [algebra_file, *files.values()]):
         raise InputError("project.json: the algebra and module files must be file names")

@@ -32,9 +32,7 @@ from .algebra_repr import (
     is_epi,
     is_mono,
     kernel,
-    path_matrix,
     sum_module,
-    zero_module,
 )
 
 MOD_INJECTIVES = "modulo-injectives"
@@ -49,42 +47,43 @@ def projective_cover(x: Module) -> Tuple[Module, Morphism]:
 
     Generators are deterministic: at each vertex, in vertex order, the
     standard vectors that complete rad(x) (the sum of the images of the
-    incoming arrows) in order. The cover is the block map of one
-    :func:`_generator_map` per generator.
+    incoming arrows) in order. A path b out of v, a basis vector of P_v at
+    b's target, goes to the action of b on the generator. The action on x
+    of each path out of v is computed once, from the path one arrow shorter,
+    and the copy of P_v for generator i takes column i of those actions.
     """
     alg = x.algebra
     field = alg.field
-    generators: List[Tuple[str, np.ndarray]] = []
-    for v in alg.vertices:
+    parts: List[Module] = []
+    blocks: Dict[str, List[np.ndarray]] = {w: [] for w in alg.vertices}
+    for vi, v in enumerate(alg.vertices):
         radical = RowSpan(field, x.dims[v])
         for a in alg.arrows:
             if a.target == v:
                 radical.add(x.action[a.name].data.T)
-        ident = Matrix.identity(field, x.dims[v]).data
-        generators += [(v, ident[i]) for i in radical.independent(ident)]
-    if not generators:
-        p = zero_module(alg)
-        return p, Morphism(p, x, {}, check=False)
-    cover = Morphism.hstack([_generator_map(x, v, gen) for v, gen in generators])
+        ident = Matrix.identity(field, x.dims[v])
+        gens = radical.independent(ident.data)
+        if not gens:
+            continue
+        parts += [alg.projective(v)] * len(gens)
+        acts = {(): ident}  # path -> the matrix by which it acts on x
+        paths: Dict[str, List[np.ndarray]] = {w: [] for w in alg.vertices}
+        for e in alg._elts:  # a basis path extends a shorter basis path by one arrow
+            if e.source == vi:
+                if e.length:
+                    step = x.action[alg.arrows[e.path[-1]].name]
+                    acts[e.path] = step @ acts[e.path[:-1]] if e.length > 1 else step
+                paths[alg.vertices[e.target]].append(acts[e.path].data[:, gens])
+        for w, cols in paths.items():
+            if cols:  # column i * len(cols) + j: generator i, the j-th path to w
+                blocks[w].append(np.stack(cols, axis=2).reshape(x.dims[w], len(gens) * len(cols)))
+    cover = Morphism(sum_module(parts, alg), x,
+                     {w: Matrix(field, np.hstack(b)) for w, b in blocks.items() if b}, check=False)
     if not cover.intertwines():
         raise InternalCheckError("projective cover does not intertwine")
     if not is_epi(cover):
         raise InternalCheckError("projective cover is not epi")
     return cover.source, cover
-
-
-def _generator_map(x: Module, v: str, gen: np.ndarray) -> Morphism:
-    """The map P_v -> x sending each path b out of v, a basis vector of P_v
-    at b's target, to (action of b on x) applied to gen."""
-    alg = x.algebra
-    src, column = alg._vindex[v], Matrix.column(alg.field, list(gen))
-    cols: Dict[str, List[Matrix]] = {w: [] for w in alg.vertices}
-    for e in alg._elts:
-        if e.source == src:
-            cols[alg.vertices[e.target]].append(
-                path_matrix(x, e.path) @ column if e.length else column)
-    comps = {w: Matrix.hstack(c) for w, c in cols.items() if c}
-    return Morphism(alg.projective(v), x, comps, check=False)
 
 
 def injective_envelope(x: Module) -> Tuple[Module, Morphism]:

@@ -167,20 +167,16 @@ def approximation(ctx: RigidContext, components: Sequence[Module], x: Module,
     not minimal: against the projectives of preprojective A3/F_2 the right
     approximation of P3 has source dims (3,4,3), where its projective cover
     has (1,1,1). Verdicts do not depend on minimality; sizes and costs do.
-    Cached per list, side and x.key.
+    Cached per list, side and x.key: a hit returns the cached map, whose end
+    is a module with x's key, not necessarily x itself.
     """
     key = (tuple(c.key for c in components), side, x.key)
-    got = _memo(ctx._caches["approx"], key,
-                lambda: _minimal_approximation(ctx, components, x, side))
-    if side == RIGHT and got.target is not x:
-        got = Morphism(got.source, x, got.comps, check=False)
-    elif side == LEFT and got.source is not x:
-        got = Morphism(x, got.target, got.comps, check=False)
-    return got
+    return _memo(ctx._caches["approx"], key,
+                 lambda: _greedy_approximation(ctx, components, x, side))
 
 
-def _minimal_approximation(ctx: RigidContext, components: Sequence[Module], x: Module,
-                           side: str) -> Morphism:
+def _greedy_approximation(ctx: RigidContext, components: Sequence[Module], x: Module,
+                          side: str) -> Morphism:
     right = side == RIGHT
     total, injections, projections = direct_sum(list(components))
     endo = hom_matrix(total, total).data
@@ -224,12 +220,9 @@ def cofibrant_replacement(ctx: RigidContext, x: Module) -> Replacement:
     push the kernel's envelope out along the composed map.
 
     phi: A -> x is verified to be a trivial fibration (and epi) before return.
+    Cached per x.key, so the replacement's x may be another module with x's key.
     """
-    got = _memo(ctx._caches["replacement"], x.key, lambda: _build_replacement(ctx, x))
-    if got.x is not x:
-        phi = Morphism(got.a, x, got.phi.comps, check=False)
-        got = Replacement(x, got.a, phi, got.witness)
-    return got
+    return _memo(ctx._caches["replacement"], x.key, lambda: _build_replacement(ctx, x))
 
 
 def _build_replacement(ctx: RigidContext, x: Module) -> Replacement:

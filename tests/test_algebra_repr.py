@@ -24,19 +24,17 @@ from frobcat.algebra_repr import (
     hom_dim,
     hom_matrix,
     hom_width,
-    invert,
     is_epi,
     is_iso,
     is_mono,
     kernel,
-    kernel_factor,
     load_algebra,
     preprojective,
     pullback,
     pushout,
-    validate_module,
     zero_module,
 )
+from frobcat.homological import solve_postcompose
 
 F5 = prime_field(5)
 Q = rational_field()
@@ -137,8 +135,6 @@ def test_preprojective_small():
 
 def test_validate_module(pa2):
     alg, mods = pa2
-    assert validate_module(alg, zero_module(alg)).total_dim == 0
-    assert validate_module(alg, mods["P1"]) is mods["P1"]
     with pytest.raises(InputError, match="relation"):
         Module(alg, {"1": 1, "2": 1}, {
             "a1": Matrix.from_rows(F5, [[1]]),
@@ -191,8 +187,8 @@ def test_kernel_universal_property(pa2):
         for g in hom_basis(x, mods["P2"]):
             if not (top @ g).is_zero():
                 continue
-            h = kernel_factor(inc, g)
-            assert (inc @ h) == g
+            h = solve_postcompose(inc, g)
+            assert h is not None and (inc @ h) == g
 
 
 def test_cokernel_universal_property(pa2):
@@ -284,7 +280,6 @@ def test_mono_epi_iso(pa2):
     assert is_epi(top) and not is_mono(top)
     theta = Morphism.identity(mods["P1"]).scale(2)
     assert is_iso(theta)
-    assert (invert(theta) @ theta) == Morphism.identity(mods["P1"])
 
 
 def test_enumerate_submodules(pa2):

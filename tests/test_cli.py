@@ -230,6 +230,24 @@ MALFORMED = {
     "morphism-unknown-comps-vertex": (_with_file("f.json", json.dumps(
         {"source": "S2", "target": "S2", "comps": {"2": ["1"], "9": ["1"]}})), WEQ,
         ("f.json", "'9'")),
+    # a key outside an object's documented set is refused, not dropped
+    "project-unknown-key": (_edited("project.json", lambda d: d.update(Mgen=d.pop("M_gen"))),
+                            AXIOMS, ("project.json", "'Mgen'")),
+    "options-unknown-key": (_with_options(sampels=5), AXIOMS, ("project.json", "'sampels'")),
+    "algebra-unknown-key": (_edited("algebra.json", lambda d: d.update(relatoins=[])), HOM,
+                            ("algebra.json", "'relatoins'")),
+    "algebra-unknown-field-key": (_edited("algebra.json", lambda d: d["field"].update(q=7)), HOM,
+                                  ("algebra.json", "'q'")),
+    "algebra-unknown-arrow-key": (_edited("algebra.json",
+                                          lambda d: d["arrows"][0].update(label="x")),
+                                  HOM, ("algebra.json", "'label'")),
+    "algebra-unknown-term-key": (_edited("algebra.json",
+                                         lambda d: d["relations"][0][0].update(weight=1)),
+                                 HOM, ("algebra.json", "'weight'")),
+    "module-unknown-key": (_edited("P1.json", lambda d: d.update(actoin=d.pop("action"))),
+                           ["hom", "P1", "S2"], ("P1.json", "'actoin'")),
+    "morphism-unknown-key": (_with_file("f.json", json.dumps(
+        {"source": "S2", "target": "S2", "comp": {"2": ["1"]}})), WEQ, ("f.json", "'comp'")),
 }
 
 

@@ -1,18 +1,26 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from frobcat.exact_linalg import prime_field, rational_field
+from frobcat.exact_linalg import Matrix, RowSpan, prime_field, rational_field
 from frobcat.algebra_repr import (
     Algebra,
+    Module,
     Morphism,
     ShortExactSequence,
+    cokernel,
+    combine,
     direct_sum,
     dual_module,
     hom_basis,
+    hom_dim,
     is_epi,
     is_mono,
+    path_matrix,
     preprojective,
+    sum_module,
     zero_module,
 )
 from frobcat.homological import (
@@ -182,3 +190,131 @@ def test_ses_split(pa2):
     split = ses_split(to_zero)
     assert split is not None and split.target.key == mods["P1"].key
     assert (to_zero.p @ split) == Morphism.identity(to_zero.quotient)
+
+
+# -- kept references: the cokernel and the cover as they were first written ---------
+
+
+def _reference_cokernel(f):
+    """q_v is the bottom rows of the inverse of [img | sel]: an image basis
+    among the columns of f_v, then the standard vectors completing it."""
+    alg = f.source.algebra
+    field = alg.field
+    quots, dims = {}, {}
+    for v in alg.vertices:
+        fv = f.comps[v]
+        _, pivots, _ = Matrix.hstack([fv, Matrix.identity(field, fv.rows)]).rref()
+        img = fv.data[:, [c for c in pivots if c < fv.cols]]
+        complement = [c - fv.cols for c in pivots if c >= fv.cols]
+        sel = Matrix.zeros(field, fv.rows, len(complement))
+        for k, i in enumerate(complement):
+            sel.data[i, k] = field.one()
+        tinv = Matrix(field, np.hstack([img, sel.data])).inverse()
+        assert tinv is not None
+        quots[v] = (Matrix(field, tinv.data[img.shape[1]:, :].copy()), sel)
+        dims[v] = len(complement)
+    action = {a.name: quots[a.target][0] @ f.target.action[a.name] @ quots[a.source][1]
+              for a in alg.arrows}
+    c = Module(alg, dims, action, check=False)
+    return c, Morphism(f.target, c, {v: quots[v][0] for v in alg.vertices}, check=False)
+
+
+def _reference_generator_map(x, v, gen):
+    """P_v -> x sending each path b out of v to (action of b on x) @ gen."""
+    alg = x.algebra
+    src, column = alg._vindex[v], Matrix.column(alg.field, list(gen))
+    cols = {w: [] for w in alg.vertices}
+    for e in alg._elts:
+        if e.source == src:
+            cols[alg.vertices[e.target]].append(
+                path_matrix(x, e.path) @ column if e.length else column)
+    comps = {w: Matrix.hstack(c) for w, c in cols.items() if c}
+    return Morphism(alg.projective(v), x, comps, check=False)
+
+
+def _reference_cover(x):
+    """One generator map per top generator, hstacked."""
+    alg = x.algebra
+    generators = []
+    for v in alg.vertices:
+        radical = RowSpan(alg.field, x.dims[v])
+        for a in alg.arrows:
+            if a.target == v:
+                radical.add(x.action[a.name].data.T)
+        ident = Matrix.identity(alg.field, x.dims[v]).data
+        generators += [(v, ident[i]) for i in radical.independent(ident)]
+    if not generators:
+        p = zero_module(alg)
+        return p, Morphism(p, x, {}, check=False)
+    cover = Morphism.hstack([_reference_generator_map(x, v, g) for v, g in generators])
+    return cover.source, cover
+
+
+def _reference_envelope(x):
+    p, cover = _reference_cover(dual_module(x))
+    env = dual_module(p)
+    return env, Morphism(x, env, {v: cover.comps[v].transpose() for v in x.algebra.vertices},
+                         check=False)
+
+
+def _exact(m):
+    """A matrix byte for byte: dtype, shape and the repr of every entry, so an
+    int in place of a Fraction, or of an int64, shows."""
+    return m.data.dtype.str, m.data.shape, [repr(e) for e in m.data.reshape(-1)]
+
+
+def _same_module(got, want):
+    alg = want.algebra
+    assert got.algebra is alg and got.dims == want.dims
+    assert all(_exact(got.action[a.name]) == _exact(want.action[a.name]) for a in alg.arrows)
+
+
+def _same_map(got, want):
+    _same_module(got.source, want.source)
+    _same_module(got.target, want.target)
+    assert all(_exact(got.comps[v]) == _exact(want.comps[v]) for v in want.source.algebra.vertices)
+
+
+# preprojective A2 and A3; F_1048583 runs the object-dtype residue path
+_COVER_ALGEBRAS = {
+    f"A{n}/{name}": preprojective(n, field)
+    for n in (2, 3)
+    for name, field in (("F2", prime_field(2)), ("F5", prime_field(5)),
+                        ("F1048583", prime_field(1048583)), ("Q", rational_field()))
+}
+
+
+@given(name=st.sampled_from(sorted(_COVER_ALGEBRAS)), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_cokernel_and_cover_match_the_references(name, data):
+    """cokernel (module and projection), projective_cover and
+    injective_envelope against the kept references, byte for byte, on sums
+    of simples, projectives, injectives and zero modules (which have
+    zero-dimensional vertices), under zero maps, isomorphisms and maps with
+    drawn coefficients."""
+    alg = _COVER_ALGEBRAS[name]
+    field = alg.field
+    pieces = alg.simples() + alg.projectives() + alg.injectives() + [zero_module(alg)]
+
+    def module():
+        return sum_module(data.draw(st.lists(st.sampled_from(pieces), max_size=2)), alg)
+
+    x, y = module(), module()
+    kind = data.draw(st.sampled_from(["drawn", "zero", "iso"]))
+    if kind == "iso":
+        c = data.draw(st.integers(1, field.characteristic - 1 if field.characteristic else 3))
+        f = Morphism.identity(x).scale(c)
+    elif kind == "zero":
+        f = Morphism.zero(x, y)
+    else:
+        n = hom_dim(x, y)
+        ints = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        f = combine(x, y, [field.coerce(i) for i in ints])
+    got, want = cokernel(f), _reference_cokernel(f)
+    _same_module(got[0], want[0])
+    _same_map(got[1], want[1])
+    for ours, ref in ((projective_cover, _reference_cover),
+                      (injective_envelope, _reference_envelope)):
+        got, want = ours(x), ref(x)
+        _same_module(got[0], want[0])
+        _same_map(got[1], want[1])
