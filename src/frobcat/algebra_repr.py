@@ -593,14 +593,13 @@ class Module:
                             "arrow", "action")
         action = {}
         for a in algebra.arrows:
-            entries = given.get(a.name)
-            if entries is not None:
+            if a.name in given:
                 action[a.name] = Matrix.from_entries(
                     algebra.field,
                     dims.get(a.target, 0),
                     dims.get(a.source, 0),
                     [_json_scalar(s, f"action of {a.name}", algebra.field.coerce)
-                     for s in _json_typed(entries, list, f"action of {a.name}")],
+                     for s in _json_typed(given[a.name], list, f"action of {a.name}")],
                 )
         return Module(algebra, dims, action)
 
@@ -753,7 +752,7 @@ class Morphism:
         return out
 
     @staticmethod
-    def from_vec(source: Module, target: Module, v: np.ndarray, check: bool = False) -> "Morphism":
+    def from_vec(source: Module, target: Module, v: np.ndarray) -> "Morphism":
         field = source.algebra.field
         comps = {}
         for vertex, off, r, c in Morphism.hom_dim_layout(source, target):
@@ -761,7 +760,7 @@ class Morphism:
             arr = np.empty((r, c), dtype=field.dtype)
             arr.reshape(-1)[...] = block
             comps[vertex] = Matrix(field, field.reduce(arr))
-        return Morphism(source, target, comps, check=check)
+        return Morphism(source, target, comps, check=False)
 
     def to_dict(self, source_name: str, target_name: str) -> dict:
         return {
@@ -778,12 +777,11 @@ class Morphism:
                             "vertex", "comps")
         comps = {}
         for v in alg.vertices:
-            entries = given.get(v)
-            if entries is not None:
+            if v in given:
                 comps[v] = Matrix.from_entries(
                     alg.field, target.dims[v], source.dims[v],
                     [_json_scalar(s, f"component at vertex {v}", alg.field.coerce)
-                     for s in _json_typed(entries, list, f"component at vertex {v}")],
+                     for s in _json_typed(given[v], list, f"component at vertex {v}")],
                 )
         return Morphism(source, target, comps)
 
@@ -947,15 +945,21 @@ def cokernel(f: Morphism) -> Tuple[Module, Morphism]:
 
 
 def cokernel_factor(proj: Morphism, g: Morphism) -> Morphism:
-    """The unique h with h @ proj = g, for g vanishing on the image."""
-    alg = proj.source.algebra
+    """The unique h with h @ proj = g, for proj a projection built by
+    :func:`cokernel` and g vanishing on the image.
+
+    Each row of proj_v leads with a 1 in the column of its cokernel basis
+    vector, and no other row is nonzero there, so h_v is g_v on those columns.
+    """
+    field = proj.source.algebra.field
     comps = {}
-    for v in alg.vertices:
-        sol = proj.comps[v].transpose().solve_cols(g.comps[v].transpose())
-        if sol is None:
-            raise InputError("morphism does not factor through the cokernel")
-        comps[v] = sol.transpose()
-    return Morphism(proj.target, g.target, comps, check=False)
+    for v, q in proj.comps.items():
+        leads = [int(np.flatnonzero(row)[0]) for row in q.data]
+        comps[v] = Matrix(field, g.comps[v].data[:, leads])
+    h = Morphism(proj.target, g.target, comps, check=False)
+    if h @ proj != g:
+        raise InputError("morphism does not factor through the cokernel")
+    return h
 
 
 def sum_module(parts: Sequence[Module], algebra: Optional[Algebra] = None) -> Module:

@@ -43,7 +43,29 @@ MOD_PROJECTIVES = "modulo-projectives"
 
 
 def projective_cover(x: Module) -> Tuple[Module, Morphism]:
-    """Minimal projective cover P -> x; P = ⊕ P_v per top generator.
+    """Minimal projective cover P -> x; P = ⊕ P_v per top generator."""
+    cover = _cover_map(x)
+    if not cover.intertwines():
+        raise InternalCheckError("projective cover does not intertwine")
+    if not is_epi(cover):
+        raise InternalCheckError("projective cover is not epi")
+    return cover.source, cover
+
+
+def injective_envelope(x: Module) -> Tuple[Module, Morphism]:
+    """Minimal injective envelope x -> I via opposite-algebra duality."""
+    cover = _cover_map(dual_module(x))
+    env = dual_module(cover.source)  # over alg: opposite() links both ways
+    mono = Morphism(x, env, {v: c.transpose() for v, c in cover.comps.items()}, check=False)
+    if not mono.intertwines():
+        raise InternalCheckError("injective envelope does not intertwine")
+    if not is_mono(mono):
+        raise InternalCheckError("injective envelope is not mono")
+    return env, mono
+
+
+def _cover_map(x: Module) -> Morphism:
+    """The projective cover map of x, unchecked.
 
     Generators are deterministic: at each vertex, in vertex order, the
     standard vectors that complete rad(x) (the sum of the images of the
@@ -77,28 +99,8 @@ def projective_cover(x: Module) -> Tuple[Module, Morphism]:
         for w, cols in paths.items():
             if cols:  # column i * len(cols) + j: generator i, the j-th path to w
                 blocks[w].append(np.stack(cols, axis=2).reshape(x.dims[w], len(gens) * len(cols)))
-    cover = Morphism(sum_module(parts, alg), x,
-                     {w: Matrix(field, np.hstack(b)) for w, b in blocks.items() if b}, check=False)
-    if not cover.intertwines():
-        raise InternalCheckError("projective cover does not intertwine")
-    if not is_epi(cover):
-        raise InternalCheckError("projective cover is not epi")
-    return cover.source, cover
-
-
-def injective_envelope(x: Module) -> Tuple[Module, Morphism]:
-    """Minimal injective envelope x -> I via opposite-algebra duality."""
-    alg = x.algebra
-    dx = dual_module(x)
-    p, cover = projective_cover(dx)
-    env = dual_module(p)  # over alg: opposite() links both ways
-    comps = {v: cover.comps[v].transpose() for v in alg.vertices}
-    mono = Morphism(x, env, comps, check=False)
-    if not mono.intertwines():
-        raise InternalCheckError("injective envelope does not intertwine")
-    if not is_mono(mono):
-        raise InternalCheckError("injective envelope is not mono")
-    return env, mono
+    return Morphism(sum_module(parts, alg), x,
+                    {w: Matrix(field, np.hstack(b)) for w, b in blocks.items() if b}, check=False)
 
 
 def syzygy(x: Module) -> Tuple[Module, ShortExactSequence]:

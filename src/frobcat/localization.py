@@ -8,10 +8,15 @@ on entry. The module side (intertwiner solving over the stable endomorphism
 algebra) is computed by an independent code path so the two sides of the
 equivalence can be compared pair by pair.
 
-Homotopy hom-sets and stable hom are both ``homological.QuotientHom``s. The G
-side composes whole stacks of maps, as rows of their hom bases, with the
-stable representatives (:func:`_g_images`); dl-verify conjugates such stacks
-by the replacement maps' G-images, built once per pair (:func:`_transport`).
+``ho_hom`` returns the ``homological.QuotientHom`` between the fixed
+replacements, the type stable hom has too, and :func:`ho_class` takes a
+representative to its class. The mod Ē side is held as arrays, as the E side
+is: the structure constants are one (k, k, k) table, a module's action is one
+(k, n, n) stack, and ``ebar_hom_basis`` returns basis rows, one row-major
+module map per row, as ``hom_matrix`` does. The G side composes whole stacks
+of maps, as rows of their hom bases, with the stable representatives
+(:func:`_g_images`); dl-verify conjugates such stacks by the replacement
+maps' G-images, built once per pair (:func:`_transport`).
 """
 from __future__ import annotations
 
@@ -36,13 +41,13 @@ from .rigid_model import (
 
 @dataclass
 class StableEndoAlgebra:
-    """The stable endomorphism algebra of the generator, with structure
-    constants in the canonical coset basis. ``basis`` holds the
-    representatives as rows of the End(M_gen) hom basis."""
+    """The stable endomorphism algebra of the generator in the canonical
+    coset basis. ``basis`` holds the representatives as rows of the
+    End(M_gen) hom basis; ``table[i, j]`` holds the coordinates of e_i ∘ e_j."""
 
     ctx: RigidContext
     basis: np.ndarray
-    structure_constants: List[List[np.ndarray]]  # [i][j] = coords of e_i ∘ e_j
+    table: np.ndarray
     unit: np.ndarray
 
     @property
@@ -58,47 +63,40 @@ def _build_stable_endo(ctx: RigidContext) -> StableEndoAlgebra:
     space = ctx.stable_from_generator(ctx.M_gen)
     reps, k, m = space.rep_rows, space.dim, space.x
     if not k:
-        return StableEndoAlgebra(ctx, reps, [], np.empty(0, dtype=ctx.alg.field.dtype))
+        empty = np.empty(0, dtype=ctx.alg.field.dtype)
+        return StableEndoAlgebra(ctx, reps, empty.reshape(0, 0, 0), empty)
     # row j * k + i of the pairwise composites is e_i ∘ e_j
     coords = space.coords(compose_pairs(reps, m, m, reps, m)).reshape(k, k, k)
-    table = [[coords[j, i] for j in range(k)] for i in range(k)]
     unit = space.coords(Morphism.identity(m).vec())
-    return StableEndoAlgebra(ctx, reps, table, unit)
+    return StableEndoAlgebra(ctx, reps, coords.transpose(1, 0, 2), unit)
 
 
 @dataclass
 class EbarModule:
-    """A finite-dimensional module over the stable endomorphism algebra.
+    """A finite-dimensional right module over the stable endomorphism algebra.
 
-    action[j] sends the coordinate vector of a class h to the vector of
-    h ∘ e_j, so right multiplication by basis elements is matrix-vector.
+    ``action`` is a (k, n, n) stack: action[j] sends the coordinate vector of
+    a class h to the vector of h ∘ e_j, so ρ(e_i ∘ e_j) = action[j] @ action[i].
     """
 
     dim: int
-    action: List[Matrix]
+    action: np.ndarray
 
     def verify(self, endo: StableEndoAlgebra) -> bool:
+        """The unit acts as the identity, and ρ(e_i ∘ e_j) = ρ(e_j) ρ(e_i)
+        for every pair, checked in one batched product."""
         field = endo.ctx.alg.field
-        n = self.dim
-        ident = Matrix.identity(field, n)
-        if endo.dim == 0:
+        k, n = endo.dim, self.dim
+        if not (k and n):
             return n == 0
-        acc = Matrix.zeros(field, n, n)
-        for k in range(endo.dim):
-            acc = acc + self.action[k].scale(endo.unit[k])
-        if acc != ident:
+        flat = self.action.reshape(k, n * n)
+        if not np.array_equal(field.matmul(endo.unit[None], flat).reshape(n, n),
+                              Matrix.identity(field, n).data):
             return False
-        for i in range(endo.dim):
-            for j in range(endo.dim):
-                # h ∘ (e_i ∘ e_j) applied via coordinates: rho(e_j) then rho(e_i)
-                lhs = self.action[i] @ self.action[j]
-                rhs = Matrix.zeros(field, n, n)
-                for k, c in enumerate(endo.structure_constants[i][j]):
-                    if c != 0:
-                        rhs = rhs + self.action[k].scale(c)
-                if lhs != rhs:
-                    return False
-        return True
+        # entry [i, j] of both sides is ρ(e_i ∘ e_j)
+        lhs = field.matmul(self.action[None, :], self.action[:, None])
+        rhs = field.matmul(endo.table.reshape(k * k, k), flat).reshape(k, k, n, n)
+        return bool(np.array_equal(lhs, rhs))
 
 
 def _g_images(ctx: RigidContext, x: Module, y: Module, rows: np.ndarray) -> np.ndarray:
@@ -119,12 +117,12 @@ def G_object(ctx: RigidContext, x: Module) -> EbarModule:
     """Stable hom from the generator, as a module over its stable endos."""
     endo = stable_endo(ctx)
     space = ctx.stable_from_generator(x)
-    k, n, field = endo.dim, space.dim, ctx.alg.field
+    k, n = endo.dim, space.dim
     if not (k and n):
-        return EbarModule(n, [Matrix.zeros(field, n, n) for _ in range(k)])
+        return EbarModule(n, Matrix.zeros(ctx.alg.field, k * n, n).data.reshape(k, n, n))
     # row j * n + c of the pairwise composites is h_c ∘ e_j
     coords = space.coords(compose_pairs(endo.basis, space.x, space.x, space.rep_rows, x))
-    return EbarModule(n, [Matrix(field, block.T) for block in coords.reshape(k, n, n)])
+    return EbarModule(n, coords.reshape(k, n, n).transpose(0, 2, 1))
 
 
 def G_morphism(ctx: RigidContext, f: Morphism) -> Matrix:
@@ -132,17 +130,15 @@ def G_morphism(ctx: RigidContext, f: Morphism) -> Matrix:
     return Matrix(ctx.alg.field, _g_images(ctx, f.source, f.target, f.vec()[None])[0])
 
 
-def ebar_hom_basis(ctx: RigidContext, gx: EbarModule, gy: EbarModule) -> List[Matrix]:
-    """Basis of module maps gx -> gy over the stable endomorphism algebra,
-    by solving the intertwiner equations over the structure constants."""
+def ebar_hom_basis(ctx: RigidContext, gx: EbarModule, gy: EbarModule) -> Matrix:
+    """Basis of module maps N: gx -> gy over the stable endomorphism algebra,
+    one row-major N per row, from the intertwiner equations
+    N ρ_x(e_j) = ρ_y(e_j) N."""
     if gx.dim * gy.dim == 0:
-        return []
-    field = ctx.alg.field
-    # N rho_x(e_j) = rho_y(e_j) N: a one-vertex algebra with a loop per e_j
-    basis = intertwiners(field, [gx.dim], [gy.dim],
-                         [(0, 0, gx.action[j].data, gy.action[j].data)
-                          for j in range(stable_endo(ctx).dim)])
-    return [Matrix(field, row.reshape(gy.dim, gx.dim)) for row in basis.data]
+        return Matrix.zeros(ctx.alg.field, 0, gy.dim * gx.dim)
+    # a one-vertex algebra with a loop per e_j
+    return intertwiners(ctx.alg.field, [gx.dim], [gy.dim],
+                        [(0, 0, a, b) for a, b in zip(gx.action, gy.action)])
 
 
 # -- homotopy-category hom sets ----------------------------------------------------
@@ -171,62 +167,30 @@ class HoClass:
         return all(c == 0 for c in self.canonical)
 
 
-@dataclass
-class HoHomSpace:
-    """Ho(x, y): Hom between the fixed replacements of x and y, modulo the
-    maps factoring through the class generator U."""
-
-    ctx: RigidContext
-    x: Module
-    y: Module
-    quotient: QuotientHom
-
-    @property
-    def qx(self) -> Module:
-        return self.quotient.x
-
-    @property
-    def qy(self) -> Module:
-        return self.quotient.y
-
-    @property
-    def dim(self) -> int:
-        return self.quotient.dim
-
-    def basis(self) -> List[HoClass]:
-        q = self.quotient
-        return [HoClass(self.ctx, self.x, self.y, Morphism.from_vec(q.x, q.y, row),
-                        tuple(canonical))
-                for row, canonical in zip(q.rep_rows, q.rep_canonicals)]
-
-    def class_of(self, rep: Morphism) -> HoClass:
-        if rep.source.key != self.qx.key or rep.target.key != self.qy.key:
-            raise InputError("representative does not run between the fixed replacements")
-        return HoClass(self.ctx, self.x, self.y, rep,
-                       tuple(self.quotient.canonical(rep.vec())))
+def ho_hom(ctx: RigidContext, x: Module, y: Module) -> QuotientHom:
+    """Hom in the localized category: Hom between the fixed replacements of
+    x and y, modulo the maps factoring through the cosyzygy-class generator U."""
+    return _memo(ctx._caches["ho_hom"], (x.key, y.key),
+                 lambda: QuotientHom(cofibrant_replacement(ctx, x).a, ctx.U,
+                                     cofibrant_replacement(ctx, y).a))
 
 
-def ho_hom(ctx: RigidContext, x: Module, y: Module) -> HoHomSpace:
-    """Hom in the localized category: maps between replacements modulo those
-    factoring through the cosyzygy-class generator."""
-    return _memo(ctx._caches["ho_hom"], (x.key, y.key), lambda: _build_ho_hom(ctx, x, y))
-
-
-def _build_ho_hom(ctx: RigidContext, x: Module, y: Module) -> HoHomSpace:
-    qx = cofibrant_replacement(ctx, x).a
-    qy = cofibrant_replacement(ctx, y).a
-    return HoHomSpace(ctx, x, y, QuotientHom(qx, ctx.U, qy))
+def ho_class(ctx: RigidContext, x: Module, y: Module, rep: Morphism) -> HoClass:
+    """The class in Ho(x, y) of a map between the fixed replacements."""
+    q = ho_hom(ctx, x, y)
+    if rep.source.key != q.x.key or rep.target.key != q.y.key:
+        raise InputError("representative does not run between the fixed replacements")
+    return HoClass(ctx, x, y, rep, tuple(q.canonical(rep.vec())))
 
 
 def ho_class_of(ctx: RigidContext, f: Morphism) -> HoClass:
     """The class of an ordinary morphism f: x -> y, via lifted replacements."""
-    space = ho_hom(ctx, f.source, f.target)
     rx = cofibrant_replacement(ctx, f.source)
     ry = cofibrant_replacement(ctx, f.target)
     tilde = solve_postcompose(ry.phi, f @ rx.phi)
     if tilde is None:
         raise InternalCheckError("morphism does not lift between replacements")
-    return space.class_of(tilde)
+    return ho_class(ctx, f.source, f.target, tilde)
 
 
 def ho_identity(ctx: RigidContext, x: Module) -> HoClass:
@@ -239,24 +203,23 @@ def ho_compose(a: HoClass, b: HoClass) -> HoClass:
         raise InputError("classes live over different contexts")
     if a.x.key != b.y.key:
         raise InputError("classes are not composable")
-    space = ho_hom(a.ctx, b.x, a.y)
-    return space.class_of(a.rep @ b.rep)
+    return ho_class(a.ctx, b.x, a.y, a.rep @ b.rep)
 
 
 def _ho_inverse(ctx: RigidContext, cls: HoClass) -> HoClass:
     """Inverse of an invertible class, by linear solving on coset forms."""
     back = ho_hom(ctx, cls.y, cls.x)
-    fwd_endo = ho_hom(ctx, cls.y, cls.y).quotient
+    fwd_endo = ho_hom(ctx, cls.y, cls.y)
     target = fwd_endo.canonical(Morphism.identity(fwd_endo.x).vec())
     images = fwd_endo.canonical(
-        compose_basis(hom_matrix(back.qx, back.qy).data, back.qx, back.qy, left=cls.rep))
+        compose_basis(hom_matrix(back.x, back.y).data, back.x, back.y, left=cls.rep))
     coeffs = solve_in_span(ctx.alg.field, images, target)
     if coeffs is None:
         raise InputError("class is not invertible")
-    t = combine(back.qx, back.qy, coeffs)
-    inv = back.class_of(t)
+    t = combine(back.x, back.y, coeffs)
+    inv = ho_class(ctx, cls.y, cls.x, t)
     # a right inverse of an invertible class is the inverse
-    other = ho_hom(ctx, cls.x, cls.x).quotient
+    other = ho_hom(ctx, cls.x, cls.x)
     ident = other.canonical(Morphism.identity(other.x).vec())
     if tuple(other.canonical((t @ cls.rep).vec())) != tuple(ident):
         raise InternalCheckError("one-sided inverse is not two-sided")
@@ -339,8 +302,7 @@ def dl_verify(ctx: RigidContext, x: Module, y: Module,
     well-defined on the quotient, injective, and compatible with composition
     of endo-classes.
     """
-    space = ho_hom(ctx, x, y)
-    q = space.quotient
+    q = ho_hom(ctx, x, y)
     gx, gy = G_object(ctx, x), G_object(ctx, y)
     mod_basis = ebar_hom_basis(ctx, gx, gy)
     field = ctx.alg.field
@@ -350,15 +312,12 @@ def dl_verify(ctx: RigidContext, x: Module, y: Module,
     # well-defined: anything in the homotopy subspace must map to zero
     well_defined = not np.any(transport(q.sub.rows) != 0)
     # images must be module maps and linearly independent
-    width = gy.dim * gx.dim
-    mod_rows = np.array([m.data.reshape(-1) for m in mod_basis],
-                        dtype=field.dtype).reshape(len(mod_basis), width)
-    image_rows = images.reshape(k, width)
-    mod_span = RowSpan(field, width)
-    mod_span.add(mod_rows)
+    image_rows = images.reshape(k, mod_basis.cols)
+    mod_span = RowSpan(field, mod_basis.cols)
+    mod_span.add(mod_basis.data)
     in_mod_span = mod_span.contains(image_rows)
     injective = Matrix(field, image_rows).rank() == k
-    bijective = well_defined and in_mod_span and injective and k == len(mod_basis) == space.dim
+    bijective = well_defined and in_mod_span and injective and k == mod_basis.rows == q.dim
     composition_ok = True
     if x.key == y.key and k:
         # row i * k + j of the pairwise composites is rep_j ∘ rep_i
@@ -372,8 +331,8 @@ def dl_verify(ctx: RigidContext, x: Module, y: Module,
         digest.update(b"|")
     return DlReport(
         pair=names,
-        dim_ho=space.dim,
-        dim_mod=len(mod_basis),
+        dim_ho=q.dim,
+        dim_mod=mod_basis.rows,
         bijective=bijective,
         composition_ok=composition_ok,
         checksum=digest.hexdigest()[:16],

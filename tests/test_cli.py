@@ -230,6 +230,12 @@ MALFORMED = {
     "morphism-unknown-comps-vertex": (_with_file("f.json", json.dumps(
         {"source": "S2", "target": "S2", "comps": {"2": ["1"], "9": ["1"]}})), WEQ,
         ("f.json", "'9'")),
+    # a JSON null is refused, not loaded as a zero matrix
+    "module-null-action": (_edited("P1.json", lambda d: d["action"].update(a1=None)), HOM,
+                           ("P1.json", "action of a1")),
+    "morphism-null-comps": (_with_file("f.json", json.dumps(
+        {"source": "S2", "target": "S2", "comps": {"2": None}})), WEQ,
+        ("f.json", "component at vertex 2")),
     # a key outside an object's documented set is refused, not dropped
     "project-unknown-key": (_edited("project.json", lambda d: d.update(Mgen=d.pop("M_gen"))),
                             AXIOMS, ("project.json", "'Mgen'")),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobcat.errors import InputError
 from frobcat.exact_linalg import Matrix, RowSpan, prime_field, rational_field
 from frobcat.algebra_repr import (
     Algebra,
@@ -11,6 +12,7 @@ from frobcat.algebra_repr import (
     Morphism,
     ShortExactSequence,
     cokernel,
+    cokernel_factor,
     combine,
     direct_sum,
     dual_module,
@@ -219,6 +221,16 @@ def _reference_cokernel(f):
     return c, Morphism(f.target, c, {v: quots[v][0] for v in alg.vertices}, check=False)
 
 
+def _reference_cokernel_factor(proj, g):
+    """h with h @ proj = g, solved vertex by vertex on the transposes."""
+    comps = {}
+    for v in proj.source.algebra.vertices:
+        sol = proj.comps[v].transpose().solve_cols(g.comps[v].transpose())
+        assert sol is not None
+        comps[v] = sol.transpose()
+    return Morphism(proj.target, g.target, comps, check=False)
+
+
 def _reference_generator_map(x, v, gen):
     """P_v -> x sending each path b out of v to (action of b on x) @ gen."""
     alg = x.algebra
@@ -287,9 +299,9 @@ _COVER_ALGEBRAS = {
 @given(name=st.sampled_from(sorted(_COVER_ALGEBRAS)), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_cokernel_and_cover_match_the_references(name, data):
-    """cokernel (module and projection), projective_cover and
-    injective_envelope against the kept references, byte for byte, on sums
-    of simples, projectives, injectives and zero modules (which have
+    """cokernel (module and projection), cokernel_factor, projective_cover
+    and injective_envelope against the kept references, byte for byte, on
+    sums of simples, projectives, injectives and zero modules (which have
     zero-dimensional vertices), under zero maps, isomorphisms and maps with
     drawn coefficients."""
     alg = _COVER_ALGEBRAS[name]
@@ -299,6 +311,11 @@ def test_cokernel_and_cover_match_the_references(name, data):
     def module():
         return sum_module(data.draw(st.lists(st.sampled_from(pieces), max_size=2)), alg)
 
+    def drawn(source, target):
+        n = hom_dim(source, target)
+        ints = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        return combine(source, target, [field.coerce(i) for i in ints])
+
     x, y = module(), module()
     kind = data.draw(st.sampled_from(["drawn", "zero", "iso"]))
     if kind == "iso":
@@ -307,12 +324,19 @@ def test_cokernel_and_cover_match_the_references(name, data):
     elif kind == "zero":
         f = Morphism.zero(x, y)
     else:
-        n = hom_dim(x, y)
-        ints = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-        f = combine(x, y, [field.coerce(i) for i in ints])
+        f = drawn(x, y)
     got, want = cokernel(f), _reference_cokernel(f)
     _same_module(got[0], want[0])
     _same_map(got[1], want[1])
+    # a map through the projection factors back, and only such maps do
+    proj = got[1]
+    k = drawn(proj.target, module())
+    h = cokernel_factor(proj, k @ proj)
+    _same_map(h, _reference_cokernel_factor(proj, k @ proj))
+    assert h == k
+    if not f.is_zero():
+        with pytest.raises(InputError, match="does not factor through the cokernel"):
+            cokernel_factor(proj, Morphism.identity(f.target))
     for ours, ref in ((projective_cover, _reference_cover),
                       (injective_envelope, _reference_envelope)):
         got, want = ours(x), ref(x)

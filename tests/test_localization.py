@@ -18,6 +18,7 @@ from frobcat.algebra_repr import (
 from frobcat.homological import cosyzygy
 from frobcat.rigid_model import cofibrant_replacement, is_weak_equivalence
 from frobcat.localization import (
+    EbarModule,
     G_morphism,
     G_object,
     _g_images,
@@ -27,6 +28,7 @@ from frobcat.localization import (
     ebar_hom_basis,
     fraction_to_ho,
     fractions_equal,
+    ho_class,
     ho_class_of,
     ho_compose,
     ho_hom,
@@ -45,6 +47,22 @@ def test_stable_endo_unit_and_associativity(pa2_ctx):
     endo = stable_endo(pa2_ctx)
     g = G_object(pa2_ctx, pa2_ctx.M_gen)
     assert g.verify(endo)
+
+
+def test_ebar_module_verify_holds_and_detects_a_changed_entry(row_case):
+    # G(x) is a right module: ρ(e_i ∘ e_j) = ρ(e_j) ρ(e_i). On pa2+S1+S1 the
+    # stable endomorphism algebra is the 2 x 2 matrices, where the other
+    # order fails for S1 and S1+S1.
+    ctx, mods = row_case
+    endo = stable_endo(ctx)
+    field = ctx.alg.field
+    for x in mods.values():
+        g = G_object(ctx, x)
+        assert g.verify(endo)
+        for j, r, c in itertools.product(range(endo.dim), range(g.dim), range(g.dim)):
+            bad = g.action.copy()
+            bad[j, r, c] = field.coerce(bad[j, r, c] + 1)
+            assert not EbarModule(g.dim, bad).verify(endo)
 
 
 def test_G_object_dims(pa2_ctx, pa2):
@@ -107,19 +125,22 @@ def test_ho_hom_invariant_under_weq_substitution(pa2_ctx, pa2):
 def test_ho_compose(pa2_ctx, pa2):
     alg, mods = pa2
     s1 = mods["S1"]
-    space = ho_hom(pa2_ctx, s1, s1)
-    assert space.dim == 1
-    cls = space.basis()[0]
+    q = ho_hom(pa2_ctx, s1, s1)
+    assert q.dim == 1
+    cls = ho_class(pa2_ctx, s1, s1, Morphism.from_vec(q.x, q.y, q.rep_rows[0]))
+    assert cls.canonical == tuple(q.rep_canonicals[0])
     ident = ho_identity(pa2_ctx, s1)
     assert ho_compose(cls, ident) == cls
     assert ho_compose(ident, cls) == cls
-    zero = space.class_of(Morphism.zero(space.qx, space.qy))
+    zero = ho_class(pa2_ctx, s1, s1, Morphism.zero(q.x, q.y))
     assert ho_compose(cls, zero).is_zero()
+    with pytest.raises(InputError, match="fixed replacements"):
+        ho_class(pa2_ctx, s1, s1, Morphism.identity(s1))
     # associativity over random representative triples
     rng = random.Random(5)
-    reps = hom_basis(space.qx, space.qy)
+    reps = hom_basis(q.x, q.y)
     for _ in range(20):
-        picks = [space.class_of(rng.choice(reps)) for _ in range(3)]
+        picks = [ho_class(pa2_ctx, s1, s1, rng.choice(reps)) for _ in range(3)]
         a, b, c = picks
         assert ho_compose(ho_compose(a, b), c) == ho_compose(a, ho_compose(b, c))
 
@@ -193,7 +214,10 @@ def test_ebar_hom_matches_report(pa2_ctx, pa2):
     alg, mods = pa2
     gx = G_object(pa2_ctx, mods["S1"])
     gy = G_object(pa2_ctx, mods["S1"])
-    assert len(ebar_hom_basis(pa2_ctx, gx, gy)) == 1
+    basis = ebar_hom_basis(pa2_ctx, gx, gy)
+    assert (basis.rows, basis.cols) == (1, gy.dim * gx.dim)
+    empty = ebar_hom_basis(pa2_ctx, gx, G_object(pa2_ctx, mods["S2"]))
+    assert (empty.rows, empty.cols) == (0, 0)
 
 
 # -- the per-morphism forms that the row-stack G side replaced, kept as references
@@ -268,11 +292,10 @@ def test_stable_endo_matches_the_reference(row_case):
     assert endo.dim == len(reps) == len(endo.basis)
     for row, e in zip(endo.basis, reps):
         _assert_same(row, e.vec())
-    assert len(endo.structure_constants) == len(table)
-    for new_row, ref_row in zip(endo.structure_constants, table):
-        assert len(new_row) == len(ref_row)
-        for new, ref in zip(new_row, ref_row):
-            _assert_same(new, ref)
+    k = len(reps)
+    assert endo.table.shape == (k, k, k)
+    for i, j in itertools.product(range(k), repeat=2):
+        _assert_same(endo.table[i, j], table[i][j])
     _assert_same(endo.unit, unit)
 
 
@@ -282,9 +305,9 @@ def test_G_object_matches_the_reference(row_case):
         g = G_object(ctx, x)
         refs = _reference_G_object(ctx, x)
         assert g.dim == ctx.stable_from_generator(x).dim
-        assert len(g.action) == len(refs)
+        assert g.action.shape == (len(refs), g.dim, g.dim)
         for new, ref in zip(g.action, refs):
-            _assert_same(new.data, ref.data)
+            _assert_same(new, ref.data)
 
 
 def test_G_images_match_the_reference(row_case):
@@ -302,7 +325,7 @@ def test_transport_matches_the_reference(row_case):
     ctx, mods = row_case
     field = ctx.alg.field
     for (xn, x), (yn, y) in itertools.product(mods.items(), repeat=2):
-        q = ho_hom(ctx, x, y).quotient
+        q = ho_hom(ctx, x, y)
         transport = _transport(ctx, x, y)
         shape = (G_object(ctx, y).dim, G_object(ctx, x).dim)
         reps = [Morphism.from_vec(q.x, q.y, row) for row in q.rep_rows]

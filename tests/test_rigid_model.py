@@ -5,6 +5,7 @@ import pytest
 
 from frobcat.errors import HypothesisError, InputError
 from frobcat.algebra_repr import (
+    Algebra,
     Morphism,
     compose_basis,
     direct_sum,
@@ -17,8 +18,8 @@ from frobcat.algebra_repr import (
     preprojective,
     zero_module,
 )
-from frobcat.exact_linalg import Matrix, RowSpan
-from frobcat.homological import cosyzygy, in_add, solve_postcompose
+from frobcat.exact_linalg import Matrix, RowSpan, prime_field
+from frobcat.homological import cosyzygy, ext1_dim, in_add, solve_postcompose
 from frobcat.axiom_suite import default_objects, random_morphism, run_all
 from frobcat.rigid_model import (
     LEFT,
@@ -66,6 +67,12 @@ def test_build_context_rejections(pa2, ka2):
     with pytest.raises(HypothesisError) as info:
         build_context(ka2, [ka2.injective("1"), ka2.injective("2")], "exact")
     assert any("projective" in v for v in info.value.violations)
+    # hereditary linear A3 (1 -> 2 -> 3) with P + I is not rigid: Ext^1(I1, P2) = 1
+    ka3 = Algebra(prime_field(5), ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    assert ext1_dim(ka3.injective("1"), ka3.projective("2")) == 1
+    with pytest.raises(HypothesisError) as info:  # I3 = P1
+        build_context(ka3, ka3.projectives() + [ka3.injective("1"), ka3.injective("2")], "exact")
+    assert any("M_gen is not rigid" in v for v in info.value.violations)
 
 
 def test_exact_mode_accepts_pa2(pa2):
