@@ -111,7 +111,7 @@ class Algebra:
         self._check_admissible()
         self._opposite: Optional["Algebra"] = None
         self._hom_cache: Dict[tuple, Matrix] = {}
-        self._module_cache: Dict[str, "Module"] = {}
+        self._module_cache: Dict[object, object] = {}
         self._check_regular_modules()
 
     # -- construction ------------------------------------------------------
@@ -528,9 +528,14 @@ def preprojective(n: int, field: Field) -> Algebra:
 
 
 class Module:
-    """A finite-dimensional representation: dims per vertex, matrix per arrow."""
+    """A finite-dimensional representation: dims per vertex, matrix per arrow.
 
-    __slots__ = ("algebra", "dims", "action", "_key")
+    ``parts`` is the tuple of summands when :func:`sum_module` built the
+    module from two or more, else None. It is a hint for solving hom spaces
+    and never enters ``key``, equality or ``to_dict``.
+    """
+
+    __slots__ = ("algebra", "dims", "action", "parts", "_key")
 
     def __init__(self, algebra: Algebra, dims: Mapping[str, int], action: Mapping[str, Matrix],
                  check: bool = True):
@@ -552,6 +557,7 @@ class Module:
                     f"expected {self.dims[a.target]}x{self.dims[a.source]}"
                 )
             self.action[a.name] = m
+        self.parts: Optional[Tuple["Module", ...]] = None
         self._key = None
         if check:
             bad = relation_violations(self)
@@ -813,17 +819,58 @@ def hom_matrix(x: Module, y: Module) -> Matrix:
 
     The basis elements are the rows of a k x width matrix in ``Morphism.vec()``
     coordinates. Cached per algebra by module content, so structurally equal
-    modules share one computation.
+    modules share one computation. A sum (``parts`` set at the source, else at
+    the target) is assembled from its parts' cached bases by
+    :func:`_hom_of_sum`; other pairs are solved by ``intertwiners``.
     """
     return _memo(x.algebra._hom_cache, (x.key, y.key), lambda: _solve_hom(x, y))
 
 
 def _solve_hom(x: Module, y: Module) -> Matrix:
+    if x.parts is not None or y.parts is not None:
+        return _hom_of_sum(x, y)
     alg = x.algebra
     return intertwiners(
         alg.field, x.dims_tuple(), y.dims_tuple(),
         [(alg._vindex[a.source], alg._vindex[a.target], x.action[a.name].data,
           y.action[a.name].data) for a in alg.arrows])
+
+
+def _hom_of_sum(x: Module, y: Module) -> Matrix:
+    """Hom(x, y) from the cached bases of Hom(part, y) for the parts of x, or
+    of Hom(x, part) for the parts of y, each row scattered into the sum's
+    coordinates: per vertex, the part's column block (at the source) or row
+    block (at the target).
+
+    The intertwiner system of a sum decouples into its parts' systems on
+    disjoint unknowns, so its free columns are the union of theirs. The
+    kernel vector of a free column c is 1 at c and zero to the right of c,
+    so ordering the scattered rows by their last nonzero entry gives exactly
+    the basis of the whole system.
+    """
+    at_source = x.parts is not None
+    field = x.algebra.field
+    width = hom_width(x, y)
+    coords = np.arange(width)
+    offsets = dict.fromkeys(x.algebra.vertices, 0)
+    pieces = []
+    for part in x.parts if at_source else y.parts:
+        index = []
+        for v, off, r, c in Morphism.hom_dim_layout(x, y):
+            grid = coords[off : off + r * c].reshape(r, c)
+            end = offsets[v] + part.dims[v]
+            index.append((grid[:, offsets[v] : end] if at_source else grid[offsets[v] : end])
+                         .reshape(-1))
+            offsets[v] = end
+        pieces.append((hom_matrix(part, y) if at_source else hom_matrix(x, part),
+                       np.concatenate(index)))
+    out = Matrix.zeros(field, sum(basis.rows for basis, _ in pieces), width).data
+    top = 0
+    for basis, index in pieces:
+        out[top : top + basis.rows, index] = basis.data
+        top += basis.rows
+    last = np.where(out != 0, coords, -1).max(axis=1, initial=-1)
+    return Matrix(field, out[np.argsort(last)])
 
 
 def hom_basis(x: Module, y: Module) -> List[Morphism]:
@@ -968,6 +1015,7 @@ def sum_module(parts: Sequence[Module], algebra: Optional[Algebra] = None) -> Mo
     :meth:`Morphism.hstack` and :meth:`Morphism.vstack`.
 
     An empty list yields the zero module, for which the algebra is required.
+    A sum of two or more records them as its ``parts``.
     """
     if not parts:
         if algebra is None:
@@ -977,7 +1025,10 @@ def sum_module(parts: Sequence[Module], algebra: Optional[Algebra] = None) -> Mo
     dims = {v: sum(p.dims[v] for p in parts) for v in alg.vertices}
     action = {a.name: Matrix.block_diag(alg.field, [p.action[a.name] for p in parts])
               for a in alg.arrows}
-    return Module(alg, dims, action, check=False)
+    total = Module(alg, dims, action, check=False)
+    if len(parts) > 1:
+        total.parts = tuple(parts)
+    return total
 
 
 def direct_sum(parts: Sequence[Module],

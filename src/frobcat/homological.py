@@ -4,9 +4,9 @@ quotient of a hom space: stable hom here, and the homotopy hom-sets of
 ``localization``.
 
 All operations are pure functions over immutable values. Hom spaces
-(``hom_matrix``) and the sums of the injectives and of the projectives are
-cached per algebra, keyed by module content; covers, envelopes and
-quotients are recomputed on every call.
+(``hom_matrix``), projective covers, injective envelopes and the sums of the
+injectives and of the projectives are cached per algebra, keyed by module
+content; quotients are recomputed on every call.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .algebra_repr import (
     dual_module,
     hom_basis,  # unused here; the benchmark's tracer test checks it is rebound in this module
     hom_matrix,
+    hom_width,
     is_epi,
     is_mono,
     kernel,
@@ -43,7 +44,15 @@ MOD_PROJECTIVES = "modulo-projectives"
 
 
 def projective_cover(x: Module) -> Tuple[Module, Morphism]:
-    """Minimal projective cover P -> x; P = ⊕ P_v per top generator."""
+    """Minimal projective cover P -> x; P = ⊕ P_v per top generator.
+
+    Cached per algebra by module content: a hit may return a cover whose
+    target is an earlier module with x's key, not x itself.
+    """
+    return _memo(x.algebra._module_cache, ("cover", x.key), lambda: _checked_cover(x))
+
+
+def _checked_cover(x: Module) -> Tuple[Module, Morphism]:
     cover = _cover_map(x)
     if not cover.intertwines():
         raise InternalCheckError("projective cover does not intertwine")
@@ -53,7 +62,15 @@ def projective_cover(x: Module) -> Tuple[Module, Morphism]:
 
 
 def injective_envelope(x: Module) -> Tuple[Module, Morphism]:
-    """Minimal injective envelope x -> I via opposite-algebra duality."""
+    """Minimal injective envelope x -> I via opposite-algebra duality.
+
+    Cached per algebra by module content: a hit may return an envelope whose
+    source is an earlier module with x's key, not x itself.
+    """
+    return _memo(x.algebra._module_cache, ("envelope", x.key), lambda: _checked_envelope(x))
+
+
+def _checked_envelope(x: Module) -> Tuple[Module, Morphism]:
     cover = _cover_map(dual_module(x))
     env = dual_module(cover.source)  # over alg: opposite() links both ways
     mono = Morphism(x, env, {v: c.transpose() for v, c in cover.comps.items()}, check=False)
@@ -143,11 +160,16 @@ def factors_through_add(x: Module, z: Module, y: Module) -> RowSpan:
     morphisms factoring through a finite power of z.
 
     A morphism lies in the span of the pairwise composites iff it factors
-    through z^n for some finite n, so the linear test is exact.
+    through z^n for some finite n, so the linear test is exact. For a sum z
+    the composites are taken within one part at a time: b ∘ a is the sum
+    over the parts z_i of (b ι_i)(π_i a), so the span is the same.
     """
-    images = compose_pairs(hom_matrix(x, z).data, x, z, hom_matrix(z, y).data, y)
-    span = RowSpan(x.algebra.field, images.shape[1])
-    span.add(images)
+    bases = [(part, hom_matrix(x, part).data, hom_matrix(part, y).data)
+             for part in z.parts or (z,)]
+    images = [compose_pairs(a, x, part, b, y) for part, a, b in bases if len(a) and len(b)]
+    span = RowSpan(x.algebra.field, hom_width(x, y))
+    if images:
+        span.add(np.vstack(images))
     return span
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcat.errors import InputError
-from frobcat.exact_linalg import Matrix, RowSpan, prime_field, rational_field, solve_in_span
+from frobcat.exact_linalg import (Matrix, RowSpan, intertwiners, prime_field, rational_field,
+                                  solve_in_span)
 from frobcat.algebra_repr import (
     Algebra,
     Module,
@@ -32,6 +33,7 @@ from frobcat.algebra_repr import (
     preprojective,
     pullback,
     pushout,
+    sum_module,
     zero_module,
 )
 from frobcat.homological import solve_postcompose
@@ -617,3 +619,54 @@ def test_block_maps_refuse_no_blocks_and_unshared_ends(pa2):
         Morphism.hstack([s1, s2])
     with pytest.raises(InputError):
         Morphism.vstack([s1, s2])
+
+
+# the hom of a sum, assembled from its parts' bases, against the direct solve
+# of the whole system; F_1048583 runs the object-dtype residue path
+_HOM_SUM_ALGEBRAS = {
+    f"A{n}/{name}": preprojective(n, field)
+    for n in (2, 3)
+    for name, field in (("F2", prime_field(2)), ("F5", prime_field(5)),
+                        ("F1048583", prime_field(1048583)), ("Q", rational_field()))
+}
+
+
+def _reference_hom(x, y):
+    """The basis of Hom(x, y) from one intertwiners solve of the whole
+    system, whatever the parts of x and y."""
+    alg = x.algebra
+    return intertwiners(
+        alg.field, x.dims_tuple(), y.dims_tuple(),
+        [(alg._vindex[a.source], alg._vindex[a.target], x.action[a.name].data,
+          y.action[a.name].data) for a in alg.arrows])
+
+
+def _exact(m):
+    """A matrix byte for byte: dtype, shape and the repr of every entry."""
+    return m.data.dtype.str, m.data.shape, [repr(e) for e in m.data.reshape(-1)]
+
+
+@given(name=st.sampled_from(sorted(_HOM_SUM_ALGEBRAS)), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_hom_of_a_sum_matches_the_direct_solve(name, data):
+    """hom_matrix on sums at the source, at the target and at both ends, with
+    nested sums and zero parts, byte for byte against the direct solve. The
+    hom cache is cleared first, so every pair goes through the assembly."""
+    alg = _HOM_SUM_ALGEBRAS[name]
+    pieces = alg.simples() + alg.projectives() + alg.injectives() + [zero_module(alg)]
+
+    def module(depth=0):
+        """A sum of up to three parts, each a piece or, two levels deep at
+        most, a sum drawn the same way."""
+        n = data.draw(st.integers(0 if depth else 1, 3))
+        return sum_module([module(depth + 1) if depth < 2 and data.draw(st.booleans())
+                           else data.draw(st.sampled_from(pieces)) for _ in range(n)], alg)
+
+    x, y = module(), module()
+    ends = data.draw(st.sampled_from(["source", "target", "both"]))
+    if ends == "target":
+        x = data.draw(st.sampled_from(pieces))
+    elif ends == "source":
+        y = data.draw(st.sampled_from(pieces))
+    alg._hom_cache.clear()
+    assert _exact(hom_matrix(x, y)) == _exact(_reference_hom(x, y))

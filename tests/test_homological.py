@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -14,10 +15,13 @@ from frobcat.algebra_repr import (
     cokernel,
     cokernel_factor,
     combine,
+    compose_pairs,
     direct_sum,
     dual_module,
     hom_basis,
     hom_dim,
+    hom_matrix,
+    hom_width,
     is_epi,
     is_mono,
     path_matrix,
@@ -40,6 +44,7 @@ from frobcat.homological import (
     stable_hom,
     syzygy,
 )
+from frobcat.rigid_model import build_context
 
 
 def test_cover_of_zero(pa2):
@@ -342,3 +347,53 @@ def test_cokernel_and_cover_match_the_references(name, data):
         got, want = ours(x), ref(x)
         _same_module(got[0], want[0])
         _same_map(got[1], want[1])
+
+
+# add-factoring within one part at a time against the whole-z pairwise span;
+# F_1048583 runs the object-dtype residue path
+_ADD_FIELDS = {"F2": prime_field(2), "F5": prime_field(5), "F1048583": prime_field(1048583),
+               "Q": rational_field()}
+
+
+@functools.lru_cache(maxsize=None)
+def _add_context(name):
+    """Preprojective A2 with generator P1+P2+S1, built on first use."""
+    alg = preprojective(2, _ADD_FIELDS[name])
+    return build_context(alg, [alg.projective("1"), alg.projective("2"), alg.simple("1")],
+                         "frobenius")
+
+
+def _reference_factors_through_add(x, z, y):
+    """Every composite b ∘ a of a basis map a: x -> z with a basis map
+    b: z -> y, z taken whole."""
+    images = compose_pairs(hom_matrix(x, z).data, x, z, hom_matrix(z, y).data, y)
+    span = RowSpan(x.algebra.field, hom_width(x, y))
+    span.add(images)
+    return span
+
+
+@given(name=st.sampled_from(sorted(_ADD_FIELDS)), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_factors_through_add_matches_the_whole_pairwise_span(name, data):
+    """Rows and pivots of the per-part span equal those of the whole-z span,
+    for z a module without parts, a sum with a zero part, and U."""
+    ctx = _add_context(name)
+    alg = ctx.alg
+    pieces = alg.simples() + alg.projectives() + alg.injectives() + [zero_module(alg)]
+
+    def module():
+        return sum_module(data.draw(st.lists(st.sampled_from(pieces), max_size=2)), alg)
+
+    x, y = module(), module()
+    kind = data.draw(st.sampled_from(["whole", "zero part", "U"]))
+    if kind == "whole":
+        z = data.draw(st.sampled_from(pieces))
+    elif kind == "zero part":
+        z = sum_module([data.draw(st.sampled_from(pieces)), zero_module(alg)])
+    else:
+        z = ctx.U
+    assert (z.parts is None) == (kind == "whole")
+    got, want = factors_through_add(x, z, y), _reference_factors_through_add(x, z, y)
+    assert got.rows.dtype == want.rows.dtype and got.rows.shape == want.rows.shape
+    assert [repr(e) for e in got.rows.reshape(-1)] == [repr(e) for e in want.rows.reshape(-1)]
+    assert got.pivots == want.pivots
