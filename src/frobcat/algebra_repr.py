@@ -945,16 +945,19 @@ def compose_pairs(a_rows: np.ndarray, x: Module, z: Module, b_rows: np.ndarray,
 
 
 def kernel(f: Morphism) -> Tuple[Module, Morphism]:
-    """Vertexwise kernel with induced arrow action and its inclusion."""
+    """Vertexwise kernel with induced arrow action and its inclusion. Each
+    column of a ``Matrix.kernel`` basis K_t is 1 at its free row and zero
+    below it, so the action A with K_t A = X_a K_s is X_a K_s on those rows."""
     alg = f.source.algebra
     field = alg.field
     bases = {v: f.comps[v].kernel() for v in alg.vertices}
     dims = {v: bases[v].cols for v in alg.vertices}
+    free = {v: [int(np.flatnonzero(col)[-1]) for col in k.data.T] for v, k in bases.items()}
     action = {}
     for a in alg.arrows:
         img = f.source.action[a.name] @ bases[a.source]
-        sol = bases[a.target].solve_cols(img)
-        if sol is None:
+        sol = Matrix(field, img.data[free[a.target]])
+        if bases[a.target] @ sol != img:
             raise InternalCheckError("kernel is not arrow-stable")
         action[a.name] = sol
     k = Module(alg, dims, action, check=False)

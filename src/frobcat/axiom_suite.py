@@ -38,7 +38,6 @@ from .algebra_repr import (
     zero_module,
 )
 from .homological import (
-    MOD_INJECTIVES,
     cosyzygy,
     in_add,
     injective_envelope,
@@ -536,7 +535,7 @@ def _check_copr_eq_pr(ctx, rng, samples, universe, pred) -> List[Violation]:
 
 def _check_mho_rigid(ctx, rng, samples, universe, pred) -> List[Violation]:
     c, _ = cosyzygy(ctx.U)
-    space = stable_hom(ctx.U, c, MOD_INJECTIVES)
+    space = stable_hom(ctx.U, c)
     if space.dim != 0:
         return [Violation("cosyzygy class is not rigid", "0", str(space.dim), {})]
     return []

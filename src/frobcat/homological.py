@@ -1,12 +1,11 @@
 """Projective covers, injective envelopes, (co)syzygies, Ext^1, the
-factors-through-add subspace primitive, and :class:`QuotientHom`, the one
-quotient of a hom space: stable hom here, and the homotopy hom-sets of
-``localization``.
+subspaces of maps factoring through add(z) or through injectives, and
+:class:`QuotientHom`, the one quotient of a hom space: stable hom here, and
+the homotopy hom-sets of ``localization``.
 
 All operations are pure functions over immutable values. Hom spaces
-(``hom_matrix``), projective covers, injective envelopes and the sums of the
-injectives and of the projectives are cached per algebra, keyed by module
-content; quotients are recomputed on every call.
+(``hom_matrix``), projective covers and injective envelopes are cached per
+algebra, keyed by module content; quotients are recomputed on every call.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import InputError, InternalCheckError
+from .errors import InternalCheckError
 from .exact_linalg import Matrix, RowSpan, solve_in_span
 from .algebra_repr import (
     Algebra,
@@ -35,9 +34,6 @@ from .algebra_repr import (
     kernel,
     sum_module,
 )
-
-MOD_INJECTIVES = "modulo-injectives"
-MOD_PROJECTIVES = "modulo-projectives"
 
 
 # -- radical, top, covers -----------------------------------------------------
@@ -173,6 +169,16 @@ def factors_through_add(x: Module, z: Module, y: Module) -> RowSpan:
     return span
 
 
+def through_injectives(x: Module, y: Module) -> RowSpan:
+    """The span in Hom(x, y) of the maps factoring through an injective:
+    Hom(I(x), y) ∘ ι_x, since every map from x into an injective extends
+    along the envelope ι_x: x -> I(x)."""
+    i_x, iota = injective_envelope(x)
+    span = RowSpan(x.algebra.field, hom_width(x, y))
+    span.add(compose_basis(hom_matrix(i_x, y).data, i_x, y, right=iota))
+    return span
+
+
 def in_add(x: Module, z: Module) -> bool:
     """True iff x is a direct summand of a finite power of z."""
     if x.is_zero():
@@ -181,22 +187,21 @@ def in_add(x: Module, z: Module) -> bool:
 
 
 class QuotientHom:
-    """Hom(x, y) modulo the maps factoring through add(z), on the rows of
-    ``hom_matrix(x, y)``.
+    """Hom(x, y) modulo a subspace ``sub``, on the rows of ``hom_matrix(x, y)``.
 
-    ``sub`` is the reduced span of the subspace factored out. The
+    ``sub`` is the reduced span of the subspace factored out, such as
+    ``factors_through_add(x, z, y)`` or ``through_injectives(x, y)``. The
     representatives are the basis rows whose canonical forms are independent,
     chosen in basis order: ``rep_indices`` into the basis, the rows
     themselves, and their canonical forms. :meth:`canonical` and
     :meth:`coords` take one vector or a stack of them.
     """
 
-    def __init__(self, x: Module, z: Module, y: Module):
-        self.x, self.z, self.y = x, z, y
-        self.sub = factors_through_add(x, z, y)
+    def __init__(self, x: Module, y: Module, sub: RowSpan):
+        self.x, self.y, self.sub = x, y, sub
         basis = hom_matrix(x, y).data
-        canonicals = self.sub.reduce(basis)
-        self.rep_indices = RowSpan(self.sub.field, self.sub.width).independent(canonicals)
+        canonicals = sub.reduce(basis)
+        self.rep_indices = RowSpan(sub.field, sub.width).independent(canonicals)
         self.rep_rows = basis[self.rep_indices]
         self.rep_canonicals = canonicals[self.rep_indices]
 
@@ -215,32 +220,20 @@ class QuotientHom:
         return sol
 
 
-def _inj_sum(alg: Algebra) -> Module:
-    return _memo(alg._module_cache, "inj-sum", lambda: sum_module(alg.injectives()))
-
-
-def _proj_sum(alg: Algebra) -> Module:
-    return _memo(alg._module_cache, "proj-sum", lambda: sum_module(alg.projectives()))
-
-
-def stable_hom(x: Module, y: Module, kind: str = MOD_INJECTIVES) -> QuotientHom:
-    """Hom(x, y) modulo the maps factoring through injectives (or projectives)."""
-    if kind not in (MOD_INJECTIVES, MOD_PROJECTIVES):
-        raise InputError(f"unknown stable-hom kind {kind!r}")
-    z = _inj_sum(x.algebra) if kind == MOD_INJECTIVES else _proj_sum(x.algebra)
-    return QuotientHom(x, z, y)
+def stable_hom(x: Module, y: Module) -> QuotientHom:
+    """Hom(x, y) modulo the maps factoring through injectives."""
+    return QuotientHom(x, y, through_injectives(x, y))
 
 
 # -- Frobenius-side predicates --------------------------------------------------------
 
 
 def is_self_injective(alg: Algebra) -> bool:
-    """True iff projectives and injectives generate the same additive class."""
-    inj = _inj_sum(alg)
-    proj = _proj_sum(alg)
-    return all(in_add(p, inj) for p in alg.projectives()) and all(
-        in_add(i, proj) for i in alg.injectives()
-    )
+    """True iff projectives and injectives generate the same additive class:
+    as envelopes are minimal, P_v is injective iff its envelope has P_v's
+    dimensions; dually for I_v and its cover."""
+    return all(injective_envelope(p)[0].dims == p.dims for p in alg.projectives()) and all(
+        projective_cover(i)[0].dims == i.dims for i in alg.injectives())
 
 
 def ses_split(ses: ShortExactSequence) -> Optional[Morphism]:

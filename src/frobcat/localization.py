@@ -30,7 +30,7 @@ from .errors import InputError, InternalCheckError
 from .exact_linalg import Matrix, RowSpan, intertwiners, solve_in_span
 from .algebra_repr import (Module, Morphism, _memo, combine, compose_basis, compose_pairs,
                            hom_matrix)
-from .homological import QuotientHom
+from .homological import QuotientHom, factors_through_add
 from .rigid_model import (
     RigidContext,
     cofibrant_replacement,
@@ -170,9 +170,11 @@ class HoClass:
 def ho_hom(ctx: RigidContext, x: Module, y: Module) -> QuotientHom:
     """Hom in the localized category: Hom between the fixed replacements of
     x and y, modulo the maps factoring through the cosyzygy-class generator U."""
-    return _memo(ctx._caches["ho_hom"], (x.key, y.key),
-                 lambda: QuotientHom(cofibrant_replacement(ctx, x).a, ctx.U,
-                                     cofibrant_replacement(ctx, y).a))
+    def build() -> QuotientHom:
+        a_x, a_y = cofibrant_replacement(ctx, x).a, cofibrant_replacement(ctx, y).a
+        return QuotientHom(a_x, a_y, factors_through_add(a_x, ctx.U, a_y))
+
+    return _memo(ctx._caches["ho_hom"], (x.key, y.key), build)
 
 
 def ho_class(ctx: RigidContext, x: Module, y: Module, rep: Morphism) -> HoClass:

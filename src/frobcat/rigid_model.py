@@ -26,7 +26,6 @@ from .algebra_repr import (
     cokernel_factor,
     compose_basis,
     compose_pairs,
-    direct_sum,
     hom_matrix,
     hom_width,
     is_epi,
@@ -37,9 +36,7 @@ from .algebra_repr import (
     zero_module,
 )
 from .homological import (
-    MOD_INJECTIVES,
     QuotientHom,
-    _inj_sum,
     cosyzygy,
     ext1_dim,
     factors_through_add,
@@ -48,6 +45,7 @@ from .homological import (
     is_self_injective,
     solve_postcompose,
     stable_hom,
+    through_injectives,
 )
 
 EXACT = "exact"
@@ -109,7 +107,7 @@ class RigidContext:
 
     def stable_from_generator(self, x: Module) -> QuotientHom:
         return _memo(self._caches["stable"], x.key,
-                     lambda: stable_hom(self.M_gen, x, MOD_INJECTIVES))
+                     lambda: stable_hom(self.M_gen, x))
 
     def __repr__(self):
         return (
@@ -177,22 +175,27 @@ def approximation(ctx: RigidContext, components: Sequence[Module], x: Module,
 
 def _greedy_approximation(ctx: RigidContext, components: Sequence[Module], x: Module,
                           side: str) -> Morphism:
+    """The greedy pass of :func:`approximation`, one span per component c:
+    h is dropped when it lies in the span of k ∘ a, for k kept and a in
+    Hom(c, source of k), which holds iff h ∘ π_c lies in kept ∘ End(T)
+    (precompose with ι_c; conversely a gives ι ∘ a ∘ π_c). Dually on the left."""
     right = side == RIGHT
-    total, injections, projections = direct_sum(list(components))
-    endo = hom_matrix(total, total).data
-    span = RowSpan(ctx.alg.field, hom_width(total, x))
     kept: List[Morphism] = []
-    for ci, comp in enumerate(components):
+    for comp in components:
         ends = (comp, x) if right else (x, comp)
-        basis = hom_matrix(*ends).data
-        full = (compose_basis(basis, comp, x, right=projections[ci]) if right
-                else compose_basis(basis, x, comp, left=injections[ci]))
-        for h, hfull in zip(basis, full):
-            if span.contains(hfull):
+        span = RowSpan(ctx.alg.field, hom_width(*ends))
+        if kept:  # K ∘ Hom(c, K.source), or Hom(K.target, c) ∘ K, for K the kept maps
+            k = Morphism.hstack(kept) if right else Morphism.vstack(kept)
+            span.add(compose_basis(hom_matrix(comp, k.source).data, comp, k.source, left=k)
+                     if right else
+                     compose_basis(hom_matrix(k.target, comp).data, k.target, comp, right=k))
+        endo = hom_matrix(comp, comp).data
+        for h in hom_matrix(*ends).data:
+            if span.contains(h):
                 continue
             kept.append(Morphism.from_vec(*ends, h))
-            span.add(compose_pairs(endo, total, total, hfull[None], x) if right
-                     else compose_pairs(hfull[None], x, total, endo, total))
+            span.add(compose_pairs(endo, comp, comp, h[None], x) if right
+                     else compose_pairs(h[None], x, comp, endo, comp))
     if not kept:  # no component has a nonzero map to (right) or from (left) x
         none = zero_module(ctx.alg)
         return Morphism.zero(none, x) if right else Morphism.zero(x, none)
@@ -301,7 +304,7 @@ def fibration_via_cone(ctx: RigidContext, f: Morphism) -> bool:
     if not is_epi(f):
         return False
     z, g, _ = cone_of(ctx, f)
-    sub = factors_through_add(ctx.U, _inj_sum(ctx.alg), z)
+    sub = through_injectives(ctx.U, z)
     return sub.contains(compose_basis(hom_matrix(ctx.U, f.target).data, ctx.U, f.target,
                                       left=g))
 

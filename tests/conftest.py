@@ -78,6 +78,32 @@ def ka2():
 
 
 @pytest.fixture(scope="session")
+def small_algebras():
+    """Small algebras over F_2, F_5, F_1048583 (the object-dtype residue path)
+    and Q, keyed "<algebra>/<field>".
+
+    Three are not self-injective: hereditary kA2 and kA3, and the Auslander
+    algebra of kA2 (linear A3 1 -> 2 -> 3 with ab = 0: projectives (1,1,0),
+    (0,1,1), (0,0,1), injectives (1,0,0), (1,1,0), (0,1,1)). Two are:
+    preprojective A2, and the 3-cycle with rad^2 = 0, whose Nakayama
+    permutation moves the projectives' dimension vectors.
+    """
+    fields = {"F2": prime_field(2), "F5": prime_field(5), "F1048583": prime_field(1048583),
+              "Q": rational_field()}
+    linear = (["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    cycle = [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")]
+    out = {}
+    for name, field in fields.items():
+        out[f"kA2/{name}"] = Algebra(field, ["1", "2"], [("a", "1", "2")])
+        out[f"kA3/{name}"] = Algebra(field, *linear)
+        out[f"aus-kA2/{name}"] = Algebra(field, *linear, [[("1", ("a", "b"))]])
+        out[f"pa2/{name}"] = preprojective(2, field)
+        out[f"cycle3/{name}"] = Algebra(field, ["1", "2", "3"], cycle, [
+            [("1", ("a", "b"))], [("1", ("b", "c"))], [("1", ("c", "a"))]])
+    return out
+
+
+@pytest.fixture(scope="session")
 def pa2_ss_ctx(pa2):
     """pa2 with generator P1+P2+S1+S1: its stable endomorphism algebra is the
     2 x 2 matrices, so products and actions do not commute."""

@@ -24,14 +24,14 @@ from frobcat.algebra_repr import (
     hom_width,
     is_epi,
     is_mono,
+    kernel,
     path_matrix,
     preprojective,
     sum_module,
     zero_module,
 )
 from frobcat.homological import (
-    MOD_INJECTIVES,
-    MOD_PROJECTIVES,
+    QuotientHom,
     cosyzygy,
     ext1_dim,
     ext1_dim_via_copresentation,
@@ -43,6 +43,7 @@ from frobcat.homological import (
     ses_split,
     stable_hom,
     syzygy,
+    through_injectives,
 )
 from frobcat.rigid_model import build_context
 
@@ -123,17 +124,19 @@ def test_frobenius_dimension_shift(pa2):
     alg, mods = pa2
     for x, y in itertools.product(mods.values(), repeat=2):
         om, _ = syzygy(x)
-        assert ext1_dim(x, y) == stable_hom(om, y, MOD_PROJECTIVES).dim
+        projective_quotient = QuotientHom(
+            om, y, factors_through_add(om, sum_module(alg.projectives()), y))
+        assert ext1_dim(x, y) == projective_quotient.dim
 
 
 def test_stable_hom_dims(pa2):
     alg, mods = pa2
-    assert stable_hom(mods["S1"], mods["S1"], MOD_INJECTIVES).dim == 1
-    assert stable_hom(mods["P1"], mods["S1"], MOD_INJECTIVES).dim == 0
+    assert stable_hom(mods["S1"], mods["S1"]).dim == 1
+    assert stable_hom(mods["P1"], mods["S1"]).dim == 0
     for v in alg.vertices:
         inj = alg.injective(v)
         for x in mods.values():
-            assert stable_hom(inj, x, MOD_INJECTIVES).dim == 0
+            assert stable_hom(inj, x).dim == 0
 
 
 def test_factors_through_zero(pa2):
@@ -226,6 +229,18 @@ def _reference_cokernel(f):
     return c, Morphism(f.target, c, {v: quots[v][0] for v in alg.vertices}, check=False)
 
 
+def _reference_kernel(f):
+    """The induced action solved column by column: K_t A = X_a K_s."""
+    alg = f.source.algebra
+    bases = {v: f.comps[v].kernel() for v in alg.vertices}
+    action = {}
+    for a in alg.arrows:
+        action[a.name] = bases[a.target].solve_cols(f.source.action[a.name] @ bases[a.source])
+        assert action[a.name] is not None
+    k = Module(alg, {v: b.cols for v, b in bases.items()}, action, check=False)
+    return k, Morphism(k, f.source, bases, check=False)
+
+
 def _reference_cokernel_factor(proj, g):
     """h with h @ proj = g, solved vertex by vertex on the transposes."""
     comps = {}
@@ -304,7 +319,7 @@ _COVER_ALGEBRAS = {
 @given(name=st.sampled_from(sorted(_COVER_ALGEBRAS)), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_cokernel_and_cover_match_the_references(name, data):
-    """cokernel (module and projection), cokernel_factor, projective_cover
+    """kernel and cokernel (module and map), cokernel_factor, projective_cover
     and injective_envelope against the kept references, byte for byte, on
     sums of simples, projectives, injectives and zero modules (which have
     zero-dimensional vertices), under zero maps, isomorphisms and maps with
@@ -330,11 +345,12 @@ def test_cokernel_and_cover_match_the_references(name, data):
         f = Morphism.zero(x, y)
     else:
         f = drawn(x, y)
-    got, want = cokernel(f), _reference_cokernel(f)
-    _same_module(got[0], want[0])
-    _same_map(got[1], want[1])
+    for ours, ref in ((kernel, _reference_kernel), (cokernel, _reference_cokernel)):
+        got, want = ours(f), ref(f)
+        _same_module(got[0], want[0])
+        _same_map(got[1], want[1])
     # a map through the projection factors back, and only such maps do
-    proj = got[1]
+    proj = cokernel(f)[1]
     k = drawn(proj.target, module())
     h = cokernel_factor(proj, k @ proj)
     _same_map(h, _reference_cokernel_factor(proj, k @ proj))
@@ -397,3 +413,42 @@ def test_factors_through_add_matches_the_whole_pairwise_span(name, data):
     assert got.rows.dtype == want.rows.dtype and got.rows.shape == want.rows.shape
     assert [repr(e) for e in got.rows.reshape(-1)] == [repr(e) for e in want.rows.reshape(-1)]
     assert got.pivots == want.pivots
+
+
+# the subspace through the envelope, and self-injectivity by dimensions, against
+# the pairwise span through the sum of the injectives and the in_add form
+
+
+def _reference_is_self_injective(alg):
+    """Every projective in add(injectives) and every injective in add(projectives)."""
+    inj, proj = sum_module(alg.injectives()), sum_module(alg.projectives())
+    return all(in_add(p, inj) for p in alg.projectives()) and all(
+        in_add(i, proj) for i in alg.injectives())
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_through_injectives_matches_the_pairwise_span(small_algebras, data):
+    """Rows (dtype, shape, repr of each entry) and pivots of Hom(I(x), y) ∘ ι_x
+    equal those of the pairwise span through the sum of the injectives, and
+    stable hom picks the same representatives, on algebras that are and are
+    not self-injective."""
+    alg = small_algebras[data.draw(st.sampled_from(sorted(small_algebras)))]
+    pieces = alg.simples() + alg.projectives() + alg.injectives() + [zero_module(alg)]
+    x, y = (sum_module(data.draw(st.lists(st.sampled_from(pieces), max_size=2)), alg)
+            for _ in range(2))
+    got = through_injectives(x, y)
+    want = _reference_factors_through_add(x, sum_module(alg.injectives()), y)
+    assert got.rows.dtype == want.rows.dtype and got.rows.shape == want.rows.shape
+    assert [repr(e) for e in got.rows.reshape(-1)] == [repr(e) for e in want.rows.reshape(-1)]
+    assert got.pivots == want.pivots
+    assert stable_hom(x, y).rep_indices == QuotientHom(x, y, want).rep_indices
+
+
+def test_self_injectivity_matches_the_add_form(small_algebras):
+    """Every algebra of the fixture, so each verdict is checked, not sampled."""
+    verdicts = {name: is_self_injective(alg) for name, alg in small_algebras.items()}
+    for name, alg in small_algebras.items():
+        assert verdicts[name] == _reference_is_self_injective(alg), name
+    assert {name for name, yes in verdicts.items() if yes} == {
+        name for name in small_algebras if name.startswith(("pa2/", "cycle3/"))}

@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobcat.errors import HypothesisError, InputError
 from frobcat.algebra_repr import (
     Algebra,
     Morphism,
     compose_basis,
+    compose_pairs,
     direct_sum,
     hom_basis,
     hom_matrix,
@@ -16,13 +18,17 @@ from frobcat.algebra_repr import (
     is_mono,
     cokernel,
     preprojective,
+    sum_module,
     zero_module,
 )
 from frobcat.exact_linalg import Matrix, RowSpan, prime_field
 from frobcat.homological import cosyzygy, ext1_dim, in_add, solve_postcompose
 from frobcat.axiom_suite import default_objects, random_morphism, run_all
 from frobcat.rigid_model import (
+    EXACT,
     LEFT,
+    RIGHT,
+    RigidContext,
     _post_map_surjective,
     approximation,
     build_context,
@@ -364,3 +370,58 @@ def test_weak_equivalence_matches_the_reference(row_case):
     for x in mods.values():
         assert is_weak_equivalence(ctx, cofibrant_replacement(ctx, x).phi)
     assert (ranked > 0) == (ctx.stable_from_generator(ctx.M_gen).dim > 0)
+
+
+def _reference_greedy_approximation(ctx, components, x, side):
+    """The greedy pass against the whole sum T of the components: a basis map
+    h is dropped when h ∘ π_c (right), or ι_c ∘ h (left), lies in the span of
+    the kept maps, so composed, composed with End(T)."""
+    right = side == RIGHT
+    total, injections, projections = direct_sum(list(components))
+    endo = hom_matrix(total, total).data
+    span = RowSpan(ctx.alg.field, hom_width(total, x))
+    kept = []
+    for ci, comp in enumerate(components):
+        ends = (comp, x) if right else (x, comp)
+        basis = hom_matrix(*ends).data
+        full = (compose_basis(basis, comp, x, right=projections[ci]) if right
+                else compose_basis(basis, x, comp, left=injections[ci]))
+        for h, hfull in zip(basis, full):
+            if span.contains(hfull):
+                continue
+            kept.append(Morphism.from_vec(*ends, h))
+            span.add(compose_pairs(endo, total, total, hfull[None], x) if right
+                     else compose_pairs(hfull[None], x, total, endo, total))
+    if not kept:
+        none = zero_module(ctx.alg)
+        return Morphism.zero(none, x) if right else Morphism.zero(x, none)
+    return Morphism.hstack(kept) if right else Morphism.vstack(kept)
+
+
+def _exact_map(f):
+    """A map byte for byte: dtype, shape and the repr of every entry of its
+    components and of both ends' actions."""
+    def exact(m):
+        return m.data.dtype.str, m.data.shape, [repr(e) for e in m.data.reshape(-1)]
+    alg = f.source.algebra
+    return ([exact(f.comps[v]) for v in alg.vertices],
+            [exact(end.action[a.name]) for end in (f.source, f.target) for a in alg.arrows])
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_approximation_matches_the_whole_sum_reference(small_algebras, data):
+    """Both sides, against the components of M_gen and the summands of U, on
+    generators drawn with repeats (so later copies factor through earlier
+    ones), match the whole-T greedy pass byte for byte."""
+    alg = small_algebras[data.draw(st.sampled_from(sorted(small_algebras)))]
+    pieces = alg.simples() + alg.projectives() + alg.injectives()
+    ctx = RigidContext(alg, data.draw(st.lists(st.sampled_from(pieces), min_size=1,
+                                               max_size=4)), EXACT)
+    components = data.draw(st.sampled_from([ctx.components, ctx.U_components]))
+    x = sum_module(data.draw(st.lists(st.sampled_from(pieces + [zero_module(alg)]),
+                                      max_size=2)), alg)
+    side = data.draw(st.sampled_from([RIGHT, LEFT]))
+    got = approximation(ctx, components, x, side)
+    assert _exact_map(got) == _exact_map(_reference_greedy_approximation(ctx, components, x,
+                                                                          side))
