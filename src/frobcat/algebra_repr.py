@@ -24,8 +24,10 @@ import numpy as np
 from .errors import InputError, InternalCheckError
 from .exact_linalg import Field, Matrix, RowSpan, intertwiners, prime_field, rational_field
 
-DEFAULT_PATH_CAP = 64
-DEFAULT_DIM_CAP = 4096
+# Refused as possibly infinite-dimensional: a basis path of LENGTH_CAP
+# arrows, or more than DIM_CAP basis paths.
+LENGTH_CAP = 64
+DIM_CAP = 4096
 
 
 def _memo(store: dict, key, build: Callable):
@@ -65,10 +67,22 @@ class _Relation:
 class Algebra:
     """A finite-dimensional path algebra with admissible relations.
 
-    The constructor computes an ordered basis of the quotient algebra (path
-    representatives, sorted by length then lexicographic arrow order) along
-    with arrow multiplication tables. Construction fails on non-admissible
-    relations and on quotients whose path enumeration exceeds the caps.
+    The constructor computes a basis of the quotient algebra, as path
+    representatives, and the table of right multiplication by each arrow,
+    one path length at a time with one elimination per length. Every
+    one-arrow extension of a basis path of the previous length gets a
+    provisional id, so a relation applied after a basis path is a product
+    through the table. Those products, taken in the (source, target) blocks
+    that have an extension, are the rows of one ``RowSpan``: extension
+    columns first in path order, then the shorter paths by id. Its pivots
+    are the extensions that die, each rewritten as the negated rest of its
+    row; the others survive, numbered block by block in order of first
+    appearance and then in path order.
+
+    Construction refuses relations that rewrite shorter basis paths, a
+    basis path of ``LENGTH_CAP`` arrows or more than ``DIM_CAP`` basis
+    paths, a radical that is not nilpotent, and regular modules that break
+    a relation.
     """
 
     def __init__(
@@ -77,26 +91,23 @@ class Algebra:
         vertices: Sequence[str],
         arrows: Sequence,
         relations: Sequence = (),
-        length_cap: int = DEFAULT_PATH_CAP,
-        dim_cap: int = DEFAULT_DIM_CAP,
     ):
         self.field = field
-        self.vertices = list(vertices)
+        self.vertices = [_json_name(v, f"vertex {i} in 'vertices'") for i, v in enumerate(vertices)]
         if len(set(self.vertices)) != len(self.vertices):
             raise InputError("duplicate vertex names")
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
         self.arrows: List[Arrow] = []
+        keys = ("name", "from", "to")
         for i, a in enumerate(arrows):
             if isinstance(a, Arrow):
-                arrow = a
+                a = (a.name, a.source, a.target)
             elif isinstance(a, dict):
-                keys = ("name", "from", "to")
                 _json_known(a, keys, "key", f"arrow {i}")
-                arrow = Arrow(*(_json_key(a, key, f"arrow {i}") for key in keys))
-            elif isinstance(a, (list, tuple)) and len(a) == 3:
-                arrow = Arrow(*a)
-            else:
+                a = [_json_key(a, key, f"arrow {i}") for key in keys]
+            elif not (isinstance(a, (list, tuple)) and len(a) == 3):
                 raise InputError(f"arrow {a!r} must be an object or a [name, from, to] list")
+            arrow = Arrow(*(_json_name(x, f"{key!r} of arrow {i}") for key, x in zip(keys, a)))
             if arrow.source not in self._vindex or arrow.target not in self._vindex:
                 raise InputError(f"arrow {arrow.name!r} references unknown vertex")
             self.arrows.append(arrow)
@@ -104,8 +115,6 @@ class Algebra:
         if len(set(names)) != len(names) or set(names) & set(self.vertices):
             raise InputError("duplicate arrow names")
         self._aindex = {a.name: i for i, a in enumerate(self.arrows)}
-        self.length_cap = length_cap
-        self.dim_cap = dim_cap
         self.relations = [self._parse_relation(r, k) for k, r in enumerate(relations)]
         self._build_basis()
         self._check_admissible()
@@ -152,140 +161,79 @@ class Algebra:
         return _Relation(tuple(terms), src, tgt, max(len(p) for _, p in terms))
 
     def _build_basis(self) -> None:
-        field = self.field
-        elts: List[_PathElt] = []
-        by_len: Dict[int, List[int]] = {0: []}
-        for vi in range(len(self.vertices)):
-            e = _PathElt(len(elts), vi, vi, 0, ())
-            elts.append(e)
-            by_len[0].append(e.idx)
+        field, one = self.field, self.field.one()
+        heads = [self._vindex[a.target] for a in self.arrows]
+        leaving = [[ai for ai, a in enumerate(self.arrows) if self._vindex[a.source] == vi]
+                   for vi in range(len(self.vertices))]
+        elts = [_PathElt(vi, vi, vi, 0, ()) for vi in range(len(self.vertices))]
         mult: Dict[Tuple[int, int], Dict[int, object]] = {}
-        frontier = list(by_len[0])
-        length = 0
-        while frontier:
-            length += 1
-            if length > self.length_cap:
+
+        def times(vec: dict, path) -> dict:
+            for ai in path:
+                out: Dict[int, object] = {}
+                for eid, cf in vec.items():
+                    for tid, tcf in mult[(ai, eid)].items():
+                        out[tid] = field.coerce(out.get(tid, 0) + cf * tcf)
+                vec = out
+            return vec
+
+        starts = [0, len(elts)]  # the basis paths of length w are elts[starts[w]:starts[w + 1]]
+        while starts[-1] > starts[-2]:
+            length = len(starts) - 1
+            if length > LENGTH_CAP:
                 raise InputError(
-                    f"path length cap {self.length_cap} exceeded; "
+                    f"path length cap {LENGTH_CAP} exceeded; "
                     "quotient may be infinite-dimensional"
                 )
-            # candidate paths of this length, grouped by (source, target)
-            cands: List[Tuple[int, int]] = []  # (arrow index, base elt id)
-            for b in frontier:
-                bt = elts[b].target
-                for ai, arrow in enumerate(self.arrows):
-                    if self._vindex[arrow.source] == bt:
-                        cands.append((ai, b))
-            cands.sort(key=lambda ab: elts[ab[1]].path + (ab[0],))
-            groups: Dict[Tuple[int, int], List[int]] = {}
-            for j, (ai, b) in enumerate(cands):
-                key = (elts[b].source, self._vindex[self.arrows[ai].target])
-                groups.setdefault(key, []).append(j)
-            cand_pos = {ab: j for j, ab in enumerate(cands)}
-
-            cons: Dict[Tuple[int, int], List[dict]] = {}
-            for rel in self.relations:
-                want = length - rel.max_len
-                if want < 0:
-                    continue
-                for b in by_len.get(want, []):
-                    if elts[b].target != rel.source:
-                        continue
-                    vec = self._apply_relation(rel, b, length, elts, mult, cand_pos)
-                    key = (elts[b].source, rel.target)
-                    cons.setdefault(key, []).append(vec)
-
-            new_ids: Dict[int, int] = {}  # candidate position -> new elt id
-            expansions: Dict[int, dict] = {}  # candidate position -> {col: coeff}
-            for key, members in groups.items():
-                vecs = cons.get(key, [])
-                elt_cols = sorted({c for v in vecs for c in v if isinstance(c, int)})
-                col_keys = [("c", j) for j in members] + [("e", i) for i in elt_cols]
-                col_of = {ck: n for n, ck in enumerate(col_keys)}
-                stack = Matrix.zeros(field, len(vecs), len(col_keys)).data
-                for arr, v in zip(stack, vecs):
-                    for c, cf in v.items():
-                        arr[col_of[("e", c) if isinstance(c, int) else c]] = cf
-                span = RowSpan(field, len(col_keys))
-                span.add(stack)
-                dead = set()
-                for row, p in zip(span.rows, span.pivots):
-                    ck = col_keys[p]
-                    if ck[0] != "c":
-                        raise InputError(
-                            "relations rewrite shorter basis paths; this relation "
-                            "pattern is outside naive path reduction"
-                        )
-                    dead.add(ck[1])
-                    exp: Dict[object, object] = {}
-                    for n in range(p + 1, len(col_keys)):
-                        if row[n] != 0:
-                            kk = col_keys[n]
-                            coeff = field.neg(row[n])
-                            exp[kk[1] if kk[0] == "e" else ("c", kk[1])] = coeff
-                    expansions[ck[1]] = exp
+            # one-arrow extensions of the last length, in path order, with provisional ids
+            n0 = len(elts)
+            ext = sorted(((ai, b.idx) for b in elts[starts[-2]:] for ai in leaving[b.target]),
+                         key=lambda ab: elts[ab[1]].path + (ab[0],))
+            blocks: Dict[Tuple[int, int], List[int]] = {}
+            for j, (ai, b) in enumerate(ext):
+                mult[(ai, b)] = {n0 + j: one}
+                blocks.setdefault((elts[b].source, heads[ai]), []).append(j)
+            # each relation after each basis path it extends, in a block with an extension
+            deps = [(rel, b.idx) for rel in self.relations if rel.max_len <= length
+                    for b in elts[starts[length - rel.max_len]:starts[length - rel.max_len + 1]]
+                    if b.target == rel.source and (b.source, rel.target) in blocks]
+            width = n0 + len(ext)
+            stack = Matrix.zeros(field, len(deps), width).data
+            for row, (rel, b) in zip(stack, deps):
+                for coeff, path in rel.terms:
+                    for tid, cf in times({b: coeff}, path).items():
+                        row[tid] = field.coerce(row[tid] + cf)
+            # extension columns first, so column c is id (c + n0) % width; a pivot among
+            # them is an extension that dies, rewritten as the negated rest of its row
+            span = RowSpan(field, width)
+            span.add(np.roll(stack, -n0, axis=1))
+            dead = {}
+            for row, p in zip(span.rows, span.pivots):
+                if p >= len(ext):
+                    raise InputError(
+                        "relations rewrite shorter basis paths; this relation "
+                        "pattern is outside naive path reduction"
+                    )
+                dead[p] = {(c + n0) % width: field.neg(row[c])
+                           for c in range(p + 1, width) if row[c] != 0}
+            renumber = {}
+            for members in blocks.values():
                 for j in members:
                     if j not in dead:
-                        ai, b = cands[j]
-                        e = _PathElt(
-                            len(elts),
-                            elts[b].source,
-                            self._vindex[self.arrows[ai].target],
-                            length,
-                            elts[b].path + (ai,),
-                        )
-                        elts.append(e)
-                        new_ids[j] = e.idx
-
-            for j, (ai, b) in enumerate(cands):
-                if j in new_ids:
-                    mult[(ai, b)] = {new_ids[j]: field.one()}
-                else:
-                    resolved: Dict[int, object] = {}
-                    for col, cf in expansions[j].items():
-                        if isinstance(col, tuple):  # surviving candidate
-                            resolved[new_ids[col[1]]] = cf
-                        else:
-                            resolved[col] = cf
-                    mult[(ai, b)] = resolved
-
-            frontier = [new_ids[j] for j in sorted(new_ids)]
-            by_len[length] = frontier
-            if len(elts) > self.dim_cap:
+                        ai, b = ext[j]
+                        renumber[n0 + j] = len(elts)
+                        elts.append(_PathElt(len(elts), elts[b].source, heads[ai], length,
+                                             elts[b].path + (ai,)))
+            for j, ab in enumerate(ext):
+                mult[ab] = {renumber.get(t, t): cf for t, cf in dead.get(j, {n0 + j: one}).items()}
+            starts.append(len(elts))
+            if len(elts) > DIM_CAP:
                 raise InputError(
-                    f"dimension cap {self.dim_cap} exceeded; "
+                    f"dimension cap {DIM_CAP} exceeded; "
                     "quotient may be infinite-dimensional"
                 )
         self._elts = elts
-        self._by_len = by_len
         self._mult = mult
-
-    def _apply_relation(self, rel, base: int, length: int, elts, mult, cand_pos) -> dict:
-        """Expand rel * (basis element) over basis ids and candidate markers."""
-        field = self.field
-        out: Dict[object, object] = {}
-        for coeff, path in rel.terms:
-            cur: Dict[int, object] = {base: coeff}
-            for ai in path:
-                nxt: Dict[object, object] = {}
-                for eid, cf in cur.items():
-                    if elts[eid].length + 1 == length:
-                        j = cand_pos[(ai, eid)]
-                        key = ("c", j)
-                        nxt[key] = nxt.get(key, field.zero()) + cf
-                    else:
-                        for tid, tcf in mult[(ai, eid)].items():
-                            nxt[tid] = nxt.get(tid, field.zero()) + cf * tcf
-                cur_mixed = {k: field.coerce(v) for k, v in nxt.items() if field.coerce(v) != 0}
-                # candidate markers appear only after the final arrow
-                cur = {k: v for k, v in cur_mixed.items() if isinstance(k, int)}
-                tail = {k: v for k, v in cur_mixed.items() if not isinstance(k, int)}
-                if tail:
-                    for k, v in tail.items():
-                        out[k] = field.coerce(out.get(k, field.zero()) + v)
-            for k, v in cur.items():
-                out[k] = field.coerce(out.get(k, field.zero()) + v)
-        return {k: v for k, v in out.items() if v != 0}
 
     def _check_admissible(self) -> None:
         """The arrow ideal of the quotient must be nilpotent."""
@@ -364,8 +312,6 @@ class Algebra:
                      for c, p in r.terms]
                     for r in self.relations
                 ],
-                length_cap=self.length_cap,
-                dim_cap=self.dim_cap,
             )
             op._opposite = self
             self._opposite = op
@@ -444,6 +390,14 @@ def _json_scalar(x, what: str, parse):
         return parse(x)
     except ValueError as e:
         raise InputError(f"{what}: {e}") from e
+
+
+def _json_name(x, what: str) -> str:
+    """x when it is a name, which is a JSON string; a number, list or object
+    is refused rather than matched against names or hashed."""
+    if not isinstance(x, str):
+        raise InputError(f"{what} must be a string, got {x!r}")
+    return x
 
 
 def _json_typed(x, kind: type, what: str):

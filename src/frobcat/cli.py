@@ -16,8 +16,8 @@ from typing import Dict, List
 
 from . import __version__
 from .errors import HypothesisError, InputError
-from .algebra_repr import (Algebra, Module, Morphism, _json_key, _json_known, _json_scalar,
-                           _json_typed, hom_basis, load_algebra, zero_module)
+from .algebra_repr import (Algebra, Module, Morphism, _json_key, _json_known, _json_name,
+                           _json_scalar, _json_typed, hom_basis, load_algebra, zero_module)
 from .homological import ext1_dim
 from .rigid_model import (
     RigidContext,
@@ -112,8 +112,10 @@ def load_morphism(project: ProjectConfig, path: str) -> Morphism:
         data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
             raise InputError("expected a JSON object")
-        source = project.module(_json_key(data, "source", "the morphism"))
-        target = project.module(_json_key(data, "target", "the morphism"))
+        source, target = (
+            project.module(_json_name(_json_key(data, key, "the morphism"),
+                                      f"{key!r} of the morphism"))
+            for key in ("source", "target"))
         return Morphism.from_dict(data, source, target)
     except (ValueError, InputError) as e:  # json.JSONDecodeError included
         raise InputError(f"morphism file {path}: {e}") from e

@@ -43,16 +43,31 @@ def _int64_chunk(p: int) -> int:
     return ((1 << 63) - 1) // (p - 1) ** 2
 
 
+# Miller-Rabin with these bases is exact below 3.3 * 10^24, well past the
+# characteristics accepted, which are below _PRIME_LIMIT.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 1 << 64
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -65,8 +80,9 @@ class Field:
                 raise InputError("rational field carries no characteristic")
             self.characteristic: Optional[int] = None
         elif kind == PRIME:
-            if characteristic is None or not _is_prime(characteristic):
-                raise InputError(f"characteristic must be prime, got {characteristic!r}")
+            if (characteristic is None or characteristic >= _PRIME_LIMIT
+                    or not _is_prime(characteristic)):
+                raise InputError(f"characteristic must be a prime below 2^64, got {characteristic!r}")
             self.characteristic = int(characteristic)
         else:
             raise InputError(f"unknown field kind {kind!r}")

@@ -254,6 +254,27 @@ MALFORMED = {
                            ["hom", "P1", "S2"], ("P1.json", "'actoin'")),
     "morphism-unknown-key": (_with_file("f.json", json.dumps(
         {"source": "S2", "target": "S2", "comp": {"2": ["1"]}})), WEQ, ("f.json", "'comp'")),
+    # a name that is not a string is refused naming its key, not hashed or matched
+    "algebra-vertex-list": (_edited("algebra.json", lambda d: d["vertices"].__setitem__(0, ["1"])),
+                            HOM, ("algebra.json", "'vertices'")),
+    "algebra-vertex-object": (_edited("algebra.json",
+                                      lambda d: d["vertices"].__setitem__(1, {"2": 2})),
+                              HOM, ("algebra.json", "'vertices'")),
+    "algebra-vertex-integer": (_edited("algebra.json", lambda d: d["vertices"].__setitem__(0, 1)),
+                               HOM, ("algebra.json", "'vertices'")),
+    "algebra-arrow-name-list": (_edited("algebra.json", lambda d: d["arrows"][0].update(
+        name=["a1"])), HOM, ("algebra.json", "'name'")),
+    "algebra-arrow-from-object": (_edited("algebra.json", lambda d: d["arrows"][1].update(
+        {"from": {"v": "2"}})), HOM, ("algebra.json", "'from'")),
+    "algebra-arrow-to-list": (_edited("algebra.json", lambda d: d["arrows"][0].update(
+        to=["2"])), HOM, ("algebra.json", "'to'")),
+    "morphism-source-list": (_with_file("f.json", json.dumps(
+        {"source": ["S2"], "target": "S2", "comps": {}})), WEQ, ("f.json", "'source'")),
+    "morphism-target-object": (_with_file("f.json", json.dumps(
+        {"source": "S2", "target": {"S2": 1}, "comps": {}})), WEQ, ("f.json", "'target'")),
+    # a characteristic of 2^64 or more is refused at once, not trial-divided
+    "algebra-characteristic-2^89-1": (_edited("algebra.json", lambda d: d["field"].update(
+        p=2**89 - 1)), HOM, ("algebra.json", "2^64")),
 }
 
 

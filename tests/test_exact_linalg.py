@@ -30,6 +30,19 @@ def test_field_validation():
         Field("septic")
 
 
+def test_primality_is_exact_and_quick_up_to_2_to_the_64():
+    # Miller-Rabin over the primes up to 37 agrees with trial division on small
+    # numbers, accepts the Mersenne prime 2^61 - 1, and refuses a Carmichael
+    # number and strong pseudoprimes to the bases up to 7 and up to 23
+    assert [n for n in range(3000) if exact_linalg._is_prime(n)] == [
+        n for n in range(2, 3000) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert prime_field(2**61 - 1).characteristic == 2**61 - 1
+    # 2^89 - 1 is prime, but a characteristic of 2^64 or more is refused
+    for n in (561, 3215031751, 3825123056546413051, 2**89 - 1):
+        with pytest.raises(InputError, match="must be a prime below 2\\^64"):
+            prime_field(n)
+
+
 def test_element_strings():
     assert F5.format(F5.coerce("-1")) == "4"
     assert F5.format(12) == "2"
