@@ -28,6 +28,7 @@ from .exact_linalg import Field, Matrix, RowSpan, intertwiners, prime_field, rat
 # arrows, or more than DIM_CAP basis paths.
 LENGTH_CAP = 64
 DIM_CAP = 4096
+ENUMERATION_CAP = 6  # the largest total dimension whose submodules are enumerated
 
 
 def _memo(store: dict, key, build: Callable):
@@ -1113,7 +1114,7 @@ def _subspaces(field: Field, dim: int):
                 yield rows.transpose()
 
 
-def enumerate_submodules(x: Module, max_total_dim: int = 6) -> List[Tuple[Module, Morphism]]:
+def enumerate_submodules(x: Module) -> List[Tuple[Module, Morphism]]:
     """All arrow-stable families of vertex subspaces, exact and finite.
 
     Restricted to prime fields and small total dimension: the only intended
@@ -1123,9 +1124,9 @@ def enumerate_submodules(x: Module, max_total_dim: int = 6) -> List[Tuple[Module
     field = alg.field
     if field.kind != "prime":
         raise InputError("submodule enumeration requires a prime field")
-    if x.total_dim > max_total_dim:
+    if x.total_dim > ENUMERATION_CAP:
         raise InputError(
-            f"total dimension {x.total_dim} exceeds the enumeration cap {max_total_dim}"
+            f"total dimension {x.total_dim} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
     per_vertex = {v: list(_subspaces(field, x.dims[v])) for v in alg.vertices}
     results = []

@@ -295,9 +295,9 @@ def _base_lifting_elements(ctx: RigidContext, universe) -> List[Morphism]:
         if x.key in seen or x.is_zero():
             continue
         seen.add(x.key)
-        if not is_cofibrant(ctx, x):
-            continue
-        elements.append(_presentation_element(ctx, presentation_of_cofibrant(ctx, x)))
+        pres = presentation_of_cofibrant(ctx, x)
+        if pres is not None:
+            elements.append(_presentation_element(ctx, pres))
     return elements
 
 

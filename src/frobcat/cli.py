@@ -17,7 +17,7 @@ from typing import Dict, List
 from . import __version__
 from .errors import HypothesisError, InputError
 from .algebra_repr import (Algebra, Module, Morphism, _json_key, _json_known, _json_name,
-                           _json_scalar, _json_typed, hom_basis, load_algebra, zero_module)
+                           _json_scalar, _json_typed, algebra_from_dict, hom_basis, zero_module)
 from .homological import ext1_dim
 from .rigid_model import (
     RigidContext,
@@ -62,15 +62,21 @@ class ProjectConfig:
         return self.modules[name]
 
 
+def _load_json(path: Path, what: str, parse=lambda doc: doc):
+    """parse(the JSON document in path). A file that cannot be read, is not
+    UTF-8 or not JSON, or that parse refuses, is an InputError naming it."""
+    try:
+        return parse(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, InputError) as e:  # JSON and Unicode decode errors included
+        raise InputError(f"{what}: {e}") from e
+
+
 def load_project(path: str) -> ProjectConfig:
     root = Path(path)
     config_file = root / "project.json"
     if not config_file.is_file():
         raise InputError(f"no project.json under {root}")
-    try:
-        config = _json_typed(json.loads(config_file.read_text()), dict, "project.json")
-    except json.JSONDecodeError as e:
-        raise InputError(f"project.json is not valid JSON: {e}") from e
+    config = _json_typed(_load_json(config_file, "project.json"), dict, "project.json")
     _json_known(config, ("algebra", "modules", "M_gen", "mode", "options"), "key", "project.json")
     files = _json_typed(config.get("modules", {}), dict, "project.json: modules")
     m_gen = config.get("M_gen", [])
@@ -81,16 +87,10 @@ def load_project(path: str) -> ProjectConfig:
         raise InputError("project.json: the algebra and module files must be file names")
     if not isinstance(m_gen, list) or not all(isinstance(n, str) for n in m_gen):
         raise InputError("project.json: M_gen must be a list of module names")
-    try:
-        algebra = load_algebra((root / algebra_file).read_text())
-    except InputError as e:
-        raise InputError(f"algebra file {algebra_file}: {e}") from e
-    modules = {}
-    for name, fname in files.items():
-        try:
-            modules[name] = Module.from_dict(algebra, json.loads((root / fname).read_text()))
-        except (ValueError, InputError) as e:  # json.JSONDecodeError included
-            raise InputError(f"module file {fname}: {e}") from e
+    algebra = _load_json(root / algebra_file, f"algebra file {algebra_file}", algebra_from_dict)
+    modules = {name: _load_json(root / fname, f"module {name} (file {fname})",
+                                lambda doc: Module.from_dict(algebra, doc))
+               for name, fname in files.items()}
     for name in m_gen:
         if name not in modules:
             raise InputError(f"M_gen references unknown module {name!r}")
@@ -108,17 +108,14 @@ def load_project(path: str) -> ProjectConfig:
 
 
 def load_morphism(project: ProjectConfig, path: str) -> Morphism:
-    try:
-        data = json.loads(Path(path).read_text())
-        if not isinstance(data, dict):
-            raise InputError("expected a JSON object")
+    def parse(data):
+        _json_typed(data, dict, "the morphism")
         source, target = (
             project.module(_json_name(_json_key(data, key, "the morphism"),
                                       f"{key!r} of the morphism"))
             for key in ("source", "target"))
         return Morphism.from_dict(data, source, target)
-    except (ValueError, InputError) as e:  # json.JSONDecodeError included
-        raise InputError(f"morphism file {path}: {e}") from e
+    return _load_json(Path(path), f"morphism file {path}", parse)
 
 
 class Report:

@@ -7,12 +7,17 @@ ideal, cofibrant replacements, and the stable hom spaces from the generator.
 
 Weak equivalences are the morphisms inverted by the stable-hom functor at
 the generator; fibrations are detected by surjectivity of Hom(U, -), an
-exact finite reduction of the defining lifting property.
+exact finite reduction of the defining lifting property. Cofibrancy is one
+presentation test: x is cofibrant iff the kernel of its right
+add(M_gen)-approximation a lies in add(M_gen). Any other presentation
+M0' -> x with kernel M1' factors through a, so the pullback of the two is
+ker(a) ⊕ M0'; it is also an extension of M0 by M1', split by rigidity, so
+ker(a) is a summand of M1' ⊕ M0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import HypothesisError, InputError, InternalCheckError
 from .exact_linalg import Matrix, RowSpan
@@ -319,9 +324,8 @@ def lift(ctx: RigidContext, g: Morphism, f: Morphism) -> Morphism:
         raise InputError("lift needs matching targets")
     if not is_trivial_fibration(ctx, f):
         raise InputError("lift requires a trivial fibration")
-    c = g.source
-    if not (in_add(c, ctx.M_gen) or is_cofibrant(ctx, c)):
-        raise InputError("lift requires a cofibrant domain or one in add(M_gen)")
+    if not is_cofibrant(ctx, g.source):
+        raise InputError("lift requires a cofibrant domain")
     beta = solve_postcompose(f, g)
     if beta is None:
         raise InternalCheckError("lift is unsolvable despite valid preconditions")
@@ -331,30 +335,26 @@ def lift(ctx: RigidContext, g: Morphism, f: Morphism) -> Morphism:
 # -- cofibrancy ---------------------------------------------------------------------
 
 
+def presentation_of_cofibrant(ctx: RigidContext, x: Module) -> Optional[ShortExactSequence]:
+    """0 -> ker a -> M0 -> x -> 0 for a the right add(M_gen)-approximation,
+    when ker a lies in add(M_gen); None when it does not, and then (by the
+    module docstring) x has no two-step presentation in add(M_gen) at all.
+    Cached per x.key."""
+    def build():
+        a_map = right_M_approximation(ctx, x)
+        k0, inc = kernel(a_map)
+        return ShortExactSequence(inc, a_map) if in_add(k0, ctx.M_gen) else None
+    return _memo(ctx._caches["cofibrant"], x.key, build)
+
+
 def is_cofibrant(ctx: RigidContext, x: Module) -> bool:
-    """Section-solving against the replacement: x is cofibrant iff the
-    replacement map splits, iff x admits a two-step presentation in M."""
-    return _memo(ctx._caches["cofibrant"], x.key, lambda: solve_postcompose(
-        cofibrant_replacement(ctx, x).phi, Morphism.identity(x)) is not None)
+    """x admits a two-step presentation in add(M_gen)."""
+    return presentation_of_cofibrant(ctx, x) is not None
 
 
 def in_mho_M(ctx: RigidContext, x: Module) -> bool:
     """Membership in the cosyzygy class, by add-closure of the generator U."""
     return in_add(x, ctx.U)
-
-
-def presentation_of_cofibrant(ctx: RigidContext, x: Module) -> ShortExactSequence:
-    """A sequence 0 -> M1 -> M0 -> x -> 0 with both ends in add(M_gen).
-
-    The kernel of any epi approximation of a cofibrant object lands back in
-    add(M_gen) (the two presentations are interleaved by sections), which is
-    verified here rather than assumed.
-    """
-    a_map = right_M_approximation(ctx, x)
-    k0, inc = kernel(a_map)
-    if not in_add(k0, ctx.M_gen):
-        raise InputError("object admits no two-step presentation in add(M_gen)")
-    return ShortExactSequence(inc, a_map)
 
 
 # -- factorizations -------------------------------------------------------------------
@@ -387,11 +387,10 @@ def factorize2(ctx: RigidContext, f: Morphism) -> Factorization:
     if ctx.mode != FROBENIUS:
         raise InputError("factorize2 requires frobenius mode")
     x, y = f.source, f.target
-    if not is_cofibrant(ctx, x):
-        raise InputError("factorize2 requires a cofibrant domain")
     pres = presentation_of_cofibrant(ctx, x)
-    m0 = pres.middle
-    i0, iota0 = injective_envelope(m0)
+    if pres is None:
+        raise InputError("factorize2 requires a cofibrant domain")
+    i0, iota0 = injective_envelope(pres.middle)
     d, eps, _ = pushout(pres.p, iota0)  # d = cosyzygy of the presentation kernel
     rep = cofibrant_replacement(ctx, y)
     r = lift(ctx, f, rep.phi)

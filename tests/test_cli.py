@@ -135,6 +135,12 @@ def _with_file(name, text):
     return mutate
 
 
+def _with_bytes(name, data):
+    def mutate(root):
+        (root / name).write_bytes(data)
+    return mutate
+
+
 def _with_options(**options):
     def mutate(root):
         cfg = json.loads((root / "project.json").read_text())
@@ -275,6 +281,16 @@ MALFORMED = {
     # a characteristic of 2^64 or more is refused at once, not trial-divided
     "algebra-characteristic-2^89-1": (_edited("algebra.json", lambda d: d["field"].update(
         p=2**89 - 1)), HOM, ("algebra.json", "2^64")),
+    # a file that cannot be read as UTF-8 text is refused naming it, not a traceback
+    "module-file-directory": (_edited("project.json", lambda d: d["modules"].update(S1=".")),
+                              HOM, "module S1 (file .)"),
+    "algebra-file-directory": (_edited("project.json", lambda d: d.update(algebra=".")), HOM,
+                               "algebra file ."),
+    "algebra-not-utf8": (_with_bytes("algebra.json", b'{"field": "\xff"}'), HOM,
+                         ("algebra.json", "utf-8")),
+    "project-not-utf8": (_with_bytes("project.json", b'{"mode": "\xff"}'), HOM,
+                         ("project.json", "utf-8")),
+    "morphism-directory": (None, ["weq", "--morphism", "{root}"], "morphism file"),
 }
 
 

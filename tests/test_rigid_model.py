@@ -23,7 +23,7 @@ from frobcat.algebra_repr import (
 )
 from frobcat.exact_linalg import Matrix, RowSpan, prime_field
 from frobcat.homological import cosyzygy, ext1_dim, in_add, solve_postcompose
-from frobcat.axiom_suite import default_objects, random_morphism, run_all
+from frobcat.axiom_suite import default_objects, random_morphism, run_all, sample_universe
 from frobcat.rigid_model import (
     EXACT,
     LEFT,
@@ -238,6 +238,20 @@ def test_lift(pa2_ctx, pa2):
         lift(pa2_ctx, ident, Morphism.zero(zero_module(alg), mods["S1"]))
 
 
+def test_lift_needs_a_cofibrant_domain(pa2_deg_ctx, pa2):
+    """On pa2-deg S1 has no presentation in add(P1+P2), so lifting along the
+    trivial fibration id_S1 is refused; P1, a summand of M_gen, lifts."""
+    alg, mods = pa2
+    ident = Morphism.identity(mods["S1"])
+    assert is_trivial_fibration(pa2_deg_ctx, ident)
+    with pytest.raises(InputError, match="cofibrant"):
+        lift(pa2_deg_ctx, ident, ident)
+    rep = cofibrant_replacement(pa2_deg_ctx, mods["S1"])
+    g = hom_basis(mods["P1"], mods["S1"])[0]
+    beta = lift(pa2_deg_ctx, g, rep.phi)
+    assert (rep.phi @ beta) == g
+
+
 def test_cofibrancy(pa2_ctx, pa2_deg_ctx, pa2):
     alg, mods = pa2
     for x in mods.values():
@@ -247,12 +261,39 @@ def test_cofibrancy(pa2_ctx, pa2_deg_ctx, pa2):
     assert is_cofibrant(pa2_deg_ctx, mods["P1"])
 
 
-def test_presentation_of_cofibrant(pa2_ctx, pa2):
+def test_presentation_of_cofibrant(pa2_ctx, pa2_deg_ctx, pa2):
     alg, mods = pa2
     pres = presentation_of_cofibrant(pa2_ctx, mods["S2"])
     pres.validate()
     assert in_add(pres.sub, pa2_ctx.M_gen)
     assert in_add(pres.middle, pa2_ctx.M_gen)
+    assert presentation_of_cofibrant(pa2_deg_ctx, mods["S1"]) is None
+
+
+def _reference_is_cofibrant(ctx, x):
+    """The section criterion that the presentation test replaced: x is
+    cofibrant iff its cofibrant replacement map splits."""
+    return solve_postcompose(cofibrant_replacement(ctx, x).phi,
+                             Morphism.identity(x)) is not None
+
+
+def test_cofibrancy_matches_the_section_reference(pa2_ctx, pa2_deg_ctx, pa2_ss_ctx, pa3_s_ctx,
+                                                  a2q, pa3_ctx, small_algebras):
+    """On the contexts of row_case, pa3 over its projectives, and the
+    Auslander algebra of kA2 in exact mode over P+S1 (not self-injective),
+    the presentation test agrees with the section criterion on every sampled
+    object."""
+    contexts = [pa2_ctx, pa2_deg_ctx, pa2_ss_ctx, pa3_s_ctx, a2q[0], pa3_ctx]
+    for field in ("F2", "F5", "Q"):
+        alg = small_algebras[f"aus-kA2/{field}"]
+        contexts.append(build_context(alg, alg.projectives() + [alg.simple("1")], EXACT))
+    verdicts = set()
+    for ctx in contexts:
+        for _, x in sample_universe(ctx, None):
+            verdict = is_cofibrant(ctx, x)
+            assert verdict == _reference_is_cofibrant(ctx, x)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_in_mho_M(pa2_ctx, pa2):
