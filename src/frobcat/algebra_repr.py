@@ -118,10 +118,10 @@ class Algebra:
         self._aindex = {a.name: i for i, a in enumerate(self.arrows)}
         self.relations = [self._parse_relation(r, k) for k, r in enumerate(relations)]
         self._build_basis()
-        self._check_admissible()
         self._opposite: Optional["Algebra"] = None
         self._hom_cache: Dict[tuple, Matrix] = {}
         self._module_cache: Dict[object, object] = {}
+        self._check_admissible()
         self._check_regular_modules()
 
     # -- construction ------------------------------------------------------
@@ -237,27 +237,35 @@ class Algebra:
         self._mult = mult
 
     def _check_admissible(self) -> None:
-        """The arrow ideal of the quotient must be nilpotent."""
-        dim = len(self._elts)
-        radical = [e.idx for e in self._elts if e.length >= 1]
-        if not radical:
-            return
+        """The arrow ideal of the quotient must be nilpotent.
+
+        Right multiplication by an arrow keeps a path's source, and on the
+        paths out of v it is the arrow's action on the projective P_v; the
+        radical's powers therefore split over the projectives and, within one,
+        over the vertices. Each round maps every vertex's layer along the
+        arrows out of it; the powers only shrink, so dim P_v + 1 rounds decide.
+        """
         field = self.field
-        vecs = Matrix.zeros(field, len(radical), dim).data
-        vecs[np.arange(len(radical)), radical] = field.one()
-        for _ in range(dim + 1):
-            images = Matrix.zeros(field, len(self.arrows) * len(vecs), dim).data
-            for w, (ai, v) in zip(images, itertools.product(range(len(self.arrows)), vecs)):
-                for eid in range(dim):
-                    if v[eid] == 0:
-                        continue
-                    for tid, cf in self._mult.get((ai, eid), {}).items():
-                        w[tid] = field.coerce(w[tid] + v[eid] * cf)
-            span = RowSpan(field, dim)
-            if not span.add(images):
-                return
-            vecs = span.rows
-        raise InputError("relations do not generate an admissible ideal (radical not nilpotent)")
+        for v in self.vertices:
+            proj = self.projective(v)
+            # the radical of P_v: every basis path out of v but the trivial one
+            start = {w: Matrix.identity(field, n).data[int(w == v):] for w, n in proj.dims.items()}
+            layers = {w: rows for w, rows in start.items() if len(rows)}
+            for _ in range(proj.total_dim + 1):
+                images: Dict[str, list] = {}
+                for arrow in self.arrows:
+                    if arrow.source in layers:
+                        images.setdefault(arrow.target, []).append(field.matmul(
+                            layers[arrow.source], proj.action[arrow.name].data.T))
+                layers = {}
+                for w, stack in images.items():
+                    span = RowSpan(field, proj.dims[w])
+                    if span.add(np.vstack(stack)):
+                        layers[w] = span.rows
+                if not layers:
+                    break
+            else:
+                raise InputError("relations do not generate an admissible ideal (radical not nilpotent)")
 
     def _check_regular_modules(self) -> None:
         """Completeness guard: the regular modules built from the computed

@@ -10,6 +10,11 @@ cleared of denominators into Python integers, eliminated by cross-multiplying
 (Bareiss-style, with each updated row divided by the gcd of its entries) or
 multiplied as integers, and one ``Fraction`` per entry is built at the end.
 
+F_2 elimination runs on bit-packed rows, one Python int per row with bit j
+for column j, combined by XOR and keyed by their lowest set bit
+(``_rref_bits``). For p > 2, matrices up to ``_ROW_CELLS`` cells are
+eliminated on Python-int rows and larger ones on the array.
+
 :meth:`Matrix.rref` and :meth:`Matrix.rank` share one elimination routine;
 ``rank`` runs it forward only. A :class:`RowSpan` is the unique RREF of the
 vectors inserted into it, built by one ``rref`` per insertion of a vector or
@@ -272,17 +277,65 @@ def _rref_rational(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], 
     return out, pivots
 
 
-# Up to this many cells a residue matrix is eliminated on Python-int rows,
-# where numpy's per-call cost would outweigh the work; above it, on the array.
+# For p > 2: up to this many cells a residue matrix is eliminated on Python-int
+# rows, where numpy's per-call cost would outweigh the work; above it, on the array.
 _ROW_CELLS = 2048
+
+
+def _rref_bits(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
+    """Gauss-Jordan elimination over F_2 on bit-packed rows: each row of
+    ``a & 1`` is one Python int with bit j holding column j.
+
+    Rows are inserted one at a time into a table keyed by lowest set bit: a row
+    whose lowest bit is taken is XORed with that bit's row, which clears it
+    and leaves a higher lowest bit, until the row is zero or its lowest bit is
+    new. The keys are the pivot columns. The reduced form clears every pivot
+    row at the higher pivots, highest pivot first, and so is the unique RREF.
+    """
+    nrows, ncols = a.shape
+    width = (ncols + 7) // 8  # bytes per packed row
+    # callers may pass unreduced residues such as -1
+    raw = np.packbits((a & 1).astype(np.uint8), axis=1, bitorder="little").tobytes()
+    packed = [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(nrows)]
+    table = {}
+    for row in packed:
+        while row:
+            low = (row & -row).bit_length() - 1
+            prow = table.get(low)
+            if prow is None:
+                table[low] = row
+                break
+            row ^= prow
+    pivots = sorted(table)
+    if not reduced:
+        return None, pivots
+    mask = 0
+    for c in reversed(pivots):
+        row = table[c]
+        hits = row & mask
+        while hits:
+            h = hits.bit_length() - 1
+            row ^= table[h]
+            hits ^= 1 << h
+        table[c] = row
+        mask |= 1 << c
+    out = np.zeros((nrows, ncols), dtype=a.dtype)
+    if pivots:
+        raw = b"".join(table[c].to_bytes(width, "little") for c in pivots)
+        out[:len(pivots)] = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(
+            len(pivots), width), axis=1, count=ncols, bitorder="little")
+    return out, pivots
 
 
 def _rref_residues(field: Field, a: np.ndarray,
                    reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
-    """Gauss-Jordan elimination, on the array or on Python-int rows by size,
-    touching only the rows nonzero in the pivot column and only from the pivot
-    column on (left of it the pivot row is zero). Without `reduced`, only the
-    rows below each pivot are cleared and no matrix is returned."""
+    """Gauss-Jordan elimination: over F_2 on bit-packed rows (`_rref_bits`);
+    otherwise on the array or on Python-int rows by size, touching only the
+    rows nonzero in the pivot column and only from the pivot column on (left
+    of it the pivot row is zero). Without `reduced`, only the rows below each
+    pivot are cleared and no matrix is returned."""
+    if field.characteristic == 2:
+        return _rref_bits(a, reduced)
     if a.size <= _ROW_CELLS:
         return _rref_residue_rows(field, a, reduced)
     a = a.copy()

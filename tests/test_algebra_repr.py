@@ -1,9 +1,10 @@
+import itertools
 import json
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frobcat import algebra_repr
 from frobcat.errors import InputError
@@ -896,6 +897,12 @@ _REFUSALS = {
                 "relation closure incomplete on the regular module at vertex 'v'"),
     "nilpotent": (["v"], _LOOP, [[("1", ["x"] * 2), ("-1", ["x"] * 3)], [("1", ["x"] * 4)]],
                   "relations do not generate an admissible ideal (radical not nilpotent)"),
+    # the radical's square is spanned by x y, y x, y^2, ... of which x y dies at once
+    # (x y x = x y^2 = 0) while y^3 = y^2 never does: every row of a layer must be kept
+    "two-loop-layer": (["v"], _TWO_LOOPS,
+                       [[("1", ["x"] * 2)], [("1", ["x", "y", "y"])],
+                        [("1", ["y"] * 3), ("-1", ["y"] * 2)], [("1", ["x", "y", "x"])]],
+                       "relations do not generate an admissible ideal (radical not nilpotent)"),
     # x^3 dies as -x^2 at length 3, so x^4 = x^2 is a dependency in block (1, 1) at length
     # 4, where no path has an extension (x^2 a ends at 2): it is skipped, and the radical
     # is found not nilpotent rather than shorter paths rewritten
@@ -921,3 +928,53 @@ def test_basis_paths_are_numbered_by_block_then_path_order():
                          ("3", ("a", "b")), ("3", ("a", "d")), ("3", ("a", "c")),
                          ("1", ("c", "b")), ("1", ("c", "d")),
                          ("3", ("a", "c", "b")), ("3", ("a", "c", "d"))]
+
+
+def _reference_check_admissible(self) -> None:
+    """The nilpotency test before it acted on whole rows: each image of each
+    (arrow, vector) pair summed entry by entry through the ``_mult`` table."""
+    dim = len(self._elts)
+    radical = [e.idx for e in self._elts if e.length >= 1]
+    if not radical:
+        return
+    field = self.field
+    vecs = Matrix.zeros(field, len(radical), dim).data
+    vecs[np.arange(len(radical)), radical] = field.one()
+    for _ in range(dim + 1):
+        images = Matrix.zeros(field, len(self.arrows) * len(vecs), dim).data
+        for w, (ai, v) in zip(images, itertools.product(range(len(self.arrows)), vecs)):
+            for eid in range(dim):
+                if v[eid] == 0:
+                    continue
+                for tid, cf in self._mult.get((ai, eid), {}).items():
+                    w[tid] = field.coerce(w[tid] + v[eid] * cf)
+        span = RowSpan(field, dim)
+        if not span.add(images):
+            return
+        vecs = span.rows
+    raise InputError("relations do not generate an admissible ideal (radical not nilpotent)")
+
+
+def _admissible_outcome(field, quiver, check):
+    """The basis of the algebra built with `check` as its nilpotency test, or
+    the message of its refusal."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Algebra, "_check_admissible", check)
+        try:
+            return Algebra(field, *quiver).path_basis
+        except InputError as e:
+            return str(e)
+
+
+@given(field_name=st.sampled_from(sorted(_BASIS_FIELDS)), quiver=_quivers_with_relations(),
+       length_cap=st.integers(2, 8))
+@example(field_name="F2", quiver=_REFUSALS["nilpotent"][:3], length_cap=8)
+@example(field_name="F3", quiver=_REFUSALS["no-extension-block"][:3], length_cap=8)
+@example(field_name="Q", quiver=_REFUSALS["two-loop-layer"][:3], length_cap=8)
+@settings(max_examples=200, deadline=None)
+def test_nilpotency_check_matches_the_per_entry_reference(field_name, quiver, length_cap):
+    field = _BASIS_FIELDS[field_name]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra_repr, "LENGTH_CAP", length_cap)
+        assert (_admissible_outcome(field, quiver, Algebra._check_admissible)
+                == _admissible_outcome(field, quiver, _reference_check_admissible))

@@ -515,13 +515,14 @@ def test_kernels_on_empty_shapes(name, shape):
                  Matrix(field, _reference_matmul(field, m.data, other.data)))
 
 
-@pytest.mark.parametrize("name", ["F2", "F5", "F1048573", "F1048583"])
+@pytest.mark.parametrize("name", ["F2", "F2-wide", "F5", "F1048573", "F1048583"])
 def test_large_residue_matrices_match_the_reference(name):
-    # above _ROW_CELLS cells, so elimination runs on the array
-    field = FIELDS[name]
+    # above _ROW_CELLS cells, so for p > 2 elimination runs on the array; F2 runs
+    # on bit-packed rows at every size, here 9 and (F2-wide) 19 bytes a row
+    field = FIELDS[name.split("-")[0]]
     rng = random.Random(17)
     left = _random_matrix(field, rng, 40, 12)
-    right = _random_matrix(field, rng, 12, 70)
+    right = _random_matrix(field, rng, 12, 150 if name == "F2-wide" else 70)
     m = left @ right
     assert m.rows * m.cols > exact_linalg._ROW_CELLS
     assert _same(m.rref()[0], _reference_rref(m)[0])
@@ -552,3 +553,131 @@ def test_int64_bound_and_chunked_products():
     short = prime_field(p)
     short._chunk = 5
     assert np.array_equal(short.matmul(a, b), whole)
+
+
+# -- F_2 on bit-packed rows ---------------------------------------------------
+#
+# The residue elimination that `_rref_bits` replaced for p = 2, copied
+# unchanged: on Python-int rows up to _ROW_CELLS cells, on the array above.
+
+_ROW_CELLS = 2048
+
+
+def _rref_residues(field, a, reduced):
+    """Gauss-Jordan elimination, on the array or on Python-int rows by size,
+    touching only the rows nonzero in the pivot column and only from the pivot
+    column on (left of it the pivot row is zero). Without `reduced`, only the
+    rows below each pivot are cleared and no matrix is returned."""
+    if a.size <= _ROW_CELLS:
+        return _rref_residue_rows(field, a, reduced)
+    a = a.copy()
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if not len(nz):
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r, c:] = field.reduce(a[r, c:] * field.inv(a[r, c]))
+        top = 0 if reduced else r + 1
+        hit = top + a[top:, c].nonzero()[0]
+        hit = hit[hit != r]
+        if len(hit):
+            # each product is below p^2 < 2^40, so the difference is reduced at once
+            a[hit, c:] = field.reduce(a[hit, c:] - np.outer(a[hit, c], a[r, c:]))
+        pivots.append(c)
+        r += 1
+    return (a if reduced else None), pivots
+
+
+def _rref_residue_rows(field, a, reduced):
+    p = field.characteristic
+    nrows, ncols = a.shape
+    rows = a.tolist()
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.inv(rows[r][c])
+        tail = [u * inv % p for u in rows[r][c:]]
+        rows[r] = rows[r][:c] + tail
+        for i in range(0 if reduced else r + 1, nrows):
+            row = rows[i]
+            x = row[c]
+            if x and i != r:
+                rows[i] = row[:c] + [(u - x * v) % p for u, v in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+    if not reduced:
+        return None, pivots
+    return np.array(rows, dtype=a.dtype).reshape(nrows, ncols), pivots
+
+
+# empty, one byte, and on either side of the 64-, 128- and 200-bit marks
+_F2_WIDTHS = [0, 1, 5, 61, 62, 63, 64, 65, 127, 128, 129, 200]
+
+
+def _f2_array(draw, rng, rows, cols):
+    """A rows x cols 0/1 array: dense, sparse, zero or a product of deficient
+    rank, and optionally with each entry moved by -2, 0 or 2 to unreduced
+    residues such as -1, 2 and 3."""
+    kind = draw(st.sampled_from(["dense", "sparse", "zero", "deficient"]))
+    if kind == "zero":
+        a = np.zeros((rows, cols), dtype=np.int64)
+    elif kind == "deficient":
+        inner = int(rng.integers(0, max(min(rows, cols), 1)))
+        a = rng.integers(0, 2, (rows, inner)) @ rng.integers(0, 2, (inner, cols)) % 2
+    else:
+        a = (rng.random((rows, cols)) < (0.5 if kind == "dense" else 0.05)).astype(np.int64)
+    if draw(st.booleans()):
+        a = a + 2 * rng.integers(-1, 2, a.shape)
+    return a
+
+
+def _f2_outcome(m, b, x, vectors, cuts, probe):
+    """rref, rank, kernel, solve_cols for b and for the consistent m @ x, and
+    a RowSpan built from `vectors` in batches split at `cuts`; each matrix as
+    its dtype, shape and bytes."""
+    def sig(x):
+        return None if x is None else (x.data.dtype.str, x.data.shape, x.data.tobytes())
+
+    red, pivots, rank = m.rref()
+    out = [sig(red), pivots, rank, m.rank(), Matrix.vstack([m, m]).rank(),
+           sig(m.kernel()), sig(m.solve_cols(b)), sig(m.solve_cols(m @ x))]
+    span = RowSpan(m.field, m.cols)
+    for lo, hi in zip([0] + cuts, cuts + [len(vectors)]):
+        out += [span.independent(vectors[lo:hi]), span.add(vectors[lo:hi]), list(span.pivots),
+                sig(Matrix(m.field, span.rows)), span.contains(probe),
+                [span.contains(row) for row in probe]]
+    return out
+
+
+@given(rows=st.integers(0, 70), cols=st.sampled_from(_F2_WIDTHS),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_f2_bit_rows_match_the_residue_reference(rows, cols, seed, data):
+    # the reference is given residues, as it cannot invert an unreduced 2
+    field = FIELDS["F2"]
+    rng = np.random.default_rng(seed)
+    m = Matrix(field, _f2_array(data.draw, rng, rows, cols))
+    b = Matrix(field, _f2_array(data.draw, rng, rows, data.draw(st.integers(0, 3))))
+    x = Matrix(field, _f2_array(data.draw, rng, cols, data.draw(st.integers(0, 3))))
+    vectors = _f2_array(data.draw, rng, data.draw(st.integers(0, 70)), cols)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(vectors)), max_size=3)))
+    probe = _f2_array(data.draw, rng, data.draw(st.integers(0, 4)), cols)
+    got = _f2_outcome(m, b, x, vectors, cuts, probe)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_linalg, "_rref_residues",
+                   lambda field, a, reduced: _rref_residues(field, a % 2, reduced))
+        want = _f2_outcome(m, b, x, vectors, cuts, probe)
+    assert got == want
