@@ -338,8 +338,10 @@ class Algebra:
 
     def _build_projective(self, v: str) -> "Module":
         vi = self._vindex[v]
-        grp = {w: [e.idx for e in self._elts if e.source == vi and e.target == w]
-               for w in range(len(self.vertices))}
+        grp: Dict[int, List[int]] = {w: [] for w in range(len(self.vertices))}
+        for e in self._elts:  # the paths out of v, grouped by target in basis order
+            if e.source == vi:
+                grp[e.target].append(e.idx)
         pos = {eid: k for w in grp for k, eid in enumerate(grp[w])}
         dims = {self.vertices[w]: len(grp[w]) for w in grp}
         action = {}

@@ -467,10 +467,12 @@ def _check_sq_J_in_W(ctx, rng, samples, universe, pred) -> List[Violation]:
 
 
 def morphism_kills_generator_stably(ctx: RigidContext, h: Morphism) -> bool:
-    """Every composite (h ∘ map from the generator) factors through an injective."""
+    """Every composite (h ∘ map from the generator) factors through an
+    injective. Maps out of the injective summands do, so only those out of
+    the costable generator are composed."""
     sub = ctx.stable_from_generator(h.target).sub
-    return sub.contains(compose_basis(hom_matrix(ctx.M_gen, h.source).data, ctx.M_gen,
-                                      h.source, left=h))
+    gen = ctx.costable_gen
+    return sub.contains(compose_basis(hom_matrix(gen, h.source).data, gen, h.source, left=h))
 
 
 def weq_via_cones(ctx: RigidContext, f: Morphism) -> bool:

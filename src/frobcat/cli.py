@@ -153,12 +153,15 @@ def cmd_validate(args, report: Report) -> int:
     report.say(f"context accepted: mode={ctx.mode}")
     report.say(f"M_gen = {' + '.join(project.m_gen_names)}, dims {ctx.M_gen.dims_tuple()}")
     report.say(f"cosyzygy of M_gen: dims {ctx.mho_M_gen.dims_tuple()}")
+    report.say(f"costable generator (non-injective summands): dims "
+               f"{ctx.costable_gen.dims_tuple()}")
     report.say(f"class generator U: dims {ctx.U.dims_tuple()}")
     report.say(f"rigidity: Ext^1(M_gen, M_gen) = {ext1_dim(ctx.M_gen, ctx.M_gen)}")
     report.put("mode", ctx.mode)
     report.put("M_gen", project.m_gen_names)
     report.put("M_gen_dims", list(ctx.M_gen.dims_tuple()))
     report.put("mho_M_gen_dims", list(ctx.mho_M_gen.dims_tuple()))
+    report.put("costable_M_gen_dims", list(ctx.costable_gen.dims_tuple()))
     report.put("U_dims", list(ctx.U.dims_tuple()))
     return EXIT_OK
 
@@ -290,6 +293,8 @@ def cmd_dl_verify(args, report: Report) -> int:
     report.say(f"overall: {'pass' if ok else 'FAIL'}")
     report.put("pairs", [
         {"pair": list(r.pair), "dim_ho": r.dim_ho, "dim_mod": r.dim_mod,
+         "well_defined": r.well_defined, "in_mod_span": r.in_mod_span,
+         "injective": r.injective, "composition_ok": r.composition_ok,
          "pass": r.passed, "checksum": r.checksum}
         for r in reports
     ])

@@ -43,7 +43,8 @@ from .rigid_model import (
 class StableEndoAlgebra:
     """The stable endomorphism algebra of the generator in the canonical
     coset basis. ``basis`` holds the representatives as rows of the
-    End(M_gen) hom basis; ``table[i, j]`` holds the coordinates of e_i ∘ e_j."""
+    End(costable_gen) hom basis, the costable x costable block of End(M_gen)
+    (see ``rigid_model``); ``table[i, j]`` holds the coordinates of e_i ∘ e_j."""
 
     ctx: RigidContext
     basis: np.ndarray
@@ -60,7 +61,7 @@ def stable_endo(ctx: RigidContext) -> StableEndoAlgebra:
 
 
 def _build_stable_endo(ctx: RigidContext) -> StableEndoAlgebra:
-    space = ctx.stable_from_generator(ctx.M_gen)
+    space = ctx.stable_from_generator(ctx.costable_gen)
     reps, k, m = space.rep_rows, space.dim, space.x
     if not k:
         empty = np.empty(0, dtype=ctx.alg.field.dtype)
@@ -255,16 +256,24 @@ def fractions_equal(ctx: RigidContext, left: Tuple[Morphism, Morphism],
 
 @dataclass
 class DlReport:
+    """One pair's verdict and its parts: the connecting map kills the
+    homotopy subspace (``well_defined``), its images are module maps
+    (``in_mod_span``) and independent (``injective``), and it respects
+    composition of endo-classes (``composition_ok``)."""
+
     pair: Tuple[str, str]
     dim_ho: int
     dim_mod: int
-    bijective: bool
+    well_defined: bool
+    in_mod_span: bool
+    injective: bool
     composition_ok: bool
     checksum: str
 
     @property
     def passed(self) -> bool:
-        return self.dim_ho == self.dim_mod and self.bijective and self.composition_ok
+        return (self.dim_ho == self.dim_mod and self.well_defined and self.in_mod_span
+                and self.injective and self.composition_ok)
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -319,7 +328,6 @@ def dl_verify(ctx: RigidContext, x: Module, y: Module,
     mod_span.add(mod_basis.data)
     in_mod_span = mod_span.contains(image_rows)
     injective = Matrix(field, image_rows).rank() == k
-    bijective = well_defined and in_mod_span and injective and k == mod_basis.rows == q.dim
     composition_ok = True
     if x.key == y.key and k:
         # row i * k + j of the pairwise composites is rep_j ∘ rep_i
@@ -335,7 +343,9 @@ def dl_verify(ctx: RigidContext, x: Module, y: Module,
         pair=names,
         dim_ho=q.dim,
         dim_mod=mod_basis.rows,
-        bijective=bijective,
+        well_defined=well_defined,
+        in_mod_span=in_mod_span,
+        injective=injective,
         composition_ok=composition_ok,
         checksum=digest.hexdigest()[:16],
     )

@@ -5,6 +5,17 @@ validates the standing hypotheses, and caches the derived structures: the
 cosyzygy generator, the class generator U whose add-closure is the homotopy
 ideal, cofibrant replacements, and the stable hom spaces from the generator.
 
+Stable hom from the generator is taken from its costable part, the sum of
+the components with nonzero cosyzygy, that is, the non-injective ones; the
+outputs are byte for byte those of the whole generator. Stable Hom(⊕M_i, x)
+is ⊕ stable Hom(M_i, x), and a block whose source or target is injective
+factors through it, so is zero. The hom basis of a sum is assembled from its
+parts' blocks, and the RREF of a direct sum of subspaces on disjoint
+coordinates is the union of their RREFs. So every representative of the
+whole generator sits in the costable x costable block, in the same order,
+with equal coordinates there: the stable endomorphism table, its unit, the
+G-images and the dl-verify checksums do not move.
+
 Weak equivalences are the morphisms inverted by the stable-hom functor at
 the generator; fibrations are detected by surjectivity of Hom(U, -), an
 exact finite reduction of the defining lifting property. Cofibrancy is one
@@ -79,10 +90,14 @@ class Factorization:
 class RigidContext:
     """An algebra together with the additive generator of a rigid subcategory.
 
-    components are the named direct summands of the generator. U_components
-    are the summands of the class generator U: the nonzero cosyzygies of the
-    non-injective components, then the injectives, each key once. Both lists
-    are approximated against by :func:`approximation`.
+    components are the named direct summands of the generator, and M_gen
+    their sum. costable_gen sums the components whose cosyzygy is nonzero,
+    in order and with repeats (the zero module when there are none): the
+    generator as the stable category sees it, from which
+    :meth:`stable_from_generator` takes stable hom. U_components are the
+    summands of the class generator U: those cosyzygies, then the
+    injectives, each key once. components and U_components are approximated
+    against by :func:`approximation`.
     """
 
     def __init__(self, alg: Algebra, components: Sequence[Module], mode: str):
@@ -93,8 +108,12 @@ class RigidContext:
         self.injectives = alg.injectives()
         self.projectives = alg.projectives()
         injective_keys = {i.key for i in self.injectives}
-        mhos = [cosyzygy(c)[0] for c in self.components if c.key not in injective_keys]
-        mhos = [c for c in mhos if not c.is_zero()]
+        cosyzygies = {c.key: cosyzygy(c)[0] for c in self.components
+                      if c.key not in injective_keys}
+        costable = [c for c in self.components
+                    if c.key in cosyzygies and not cosyzygies[c.key].is_zero()]
+        self.costable_gen = sum_module(costable, alg)
+        mhos = [cosyzygies[c.key] for c in costable]
         self.mho_M_gen = sum_module(mhos, alg)
         unique: Dict[tuple, Module] = {}
         for c in mhos + self.injectives:
@@ -111,8 +130,9 @@ class RigidContext:
         }
 
     def stable_from_generator(self, x: Module) -> QuotientHom:
+        """Stable Hom(costable_gen, x), cached per x.key (module docstring)."""
         return _memo(self._caches["stable"], x.key,
-                     lambda: stable_hom(self.M_gen, x))
+                     lambda: stable_hom(self.costable_gen, x))
 
     def __repr__(self):
         return (

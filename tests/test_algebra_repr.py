@@ -978,3 +978,35 @@ def test_nilpotency_check_matches_the_per_entry_reference(field_name, quiver, le
         mp.setattr(algebra_repr, "LENGTH_CAP", length_cap)
         assert (_admissible_outcome(field, quiver, Algebra._check_admissible)
                 == _admissible_outcome(field, quiver, _reference_check_admissible))
+
+
+def _reference_build_projective(self, v: str) -> Module:
+    """The projective at v as built before its paths were grouped in one pass:
+    one scan of the basis per target vertex."""
+    vi = self._vindex[v]
+    grp = {w: [e.idx for e in self._elts if e.source == vi and e.target == w]
+           for w in range(len(self.vertices))}
+    pos = {eid: k for w in grp for k, eid in enumerate(grp[w])}
+    dims = {self.vertices[w]: len(grp[w]) for w in grp}
+    action = {}
+    for ai, arrow in enumerate(self.arrows):
+        si, ti = self._vindex[arrow.source], self._vindex[arrow.target]
+        m = Matrix.zeros(self.field, len(grp[ti]), len(grp[si]))
+        for col, eid in enumerate(grp[si]):
+            for tid, cf in self._mult[(ai, eid)].items():
+                m.data[pos[tid], col] = cf
+        action[arrow.name] = m
+    return Module(self, dims, action, check=False)
+
+
+def test_projectives_match_the_per_target_scan(small_algebras):
+    for alg in small_algebras.values():
+        for a in (alg, alg.opposite()):
+            for v in a.vertices:
+                new, ref = a._build_projective(v), _reference_build_projective(a, v)
+                assert new.dims == ref.dims
+                assert new.key == ref.key
+                for arrow in a.arrows:
+                    m, r = new.action[arrow.name].data, ref.action[arrow.name].data
+                    assert m.shape == r.shape and m.dtype == r.dtype
+                    assert [repr(x) for x in m.reshape(-1)] == [repr(x) for x in r.reshape(-1)]

@@ -323,3 +323,25 @@ def test_validate_reports_summed_cosyzygy(tmp_path, capsys):
     assert dispatch(["--json", "validate", "--project", str(dest)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["mho_M_gen_dims"] == [1, 2, 1]
+
+
+def test_validate_reports_the_costable_generator(tmp_path, capsys):
+    # S1 is the one summand of pa2's generator that is not injective; pa2-deg has none
+    for tag, dims in [("pa2", [1, 0]), ("pa2-deg", [0, 0])]:
+        dest = tmp_path / tag
+        emit_fixture(tag, str(dest))
+        assert dispatch(["--json", "validate", "--project", str(dest)]) == 0
+        assert json.loads(capsys.readouterr().out)["costable_M_gen_dims"] == dims
+        assert dispatch(["validate", "--project", str(dest)]) == 0
+        line = f"costable generator (non-injective summands): dims {tuple(dims)}"
+        assert line in capsys.readouterr().out.splitlines()
+
+
+def test_dl_verify_json_reports_sub_verdicts(pa2_project, capsys):
+    assert dispatch(["--json", "dl-verify", "--all-pairs", "--project", pa2_project]) == 0
+    pairs = json.loads(capsys.readouterr().out)["pairs"]
+    assert len(pairs) == 16
+    for p in pairs:
+        parts = [p["dim_ho"] == p["dim_mod"]] + [
+            p[k] for k in ("well_defined", "in_mod_span", "injective", "composition_ok")]
+        assert p["pass"] is all(parts) is True

@@ -15,8 +15,9 @@ from frobcat.algebra_repr import (
     hom_matrix,
     zero_module,
 )
-from frobcat.homological import cosyzygy
-from frobcat.rigid_model import cofibrant_replacement, is_weak_equivalence
+from frobcat.homological import cosyzygy, stable_hom
+from frobcat.axiom_suite import _sample_morphism, sample_universe
+from frobcat.rigid_model import build_context, cofibrant_replacement, is_weak_equivalence
 from frobcat.localization import (
     EbarModule,
     G_morphism,
@@ -210,6 +211,16 @@ def test_dl_verify_degenerate(pa2_deg_ctx, semi_ctx, pa2):
         assert r.passed and r.dim_ho == 0
 
 
+def test_dl_verify_passes_on_its_sub_verdicts(pa2_ctx, pa2, pa3_ctx, pa3_s_ctx, pa3):
+    for ctx, mods in [(pa2_ctx, pa2[1]), (pa3_ctx, pa3[1]), (pa3_s_ctx, pa3[1])]:
+        for r in dl_verify_all(ctx, sorted(mods.items())):
+            parts = (r.dim_ho == r.dim_mod, r.well_defined, r.in_mod_span, r.injective,
+                     r.composition_ok)
+            assert all(isinstance(p, bool) for p in parts)
+            assert r.passed == all(parts)
+            assert r.passed
+
+
 def test_ebar_hom_matches_report(pa2_ctx, pa2):
     alg, mods = pa2
     gx = G_object(pa2_ctx, mods["S1"])
@@ -224,7 +235,7 @@ def test_ebar_hom_matches_report(pa2_ctx, pa2):
 
 
 def _reps(space, source):
-    """The stable representatives as morphisms M_gen -> source."""
+    """The stable representatives as morphisms space.x -> source."""
     return [Morphism.from_vec(space.x, source, row) for row in space.rep_rows]
 
 
@@ -238,8 +249,9 @@ def _reference_G_morphism(ctx, f):
 
 
 def _reference_stable_endo(ctx):
-    """(basis, structure constants, unit) of the stable endomorphism algebra."""
-    space = ctx.stable_from_generator(ctx.M_gen)
+    """(basis, structure constants, unit) of the stable endomorphism algebra,
+    taken from the whole generator, injective summands included."""
+    space = stable_hom(ctx.M_gen, ctx.M_gen)
     reps = _reps(space, ctx.M_gen)
     table = [[space.coords((ei @ ej).vec()) for ej in reps] for ei in reps]
     if reps:
@@ -250,7 +262,7 @@ def _reference_stable_endo(ctx):
 
 
 def _reference_G_object(ctx, x):
-    space = ctx.stable_from_generator(x)
+    space = stable_hom(ctx.M_gen, x)
     n = space.dim
     action = []
     for e in _reference_stable_endo(ctx)[0]:
@@ -285,13 +297,37 @@ def _assert_same_stack(stack, refs, shape):
         _assert_same(image, ref.data)
 
 
+def _costable_coords(ctx):
+    """The coordinates of End(costable_gen) inside End(M_gen): at each vertex,
+    the rows and the columns of the components whose cosyzygy is nonzero."""
+    m = ctx.M_gen
+    index = []
+    for v, off, r, c in Morphism.hom_dim_layout(m, m):
+        kept, start = [], 0
+        for comp in ctx.components:
+            if not cosyzygy(comp)[0].is_zero():
+                kept += range(start, start + comp.dims[v])
+            start += comp.dims[v]
+        grid = np.arange(off, off + r * c).reshape(r, c)
+        index += grid[np.ix_(kept, kept)].reshape(-1).tolist()
+    return np.array(index, dtype=int)
+
+
 def test_stable_endo_matches_the_reference(row_case):
+    """Stable endos of the costable generator against those of the whole
+    generator: the same table and unit, and each representative of the
+    whole generator is zero outside the costable x costable block, where it
+    equals the costable one."""
     ctx, _ = row_case
     endo = stable_endo(ctx)
     reps, table, unit = _reference_stable_endo(ctx)
     assert endo.dim == len(reps) == len(endo.basis)
+    index = _costable_coords(ctx)
+    outside = np.setdiff1d(np.arange(hom_matrix(ctx.M_gen, ctx.M_gen).cols), index)
+    assert len(index) == hom_matrix(ctx.costable_gen, ctx.costable_gen).cols
     for row, e in zip(endo.basis, reps):
-        _assert_same(row, e.vec())
+        _assert_same(row, e.vec()[index])
+        assert not np.any(e.vec()[outside] != 0)
     k = len(reps)
     assert endo.table.shape == (k, k, k)
     for i, j in itertools.product(range(k), repeat=2):
@@ -308,6 +344,61 @@ def test_G_object_matches_the_reference(row_case):
         assert g.action.shape == (len(refs), g.dim, g.dim)
         for new, ref in zip(g.action, refs):
             _assert_same(new, ref.data)
+
+
+def _reference_is_weak_equivalence(ctx, f):
+    """Postcomposition by f is bijective on stable hom from the whole
+    generator, one representative at a time."""
+    sx, sy = stable_hom(ctx.M_gen, f.source), stable_hom(ctx.M_gen, f.target)
+    if sx.dim != sy.dim:
+        return False
+    if sx.dim == 0:
+        return True
+    cols = [sy.canonical((f @ h).vec()) for h in _reps(sx, f.source)]
+    return Matrix(ctx.alg.field, np.vstack(cols)).rank() == sy.dim
+
+
+@pytest.mark.parametrize("field", ["F2", "F5", "Q"])
+def test_costable_generator_on_the_auslander_algebra_of_ka2(small_algebras, field):
+    """Exact mode, generator P1+P2+P3+S1, where P1, P2 and S1 are injective:
+    the costable generator is P3, the stable endos and G-images agree with
+    the whole generator's, and so do 300 sampled weak-equivalence verdicts."""
+    alg = small_algebras[f"aus-kA2/{field}"]
+    ctx = build_context(alg, alg.projectives() + [alg.simple("1")], "exact")
+    assert ctx.costable_gen.key == alg.projective("3").key
+    endo = stable_endo(ctx)
+    _, table, unit = _reference_stable_endo(ctx)
+    assert endo.dim == len(table) == 1
+    _assert_same(endo.table[0, 0], table[0][0])
+    _assert_same(endo.unit, unit)
+    universe = sample_universe(ctx, None)
+    for _, x in universe:
+        g, refs = G_object(ctx, x), _reference_G_object(ctx, x)
+        assert g.action.shape == (len(refs), g.dim, g.dim)
+        for new, ref in zip(g.action, refs):
+            _assert_same(new, ref.data)
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(300):
+        f = _sample_morphism(ctx, rng, universe)
+        verdict = is_weak_equivalence(ctx, f)
+        assert verdict == _reference_is_weak_equivalence(ctx, f)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_costable_generator_of_an_all_injective_generator(pa2_deg_ctx):
+    """Over P1+P2 every summand is injective: the costable generator is zero,
+    the stable endomorphism algebra is zero, and every map is a weak
+    equivalence."""
+    ctx = pa2_deg_ctx
+    assert ctx.costable_gen.is_zero()
+    assert stable_endo(ctx).dim == 0
+    universe = sample_universe(ctx, None)
+    rng = random.Random(3)
+    for _ in range(100):
+        f = _sample_morphism(ctx, rng, universe)
+        assert is_weak_equivalence(ctx, f) and _reference_is_weak_equivalence(ctx, f)
 
 
 def test_G_images_match_the_reference(row_case):
