@@ -462,9 +462,6 @@ class Matrix:
     def format_entries(self) -> List[str]:
         return [self.field.format(x) for x in self.data.reshape(-1)]
 
-    def column_vector(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.data[:, j : j + 1].copy())
-
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":

@@ -236,11 +236,6 @@ def is_self_injective(alg: Algebra) -> bool:
         projective_cover(i)[0].dims == i.dims for i in alg.injectives())
 
 
-def ses_split(ses: ShortExactSequence) -> Optional[Morphism]:
-    """A section s of the deflation (p @ s = id) when one exists."""
-    return solve_postcompose(ses.p, Morphism.identity(ses.p.target))
-
-
 # -- linear lifting helpers ------------------------------------------------------------
 
 

@@ -16,7 +16,17 @@ is: the structure constants are one (k, k, k) table, a module's action is one
 module map per row, as ``hom_matrix`` does. The G side composes whole stacks
 of maps, as rows of their hom bases, with the stable representatives
 (:func:`_g_images`); dl-verify conjugates such stacks by the replacement
-maps' G-images, built once per pair (:func:`_transport`).
+maps' G-images (:func:`_transport`).
+
+Each object's G side is built once per context and cached per module key:
+G(x) in ``ctx._caches["G"]``, and the pair (G(φ_x), G(φ_x)^-1) in
+``ctx._caches["G_phi"]``, so dl-verify over n objects builds n of each, not
+one per pair. Each cached value is a function of x.key alone: G(x) reads
+only the cached stable Hom(costable_gen, x), itself cached per x.key, the
+stable endomorphism algebra of the context, and x's dimensions; G(φ_x) reads
+only x's cofibrant replacement, cached per x.key, and the stable hom spaces
+of its ends. So objects with equal keys, built separately, get byte for byte
+the values a fresh context would build.
 """
 from __future__ import annotations
 
@@ -115,7 +125,12 @@ def _g_images(ctx: RigidContext, x: Module, y: Module, rows: np.ndarray) -> np.n
 
 
 def G_object(ctx: RigidContext, x: Module) -> EbarModule:
-    """Stable hom from the generator, as a module over its stable endos."""
+    """Stable hom from the generator, as a module over its stable endos,
+    cached per x.key (module docstring)."""
+    return _memo(ctx._caches["G"], x.key, lambda: _build_G_object(ctx, x))
+
+
+def _build_G_object(ctx: RigidContext, x: Module) -> EbarModule:
     endo = stable_endo(ctx)
     space = ctx.stable_from_generator(x)
     k, n = endo.dim, space.dim
@@ -194,10 +209,6 @@ def ho_class_of(ctx: RigidContext, f: Morphism) -> HoClass:
     if tilde is None:
         raise InternalCheckError("morphism does not lift between replacements")
     return ho_class(ctx, f.source, f.target, tilde)
-
-
-def ho_identity(ctx: RigidContext, x: Module) -> HoClass:
-    return ho_class_of(ctx, Morphism.identity(x))
 
 
 def ho_compose(a: HoClass, b: HoClass) -> HoClass:
@@ -283,23 +294,34 @@ class DlReport:
         )
 
 
+def _G_replacement(ctx: RigidContext, x: Module) -> Tuple[np.ndarray, np.ndarray]:
+    """(G(φ_x), G(φ_x)^-1) for the fixed replacement φ_x of x, cached per
+    x.key (module docstring)."""
+    def build() -> Tuple[np.ndarray, np.ndarray]:
+        g = G_morphism(ctx, cofibrant_replacement(ctx, x).phi)
+        inv = g.inverse()
+        if inv is None:
+            raise InternalCheckError("replacement does not induce an invertible G-image")
+        return g.data, inv.data
+
+    return _memo(ctx._caches["G_phi"], x.key, build)
+
+
 def _transport(ctx: RigidContext, x: Module, y: Module) -> Callable[[np.ndarray], np.ndarray]:
     """rows -> G(φ_y) G(rows) G(φ_x)^-1: the G-images of maps between the
     fixed replacements of x and y, given as rows of their hom basis,
-    conjugated back to maps G(x) -> G(y). G(φ_y) and G(φ_x)^-1 are built
-    once."""
+    conjugated back to maps G(x) -> G(y). G(φ_y) and G(φ_x)^-1 are read from
+    the per-object store of :func:`_G_replacement`."""
     field = ctx.alg.field
-    rx, ry = cofibrant_replacement(ctx, x), cofibrant_replacement(ctx, y)
-    inv = G_morphism(ctx, rx.phi).inverse()
-    if inv is None:
-        raise InternalCheckError("replacement does not induce an invertible G-image")
-    left = G_morphism(ctx, ry.phi).data
+    a_x, a_y = cofibrant_replacement(ctx, x).a, cofibrant_replacement(ctx, y).a
+    inv = _G_replacement(ctx, x)[1]
+    left = _G_replacement(ctx, y)[0]
 
     def transport(rows: np.ndarray) -> np.ndarray:
-        images = _g_images(ctx, rx.a, ry.a, rows)
+        images = _g_images(ctx, a_x, a_y, rows)
         if not images.size:
             return images
-        return field.matmul(field.matmul(left, images), inv.data)
+        return field.matmul(field.matmul(left, images), inv)
 
     return transport
 

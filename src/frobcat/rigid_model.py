@@ -127,6 +127,8 @@ class RigidContext:
             "approx": {},
             "endo": {},
             "ho_hom": {},
+            "G": {},
+            "G_phi": {},
         }
 
     def stable_from_generator(self, x: Module) -> QuotientHom:
@@ -370,11 +372,6 @@ def presentation_of_cofibrant(ctx: RigidContext, x: Module) -> Optional[ShortExa
 def is_cofibrant(ctx: RigidContext, x: Module) -> bool:
     """x admits a two-step presentation in add(M_gen)."""
     return presentation_of_cofibrant(ctx, x) is not None
-
-
-def in_mho_M(ctx: RigidContext, x: Module) -> bool:
-    """Membership in the cosyzygy class, by add-closure of the generator U."""
-    return in_add(x, ctx.U)
 
 
 # -- factorizations -------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -16,7 +17,7 @@ from frobcat.algebra_repr import (
     zero_module,
 )
 from frobcat.homological import cosyzygy, stable_hom
-from frobcat.axiom_suite import _sample_morphism, sample_universe
+from frobcat.axiom_suite import _sample_morphism, default_objects, sample_universe
 from frobcat.rigid_model import build_context, cofibrant_replacement, is_weak_equivalence
 from frobcat.localization import (
     EbarModule,
@@ -33,9 +34,13 @@ from frobcat.localization import (
     ho_class_of,
     ho_compose,
     ho_hom,
-    ho_identity,
     stable_endo,
 )
+
+
+def ho_identity(ctx, x):
+    """The class of the identity of x."""
+    return ho_class_of(ctx, Morphism.identity(x))
 
 
 def test_stable_endo_dims(pa2_ctx, pa2_deg_ctx, semi_ctx):
@@ -219,6 +224,41 @@ def test_dl_verify_passes_on_its_sub_verdicts(pa2_ctx, pa2, pa3_ctx, pa3_s_ctx, 
             assert all(isinstance(p, bool) for p in parts)
             assert r.passed == all(parts)
             assert r.passed
+
+
+def _cold_warm_cases(pa2, pa3, a2q, small_algebras):
+    """(algebra, generator, mode, named objects) for the cache test: pa2, pa3
+    over its projectives, A2/Q with S1+S1 from the fixture next to the
+    two-fold sums of the simples (one of them S1+S1 again, built
+    separately), and the Auslander algebra of kA2 over F_5 in exact mode."""
+    alg2, m2 = pa2
+    alg3, m3 = pa3
+    ctx_q, mq = a2q
+    sums = sample_universe(ctx_q, [("S1", mq["S1"]), ("S2", mq["S2"])])
+    aus = small_algebras["aus-kA2/F5"]
+    aus_ctx = build_context(aus, aus.projectives() + [aus.simple("1")], "exact")
+    return [
+        (alg2, [m2["P1"], m2["P2"], m2["S1"]], "frobenius", sorted(m2.items())),
+        (alg3, [m3["P1"], m3["P2"], m3["P3"]], "frobenius", sorted(m3.items())),
+        (ctx_q.alg, ctx_q.components, ctx_q.mode,
+         sums + [(n, mq[n]) for n in ("P1", "P2", "S1+S1")]),
+        (aus, aus_ctx.components, "exact", default_objects(aus_ctx)),
+    ]
+
+
+def test_dl_verify_is_the_same_from_cold_and_warm_caches(pa2, pa3, a2q, small_algebras):
+    """dl_verify_all on one context, whose per-object G stores fill as it
+    goes, reports field for field what dl_verify reports for each pair on a
+    fresh context; afterwards each store holds one entry per object key."""
+    for alg, gen, mode, named in _cold_warm_cases(pa2, pa3, a2q, small_algebras):
+        ctx = build_context(alg, gen, mode)
+        warm = dl_verify_all(ctx, named)
+        cold = [dl_verify(build_context(alg, gen, mode), x, y, names=(xn, yn))
+                for xn, x in named for yn, y in named]
+        assert [dataclasses.astuple(r) for r in warm] == [dataclasses.astuple(r) for r in cold]
+        assert all(r.passed for r in warm)
+        keys = {x.key for _, x in named}
+        assert set(ctx._caches["G"]) == set(ctx._caches["G_phi"]) == keys
 
 
 def test_ebar_hom_matches_report(pa2_ctx, pa2):
