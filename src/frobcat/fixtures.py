@@ -5,6 +5,8 @@ Tags:
   pa2      preprojective algebra of A2 over F_5, generator P1 + P2 + S1
   pa2-deg  same algebra, generator P1 + P2 (everything becomes trivial)
   pa3      preprojective algebra of A3 over F_2, generator P1 + P2 + P3
+  aus2     Auslander algebra of kA2 (linear A3, 1 -> 2 -> 3 with ab = 0) over
+           F_5, generator P1 + P2 + P3 + S1, exact mode: not self-injective
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from .errors import InputError
 from .exact_linalg import prime_field
 from .algebra_repr import Algebra, Module, preprojective
 
-FIXTURE_TAGS = ("semi", "pa2", "pa2-deg", "pa3")
+FIXTURE_TAGS = ("semi", "pa2", "pa2-deg", "pa3", "aus2")
 
 
 def build_fixture(tag: str) -> Tuple[Algebra, Dict[str, Module], dict]:
@@ -42,6 +44,12 @@ def build_fixture(tag: str) -> Tuple[Algebra, Dict[str, Module], dict]:
             modules[f"S{v}"] = alg.simple(v)
             modules[f"P{v}"] = alg.projective(v)
         project = {"M_gen": ["P1", "P2", "P3"], "mode": "frobenius"}
+    elif tag == "aus2":
+        alg = Algebra(prime_field(5), ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")],
+                      [[("1", ("a", "b"))]])
+        modules = {f"S{v}": alg.simple(v) for v in alg.vertices}
+        modules.update({f"P{v}": alg.projective(v) for v in alg.vertices})
+        project = {"M_gen": ["P1", "P2", "P3", "S1"], "mode": "exact"}
     else:
         raise InputError(f"unknown fixture tag {tag!r}; known: {', '.join(FIXTURE_TAGS)}")
     project["options"] = {"seed": 42, "samples": 200}

@@ -12,6 +12,11 @@ rational path: ``dl_verify_all`` checksums over the sample universe
 replacement maps' classes, and digests of those of seeded random morphisms
 between objects with a nonzero localized hom-set.
 
+The ``aus2`` fixture pins exact mode on an algebra that is not
+self-injective: ``dl_verify_all`` checksums over its simples, projectives and
+injectives (``default_objects``), digests of seeded ``random_morphism`` draws
+between them, and the canonical forms of their replacement maps' classes.
+
 Rewrite the file only in a change that means to alter these outputs:
 
     PYTHONPATH=src python tests/test_golden_outputs.py --record
@@ -27,7 +32,7 @@ from pathlib import Path
 import pytest
 
 from frobcat.algebra_repr import hom_basis, preprojective
-from frobcat.axiom_suite import random_morphism, sample_universe
+from frobcat.axiom_suite import default_objects, random_morphism, sample_universe
 from frobcat.cli import dispatch
 from frobcat.exact_linalg import rational_field
 from frobcat.fixtures import build_fixture, emit_fixture
@@ -68,10 +73,14 @@ def dl_verify_checksums(tag: str) -> dict:
     return {"->".join(p["pair"]): p["checksum"] for p in json.loads(out.getvalue())["pairs"]}
 
 
-def _pa2_context():
-    alg, modules, project = build_fixture("pa2")
+def _fixture_context(tag: str):
+    alg, modules, project = build_fixture(tag)
     ctx = build_context(alg, [modules[n] for n in project["M_gen"]], project["mode"])
     return ctx, modules
+
+
+def _pa2_context():
+    return _fixture_context("pa2")
 
 
 def random_morphism_digests() -> dict:
@@ -120,6 +129,20 @@ def a2q_outputs() -> dict:
     }
 
 
+def aus2_outputs() -> dict:
+    ctx, _ = _fixture_context("aus2")
+    named = default_objects(ctx)
+    return {
+        "dl_verify": {"->".join(r.pair): r.checksum for r in dl_verify_all(ctx, named)},
+        "random_morphism": {
+            f"{xn}->{yn}": [_digest([random_morphism(ctx, x, y, seed)]) for seed in SEEDS]
+            for xn, x in named for yn, y in named
+        },
+        "ho_class_of_phi": {name: _class_form(ctx, cofibrant_replacement(ctx, x).phi)
+                            for name, x in named},
+    }
+
+
 def compute() -> dict:
     return {
         "hom_basis": {tag: hom_basis_digests(tag) for tag in ("pa2", "pa3")},
@@ -127,6 +150,7 @@ def compute() -> dict:
         "random_morphism": random_morphism_digests(),
         "ho_class_of_phi": ho_class_canonicals(),
         "a2q": a2q_outputs(),
+        "aus2": aus2_outputs(),
     }
 
 
@@ -155,6 +179,10 @@ def test_replacement_classes_unchanged(golden):
 
 def test_rational_context_unchanged(golden):
     assert a2q_outputs() == golden["a2q"]
+
+
+def test_exact_mode_fixture_unchanged(golden):
+    assert aus2_outputs() == golden["aus2"]
 
 
 if __name__ == "__main__":
