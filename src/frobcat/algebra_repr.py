@@ -675,11 +675,17 @@ class Morphism:
         comps = {v: self.comps[v] @ other.comps[v] for v in self.source.algebra.vertices}
         return Morphism(other.source, self.target, comps, check=False)
 
+    def _check_parallel(self, other: "Morphism") -> None:
+        if other.source.key != self.source.key or other.target.key != self.target.key:
+            raise InputError("morphisms must be parallel")
+
     def __add__(self, other: "Morphism") -> "Morphism":
+        self._check_parallel(other)
         comps = {v: self.comps[v] + other.comps[v] for v in self.source.algebra.vertices}
         return Morphism(self.source, self.target, comps, check=False)
 
     def __sub__(self, other: "Morphism") -> "Morphism":
+        self._check_parallel(other)
         comps = {v: self.comps[v] - other.comps[v] for v in self.source.algebra.vertices}
         return Morphism(self.source, self.target, comps, check=False)
 

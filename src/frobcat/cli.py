@@ -239,10 +239,10 @@ def _factor_common(args, report: Report, which: int) -> int:
     f = load_morphism(project, args.morphism)
     fac = factorize1(ctx, f) if which == 1 else factorize2(ctx, f)
     report.say(f"flavor: {fac.flavor}")
-    report.say(f"middle object dims {fac.mid.dims_tuple()}")
+    report.say(f"middle object dims {fac.left.target.dims_tuple()}")
     report.say("composite and class predicates verified")
     report.put("flavor", fac.flavor)
-    report.put("mid_dims", list(fac.mid.dims_tuple()))
+    report.put("mid_dims", list(fac.left.target.dims_tuple()))
     return EXIT_OK
 
 

@@ -1,7 +1,8 @@
 """Projective covers, injective envelopes, (co)syzygies, Ext^1, the
-subspaces of maps factoring through add(z) or through injectives, and
-:class:`QuotientHom`, the one quotient of a hom space: stable hom here, and
-the homotopy hom-sets of ``localization``.
+subspaces of maps factoring through add(z) or through injectives, the one
+stable-kill test :func:`kills_stably` (the cone checks and the homotopy
+check), and :class:`QuotientHom`, the one quotient of a hom space: stable
+hom here, and the homotopy hom-sets of ``localization``.
 
 All operations are pure functions over immutable values. Hom spaces
 (``hom_matrix``), projective covers and injective envelopes are cached per
@@ -177,6 +178,13 @@ def through_injectives(x: Module, y: Module) -> RowSpan:
     span = RowSpan(x.algebra.field, hom_width(x, y))
     span.add(compose_basis(hom_matrix(i_x, y).data, i_x, y, right=iota))
     return span
+
+
+def kills_stably(z: Module, h: Morphism) -> bool:
+    """True iff every h ∘ b, for b: z -> h.source, factors through an
+    injective: h kills Hom(z, -) in the stable category."""
+    return through_injectives(z, h.target).contains(
+        compose_basis(hom_matrix(z, h.source).data, z, h.source, left=h))
 
 
 def in_add(x: Module, z: Module) -> bool:

@@ -13,10 +13,13 @@ replacements, the type stable hom has too, and :func:`ho_class` takes a
 representative to its class. The mod Ē side is held as arrays, as the E side
 is: the structure constants are one (k, k, k) table, a module's action is one
 (k, n, n) stack, and ``ebar_hom_basis`` returns basis rows, one row-major
-module map per row, as ``hom_matrix`` does. The G side composes whole stacks
-of maps, as rows of their hom bases, with the stable representatives
-(:func:`_g_images`); dl-verify conjugates such stacks by the replacement
-maps' G-images (:func:`_transport`).
+module map per row, as ``hom_matrix`` does. The G side is one routine,
+:func:`_g_images`: the G-images of a stack of maps, as rows of their hom
+basis, are one ``compose_pairs`` with the stable representatives and one
+``coords``, and an empty side gives a zero stack of the field's dtype. The
+stable endomorphism table is ``_g_images`` of its own representatives, G(x)
+that of the representatives into x, each read along other axes; dl-verify
+conjugates such stacks by the replacement maps' G-images (:func:`_transport`).
 
 Each object's G side is built once per context and cached per module key:
 G(x) in ``ctx._caches["G"]``, and the pair (G(φ_x), G(φ_x)^-1) in
@@ -71,15 +74,11 @@ def stable_endo(ctx: RigidContext) -> StableEndoAlgebra:
 
 
 def _build_stable_endo(ctx: RigidContext) -> StableEndoAlgebra:
+    """table[i, j] holds column j of G(e_i), the coordinates of e_i ∘ e_j."""
     space = ctx.stable_from_generator(ctx.costable_gen)
-    reps, k, m = space.rep_rows, space.dim, space.x
-    if not k:
-        empty = np.empty(0, dtype=ctx.alg.field.dtype)
-        return StableEndoAlgebra(ctx, reps, empty.reshape(0, 0, 0), empty)
-    # row j * k + i of the pairwise composites is e_i ∘ e_j
-    coords = space.coords(compose_pairs(reps, m, m, reps, m)).reshape(k, k, k)
-    unit = space.coords(Morphism.identity(m).vec())
-    return StableEndoAlgebra(ctx, reps, coords.transpose(1, 0, 2), unit)
+    m, reps = space.x, space.rep_rows
+    return StableEndoAlgebra(ctx, reps, _g_images(ctx, m, m, reps).transpose(0, 2, 1),
+                             space.coords(Morphism.identity(m).vec()))
 
 
 @dataclass
@@ -131,14 +130,10 @@ def G_object(ctx: RigidContext, x: Module) -> EbarModule:
 
 
 def _build_G_object(ctx: RigidContext, x: Module) -> EbarModule:
-    endo = stable_endo(ctx)
-    space = ctx.stable_from_generator(x)
-    k, n = endo.dim, space.dim
-    if not (k and n):
-        return EbarModule(n, Matrix.zeros(ctx.alg.field, k * n, n).data.reshape(k, n, n))
-    # row j * n + c of the pairwise composites is h_c ∘ e_j
-    coords = space.coords(compose_pairs(endo.basis, space.x, space.x, space.rep_rows, x))
-    return EbarModule(n, coords.reshape(k, n, n).transpose(0, 2, 1))
+    """action[j] sends h_c to h_c ∘ e_j: the G-images of the representatives
+    h_c of stable Hom(costable_gen, x), transposed."""
+    reps = ctx.stable_from_generator(x).rep_rows
+    return EbarModule(len(reps), _g_images(ctx, ctx.costable_gen, x, reps).transpose(2, 1, 0))
 
 
 def G_morphism(ctx: RigidContext, f: Morphism) -> Matrix:

@@ -333,6 +333,20 @@ def test_morphism_intertwiner_enforced(pa2):
         })
 
 
+def test_sum_and_difference_refuse_maps_that_are_not_parallel(pa2):
+    """P1 and P2 have equal dims but are different modules, so their
+    identities are not parallel; S1 and S2 do not even share dims."""
+    alg, mods = pa2
+    p1, p2 = Morphism.identity(mods["P1"]), Morphism.identity(mods["P2"])
+    assert mods["P1"].dims == mods["P2"].dims
+    s1, s2 = Morphism.identity(mods["S1"]), Morphism.identity(mods["S2"])
+    for f, g in ((p1, p2), (s1, s2)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(InputError, match="morphisms must be parallel"):
+                op(f, g)
+    assert (p1 - p1).is_zero() and (p1 + p1) == p1.scale(2)
+
+
 def test_opposite_is_involutive(pa2):
     alg, _ = pa2
     assert alg.opposite().opposite() is alg

@@ -1,20 +1,26 @@
+import random
+
 import numpy as np
 import pytest
 
 from frobcat import axiom_suite
 from frobcat.errors import InputError
 from frobcat.exact_linalg import Matrix, RowSpan, prime_field, rational_field
-from frobcat.algebra_repr import Morphism, direct_sum, hom_basis, hom_matrix, preprojective
-from frobcat.rigid_model import build_context, is_weak_equivalence
+from frobcat.algebra_repr import (Morphism, compose_basis, direct_sum, hom_basis, hom_matrix,
+                                  preprojective, pullback)
+from frobcat.homological import kills_stably, projective_cover, through_injectives
+from frobcat.rigid_model import build_context, cone_of, is_weak_equivalence
 from frobcat.axiom_suite import (
     CheckRun,
     PredicateSet,
+    _sample_morphism,
     default_objects,
     random_morphism,
     registered_checks,
     rlp_holds,
     run_all,
     run_check,
+    sample_universe,
     weq_via_cones,
 )
 
@@ -218,6 +224,69 @@ def _corruptions():
         "homotopy_G_agreement": PredicateSet(homotopic=lambda ctx, f, g: False),
         "wic_deflation": PredicateSet(epi=lambda ctx, f: _mono(f)),
     }
+
+
+def _kills_on_the_cached_sub(ctx, h):
+    """Reference: the cached stable subspace stable_from_generator(t).sub
+    against every basis row of Hom(costable_gen, h.source) composed with h."""
+    gen = ctx.costable_gen
+    sub = ctx.stable_from_generator(h.target).sub
+    return sub.contains(compose_basis(hom_matrix(gen, h.source).data, gen, h.source, left=h))
+
+
+def _kills_the_representatives(ctx, h):
+    """Reference: h composed with the stable representatives from the
+    costable generator only, against the cached stable subspace."""
+    sx, sy = ctx.stable_from_generator(h.source), ctx.stable_from_generator(h.target)
+    return sy.sub.contains(compose_basis(sx.rep_rows, sx.x, h.source, left=h))
+
+
+def _cone_leg_kills_u(ctx, f):
+    """Reference: the span through injectives of Hom(U, Z), built inline,
+    against Hom(U, f.target) composed with the cone leg g: f.target -> Z."""
+    z, g, _ = cone_of(ctx, f)
+    return through_injectives(ctx.U, z).contains(
+        compose_basis(hom_matrix(ctx.U, f.target).data, ctx.U, f.target, left=g))
+
+
+def _assert_kills_stably_matches_the_references(ctx, objects, seed, draws=60):
+    """kills_stably against the references on sampled morphisms f and on the
+    maps both halves of weq_via_cones test; returns the verdicts seen, from
+    the generator and from U."""
+    rng = random.Random(seed)
+    universe = sample_universe(ctx, objects)
+    from_gen, from_u = set(), set()
+    for _ in range(draws):
+        f = _sample_morphism(ctx, rng, universe)
+        _, g, u = cone_of(ctx, f)
+        _, gt, ut = pullback(f, projective_cover(f.target)[1])
+        halves = []
+        for h in (f, Morphism.hstack([u, g]), Morphism.vstack([gt, ut])):
+            verdict = kills_stably(ctx.costable_gen, h)
+            assert verdict == _kills_on_the_cached_sub(ctx, h) == _kills_the_representatives(ctx, h)
+            from_gen.add(verdict)
+            halves.append(verdict)
+        assert weq_via_cones(ctx, f) == (halves[1] and halves[2])
+        verdict = kills_stably(ctx.U, g)
+        assert verdict == _cone_leg_kills_u(ctx, f)
+        from_u.add(verdict)
+    return from_gen, from_u
+
+
+def test_kills_stably_matches_the_references(row_case):
+    """On pa2-deg the stable category is zero, so everything is killed."""
+    ctx, mods = row_case
+    verdicts = _assert_kills_stably_matches_the_references(ctx, sorted(mods.items()), 11)
+    both = {True, False}
+    assert verdicts == (({True}, {True}) if ctx.costable_gen.is_zero() else (both, both))
+
+
+@pytest.mark.parametrize("field", ["F2", "F5", "Q"])
+def test_kills_stably_matches_the_references_in_exact_mode(small_algebras, field):
+    alg = small_algebras[f"aus-kA2/{field}"]
+    ctx = build_context(alg, alg.projectives() + [alg.simple("1")], "exact")
+    assert _assert_kills_stably_matches_the_references(ctx, None, 11) == (
+        {True, False}, {True, False})
 
 
 @pytest.mark.parametrize("name", [c for c in ALL_CHECKS if c != "mho_rigid"])
