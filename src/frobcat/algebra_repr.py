@@ -617,7 +617,7 @@ def dual_module(m: Module) -> Module:
 class Morphism:
     """A vertex-indexed family of matrices intertwining two representations."""
 
-    __slots__ = ("source", "target", "comps")
+    __slots__ = ("source", "target", "comps", "_key")
 
     def __init__(self, source: Module, target: Module, comps: Mapping[str, Matrix],
                  check: bool = True):
@@ -637,8 +637,26 @@ class Morphism:
                     f"expected {target.dims[v]}x{source.dims[v]}"
                 )
             self.comps[v] = c
+        self._key = None
         if check and not self.intertwines():
             raise InputError("components do not intertwine the arrow actions")
+
+    @property
+    def key(self) -> tuple:
+        """Content key, as ``Module.key`` is: the source and target keys, then
+        the components' int64 bytes joined in vertex order. The join is
+        unambiguous because the end dims fix each component's shape.
+        Object-dtype components (Q, large p) give their ``Matrix.signature``
+        tuples instead. The key is exact, with no hash or digest, so equal
+        keys mean equal maps between equal modules."""
+        if self._key is None:
+            comps = [self.comps[v] for v in self.source.algebra.vertices]
+            if all(c.data.dtype == np.int64 for c in comps):
+                body = b"".join(c.data.tobytes() for c in comps)
+            else:
+                body = tuple(c.signature() for c in comps)
+            self._key = (self.source.key, self.target.key, body)
+        return self._key
 
     def intertwines(self) -> bool:
         for a in self.source.algebra.arrows:
@@ -989,12 +1007,22 @@ def sum_module(parts: Sequence[Module], algebra: Optional[Algebra] = None) -> Mo
     :meth:`Morphism.hstack` and :meth:`Morphism.vstack`.
 
     An empty list yields the zero module, for which the algebra is required.
-    A sum of two or more records them as its ``parts``.
+    A sum of two or more records them as its ``parts`` and is cached per
+    algebra by the ordered tuple of part keys (the order fixes the block
+    layout): a hit returns the one module built first, whose ``parts`` may
+    be other instances with the same keys.
     """
     if not parts:
         if algebra is None:
             raise InputError("the sum of an empty list needs the algebra argument")
         return zero_module(algebra)
+    if len(parts) == 1:
+        return _build_sum(parts)
+    return _memo(parts[0].algebra._module_cache, ("sum", tuple(p.key for p in parts)),
+                 lambda: _build_sum(parts))
+
+
+def _build_sum(parts: Sequence[Module]) -> Module:
     alg = parts[0].algebra
     dims = {v: sum(p.dims[v] for p in parts) for v in alg.vertices}
     action = {a.name: Matrix.block_diag(alg.field, [p.action[a.name] for p in parts])

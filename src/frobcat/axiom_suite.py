@@ -23,6 +23,7 @@ from .exact_linalg import Matrix
 from .algebra_repr import (
     Module,
     Morphism,
+    _memo,
     cokernel,
     combine,
     compose_basis,
@@ -264,7 +265,13 @@ def rlp_holds(ctx: RigidContext, g: Morphism, f: Morphism) -> bool:
     Linear formulation: l -> (l∘g, f∘l) maps Hom(g.target, f.source) into the
     space K of squares {(a, b) : f∘a = b∘g}, so every square has a lift iff
     the image has dimension dim K. Both sides are ranks; no square sampling.
+    The verdict depends only on the content of g and f and on the context,
+    so it is cached per ``(g.key, f.key)`` in ``ctx._caches["rlp"]``.
     """
+    return _memo(ctx._caches["rlp"], (g.key, f.key), lambda: _rlp_by_rank(ctx, g, f))
+
+
+def _rlp_by_rank(ctx: RigidContext, g: Morphism, f: Morphism) -> bool:
     field = ctx.alg.field
     homs_a = hom_matrix(g.source, f.source)
     homs_b = hom_matrix(g.target, f.target)

@@ -5,8 +5,9 @@ check), and :class:`QuotientHom`, the one quotient of a hom space: stable
 hom here, and the homotopy hom-sets of ``localization``.
 
 All operations are pure functions over immutable values. Hom spaces
-(``hom_matrix``), projective covers and injective envelopes are cached per
-algebra, keyed by module content; quotients are recomputed on every call.
+(``hom_matrix``), projective covers, injective envelopes and the spans of
+:func:`through_injectives` are cached per algebra, keyed by module content;
+quotients are recomputed on every call.
 """
 from __future__ import annotations
 
@@ -173,7 +174,15 @@ def factors_through_add(x: Module, z: Module, y: Module) -> RowSpan:
 def through_injectives(x: Module, y: Module) -> RowSpan:
     """The span in Hom(x, y) of the maps factoring through an injective:
     Hom(I(x), y) ∘ ι_x, since every map from x into an injective extends
-    along the envelope ι_x: x -> I(x)."""
+    along the envelope ι_x: x -> I(x).
+
+    Cached per algebra by (x.key, y.key), so callers share one span: it
+    must not be mutated (``add`` only to a span the caller built itself)."""
+    return _memo(x.algebra._module_cache, ("through_injectives", x.key, y.key),
+                 lambda: _build_through_injectives(x, y))
+
+
+def _build_through_injectives(x: Module, y: Module) -> RowSpan:
     i_x, iota = injective_envelope(x)
     span = RowSpan(x.algebra.field, hom_width(x, y))
     span.add(compose_basis(hom_matrix(i_x, y).data, i_x, y, right=iota))

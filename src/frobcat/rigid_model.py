@@ -3,7 +3,8 @@
 A :class:`RigidContext` fixes the additive generator of the rigid class,
 validates the standing hypotheses, and caches the derived structures: the
 cosyzygy generator, the class generator U whose add-closure is the homotopy
-ideal, cofibrant replacements, and the stable hom spaces from the generator.
+ideal, cofibrant replacements, the stable hom spaces from the generator, and
+the fibration and weak-equivalence verdicts per ``Morphism.key``.
 
 Stable hom from the generator is taken from its costable part, the sum of
 the components with nonzero cosyzygy, that is, the non-injective ones; the
@@ -129,6 +130,9 @@ class RigidContext:
             "ho_hom": {},
             "G": {},
             "G_phi": {},
+            "fibration": {},
+            "weq": {},
+            "rlp": {},
         }
 
     def stable_from_generator(self, x: Module) -> QuotientHom:
@@ -285,8 +289,14 @@ def is_weak_equivalence(ctx: RigidContext, f: Morphism) -> bool:
 
     Evaluation at the additive generator reflects isomorphisms of modules
     over the stable endomorphism algebra, so this linear test is exactly
-    invertibility of the image of f under the stable-hom functor.
+    invertibility of the image of f under the stable-hom functor. The
+    verdict depends only on f's content and the context, so it is cached
+    per ``f.key`` in ``ctx._caches["weq"]``.
     """
+    return _memo(ctx._caches["weq"], f.key, lambda: _decide_weak_equivalence(ctx, f))
+
+
+def _decide_weak_equivalence(ctx: RigidContext, f: Morphism) -> bool:
     sx = ctx.stable_from_generator(f.source)
     sy = ctx.stable_from_generator(f.target)
     if sx.dim != sy.dim:
@@ -305,8 +315,10 @@ def _post_map_surjective(ctx: RigidContext, probe: Module, f: Morphism) -> bool:
 
 def is_fibration(ctx: RigidContext, f: Morphism) -> bool:
     """Right lifting against every 0 -> (cosyzygy-class object), reduced to one
-    exact condition: Hom(U, -) maps surjectively along f."""
-    return _post_map_surjective(ctx, ctx.U, f)
+    exact condition: Hom(U, -) maps surjectively along f. Cached per
+    ``f.key`` in ``ctx._caches["fibration"]``, as the verdict depends only
+    on f's content and the context."""
+    return _memo(ctx._caches["fibration"], f.key, lambda: _post_map_surjective(ctx, ctx.U, f))
 
 
 def is_trivial_fibration(ctx: RigidContext, f: Morphism) -> bool:

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from frobcat.exact_linalg import prime_field, rational_field
 from frobcat.algebra_repr import Algebra, direct_sum, preprojective
+from frobcat.axiom_suite import _sample_morphism, sample_universe
+from frobcat.fixtures import build_fixture
 from frobcat.rigid_model import build_context
 
 
@@ -128,3 +132,27 @@ def row_case(request, pa2, pa2_ctx, pa2_deg_ctx, pa2_ss_ctx, pa3, pa3_s_ctx, a2q
         mods["S1+S1"] = direct_sum([mods["S1"], mods["S1"]])[0]
         return pa2_ss_ctx, mods
     return (pa2_ctx if request.param == "pa2" else pa2_deg_ctx), pa2[1]
+
+
+@pytest.fixture(scope="session")
+def sampled_maps():
+    """(algebra, generator, mode, universe, maps) for the cold/warm verdict
+    tests: the pa2 and aus2 fixtures (aus2 in exact mode) and preprojective
+    A3/Q over P1+P2+P3+S1 with its default objects. maps are 100 seeded
+    ``_sample_morphism`` draws, made on a context of their own so that the
+    contexts under test see only the calls the tests make."""
+    out = []
+    for tag in ("pa2", "aus2"):
+        alg, mods, project = build_fixture(tag)
+        gen = [mods[n] for n in project["M_gen"]]
+        out.append((alg, gen, project["mode"], sorted(mods.items())))
+    a3 = preprojective(3, rational_field())
+    out.append((a3, a3.projectives() + [a3.simple("1")], "frobenius", None))
+    cases = []
+    for alg, gen, mode, objects in out:
+        ctx = build_context(alg, gen, mode)
+        universe = sample_universe(ctx, objects)
+        rng = random.Random(20)
+        cases.append((alg, gen, mode, universe,
+                      [_sample_morphism(ctx, rng, universe) for _ in range(100)]))
+    return cases

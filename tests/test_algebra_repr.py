@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from frobcat import algebra_repr
 from frobcat.errors import InputError
@@ -687,6 +687,62 @@ def test_hom_of_a_sum_matches_the_direct_solve(name, data):
         y = data.draw(st.sampled_from(pieces))
     alg._hom_cache.clear()
     assert _exact(hom_matrix(x, y)) == _exact(_reference_hom(x, y))
+
+
+def _reference_sum(parts):
+    """The block-diagonal sum built afresh: each part's action copied into
+    its diagonal block of a zero matrix, parts in order."""
+    alg = parts[0].algebra
+    dims = {v: sum(p.dims[v] for p in parts) for v in alg.vertices}
+    action = {}
+    for a in alg.arrows:
+        m = Matrix.zeros(alg.field, dims[a.target], dims[a.source])
+        row = col = 0
+        for p in parts:
+            block = p.action[a.name].data
+            m.data[row:row + block.shape[0], col:col + block.shape[1]] = block
+            row, col = row + block.shape[0], col + block.shape[1]
+        action[a.name] = m
+    return Module(alg, dims, action, check=False)
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_sum_module_matches_a_fresh_block_build(small_algebras, data):
+    """sum_module of 2-3 parts (zero modules, repeated parts, nested sums,
+    and two different parts in both orders) against a fresh block-diagonal
+    build: dims, part keys and every action array byte for byte. The sums
+    are cached by the ordered part keys, so copies of the parts built
+    separately get the same instance back, and the swapped order does not."""
+    alg = small_algebras[data.draw(st.sampled_from(sorted(small_algebras)))]
+    pieces = alg.simples() + alg.projectives() + alg.injectives() + [zero_module(alg)]
+
+    def part():
+        if data.draw(st.booleans()):  # a nested sum of two pieces
+            return sum_module([data.draw(st.sampled_from(pieces)) for _ in range(2)])
+        return data.draw(st.sampled_from(pieces))
+
+    shape = data.draw(st.sampled_from(["drawn", "repeated", "both orders"]))
+    if shape == "drawn":
+        cases = [[part() for _ in range(data.draw(st.integers(2, 3)))]]
+    elif shape == "repeated":
+        cases = [[part()] * data.draw(st.integers(2, 3))]
+    else:
+        a, b = part(), part()
+        assume(a.key != b.key)
+        cases = [[a, b], [b, a]]
+    sums = []
+    for parts in cases:
+        got, want = sum_module(parts), _reference_sum(parts)
+        assert got.dims == want.dims
+        assert [p.key for p in got.parts] == [p.key for p in parts]
+        for arrow in alg.arrows:
+            assert _exact(got.action[arrow.name]) == _exact(want.action[arrow.name])
+        copies = [Module(alg, p.dims, p.action, check=False) for p in parts]
+        assert sum_module(copies) is got
+        sums.append(got)
+    if shape == "both orders":
+        assert sums[0] is not sums[1]
 
 
 # -- the path-algebra basis against the per-block construction it replaced ---------

@@ -6,6 +6,7 @@ import pytest
 from frobcat import axiom_suite
 from frobcat.errors import InputError
 from frobcat.exact_linalg import Matrix, RowSpan, prime_field, rational_field
+from frobcat.fixtures import build_fixture
 from frobcat.algebra_repr import (Morphism, compose_basis, direct_sum, hom_basis, hom_matrix,
                                   preprojective, pullback)
 from frobcat.homological import kills_stably, projective_cover, through_injectives
@@ -369,6 +370,37 @@ def test_battery_on_larger_algebra(pa3):
     objs = sorted(mods.items()) + [("N", mods["S2"])]
     report = run_all(ctx, 7, 4, objs)
     assert report.passed, report.to_text()
+
+
+def test_lifting_verdicts_are_the_same_from_cold_and_warm_caches(sampled_maps):
+    """rlp_holds of each drawn map against three of the base lifting
+    elements, taken in turn, on one context agrees with a fresh context per
+    call; afterwards the store holds exactly the distinct key pairs."""
+    verdicts = set()
+    for alg, gen, mode, universe, maps in sampled_maps:
+        ctx = build_context(alg, gen, mode)
+        elements = axiom_suite._base_lifting_elements(ctx, universe)
+        pairs = [(elements[(i + k) % len(elements)], f)
+                 for i, f in enumerate(maps) for k in range(3)]
+        for g, f in pairs:
+            warm = rlp_holds(ctx, g, f)
+            assert warm == rlp_holds(build_context(alg, gen, mode), g, f)
+            verdicts.add(warm)
+        keys = {(g.key, f.key) for g, f in pairs}
+        assert len(keys) < len(pairs)
+        assert set(ctx._caches["rlp"]) == keys
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("tag", ["pa2", "aus2"])
+def test_run_all_is_the_same_on_a_context_that_already_ran_it(tag):
+    """The battery at seed 42 with 20 samples reports the same on a warm
+    context as on the fresh one (aus2 reports its known cone-check defect
+    both times)."""
+    alg, mods, project = build_fixture(tag)
+    ctx = build_context(alg, [mods[n] for n in project["M_gen"]], project["mode"])
+    first = run_all(ctx, 42, 20, sorted(mods.items()))
+    assert run_all(ctx, 42, 20, sorted(mods.items())) == first
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from frobcat.errors import HypothesisError, InputError
 from frobcat.algebra_repr import (
     Algebra,
+    Module,
     Morphism,
     compose_basis,
     compose_pairs,
@@ -470,3 +471,43 @@ def test_approximation_matches_the_whole_sum_reference(small_algebras, data):
     got = approximation(ctx, components, x, side)
     assert _exact_map(got) == _exact_map(_reference_greedy_approximation(ctx, components, x,
                                                                           side))
+
+
+@pytest.mark.parametrize("field", ["F5", "F1048583", "Q"])
+def test_morphism_key_is_the_content_of_the_map_and_its_ends(small_algebras, field):
+    """Two modules over kA2 with equal dims and different arrow matrices (P1
+    and S1+S2): maps with equal components between different ends have
+    different keys, and equal content built separately has one key. F5 keys
+    join int64 bytes; F1048583 and Q join entry signatures."""
+    alg = small_algebras[f"kA2/{field}"]
+    x = Module(alg, {"1": 1, "2": 1}, {"a": Matrix.from_rows(alg.field, [[1]])})
+    y = Module(alg, {"1": 1, "2": 1}, {})
+    maps = [Morphism.zero(x, x), Morphism.zero(x, y), Morphism.zero(y, x),
+            Morphism.zero(y, y), Morphism.identity(x), Morphism.identity(y),
+            Morphism.identity(x).scale(alg.field.coerce(2))]
+    assert len({f.key for f in maps}) == len(maps)
+    assert all(isinstance(f.key[2], bytes) == (field == "F5") for f in maps)
+    for f in maps:
+        source = Module.from_dict(alg, f.source.to_dict())
+        target = Module.from_dict(alg, f.target.to_dict())
+        again = Morphism.from_dict(f.to_dict("s", "t"), source, target)
+        assert again is not f and again.key == f.key
+
+
+def test_predicate_verdicts_are_the_same_from_cold_and_warm_caches(sampled_maps):
+    """is_fibration and is_weak_equivalence on one context, whose verdict
+    stores fill as it goes (the draws repeat maps), agree with a fresh
+    context per call; afterwards each store holds exactly the distinct keys."""
+    verdicts = set()
+    for alg, gen, mode, _, maps in sampled_maps:
+        ctx = build_context(alg, gen, mode)
+        for f in maps:
+            for pred in (is_fibration, is_weak_equivalence):
+                warm = pred(ctx, f)
+                assert warm == pred(build_context(alg, gen, mode), f)
+                verdicts.add((pred.__name__, warm))
+        keys = {f.key for f in maps}
+        assert len(keys) < len(maps)
+        assert set(ctx._caches["fibration"]) == set(ctx._caches["weq"]) == keys
+    # both verdicts of both predicates occur, so agreement is not on a constant
+    assert len(verdicts) == 4
