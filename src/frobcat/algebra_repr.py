@@ -15,7 +15,6 @@ The opposite convention is obtained by transposing all matrices.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -101,9 +100,7 @@ class Algebra:
         self.arrows: List[Arrow] = []
         keys = ("name", "from", "to")
         for i, a in enumerate(arrows):
-            if isinstance(a, Arrow):
-                a = (a.name, a.source, a.target)
-            elif isinstance(a, dict):
+            if isinstance(a, dict):
                 _json_known(a, keys, "key", f"arrow {i}")
                 a = [_json_key(a, key, f"arrow {i}") for key in keys]
             elif not (isinstance(a, (list, tuple)) and len(a) == 3):
@@ -290,14 +287,6 @@ class Algebra:
     def dim(self) -> int:
         return len(self._elts)
 
-    @property
-    def path_basis(self) -> List[Tuple[str, Tuple[str, ...]]]:
-        """Ordered basis as (source vertex, arrow-name path) pairs."""
-        return [
-            (self.vertices[e.source], tuple(self.arrows[a].name for a in e.path))
-            for e in self._elts
-        ]
-
     def signature(self) -> tuple:
         return (
             self.field.kind,
@@ -455,15 +444,6 @@ def algebra_from_dict(d: Mapping) -> Algebra:
         _json_typed(rel, list, f"relation {k}")
     return Algebra(field, _json_typed(_json_key(d, "vertices", "the algebra"), list, "vertices"),
                    _json_typed(_json_key(d, "arrows", "the algebra"), list, "arrows"), relations)
-
-
-def load_algebra(text: str) -> Algebra:
-    """Parse an algebra file (JSON text per the documented schema)."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"not valid JSON: {e}") from e
-    return algebra_from_dict(data)
 
 
 def preprojective(n: int, field: Field) -> Algebra:
@@ -1006,18 +986,19 @@ def sum_module(parts: Sequence[Module], algebra: Optional[Algebra] = None) -> Mo
     of a sum, shared by :func:`direct_sum` and by the block maps of
     :meth:`Morphism.hstack` and :meth:`Morphism.vstack`.
 
-    An empty list yields the zero module, for which the algebra is required.
-    A sum of two or more records them as its ``parts`` and is cached per
-    algebra by the ordered tuple of part keys (the order fixes the block
-    layout): a hit returns the one module built first, whose ``parts`` may
-    be other instances with the same keys.
+    An empty list yields the zero module, for which the algebra is required,
+    and a one-part sum is the part itself (modules are immutable by
+    convention). A sum of two or more records them as its ``parts`` and is
+    cached per algebra by the ordered tuple of part keys (the order fixes
+    the block layout): a hit returns the one module built first, whose
+    ``parts`` may be other instances with the same keys.
     """
     if not parts:
         if algebra is None:
             raise InputError("the sum of an empty list needs the algebra argument")
         return zero_module(algebra)
     if len(parts) == 1:
-        return _build_sum(parts)
+        return parts[0]
     return _memo(parts[0].algebra._module_cache, ("sum", tuple(p.key for p in parts)),
                  lambda: _build_sum(parts))
 
@@ -1028,8 +1009,7 @@ def _build_sum(parts: Sequence[Module]) -> Module:
     action = {a.name: Matrix.block_diag(alg.field, [p.action[a.name] for p in parts])
               for a in alg.arrows}
     total = Module(alg, dims, action, check=False)
-    if len(parts) > 1:
-        total.parts = tuple(parts)
+    total.parts = tuple(parts)
     return total
 
 
@@ -1129,10 +1109,6 @@ class ShortExactSequence:
     @property
     def middle(self) -> Module:
         return self.i.target
-
-    @property
-    def quotient(self) -> Module:
-        return self.p.target
 
 
 # -- submodule enumeration ---------------------------------------------------------

@@ -72,12 +72,6 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def random_morphism(ctx: RigidContext, x: Module, y: Module, seed: int) -> Morphism:
-    """Pseudorandom combination of the hom basis, deterministic in (seed, x, y)."""
-    rng = random.Random(_derive_seed(seed, x.key, y.key))
-    return _random_hom(ctx, rng, x, y)
-
-
 def _random_hom(ctx: RigidContext, rng: random.Random, x: Module, y: Module) -> Morphism:
     field = ctx.alg.field
     return combine(x, y, [field.sample(rng) for _ in range(hom_dim(x, y))])
@@ -584,59 +578,6 @@ def _check_homotopy_G_agreement(ctx, rng, samples, universe, pred) -> List[Viola
                 {"f": _morphism_replay(f), "g": _morphism_replay(g)},
             ))
     return out
-
-
-def search_fraction_witness(ctx: RigidContext, left, right, seed: int = 0,
-                            candidates: Optional[Sequence[Module]] = None,
-                            tries: int = 50):
-    """Best-effort search for a zig-zag witness of right-fraction equality.
-
-    For fractions (f, s) and (g, t) the witness is a pair of weak
-    equivalences s', t' out of a common source with s∘s' = t∘t' and
-    f∘s' = g∘t'. The linear constraints are solved exactly; weak-equivalence
-    membership of a solution is then probed over the solution space with a
-    seeded stream. Returns (source, s', t') or None; the criterion itself is
-    decided by canonical forms, not by this search.
-    """
-    f, s = left
-    g, t = right
-    rng = random.Random(_derive_seed("fraction-witness", seed))
-    field = ctx.alg.field
-    sources = list(candidates) if candidates is not None else [
-        s.source, t.source, cofibrant_replacement(ctx, s.source).a,
-    ]
-    for c in sources:
-        basis_a = hom_matrix(c, s.source).data
-        basis_b = hom_matrix(c, t.source).data
-        if not len(basis_a) and not len(basis_b):
-            continue
-        rows_a = np.hstack([compose_basis(basis_a, c, s.source, left=s),
-                            compose_basis(basis_a, c, s.source, left=f)])
-        rows_b = np.hstack([compose_basis(basis_b, c, t.source, left=t),
-                            compose_basis(basis_b, c, t.source, left=g)])
-        system = Matrix(field, np.vstack([rows_a, field.reduce(-rows_b)]).T)
-        ker = system.kernel()
-        if ker.cols == 0:
-            continue
-
-        def assemble(coeffs):
-            k = len(basis_a)
-            return combine(c, s.source, coeffs[:k]), combine(c, t.source, coeffs[k:])
-
-        probes = [ker.data[:, k] for k in range(ker.cols)]
-        for _ in range(tries):
-            mix = np.empty(ker.rows, dtype=field.dtype)
-            mix[...] = field.zero()
-            for k in range(ker.cols):
-                coeff = field.sample(rng)
-                if coeff != 0:
-                    mix = field.reduce(mix + coeff * ker.data[:, k])
-            probes.append(mix)
-        for coeffs in probes:
-            sp, tp = assemble(coeffs)
-            if is_weak_equivalence(ctx, sp) and is_weak_equivalence(ctx, tp):
-                return c, sp, tp
-    return None
 
 
 def _check_wic_deflation(ctx, rng, samples, universe, pred) -> List[Violation]:

@@ -412,13 +412,6 @@ class Matrix:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def from_rows(field: Field, rows: Sequence[Sequence]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = [v for row in rows for v in row]
-        return Matrix(field, field.array(flat, (nrows, ncols)))
-
-    @staticmethod
     def from_entries(field: Field, nrows: int, ncols: int, entries: Sequence) -> "Matrix":
         return Matrix(field, field.array(entries, (nrows, ncols)))
 
@@ -438,10 +431,6 @@ class Matrix:
             m.data[i, i] = one
         return m
 
-    @staticmethod
-    def column(field: Field, values: Sequence) -> "Matrix":
-        return Matrix.from_entries(field, len(values), 1, values)
-
     # -- shape and access --------------------------------------------------
 
     @property
@@ -451,10 +440,6 @@ class Matrix:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def entries(self) -> list:
-        return [x for x in self.data.reshape(-1)]
 
     def to_lists(self) -> List[list]:
         return [list(row) for row in self.data]

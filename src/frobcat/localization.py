@@ -249,14 +249,6 @@ def fraction_to_ho(ctx: RigidContext, f: Morphism, s: Morphism) -> HoClass:
     return ho_compose(f_cls, _ho_inverse(ctx, s_cls))
 
 
-def fractions_equal(ctx: RigidContext, left: Tuple[Morphism, Morphism],
-                    right: Tuple[Morphism, Morphism]) -> bool:
-    """Equality of right fractions, decided on canonical forms."""
-    a = fraction_to_ho(ctx, *left)
-    b = fraction_to_ho(ctx, *right)
-    return a == b
-
-
 # -- the two-sided verification --------------------------------------------------
 
 

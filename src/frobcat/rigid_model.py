@@ -432,13 +432,6 @@ def factorize2(ctx: RigidContext, f: Morphism) -> Factorization:
     return Factorization(left, right, "cof-then-trivfib")
 
 
-def path_object(ctx: RigidContext, y: Module) -> Tuple[Morphism, Morphism]:
-    """Factorization of the diagonal y -> y ⊕ y through y ⊕ U', with the
-    first map a verified weak equivalence."""
-    fac = factorize1(ctx, Morphism.vstack([Morphism.identity(y)] * 2))
-    return fac.left, fac.right
-
-
 def are_homotopic(ctx: RigidContext, f: Morphism, g: Morphism) -> bool:
     """On cofibrant domains: the difference factors through the cosyzygy class.
 

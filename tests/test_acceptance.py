@@ -37,7 +37,8 @@ from frobcat.rigid_model import (
     is_weak_equivalence,
 )
 from frobcat.localization import dl_verify_all, ho_hom, stable_endo
-from frobcat.axiom_suite import default_objects, random_morphism, run_all, weq_via_cones
+from frobcat.axiom_suite import default_objects, run_all, weq_via_cones
+from helpers import random_morphism
 
 
 def _report(n, label, elapsed, budget):

@@ -16,7 +16,6 @@ from frobcat.axiom_suite import (
     PredicateSet,
     _sample_morphism,
     default_objects,
-    random_morphism,
     registered_checks,
     rlp_holds,
     run_all,
@@ -24,6 +23,8 @@ from frobcat.axiom_suite import (
     sample_universe,
     weq_via_cones,
 )
+from frobcat.localization import fraction_to_ho
+from helpers import random_morphism, search_fraction_witness
 
 ALL_CHECKS = [
     "two_out_of_three",
@@ -314,16 +315,14 @@ def test_default_objects(pa2_ctx):
 
 
 def test_fraction_witness_search(pa2_ctx, pa2):
-    from frobcat.localization import fractions_equal
     from frobcat.rigid_model import cofibrant_replacement, is_weak_equivalence
-    from frobcat.axiom_suite import search_fraction_witness
 
     alg, mods = pa2
     s1 = mods["S1"]
     ident = Morphism.identity(s1)
     u = cofibrant_replacement(pa2_ctx, s1).phi
     left, right = (ident, ident), (ident @ u, ident @ u)
-    assert fractions_equal(pa2_ctx, left, right)
+    assert fraction_to_ho(pa2_ctx, *left) == fraction_to_ho(pa2_ctx, *right)
     witness = search_fraction_witness(pa2_ctx, left, right, seed=3)
     assert witness is not None
     _, sp, tp = witness
@@ -332,7 +331,7 @@ def test_fraction_witness_search(pa2_ctx, pa2):
     assert (left[0] @ sp) == (right[0] @ tp)
     # unequal fractions admit no witness
     zero = Morphism.zero(s1, s1)
-    assert not fractions_equal(pa2_ctx, (ident, ident), (zero, ident))
+    assert fraction_to_ho(pa2_ctx, ident, ident) != fraction_to_ho(pa2_ctx, zero, ident)
     assert search_fraction_witness(
         pa2_ctx, (ident, ident), (zero, ident), seed=3
     ) is None
@@ -340,8 +339,6 @@ def test_fraction_witness_search(pa2_ctx, pa2):
 
 def test_witness_implies_equality(pa2_ctx, pa2):
     # soundness direction: any found witness certifies canonical equality
-    from frobcat.localization import fractions_equal
-    from frobcat.axiom_suite import search_fraction_witness
     import random as _random
 
     alg, mods = pa2
@@ -357,7 +354,7 @@ def test_witness_implies_equality(pa2_ctx, pa2):
         witness = search_fraction_witness(pa2_ctx, (f, s), (g, s), seed=k)
         if witness is not None:
             found += 1
-            assert fractions_equal(pa2_ctx, (f, s), (g, s))
+            assert fraction_to_ho(pa2_ctx, f, s) == fraction_to_ho(pa2_ctx, g, s)
     assert found > 0
 
 

@@ -167,6 +167,7 @@ MALFORMED = {
     "zero-samples": (None, AXIOMS + ["--samples", "0"], None),
     "negative-samples": (None, AXIOMS + ["--samples", "-5"], None),
     "module-not-json": (_with_file("S1.json", "{not json"), AXIOMS, "S1.json"),
+    "algebra-not-json": (_with_file("algebra.json", "{not json"), HOM, "algebra.json"),
     "module-bad-dim": (_with_file("S1.json", json.dumps({"dims": {"1": "x"}})), AXIOMS,
                        "S1.json"),
     "morphism-not-json": (_with_file("f.json", "{bad"), WEQ, "f.json"),

@@ -67,7 +67,7 @@ def test_rref_identity_f5():
 
 def test_rref_rank_one():
     # hand row reduction: second row is half the first
-    m = Matrix.from_rows(Q, [[2, 4], [1, 2]])
+    m = Matrix.from_entries(Q, 2, 2, [2, 4, 1, 2])
     red, pivots, rank = m.rref()
     assert rank == 1 and pivots == [0]
     assert red.to_lists() == [[1, 2], [0, 0]]
@@ -88,32 +88,32 @@ def column_vector(m, j):
 
 def test_kernel_pivot_convention():
     # free column 1 gives (-1, 1, 0), canonically (4, 1, 0) over F_5
-    m = Matrix.from_rows(F5, [[1, 1, 0], [0, 0, 1]])
+    m = Matrix.from_entries(F5, 2, 3, [1, 1, 0, 0, 0, 1])
     ker = m.kernel()
     assert ker.cols == 1
-    assert column_vector(ker, 0).entries == [4, 1, 0]
+    assert column_vector(ker, 0) == Matrix.from_entries(F5, 3, 1, [4, 1, 0])
 
 
 def test_solve_identity():
-    b = Matrix.column(Q, [3, Fraction(1, 2)])
+    b = Matrix.from_entries(Q, 2, 1, [3, Fraction(1, 2)])
     x = Matrix.identity(Q, 2).solve_cols(b)
     assert x == b
 
 
 def test_solve_inconsistent():
-    assert Matrix.zeros(F5, 2, 2).solve_cols(Matrix.column(F5, [1, 0])) is None
+    assert Matrix.zeros(F5, 2, 2).solve_cols(Matrix.from_entries(F5, 2, 1, [1, 0])) is None
 
 
 def test_solve_underdetermined():
-    m = Matrix.from_rows(Q, [[1, 2], [2, 4]])
-    x = m.solve_cols(Matrix.column(Q, [1, 2]))
+    m = Matrix.from_entries(Q, 2, 2, [1, 2, 2, 4])
+    x = m.solve_cols(Matrix.from_entries(Q, 2, 1, [1, 2]))
     assert x is not None
-    assert x.entries[0] + 2 * x.entries[1] == 1
+    assert x.data[0, 0] + 2 * x.data[1, 0] == 1
 
 
 def test_solve_shape_contract():
     with pytest.raises(InputError):
-        Matrix.identity(Q, 2).solve_cols(Matrix.column(Q, [1, 2, 3]))
+        Matrix.identity(Q, 2).solve_cols(Matrix.from_entries(Q, 3, 1, [1, 2, 3]))
 
 
 def _random_matrix(field, rng, rows, cols):
@@ -169,7 +169,7 @@ def test_solve_iff_rank_condition(field):
 )
 @settings(max_examples=60, deadline=None)
 def test_rref_projects_to_row_space(rows):
-    m = Matrix.from_rows(Q, rows)
+    m = Matrix.from_entries(Q, len(rows), 3, [v for row in rows for v in row])
     red, pivots, rank = m.rref()
     # every original row reduces to zero against the echelon rows
     span = RowSpan(Q, m.cols)
@@ -182,13 +182,13 @@ def test_rref_projects_to_row_space(rows):
 
 def test_rowspan_membership():
     span = RowSpan(F5, 3)
-    assert span.add(Matrix.from_rows(F5, [[1, 2, 0]]).data[0].copy())
-    assert not span.add(Matrix.from_rows(F5, [[2, 4, 0]]).data[0].copy())
-    assert span.add(Matrix.from_rows(F5, [[0, 0, 3]]).data[0].copy())
+    assert span.add(Matrix.from_entries(F5, 1, 3, [1, 2, 0]).data[0].copy())
+    assert not span.add(Matrix.from_entries(F5, 1, 3, [2, 4, 0]).data[0].copy())
+    assert span.add(Matrix.from_entries(F5, 1, 3, [0, 0, 3]).data[0].copy())
     assert span.rank == 2
     # (0, 1, 0) forces a zero multiple of (1, 2, 0), so it is outside
-    assert span.contains(Matrix.from_rows(F5, [[0, 1, 0]]).data[0].copy()) is False
-    assert span.contains(Matrix.from_rows(F5, [[3, 1, 1]]).data[0].copy()) is True
+    assert span.contains(Matrix.from_entries(F5, 1, 3, [0, 1, 0]).data[0].copy()) is False
+    assert span.contains(Matrix.from_entries(F5, 1, 3, [3, 1, 1]).data[0].copy()) is True
 
 
 # -- kept references ---------------------------------------------------------------

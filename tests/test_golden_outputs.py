@@ -32,12 +32,13 @@ from pathlib import Path
 import pytest
 
 from frobcat.algebra_repr import hom_basis, preprojective
-from frobcat.axiom_suite import default_objects, random_morphism, sample_universe
+from frobcat.axiom_suite import default_objects, sample_universe
 from frobcat.cli import dispatch
 from frobcat.exact_linalg import rational_field
 from frobcat.fixtures import build_fixture, emit_fixture
 from frobcat.localization import dl_verify_all, ho_class_of
 from frobcat.rigid_model import build_context, cofibrant_replacement
+from helpers import random_morphism
 
 GOLDEN = Path(__file__).resolve().with_name("golden_outputs.json")
 SEEDS = range(5)

@@ -204,7 +204,7 @@ def test_ses_split(pa2):
     ).validate()
     split = ses_split(to_zero)
     assert split is not None and split.target.key == mods["P1"].key
-    assert (to_zero.p @ split) == Morphism.identity(to_zero.quotient)
+    assert (to_zero.p @ split) == Morphism.identity(to_zero.p.target)
 
 
 # -- kept references: the cokernel and the cover as they were first written ---------
@@ -259,7 +259,7 @@ def _reference_cokernel_factor(proj, g):
 def _reference_generator_map(x, v, gen):
     """P_v -> x sending each path b out of v to (action of b on x) @ gen."""
     alg = x.algebra
-    src, column = alg._vindex[v], Matrix.column(alg.field, list(gen))
+    src, column = alg._vindex[v], Matrix.from_entries(alg.field, len(gen), 1, list(gen))
     cols = {w: [] for w in alg.vertices}
     for e in alg._elts:
         if e.source == src:

@@ -24,7 +24,7 @@ from frobcat.algebra_repr import (
 )
 from frobcat.exact_linalg import Matrix, RowSpan, prime_field
 from frobcat.homological import cosyzygy, ext1_dim, in_add, solve_postcompose
-from frobcat.axiom_suite import default_objects, random_morphism, run_all, sample_universe
+from frobcat.axiom_suite import default_objects, run_all, sample_universe
 from frobcat.rigid_model import (
     EXACT,
     LEFT,
@@ -44,11 +44,11 @@ from frobcat.rigid_model import (
     is_weak_equivalence,
     lift,
     mho_approximation,
-    path_object,
     presentation_of_cofibrant,
     are_homotopic,
     right_M_approximation,
 )
+from helpers import random_morphism
 
 
 def test_build_context_accepts_fixture(pa2_ctx):
@@ -356,7 +356,8 @@ def test_factorize2_contracts(pa2_deg_ctx, pa2):
 def test_path_object(pa2_ctx, pa2):
     alg, mods = pa2
     for y in [zero_module(alg), mods["S1"], mods["P2"]]:
-        w, q = path_object(pa2_ctx, y)
+        fac = factorize1(pa2_ctx, Morphism.vstack([Morphism.identity(y)] * 2))
+        w, q = fac.left, fac.right
         yy, injs, _ = direct_sum([y, y])
         assert (q @ w) == (injs[0] + injs[1])
         assert is_weak_equivalence(pa2_ctx, w)
@@ -480,7 +481,7 @@ def test_morphism_key_is_the_content_of_the_map_and_its_ends(small_algebras, fie
     different keys, and equal content built separately has one key. F5 keys
     join int64 bytes; F1048583 and Q join entry signatures."""
     alg = small_algebras[f"kA2/{field}"]
-    x = Module(alg, {"1": 1, "2": 1}, {"a": Matrix.from_rows(alg.field, [[1]])})
+    x = Module(alg, {"1": 1, "2": 1}, {"a": Matrix.from_entries(alg.field, 1, 1, [1])})
     y = Module(alg, {"1": 1, "2": 1}, {})
     maps = [Morphism.zero(x, x), Morphism.zero(x, y), Morphism.zero(y, x),
             Morphism.zero(y, y), Morphism.identity(x), Morphism.identity(y),
