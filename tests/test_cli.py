@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from frobcat.cli import dispatch
+from frobcat.cli import build_parser, dispatch
 from frobcat.fixtures import FIXTURE_TAGS, emit_fixture
 
 
@@ -99,6 +100,37 @@ def test_json_output_is_stable(pa2_project, capsys):
     doc = json.loads(first)
     assert doc["tool"].startswith("frobcat ")
     assert doc["M_gen"] == ["P1", "P2", "S1"]
+
+
+# each subcommand, in the order --help lists them, with its arguments in the order
+# they were added: option strings for an option, the name of a positional
+SUBCOMMANDS = {
+    "validate": [["--project"]],
+    "hom": [["--project"], "x", "y"],
+    "ext": [["--project"], "x", "y"],
+    "weq": [["--project"], ["--morphism"]],
+    "fib": [["--project"], ["--morphism"]],
+    "cofibrant": [["--project"], "x"],
+    "replace": [["--project"], "x"],
+    "factor1": [["--project"], ["--morphism"]],
+    "factor2": [["--project"], ["--morphism"]],
+    "homotopic": [["--project"], ["--f"], ["--g"]],
+    "ho-hom": [["--project"], "x", "y"],
+    "dl-verify": [["--project"], "x", "y", ["--all-pairs"]],
+    "axioms": [["--project"], ["--check"], ["--seed"], ["--samples"]],
+    "fixtures": ["action", "tag", "dir"],
+}
+
+
+def test_subcommands_and_their_arguments():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: [a.option_strings or a.dest for a in p._actions
+               if not isinstance(a, argparse._HelpAction)]
+        for name, p in sub.choices.items()
+    }
+    assert list(found) == list(SUBCOMMANDS)
+    assert found == SUBCOMMANDS
 
 
 def test_input_error_exit_codes(pa2_project, tmp_path, capsys):

@@ -17,6 +17,10 @@ self-injective: ``dl_verify_all`` checksums over its simples, projectives and
 injectives (``default_objects``), digests of seeded ``random_morphism`` draws
 between them, and the canonical forms of their replacement maps' classes.
 
+The ``cli`` key pins every subcommand on the pa2 fixture: the SHA-256 of
+the exit code and stdout of each invocation in ``CLI_RUNS``, as text and
+as ``--json``.
+
 Rewrite the file only in a change that means to alter these outputs:
 
     PYTHONPATH=src python tests/test_golden_outputs.py --record
@@ -144,6 +148,54 @@ def aus2_outputs() -> dict:
     }
 
 
+# the morphism files the CLI runs read, written into the emitted pa2 project
+CLI_MORPHISMS = {
+    "to_S2.json": {"source": "0", "target": "S2", "comps": {}},
+    "top.json": {"source": "P2", "target": "S2", "comps": {"2": ["1"]}},
+    "id_S2.json": {"source": "S2", "target": "S2", "comps": {"2": ["1"]}},
+    "zero_S2.json": {"source": "S2", "target": "S2", "comps": {}},
+}
+CLI_RUNS = [
+    ["validate"],
+    ["hom", "P1", "P2"],
+    ["ext", "S2", "S1"],
+    ["weq", "--morphism", "{root}/to_S2.json"],
+    ["fib", "--morphism", "{root}/to_S2.json"],
+    ["cofibrant", "S2"],
+    ["replace", "S1"],
+    ["factor1", "--morphism", "{root}/top.json"],
+    ["factor2", "--morphism", "{root}/top.json"],
+    ["homotopic", "--f", "{root}/id_S2.json", "--g", "{root}/zero_S2.json"],
+    ["ho-hom", "S1", "S1"],
+    ["dl-verify", "S1", "S1"],
+    ["dl-verify", "--all-pairs"],
+    ["dl-verify"],
+    ["axioms", "--check", "wic_deflation", "--samples", "5"],
+    ["hom", "S1", "S9"],
+]
+
+
+def cli_digests() -> dict:
+    """{invocation: SHA-256 of [exit code, stdout]}, with the project
+    directory written as {root} in the fixtures run's output."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = emit_fixture("pa2", str(Path(tmp) / "pa2"))
+        for name, doc in CLI_MORPHISMS.items():
+            (root / name).write_text(json.dumps(doc))
+        runs = [argv + ["--project", "{root}"] for argv in CLI_RUNS]
+        runs.append(["fixtures", "emit", "pa2", "{root}/again"])
+        for argv in runs:
+            for flags in ([], ["--json"]):
+                text = io.StringIO()
+                with contextlib.redirect_stdout(text):
+                    code = dispatch(flags + [a.format(root=root) for a in argv])
+                stdout = text.getvalue().replace(str(root), "{root}")
+                out[" ".join(flags + argv)] = hashlib.sha256(
+                    json.dumps([code, stdout]).encode()).hexdigest()
+    return out
+
+
 def compute() -> dict:
     return {
         "hom_basis": {tag: hom_basis_digests(tag) for tag in ("pa2", "pa3")},
@@ -152,6 +204,7 @@ def compute() -> dict:
         "ho_class_of_phi": ho_class_canonicals(),
         "a2q": a2q_outputs(),
         "aus2": aus2_outputs(),
+        "cli": cli_digests(),
     }
 
 
@@ -184,6 +237,10 @@ def test_rational_context_unchanged(golden):
 
 def test_exact_mode_fixture_unchanged(golden):
     assert aus2_outputs() == golden["aus2"]
+
+
+def test_cli_outputs_unchanged(golden):
+    assert cli_digests() == golden["cli"]
 
 
 if __name__ == "__main__":
