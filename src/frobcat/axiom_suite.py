@@ -635,7 +635,7 @@ def run_check(ctx: RigidContext, name: str, seed: int, samples: int,
     return CheckRun(name, seed, samples, violations)
 
 
-def run_all(ctx: RigidContext, seed: int, samples: int = 200,
+def run_all(ctx: RigidContext, seed: int, samples: int,
             objects: Optional[Sequence[Tuple[str, Module]]] = None,
             predicates: Optional[PredicateSet] = None) -> SuiteReport:
     """Run every registered check applicable to the context's mode."""

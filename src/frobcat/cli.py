@@ -41,7 +41,6 @@ EXIT_INPUT = 2
 
 @dataclass
 class ProjectConfig:
-    root: Path
     algebra: Algebra
     modules: Dict[str, Module]
     m_gen_names: List[str]
@@ -96,15 +95,8 @@ def load_project(path: str) -> ProjectConfig:
             raise InputError(f"M_gen references unknown module {name!r}")
     seed = _json_scalar(options.get("seed", 42), "project.json options: seed", int)
     samples = _json_scalar(options.get("samples", 200), "project.json options: samples", int)
-    return ProjectConfig(
-        root=root,
-        algebra=algebra,
-        modules=modules,
-        m_gen_names=m_gen,
-        mode=config.get("mode", "exact"),
-        seed=seed,
-        samples=samples,
-    )
+    return ProjectConfig(algebra=algebra, modules=modules, m_gen_names=m_gen,
+                         mode=config.get("mode", "exact"), seed=seed, samples=samples)
 
 
 def load_morphism(project: ProjectConfig, path: str) -> Morphism:
@@ -140,11 +132,14 @@ class Report:
                 print(line)
 
 
-def _bool_exit(value: bool) -> int:
-    return EXIT_OK if value else EXIT_FAIL
-
-
 # -- commands -------------------------------------------------------------------
+
+
+def _verdict(report: Report, key: str, value: bool) -> int:
+    """Report a predicate: true or false, under key; exit 0 when it holds."""
+    report.say("true" if value else "false")
+    report.put(key, value)
+    return EXIT_OK if value else EXIT_FAIL
 
 
 def cmd_validate(args, report: Report) -> int:
@@ -168,21 +163,16 @@ def cmd_validate(args, report: Report) -> int:
 
 def cmd_hom(args, report: Report) -> int:
     project = load_project(args.project)
-    x, y = project.module(args.x), project.module(args.y)
-    basis = hom_basis(x, y)
+    basis = hom_basis(project.module(args.x), project.module(args.y))
     report.say(f"dim Hom({args.x}, {args.y}) = {len(basis)}")
     report.put("dim", len(basis))
-    report.put(
-        "basis",
-        [f.to_dict(args.x, args.y)["comps"] for f in basis],
-    )
+    report.put("basis", [f.to_dict(args.x, args.y)["comps"] for f in basis])
     return EXIT_OK
 
 
 def cmd_ext(args, report: Report) -> int:
     project = load_project(args.project)
-    x, y = project.module(args.x), project.module(args.y)
-    d = ext1_dim(x, y)
+    d = ext1_dim(project.module(args.x), project.module(args.y))
     report.say(f"dim Ext^1({args.x}, {args.y}) = {d}")
     report.put("dim", d)
     return EXIT_OK
@@ -190,37 +180,25 @@ def cmd_ext(args, report: Report) -> int:
 
 def cmd_weq(args, report: Report) -> int:
     project = load_project(args.project)
-    ctx = project.context()
-    f = load_morphism(project, args.morphism)
-    value = is_weak_equivalence(ctx, f)
-    report.say("true" if value else "false")
-    report.put("weak_equivalence", value)
-    return _bool_exit(value)
+    return _verdict(report, "weak_equivalence", is_weak_equivalence(
+        project.context(), load_morphism(project, args.morphism)))
 
 
 def cmd_fib(args, report: Report) -> int:
     project = load_project(args.project)
-    ctx = project.context()
-    f = load_morphism(project, args.morphism)
-    value = is_fibration(ctx, f)
-    report.say("true" if value else "false")
-    report.put("fibration", value)
-    return _bool_exit(value)
+    return _verdict(report, "fibration", is_fibration(
+        project.context(), load_morphism(project, args.morphism)))
 
 
 def cmd_cofibrant(args, report: Report) -> int:
     project = load_project(args.project)
-    ctx = project.context()
-    value = is_cofibrant(ctx, project.module(args.x))
-    report.say("true" if value else "false")
-    report.put("cofibrant", value)
-    return _bool_exit(value)
+    return _verdict(report, "cofibrant",
+                    is_cofibrant(project.context(), project.module(args.x)))
 
 
 def cmd_replace(args, report: Report) -> int:
     project = load_project(args.project)
-    ctx = project.context()
-    rep = cofibrant_replacement(ctx, project.module(args.x))
+    rep = cofibrant_replacement(project.context(), project.module(args.x))
     report.say(f"replacement of {args.x}: dims {rep.a.dims_tuple()}")
     report.say(
         f"witness: 0 -> {rep.witness.sub.dims_tuple()} -> "
@@ -233,11 +211,11 @@ def cmd_replace(args, report: Report) -> int:
     return EXIT_OK
 
 
-def _factor_common(args, report: Report, which: int) -> int:
+def cmd_factor(args, report: Report) -> int:
+    """factor1 or factor2, as args.command names."""
     project = load_project(args.project)
-    ctx = project.context()
-    f = load_morphism(project, args.morphism)
-    fac = factorize1(ctx, f) if which == 1 else factorize2(ctx, f)
+    factorize = factorize1 if args.command == "factor1" else factorize2
+    fac = factorize(project.context(), load_morphism(project, args.morphism))
     report.say(f"flavor: {fac.flavor}")
     report.say(f"middle object dims {fac.left.target.dims_tuple()}")
     report.say("composite and class predicates verified")
@@ -246,29 +224,15 @@ def _factor_common(args, report: Report, which: int) -> int:
     return EXIT_OK
 
 
-def cmd_factor1(args, report: Report) -> int:
-    return _factor_common(args, report, 1)
-
-
-def cmd_factor2(args, report: Report) -> int:
-    return _factor_common(args, report, 2)
-
-
 def cmd_homotopic(args, report: Report) -> int:
     project = load_project(args.project)
-    ctx = project.context()
-    f = load_morphism(project, args.f)
-    g = load_morphism(project, args.g)
-    value = are_homotopic(ctx, f, g)
-    report.say("true" if value else "false")
-    report.put("homotopic", value)
-    return _bool_exit(value)
+    return _verdict(report, "homotopic", are_homotopic(
+        project.context(), load_morphism(project, args.f), load_morphism(project, args.g)))
 
 
 def cmd_ho_hom(args, report: Report) -> int:
     project = load_project(args.project)
-    ctx = project.context()
-    space = ho_hom(ctx, project.module(args.x), project.module(args.y))
+    space = ho_hom(project.context(), project.module(args.x), project.module(args.y))
     report.say(f"dim Ho({args.x}, {args.y}) = {space.dim}")
     report.put("dim", space.dim)
     return EXIT_OK
@@ -278,15 +242,12 @@ def cmd_dl_verify(args, report: Report) -> int:
     project = load_project(args.project)
     ctx = project.context()
     if args.all_pairs:
-        named = sorted(project.modules.items())
-        reports = dl_verify_all(ctx, named)
+        reports = dl_verify_all(ctx, sorted(project.modules.items()))
+    elif args.x and args.y:
+        reports = [dl_verify(ctx, project.module(args.x), project.module(args.y),
+                             names=(args.x, args.y))]
     else:
-        if not (args.x and args.y):
-            raise InputError("dl-verify needs X and Y, or --all-pairs")
-        reports = [
-            dl_verify(ctx, project.module(args.x), project.module(args.y),
-                      names=(args.x, args.y))
-        ]
+        raise InputError("dl-verify needs X and Y, or --all-pairs")
     ok = all(r.passed for r in reports)
     for r in reports:
         report.say(r.line())
@@ -328,8 +289,6 @@ def cmd_axioms(args, report: Report) -> int:
 
 
 def cmd_fixtures(args, report: Report) -> int:
-    if args.action != "emit":
-        raise InputError("fixtures supports: emit <tag> <dir>")
     root = emit_fixture(args.tag, args.dir)
     report.say(f"fixture {args.tag} written to {root}")
     report.put("tag", args.tag)
@@ -338,6 +297,7 @@ def cmd_fixtures(args, report: Report) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; each subcommand's handler is its ``run`` default."""
     parser = argparse.ArgumentParser(
         prog="frobcat",
         description="homotopical structures on quiver-representation categories",
@@ -345,105 +305,69 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_project(p):
+    def command(name, run, summary, *positionals):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--project", required=True, help="project directory")
+        for arg in positionals:
+            p.add_argument(arg)
         return p
 
-    with_project(sub.add_parser("validate", help="build and validate the rigid context"))
-
-    p = with_project(sub.add_parser("hom", help="hom-space dimension and basis"))
-    p.add_argument("x")
-    p.add_argument("y")
-
-    p = with_project(sub.add_parser("ext", help="Ext^1 dimension"))
-    p.add_argument("x")
-    p.add_argument("y")
-
-    p = with_project(sub.add_parser("weq", help="weak-equivalence predicate"))
-    p.add_argument("--morphism", required=True)
-
-    p = with_project(sub.add_parser("fib", help="fibration predicate"))
-    p.add_argument("--morphism", required=True)
-
-    p = with_project(sub.add_parser("cofibrant", help="cofibrancy predicate"))
-    p.add_argument("x")
-
-    p = with_project(sub.add_parser("replace", help="cofibrant replacement"))
-    p.add_argument("x")
-
-    p = with_project(sub.add_parser("factor1", help="weq-then-fibration factorization"))
-    p.add_argument("--morphism", required=True)
-
-    p = with_project(sub.add_parser("factor2", help="cofibration-then-trivial-fibration"))
-    p.add_argument("--morphism", required=True)
-
-    p = with_project(sub.add_parser("homotopic", help="homotopy relation"))
+    command("validate", cmd_validate, "build and validate the rigid context")
+    command("hom", cmd_hom, "hom-space dimension and basis", "x", "y")
+    command("ext", cmd_ext, "Ext^1 dimension", "x", "y")
+    command("weq", cmd_weq, "weak-equivalence predicate").add_argument(
+        "--morphism", required=True)
+    command("fib", cmd_fib, "fibration predicate").add_argument("--morphism", required=True)
+    command("cofibrant", cmd_cofibrant, "cofibrancy predicate", "x")
+    command("replace", cmd_replace, "cofibrant replacement", "x")
+    command("factor1", cmd_factor, "weq-then-fibration factorization").add_argument(
+        "--morphism", required=True)
+    command("factor2", cmd_factor, "cofibration-then-trivial-fibration").add_argument(
+        "--morphism", required=True)
+    p = command("homotopic", cmd_homotopic, "homotopy relation")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-
-    p = with_project(sub.add_parser("ho-hom", help="homotopy-category hom dimension"))
-    p.add_argument("x")
-    p.add_argument("y")
-
-    p = with_project(sub.add_parser("dl-verify", help="two-sided equivalence check"))
+    command("ho-hom", cmd_ho_hom, "homotopy-category hom dimension", "x", "y")
+    p = command("dl-verify", cmd_dl_verify, "two-sided equivalence check")
     p.add_argument("x", nargs="?")
     p.add_argument("y", nargs="?")
     p.add_argument("--all-pairs", action="store_true")
-
-    p = with_project(sub.add_parser("axioms", help="run the axiom battery"))
+    p = command("axioms", cmd_axioms, "run the axiom battery")
     p.add_argument("--check", choices=registered_checks())
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int)
 
     p = sub.add_parser("fixtures", help="emit builtin fixture projects")
+    p.set_defaults(run=cmd_fixtures)
     p.add_argument("action", choices=["emit"])
     p.add_argument("tag", choices=list(FIXTURE_TAGS))
     p.add_argument("dir")
-
     return parser
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "hom": cmd_hom,
-    "ext": cmd_ext,
-    "weq": cmd_weq,
-    "fib": cmd_fib,
-    "cofibrant": cmd_cofibrant,
-    "replace": cmd_replace,
-    "factor1": cmd_factor1,
-    "factor2": cmd_factor2,
-    "homotopic": cmd_homotopic,
-    "ho-hom": cmd_ho_hom,
-    "dl-verify": cmd_dl_verify,
-    "axioms": cmd_axioms,
-    "fixtures": cmd_fixtures,
-}
-
-
 def dispatch(argv: List[str]) -> int:
-    parser = build_parser()
+    """Run one command line. An InputError (a HypothesisError included)
+    exits 2 with its report; any other exception propagates."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
-    report = Report(getattr(args, "json", False))
+    report = Report(args.json)
     try:
-        code = _COMMANDS[args.command](args, report)
+        code = args.run(args, report)
+        report.put("exit", code)
     except HypothesisError as e:
         report.say("context rejected:")
         for v in e.violations:
             report.say(f"  {v}")
         report.put("error", "hypothesis")
         report.put("violations", e.violations)
-        report.emit()
-        return EXIT_INPUT
-    except (InputError, FileNotFoundError, KeyError) as e:
+        code = EXIT_INPUT
+    except InputError as e:
         report.say(f"error: {e}")
         report.put("error", str(e))
-        report.emit()
-        return EXIT_INPUT
-    report.put("exit", code)
+        code = EXIT_INPUT
     report.emit()
     return code
 

@@ -73,7 +73,6 @@ FROBENIUS = "frobenius"
 class Replacement:
     """A cofibrant replacement phi: A -> X with its presentation witness."""
 
-    x: Module
     a: Module
     phi: Morphism
     witness: ShortExactSequence
@@ -147,7 +146,7 @@ class RigidContext:
         )
 
 
-def build_context(alg: Algebra, m_gen, mode: str) -> RigidContext:
+def build_context(alg: Algebra, m_gen: Sequence[Module], mode: str) -> RigidContext:
     """Validate every hypothesis and assemble the cached structures.
 
     Rejections carry the full list of violated hypotheses: rigidity of the
@@ -156,10 +155,9 @@ def build_context(alg: Algebra, m_gen, mode: str) -> RigidContext:
     """
     if mode not in (EXACT, FROBENIUS):
         raise InputError(f"unknown mode {mode!r}")
-    components = [m_gen] if isinstance(m_gen, Module) else list(m_gen)
-    if not components:
+    if not m_gen:
         raise InputError("M_gen needs at least one component")
-    ctx = RigidContext(alg, components, mode)
+    ctx = RigidContext(alg, m_gen, mode)
     violations = []
     if ext1_dim(ctx.M_gen, ctx.M_gen) != 0:
         violations.append("M_gen is not rigid: Ext^1(M_gen, M_gen) != 0")
@@ -278,7 +276,7 @@ def _build_replacement(ctx: RigidContext, x: Module) -> Replacement:
         raise InternalCheckError("replacement map is not a fibration")
     if not is_weak_equivalence(ctx, phi):
         raise InternalCheckError("replacement map is not a weak equivalence")
-    return Replacement(x, a_obj, phi, witness)
+    return Replacement(a_obj, phi, witness)
 
 
 # -- the two predicate classes ------------------------------------------------------

@@ -139,6 +139,16 @@ def test_input_error_exit_codes(pa2_project, tmp_path, capsys):
     assert dispatch(["frobnicate", "--project", pa2_project]) == 2
 
 
+def test_an_engine_error_is_not_reported_as_invalid_input(pa2_project, monkeypatch, capsys):
+    # only an InputError means invalid input; a KeyError from the engine is a bug and propagates
+    def broken(x, y):
+        raise KeyError("engine")
+    monkeypatch.setattr("frobcat.cli.ext1_dim", broken)
+    with pytest.raises(KeyError, match="engine"):
+        dispatch(["ext", "S2", "S1", "--project", pa2_project])
+    assert capsys.readouterr().out == ""
+
+
 def test_context_rejection_exit_code(pa2_project, tmp_path, capsys):
     import shutil
     bad = tmp_path / "bad"
