@@ -12,8 +12,10 @@ multiplied as integers, and one ``Fraction`` per entry is built at the end.
 
 F_2 elimination runs on bit-packed rows, one Python int per row with bit j
 for column j, combined by XOR and keyed by their lowest set bit
-(``_rref_bits``). For p > 2, matrices up to ``_ROW_CELLS`` cells are
-eliminated on Python-int rows and larger ones on the array.
+(``_rref_bits``); rows are packed as 63-bit int64 words, one integer product
+per word, and unpacked by shifts. F_2 residues are reduced by ``& 1``. For
+p > 2, matrices up to ``_ROW_CELLS`` cells are eliminated on Python-int rows
+and larger ones on the array.
 
 :meth:`Matrix.rref` and :meth:`Matrix.rank` share one elimination routine;
 ``rank`` runs it forward only. A :class:`RowSpan` is the unique RREF of the
@@ -149,7 +151,8 @@ class Field:
 
     def reduce(self, arr: np.ndarray) -> np.ndarray:
         if self._int64:
-            return arr % self.characteristic
+            # on two's-complement integers x & 1 == x % 2, negative x included
+            return arr & 1 if self.characteristic == 2 else arr % self.characteristic
         if self.kind == PRIME:
             p = self.characteristic
             out = np.empty(arr.shape, dtype=object)
@@ -165,11 +168,13 @@ class Field:
 
         Residues are summed in int64 over chunks of the inner axis short enough
         that no partial sum reaches 2^63; rationals are multiplied as integers
-        with each operand's denominators cleared.
+        with each operand's denominators cleared. Over F_2 the chunk is
+        2^63 - 1, so the product is always reduced whole, by ``& 1``.
         """
         if self._int64:
             if a.shape[-1] <= self._chunk:
-                return np.matmul(a, b) % self.characteristic
+                prod = np.matmul(a, b)
+                return prod & 1 if self.characteristic == 2 else prod % self.characteristic
             return _chunked_matmul(a, b, self.characteristic, self._chunk)
         if self.kind == RATIONAL:
             return _rational_matmul(a, b)
@@ -282,21 +287,36 @@ def _rref_rational(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], 
 _ROW_CELLS = 2048
 
 
+# F_2 rows are packed in words of this many bits, one int64 product per word:
+# the bit weights 1 << j stay below the sign bit, so a word's sum is exact.
+_WORD = 63
+_SHIFTS = np.arange(_WORD)
+_WEIGHTS = 1 << _SHIFTS
+_WORD_MASK = (1 << _WORD) - 1
+
+
 def _rref_bits(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
     """Gauss-Jordan elimination over F_2 on bit-packed rows: each row of
     ``a & 1`` is one Python int with bit j holding column j.
 
-    Rows are inserted one at a time into a table keyed by lowest set bit: a row
-    whose lowest bit is taken is XORed with that bit's row, which clears it
-    and leaves a higher lowest bit, until the row is zero or its lowest bit is
+    Each run of ``_WORD`` columns is packed by one int64 product with the bit
+    weights, and the words of a wider row are joined by shifts; pivot rows are
+    unpacked a word at a time by one ``>>``/``& 1`` broadcast. Rows are
+    inserted one at a time into a table keyed by lowest set bit: a row whose
+    lowest bit is taken is XORed with that bit's row, which clears it and
+    leaves a higher lowest bit, until the row is zero or its lowest bit is
     new. The keys are the pivot columns. The reduced form clears every pivot
     row at the higher pivots, highest pivot first, and so is the unique RREF.
     """
     nrows, ncols = a.shape
-    width = (ncols + 7) // 8  # bytes per packed row
-    # callers may pass unreduced residues such as -1
-    raw = np.packbits((a & 1).astype(np.uint8), axis=1, bitorder="little").tobytes()
-    packed = [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(nrows)]
+    bits = a & 1  # callers may pass unreduced residues such as -1
+    if ncols <= _WORD:  # one word a row, nothing to join
+        packed = (bits @ _WEIGHTS[:ncols]).tolist()
+    else:
+        packed = [0] * nrows
+        for s in range(0, ncols, _WORD):
+            word = (bits[:, s:s + _WORD] @ _WEIGHTS[:ncols - s]).tolist()
+            packed = [x | y << s for x, y in zip(packed, word)]
     table = {}
     for row in packed:
         while row:
@@ -320,10 +340,10 @@ def _rref_bits(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], List
         table[c] = row
         mask |= 1 << c
     out = np.zeros((nrows, ncols), dtype=a.dtype)
-    if pivots:
-        raw = b"".join(table[c].to_bytes(width, "little") for c in pivots)
-        out[:len(pivots)] = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(
-            len(pivots), width), axis=1, count=ncols, bitorder="little")
+    rows = [table[c] for c in pivots]
+    for s in range(0, ncols if rows else 0, _WORD):
+        word = np.array(rows if ncols <= _WORD else [row >> s & _WORD_MASK for row in rows])
+        out[:len(rows), s:s + _WORD] = word[:, None] >> _SHIFTS[:ncols - s] & 1
     return out, pivots
 
 
@@ -365,6 +385,11 @@ def _rref_residues(field: Field, a: np.ndarray,
 
 def _rref_residue_rows(field: Field, a: np.ndarray,
                        reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
+    """`_rref_residues` on Python-int rows, updated whole: left of the pivot
+    column every row below the pivot row is zero, and every row above it is
+    already reduced. An entry may be any integer that is not a nonzero
+    multiple of p, such as -1 or p + 1: the pivot is inverted inline by
+    Fermat, pow(x, p - 2, p), which returns 0 for such a multiple."""
     p = field.characteristic
     nrows, ncols = a.shape
     rows = a.tolist()
@@ -373,18 +398,20 @@ def _rref_residue_rows(field: Field, a: np.ndarray,
     for c in range(ncols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if rows[piv][c]:
+                break
+        else:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        tail = [u * inv % p for u in rows[r][c:]]
-        rows[r] = rows[r][:c] + tail
+        prow = rows[piv]
+        rows[piv] = rows[r]
+        inv = pow(prow[c], p - 2, p)
+        prow = rows[r] = [u * inv % p for u in prow]
         for i in range(0 if reduced else r + 1, nrows):
             row = rows[i]
             x = row[c]
             if x and i != r:
-                rows[i] = row[:c] + [(u - x * v) % p for u, v in zip(row[c:], tail)]
+                rows[i] = [(u - x * v) % p for u, v in zip(row, prow)]
         pivots.append(c)
         r += 1
     if not reduced:

@@ -560,10 +560,40 @@ def test_int64_bound_and_chunked_products():
     assert np.array_equal(short.matmul(a, b), whole)
 
 
-# -- F_2 on bit-packed rows ---------------------------------------------------
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@given(data=st.data(), shape=st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(0, 6),
+                                       st.integers(0, 6)))
+@settings(max_examples=200, deadline=None)
+def test_f2_reduction_by_mask_matches_the_remainder(data, shape):
+    # Over F_2, Field.reduce and Field.matmul reduce by `& 1`; `% 2` is the
+    # reference. _chunked_matmul never runs for p = 2: the chunk there is
+    # 2^63 - 1, longer than any inner axis.
+    field = FIELDS["F2"]
+    assert field._chunk == 2 ** 63 - 1
+    batch, rows, inner, cols = shape
+    entry = st.one_of(st.integers(-3, 3), _INT64)
+
+    def draw(*dims):
+        values = data.draw(st.lists(entry, min_size=int(np.prod(dims)), max_size=int(np.prod(dims))))
+        return np.array(values, dtype=np.int64).reshape(dims)
+
+    arr = draw(rows, cols)
+    assert field.reduce(arr).dtype == np.int64
+    assert np.array_equal(field.reduce(arr), arr % 2)
+    # int64 products and sums wrap modulo 2^64, which keeps their parity
+    a, b = draw(rows, inner), draw(inner, cols)
+    assert np.array_equal(field.matmul(a, b), np.matmul(a, b) % 2)
+    stack = draw(batch, rows, inner)
+    assert np.array_equal(field.matmul(stack, b), np.matmul(stack, b) % 2)
+
+
+# -- F_2 on bit-packed rows, and the row kernel for p > 2 -----------------------
 #
 # The residue elimination that `_rref_bits` replaced for p = 2, copied
 # unchanged: on Python-int rows up to _ROW_CELLS cells, on the array above.
+# Its row kernel is also the reference for the rewritten `_rref_residue_rows`.
 
 _ROW_CELLS = 2048
 
@@ -686,3 +716,109 @@ def test_f2_bit_rows_match_the_residue_reference(rows, cols, seed, data):
                    lambda field, a, reduced: _rref_residues(field, a % 2, reduced))
         want = _f2_outcome(m, b, x, vectors, cuts, probe)
     assert got == want
+
+
+@st.composite
+def _residue_rows_input(draw):
+    """(field, a): up to 12 x 40 over F_5, F_1048573 or F_1048583 (object
+    dtype), with 5% to 50% of its entries nonzero, dense or of deficient
+    rank, and optionally with each nonzero entry moved by -p, 0 or p."""
+    field = FIELDS[draw(st.sampled_from(["F5", "F1048573", "F1048583"]))]
+    p = field.characteristic
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 40))
+    density = draw(st.floats(0.05, 0.5))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def sparse(m, n):
+        return [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)]
+
+    if draw(st.booleans()):
+        inner = rng.randrange(max(min(rows, cols), 1))
+        left, right = sparse(rows, inner), sparse(inner, cols)
+        values = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)]
+                  if inner else [0] * cols for row in left]
+    else:
+        values = sparse(rows, cols)
+    if draw(st.booleans()):
+        values = [[x + p * rng.randrange(-1, 2) if x else 0 for x in row] for row in values]
+    a = np.empty((rows, cols), dtype=field.dtype)
+    a.reshape(-1)[:] = [x for row in values for x in row]
+    return field, a
+
+
+@given(case=_residue_rows_input())
+@settings(max_examples=300, deadline=None)
+def test_residue_row_kernel_matches_its_parent(case):
+    """The row kernel for p > 2 against the parent kept above, both forward
+    only and reduced: the same pivots, dtype and bytes.
+
+    Its input contract: an entry may be any integer that is not a nonzero
+    multiple of p, such as -1 or p + 1. The kernel inverts each pivot inline
+    as pow(x, p - 2, p), which must never see a nonzero multiple of p: it
+    would return 0 where the parent's Field.inv raised.
+    """
+    field, a = case
+    for reduced in (False, True):
+        got = exact_linalg._rref_residue_rows(field, a, reduced)
+        want = _rref_residue_rows(field, a, reduced)
+        assert got[1] == want[1]
+        if reduced:
+            assert _same(Matrix(field, got[0]), Matrix(field, want[0]))
+        else:
+            assert got[0] is want[0] is None
+
+
+# The bit packing that the word packing of `_rref_bits` replaced, copied
+# unchanged: np.packbits and int.from_bytes in, np.unpackbits out.
+
+def _packbits_rref_bits(a, reduced):
+    nrows, ncols = a.shape
+    width = (ncols + 7) // 8  # bytes per packed row
+    # callers may pass unreduced residues such as -1
+    raw = np.packbits((a & 1).astype(np.uint8), axis=1, bitorder="little").tobytes()
+    packed = [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(nrows)]
+    table = {}
+    for row in packed:
+        while row:
+            low = (row & -row).bit_length() - 1
+            prow = table.get(low)
+            if prow is None:
+                table[low] = row
+                break
+            row ^= prow
+    pivots = sorted(table)
+    if not reduced:
+        return None, pivots
+    mask = 0
+    for c in reversed(pivots):
+        row = table[c]
+        hits = row & mask
+        while hits:
+            h = hits.bit_length() - 1
+            row ^= table[h]
+            hits ^= 1 << h
+        table[c] = row
+        mask |= 1 << c
+    out = np.zeros((nrows, ncols), dtype=a.dtype)
+    if pivots:
+        raw = b"".join(table[c].to_bytes(width, "little") for c in pivots)
+        out[:len(pivots)] = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(
+            len(pivots), width), axis=1, count=ncols, bitorder="little")
+    return out, pivots
+
+
+@given(rows=st.integers(0, 70), cols=st.sampled_from(_F2_WIDTHS + [126, 189, 190]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_f2_word_packing_matches_the_packbits_reference(rows, cols, seed, data):
+    # on either side of each 63-bit word boundary, with unreduced entries
+    a = _f2_array(data.draw, np.random.default_rng(seed), rows, cols)
+    for reduced in (False, True):
+        got, want = exact_linalg._rref_bits(a, reduced), _packbits_rref_bits(a, reduced)
+        assert got[1] == want[1]
+        if reduced:
+            assert (got[0].dtype, got[0].shape, got[0].tobytes()) == \
+                (want[0].dtype, want[0].shape, want[0].tobytes())
+        else:
+            assert got[0] is want[0] is None
