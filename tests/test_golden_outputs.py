@@ -21,11 +21,18 @@ The ``cli`` key pins every subcommand on the pa2 fixture: the SHA-256 of
 the exit code and stdout of each invocation in ``CLI_RUNS``, as text and
 as ``--json``.
 
+The ``violations`` key pins the battery's violation text: the SHA-256 of
+``to_text()`` for ``run_all`` at seed 42 with 20 samples on the pa2 and aus2
+fixtures (aus2 reports its known cone-check defect), for each
+corrupted-predicate run of ``test_checks_are_falsifiable``, and for
+``mho_rigid`` on a context whose cosyzygy class is not rigid.
+
 Rewrite the file only in a change that means to alter these outputs:
 
     PYTHONPATH=src python tests/test_golden_outputs.py --record
 """
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -35,14 +42,15 @@ from pathlib import Path
 
 import pytest
 
-from frobcat.algebra_repr import hom_basis, preprojective
-from frobcat.axiom_suite import default_objects, sample_universe
+from frobcat.algebra_repr import direct_sum, hom_basis, preprojective
+from frobcat.axiom_suite import default_objects, run_all, run_check, sample_universe
 from frobcat.cli import dispatch
 from frobcat.exact_linalg import rational_field
 from frobcat.fixtures import build_fixture, emit_fixture
 from frobcat.localization import dl_verify_all, ho_class_of
 from frobcat.rigid_model import build_context, cofibrant_replacement
 from helpers import random_morphism
+from test_axiom_suite import _corruptions
 
 GOLDEN = Path(__file__).resolve().with_name("golden_outputs.json")
 SEEDS = range(5)
@@ -196,6 +204,30 @@ def cli_digests() -> dict:
     return out
 
 
+def _text_digest(run) -> str:
+    return hashlib.sha256(run.to_text().encode()).hexdigest()
+
+
+def violation_digests() -> dict:
+    """{run: SHA-256 of its report text}; the falsifiability runs use the
+    arguments of test_checks_are_falsifiable and test_mho_rigid_is_falsifiable."""
+    battery = {}
+    for tag in ("pa2", "aus2"):
+        ctx, modules = _fixture_context(tag)
+        battery[tag] = _text_digest(run_all(ctx, 42, 20, sorted(modules.items())))
+    ctx, modules = _pa2_context()
+    objects = sorted(modules.items())
+    corrupted = {name: _text_digest(run_check(ctx, name, 42, 40, objects, predicates=pred))
+                 for name, pred in _corruptions().items()}
+    broken = copy.copy(ctx)
+    broken.U, _, _ = direct_sum([modules["S1"], modules["S2"]])
+    return {
+        "run_all": battery,
+        "corrupted": corrupted,
+        "mho_rigid_not_rigid": _text_digest(run_check(broken, "mho_rigid", 42, 1, objects)),
+    }
+
+
 def compute() -> dict:
     return {
         "hom_basis": {tag: hom_basis_digests(tag) for tag in ("pa2", "pa3")},
@@ -205,6 +237,7 @@ def compute() -> dict:
         "a2q": a2q_outputs(),
         "aus2": aus2_outputs(),
         "cli": cli_digests(),
+        "violations": violation_digests(),
     }
 
 
@@ -241,6 +274,10 @@ def test_exact_mode_fixture_unchanged(golden):
 
 def test_cli_outputs_unchanged(golden):
     assert cli_digests() == golden["cli"]
+
+
+def test_violation_text_unchanged(golden):
+    assert violation_digests() == golden["violations"]
 
 
 if __name__ == "__main__":
