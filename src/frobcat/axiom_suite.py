@@ -3,10 +3,14 @@ rigid context: two-out-of-three, retract stability, pullback stability,
 both factorizations, the lifting-class identity, cone characterizations,
 closure of the presentable class, and homotopy/functor agreement.
 
-Every check owns a pseudorandom stream derived by hashing its name with the
-master seed, so runs are byte-reproducible and execution order cannot leak
-into results. Sampled passes are acceptance evidence, not proof: the axioms
-quantify over proper classes and the harness necessarily samples.
+A check is a generator of the violations it finds, each built by
+``_violation``; a check that compares a predicate with a characterization on
+sampled morphisms is one ``_agreement`` loop. Every check owns a pseudorandom
+stream derived by hashing its name with the master seed, so runs are
+byte-reproducible and execution order cannot leak into results, and it is
+registered in ``_CHECKS`` with the modes it applies to. Sampled passes are
+acceptance evidence, not proof: the axioms quantify over proper classes and
+the harness necessarily samples.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,13 +84,6 @@ def _random_hom(ctx: RigidContext, rng: random.Random, x: Module, y: Module) -> 
 # -- violations and reports -----------------------------------------------------
 
 
-def _morphism_replay(f: Morphism) -> dict:
-    return {
-        "modules": {"src": f.source.to_dict(), "tgt": f.target.to_dict()},
-        "morphism": f.to_dict("src", "tgt"),
-    }
-
-
 @dataclass
 class Violation:
     description: str
@@ -99,6 +96,17 @@ class Violation:
             f"  violation: {self.description} expected={self.expected} "
             f"observed={self.observed} inputs={json.dumps(self.inputs, sort_keys=True)}"
         )
+
+
+def _violation(description: str, expected, observed, **inputs) -> Violation:
+    """A violation with its inputs written to be replayed: a module as its
+    ``to_dict()``, a morphism as its own with those of its source and target."""
+    return Violation(description, str(expected), str(observed), {
+        name: x.to_dict() if isinstance(x, Module) else
+        {"modules": {"src": x.source.to_dict(), "tgt": x.target.to_dict()},
+         "morphism": x.to_dict("src", "tgt")}
+        for name, x in inputs.items()
+    })
 
 
 @dataclass
@@ -327,8 +335,16 @@ def _tailored_lifting_elements(ctx: RigidContext, f: Morphism) -> List[Morphism]
 # -- the checks -------------------------------------------------------------------------
 
 
-def _check_two_out_of_three(ctx, rng, samples, universe, pred) -> List[Violation]:
-    out = []
+def _agreement(ctx, rng, samples, universe, lhs, rhs, why) -> Iterator[Violation]:
+    """The sampled morphisms f on which lhs(ctx, f) and rhs(ctx, f) disagree."""
+    for _ in range(samples):
+        f = _sample_morphism(ctx, rng, universe)
+        a, b = lhs(ctx, f), rhs(ctx, f)
+        if a != b:
+            yield _violation(why, a, b, f=f)
+
+
+def _check_two_out_of_three(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
     for _ in range(samples):
         f, g = _sample_composable(ctx, rng, universe)
         wf, wg, wgf = pred.weq(ctx, f), pred.weq(ctx, g), pred.weq(ctx, g @ f)
@@ -339,45 +355,30 @@ def _check_two_out_of_three(ctx, rng, samples, universe, pred) -> List[Violation
         ]
         for bad, why in cases:
             if bad:
-                out.append(Violation(
-                    why, "membership", "non-membership",
-                    {"f": _morphism_replay(f), "g": _morphism_replay(g)},
-                ))
-    return out
+                yield _violation(why, "membership", "non-membership", f=f, g=g)
 
 
-def _check_retract_stability(ctx, rng, samples, universe, pred) -> List[Violation]:
-    out = []
+def _check_retract_stability(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
     for _ in range(samples):
         f = _sample_morphism(ctx, rng, universe)
         w = _pick(rng, universe)
         padded = _pad_identity(f, w)
         if pred.weq(ctx, padded) and not pred.weq(ctx, f):
-            out.append(Violation(
-                "retract of a weak equivalence is not one",
-                "weq", "not weq", {"f": _morphism_replay(f)},
-            ))
+            yield _violation("retract of a weak equivalence is not one", "weq", "not weq", f=f)
         if pred.fib(ctx, padded) and not pred.fib(ctx, f):
-            out.append(Violation(
-                "retract of a fibration is not one",
-                "fibration", "not fibration", {"f": _morphism_replay(f)},
-            ))
-    return out
+            yield _violation("retract of a fibration is not one",
+                             "fibration", "not fibration", f=f)
 
 
-def _check_pullback_fibration(ctx, rng, samples, universe, pred) -> List[Violation]:
-    out = []
+def _check_pullback_fibration(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
     for _ in range(samples):
         r = _random_hom(ctx, rng, _pick(rng, universe), _pick(rng, universe))
         fib = factorize1(ctx, r).right
         b = _random_hom(ctx, rng, _pick(rng, universe), fib.target)
         _, _, h = pullback(fib, b)
         if not pred.fib(ctx, h):
-            out.append(Violation(
-                "pullback of a fibration is not a fibration",
-                "fibration", "not fibration",
-                {"f": _morphism_replay(fib), "b": _morphism_replay(b)},
-            ))
+            yield _violation("pullback of a fibration is not a fibration",
+                             "fibration", "not fibration", f=fib, b=b)
         # trivial fibration pulled back along a deflation with split-mono kernel
         y = _pick(rng, universe)
         phi = cofibrant_replacement(ctx, y).phi
@@ -385,74 +386,51 @@ def _check_pullback_fibration(ctx, rng, samples, universe, pred) -> List[Violati
         p = Morphism.hstack([Morphism.identity(y), _random_hom(ctx, rng, w, y)])
         _, _, h2 = pullback(phi, p)
         if not pred.trivfib(ctx, h2):
-            out.append(Violation(
-                "pullback of a trivial fibration along a deflation is not trivial",
-                "trivial fibration", "not", {"p": _morphism_replay(p)},
-            ))
-    return out
+            yield _violation("pullback of a trivial fibration along a deflation is not trivial",
+                             "trivial fibration", "not", p=p)
 
 
-def _check_factorization1(ctx, rng, samples, universe, pred) -> List[Violation]:
-    out = []
+def _check_factorization1(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
     for _ in range(samples):
         f = _random_hom(ctx, rng, _pick(rng, universe), _pick(rng, universe))
         fac = factorize1(ctx, f)
         if (fac.right @ fac.left) != f:
-            out.append(Violation("factorization does not recompose", "f", "other",
-                                 {"f": _morphism_replay(f)}))
+            yield _violation("factorization does not recompose", "f", "other", f=f)
         if not pred.fib(ctx, fac.right):
-            out.append(Violation("right factor not a fibration", "fibration", "not",
-                                 {"f": _morphism_replay(f)}))
+            yield _violation("right factor not a fibration", "fibration", "not", f=f)
         if not pred.weq(ctx, fac.left):
-            out.append(Violation("left factor not a weak equivalence", "weq", "not",
-                                 {"f": _morphism_replay(f)}))
-    return out
+            yield _violation("left factor not a weak equivalence", "weq", "not", f=f)
 
 
-def _check_factorization2(ctx, rng, samples, universe, pred) -> List[Violation]:
-    out = []
+def _check_factorization2(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
     cofibrants = [m for _, m in universe if is_cofibrant(ctx, m)]
     if not cofibrants:
-        return out
+        return
     for _ in range(samples):
         x = rng.choice(cofibrants)
         f = _random_hom(ctx, rng, x, _pick(rng, universe))
         fac = factorize2(ctx, f)
         if (fac.right @ fac.left) != f:
-            out.append(Violation("factorization does not recompose", "f", "other",
-                                 {"f": _morphism_replay(f)}))
+            yield _violation("factorization does not recompose", "f", "other", f=f)
         if not pred.trivfib(ctx, fac.right):
-            out.append(Violation("right factor not a trivial fibration", "trivial", "not",
-                                 {"f": _morphism_replay(f)}))
+            yield _violation("right factor not a trivial fibration", "trivial", "not", f=f)
         if not is_mono(fac.left):
-            out.append(Violation("left factor not mono", "mono", "not",
-                                 {"f": _morphism_replay(f)}))
+            yield _violation("left factor not mono", "mono", "not", f=f)
         cok, _ = cokernel(fac.left)
         if not pred.cofibrant(ctx, cok):
-            out.append(Violation("cokernel of left factor not cofibrant", "cofibrant", "not",
-                                 {"f": _morphism_replay(f)}))
-    return out
+            yield _violation("cokernel of left factor not cofibrant", "cofibrant", "not", f=f)
 
 
-def _check_lifting_I_eq_JW(ctx, rng, samples, universe, pred) -> List[Violation]:
-    out = []
+def _check_lifting_I_eq_JW(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
     base = _base_lifting_elements(ctx, universe)
-    for _ in range(samples):
-        f = _sample_morphism(ctx, rng, universe)
-        elements = base + _tailored_lifting_elements(ctx, f)
-        lhs = pred.trivfib(ctx, f)
-        rhs = all(rlp_holds(ctx, g, f) for g in elements)
-        if lhs != rhs:
-            out.append(Violation(
-                "trivial-fibration predicate disagrees with lifting against "
-                "presentation elements",
-                str(lhs), str(rhs), {"f": _morphism_replay(f)},
-            ))
-    return out
+    return _agreement(
+        ctx, rng, samples, universe, pred.trivfib,
+        lambda ctx, f: all(rlp_holds(ctx, g, f)
+                           for g in base + _tailored_lifting_elements(ctx, f)),
+        "trivial-fibration predicate disagrees with lifting against presentation elements")
 
 
-def _check_sq_J_in_W(ctx, rng, samples, universe, pred) -> List[Violation]:
-    out = []
+def _check_sq_J_in_W(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
     for _ in range(samples):
         x = _pick(rng, universe)
         f = _canonical_injection(x, _u_object(ctx, rng))
@@ -462,11 +440,8 @@ def _check_sq_J_in_W(ctx, rng, samples, universe, pred) -> List[Violation]:
         if is_iso(theta):
             f = theta @ f
         if not pred.weq(ctx, f):
-            out.append(Violation(
-                "left-lifting-class morphism is not a weak equivalence",
-                "weq", "not", {"f": _morphism_replay(f)},
-            ))
-    return out
+            yield _violation("left-lifting-class morphism is not a weak equivalence",
+                             "weq", "not", f=f)
 
 
 def weq_via_cones(ctx: RigidContext, f: Morphism) -> bool:
@@ -483,26 +458,14 @@ def weq_via_cones(ctx: RigidContext, f: Morphism) -> bool:
     return kills_stably(ctx.costable_gen, Morphism.vstack([gt, ut]))
 
 
-def _check_weq_cone_characterization(ctx, rng, samples, universe, pred) -> List[Violation]:
-    out = []
-    for _ in range(samples):
-        f = _sample_morphism(ctx, rng, universe)
-        lhs, rhs = pred.weq(ctx, f), weq_via_cones(ctx, f)
-        if lhs != rhs:
-            out.append(Violation("weq predicate disagrees with cone characterization",
-                                 str(lhs), str(rhs), {"f": _morphism_replay(f)}))
-    return out
+def _check_weq_cone_characterization(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
+    return _agreement(ctx, rng, samples, universe, pred.weq, weq_via_cones,
+                      "weq predicate disagrees with cone characterization")
 
 
-def _check_fib_cone_characterization(ctx, rng, samples, universe, pred) -> List[Violation]:
-    out = []
-    for _ in range(samples):
-        f = _sample_morphism(ctx, rng, universe)
-        lhs, rhs = pred.fib(ctx, f), fibration_via_cone(ctx, f)
-        if lhs != rhs:
-            out.append(Violation("fibration predicate disagrees with cone characterization",
-                                 str(lhs), str(rhs), {"f": _morphism_replay(f)}))
-    return out
+def _check_fib_cone_characterization(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
+    return _agreement(ctx, rng, samples, universe, pred.fib, fibration_via_cone,
+                      "fibration predicate disagrees with cone characterization")
 
 
 def in_copr_mho(ctx: RigidContext, x: Module) -> bool:
@@ -518,28 +481,22 @@ def in_copr_mho(ctx: RigidContext, x: Module) -> bool:
     return in_add(cok, ctx.U)
 
 
-def _check_copr_eq_pr(ctx, rng, samples, universe, pred) -> List[Violation]:
-    out = []
+def _check_copr_eq_pr(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
     for name, x in universe:
         lhs, rhs = pred.cofibrant(ctx, x), in_copr_mho(ctx, x)
         if lhs != rhs:
-            out.append(Violation(
-                f"presentable/copresentable mismatch on {name}",
-                f"pr={lhs}", f"copr={rhs}", {"object": x.to_dict()},
-            ))
-    return out
+            yield _violation(f"presentable/copresentable mismatch on {name}",
+                             f"pr={lhs}", f"copr={rhs}", object=x)
 
 
-def _check_mho_rigid(ctx, rng, samples, universe, pred) -> List[Violation]:
+def _check_mho_rigid(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
     c, _ = cosyzygy(ctx.U)
     space = stable_hom(ctx.U, c)
     if space.dim != 0:
-        return [Violation("cosyzygy class is not rigid", "0", str(space.dim), {})]
-    return []
+        yield _violation("cosyzygy class is not rigid", 0, space.dim)
 
 
-def _check_pr_extension_closure(ctx, rng, samples, universe, pred) -> List[Violation]:
-    out = []
+def _check_pr_extension_closure(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
     for _ in range(samples):
         a = _pick(rng, universe)
         v = _u_object(ctx, rng)
@@ -549,19 +506,14 @@ def _check_pr_extension_closure(ctx, rng, samples, universe, pred) -> List[Viola
         e = a_to_e.target
         lhs, rhs = pred.cofibrant(ctx, a), pred.cofibrant(ctx, e)
         if lhs != rhs:
-            out.append(Violation(
-                "extension by a cosyzygy-class object changes presentability",
-                f"A:{lhs}", f"E:{rhs}",
-                {"A": a.to_dict(), "V": v.to_dict()},
-            ))
-    return out
+            yield _violation("extension by a cosyzygy-class object changes presentability",
+                             f"A:{lhs}", f"E:{rhs}", A=a, V=v)
 
 
-def _check_homotopy_G_agreement(ctx, rng, samples, universe, pred) -> List[Violation]:
-    out = []
+def _check_homotopy_G_agreement(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
     cofibrants = [m for _, m in universe if is_cofibrant(ctx, m)]
     if not cofibrants:
-        return out
+        return
     for _ in range(samples):
         x = rng.choice(cofibrants)
         y = _pick(rng, universe)
@@ -572,24 +524,14 @@ def _check_homotopy_G_agreement(ctx, rng, samples, universe, pred) -> List[Viola
         # row is a combination of representatives plus a map through an injective
         rhs = kills_stably(ctx.costable_gen, f - g)
         if lhs != rhs:
-            out.append(Violation(
-                "homotopy disagrees with functor-image equality",
-                str(lhs), str(rhs),
-                {"f": _morphism_replay(f), "g": _morphism_replay(g)},
-            ))
-    return out
+            yield _violation("homotopy disagrees with functor-image equality", lhs, rhs, f=f, g=g)
 
 
-def _check_wic_deflation(ctx, rng, samples, universe, pred) -> List[Violation]:
-    out = []
+def _check_wic_deflation(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
     for _ in range(samples):
         f, g = _sample_composable(ctx, rng, universe)
         if pred.epi(ctx, g @ f) and not pred.epi(ctx, g):
-            out.append(Violation(
-                "g∘f is a deflation but g is not",
-                "deflation", "not", {"f": _morphism_replay(f), "g": _morphism_replay(g)},
-            ))
-    return out
+            yield _violation("g∘f is a deflation but g is not", "deflation", "not", f=f, g=g)
 
 
 _CHECKS: Dict[str, Tuple[Callable, Tuple[str, ...]]] = {
@@ -622,6 +564,8 @@ def run_check(ctx: RigidContext, name: str, seed: int, samples: int,
         raise InputError(f"unknown check {name!r}; known: {', '.join(_CHECKS)}")
     if samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
+    if objects is not None and not objects:
+        raise InputError("objects is empty: a check needs at least one object to sample")
     for obj_name, m in objects or ():
         if m.algebra is not ctx.alg:
             raise InputError(f"object {obj_name!r} belongs to another algebra than the context")
@@ -631,8 +575,7 @@ def run_check(ctx: RigidContext, name: str, seed: int, samples: int,
     rng = random.Random(_derive_seed(name, seed))
     universe = sample_universe(ctx, objects)
     pred = predicates or PredicateSet()
-    violations = fn(ctx, rng, samples, universe, pred)
-    return CheckRun(name, seed, samples, violations)
+    return CheckRun(name, seed, samples, list(fn(ctx, rng, samples, universe, pred)))
 
 
 def run_all(ctx: RigidContext, seed: int, samples: int,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List
 
@@ -252,13 +252,7 @@ def cmd_dl_verify(args, report: Report) -> int:
     for r in reports:
         report.say(r.line())
     report.say(f"overall: {'pass' if ok else 'FAIL'}")
-    report.put("pairs", [
-        {"pair": list(r.pair), "dim_ho": r.dim_ho, "dim_mod": r.dim_mod,
-         "well_defined": r.well_defined, "in_mod_span": r.in_mod_span,
-         "injective": r.injective, "composition_ok": r.composition_ok,
-         "pass": r.passed, "checksum": r.checksum}
-        for r in reports
-    ])
+    report.put("pairs", [{**asdict(r), "pass": r.passed} for r in reports])
     report.put("pass", ok)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -270,18 +264,15 @@ def cmd_axioms(args, report: Report) -> int:
     samples = args.samples if args.samples is not None else project.samples
     objects = sorted(project.modules.items())
     if args.check:
-        run = run_check(ctx, args.check, seed, samples, objects)
-        report.say(run.to_text())
-        ok = run.passed
-        report.put("checks", [{"name": run.check_name, "violations": len(run.violations)}])
+        result = run_check(ctx, args.check, seed, samples, objects)
+        runs = [result]
     else:
-        suite = run_all(ctx, seed, samples, objects)
-        report.say(suite.to_text())
-        ok = suite.passed
-        report.put("checks", [
-            {"name": r.check_name, "violations": len(r.violations)} for r in suite.runs
-        ])
-        report.put("skipped", suite.skipped)
+        result = run_all(ctx, seed, samples, objects)
+        runs = result.runs
+        report.put("skipped", result.skipped)
+    report.say(result.to_text())
+    ok = result.passed
+    report.put("checks", [{"name": r.check_name, "violations": len(r.violations)} for r in runs])
     report.put("seed", seed)
     report.put("samples", samples)
     report.put("pass", ok)

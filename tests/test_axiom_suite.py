@@ -95,6 +95,16 @@ def test_unknown_check_and_mode_mismatch(pa2_ctx, pa2):
         run_check(ctx, "factorization2", 1, 1)
 
 
+def test_empty_objects_are_rejected(pa2_ctx):
+    # copr_eq_pr would pass on zero evidence, and a sampling check would draw
+    # from an empty universe
+    for name in ("copr_eq_pr", "two_out_of_three"):
+        with pytest.raises(InputError, match="objects is empty"):
+            run_check(pa2_ctx, name, 42, 5, [])
+    with pytest.raises(InputError, match="objects is empty"):
+        run_all(pa2_ctx, 42, 5, [])
+
+
 def test_objects_from_another_algebra_are_rejected(pa2_ctx, pa3):
     _, mods3 = pa3
     with pytest.raises(InputError, match="'P3'"):
