@@ -27,6 +27,12 @@ fixtures (aus2 reports its known cone-check defect), for each
 corrupted-predicate run of ``test_checks_are_falsifiable``, and for
 ``mho_rigid`` on a context whose cosyzygy class is not rigid.
 
+The ``approximations`` key pins the approximations on the pa2 and aus2
+fixtures and the A2/Q context, over each one's ``sample_universe``: the
+SHA-256 of the ``to_dict`` of every ``right_M_approximation`` and
+``mho_approximation``, source included, and that of the ``in_copr_mho``
+verdicts.
+
 Rewrite the file only in a change that means to alter these outputs:
 
     PYTHONPATH=src python tests/test_golden_outputs.py --record
@@ -43,12 +49,14 @@ from pathlib import Path
 import pytest
 
 from frobcat.algebra_repr import direct_sum, hom_basis, preprojective
-from frobcat.axiom_suite import default_objects, run_all, run_check, sample_universe
+from frobcat.axiom_suite import (default_objects, in_copr_mho, run_all, run_check,
+                                 sample_universe)
 from frobcat.cli import dispatch
 from frobcat.exact_linalg import rational_field
 from frobcat.fixtures import build_fixture, emit_fixture
 from frobcat.localization import dl_verify_all, ho_class_of
-from frobcat.rigid_model import build_context, cofibrant_replacement
+from frobcat.rigid_model import (build_context, cofibrant_replacement, mho_approximation,
+                                 right_M_approximation)
 from helpers import random_morphism
 from test_axiom_suite import _corruptions
 
@@ -228,6 +236,30 @@ def violation_digests() -> dict:
     }
 
 
+def _json_digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def approximation_digests() -> dict:
+    """{context: SHA-256 of the approximations' to_dict, and of the
+    in_copr_mho verdicts, over its sample universe}."""
+    contexts = {tag: _fixture_context(tag) for tag in ("pa2", "aus2")}
+    universes = {tag: sample_universe(ctx, sorted(modules.items()))
+                 for tag, (ctx, modules) in contexts.items()}
+    contexts["a2q"] = _a2q_context()
+    universes["a2q"] = contexts["a2q"][1]
+    out = {}
+    for tag, universe in universes.items():
+        ctx = contexts[tag][0]
+        maps = [[name, f.source.to_dict(), f.to_dict("approximation", name)]
+                for name, x in universe
+                for f in (right_M_approximation(ctx, x), mho_approximation(ctx, x))]
+        out[tag] = {"maps": _json_digest(maps),
+                    "in_copr_mho": _json_digest([[name, in_copr_mho(ctx, x)]
+                                                 for name, x in universe])}
+    return out
+
+
 def compute() -> dict:
     return {
         "hom_basis": {tag: hom_basis_digests(tag) for tag in ("pa2", "pa3")},
@@ -238,6 +270,7 @@ def compute() -> dict:
         "aus2": aus2_outputs(),
         "cli": cli_digests(),
         "violations": violation_digests(),
+        "approximations": approximation_digests(),
     }
 
 
@@ -278,6 +311,10 @@ def test_cli_outputs_unchanged(golden):
 
 def test_violation_text_unchanged(golden):
     assert violation_digests() == golden["violations"]
+
+
+def test_approximations_unchanged(golden):
+    assert approximation_digests() == golden["approximations"]
 
 
 if __name__ == "__main__":
