@@ -287,17 +287,6 @@ class Algebra:
     def dim(self) -> int:
         return len(self._elts)
 
-    def signature(self) -> tuple:
-        return (
-            self.field.kind,
-            self.field.characteristic,
-            tuple(self.vertices),
-            tuple((a.name, a.source, a.target) for a in self.arrows),
-            tuple(
-                tuple((self.field.format(c), p) for c, p in r.terms) for r in self.relations
-            ),
-        )
-
     def opposite(self) -> "Algebra":
         """The opposite algebra (arrows and relation paths reversed)."""
         if self._opposite is None:
@@ -624,17 +613,13 @@ class Morphism:
     @property
     def key(self) -> tuple:
         """Content key, as ``Module.key`` is: the source and target keys, then
-        the components' int64 bytes joined in vertex order. The join is
-        unambiguous because the end dims fix each component's shape.
-        Object-dtype components (Q, large p) give their ``Matrix.signature``
-        tuples instead. The key is exact, with no hash or digest, so equal
-        keys mean equal maps between equal modules."""
+        the bytes of :meth:`vec`, or the strings of its entries for object
+        dtype (Q, large p). The ends' dims fix the row's layout, and the key
+        is exact, with no hash or digest, so equal keys mean equal maps
+        between equal modules."""
         if self._key is None:
-            comps = [self.comps[v] for v in self.source.algebra.vertices]
-            if all(c.data.dtype == np.int64 for c in comps):
-                body = b"".join(c.data.tobytes() for c in comps)
-            else:
-                body = tuple(c.signature() for c in comps)
+            row = self.vec()
+            body = row.tobytes() if row.dtype == np.int64 else tuple(str(e) for e in row)
             self._key = (self.source.key, self.target.key, body)
         return self._key
 
@@ -708,34 +693,16 @@ class Morphism:
         )
 
     def vec(self) -> np.ndarray:
-        """Row-major flattening of all components, in vertex order."""
+        """The components as one hom row (:func:`_flatten`)."""
         field = self.source.algebra.field
-        parts = [self.comps[v].data.reshape(-1) for v in self.source.algebra.vertices]
-        if not parts:
-            return np.empty(0, dtype=field.dtype)
-        return np.concatenate(parts)
-
-    @staticmethod
-    def hom_dim_layout(source: Module, target: Module) -> List[Tuple[str, int, int, int]]:
-        """(vertex, offset, target rows, source cols) blocks of the hom space."""
-        out = []
-        off = 0
-        for v in source.algebra.vertices:
-            r, c = target.dims[v], source.dims[v]
-            out.append((v, off, r, c))
-            off += r * c
-        return out
+        return _flatten(field, 1, [self.comps[v].data for v in self.source.algebra.vertices])[0]
 
     @staticmethod
     def from_vec(source: Module, target: Module, v: np.ndarray) -> "Morphism":
         field = source.algebra.field
-        comps = {}
-        for vertex, off, r, c in Morphism.hom_dim_layout(source, target):
-            block = v[off : off + r * c]
-            arr = np.empty((r, c), dtype=field.dtype)
-            arr.reshape(-1)[...] = block
-            comps[vertex] = Matrix(field, field.reduce(arr))
-        return Morphism(source, target, comps, check=False)
+        return Morphism(source, target,
+                        {vertex: Matrix(field, field.reduce(np.array(block[0], dtype=field.dtype)))
+                         for vertex, block in _blocks(v[None], source, target)}, check=False)
 
     def to_dict(self, source_name: str, target_name: str) -> dict:
         return {
@@ -821,12 +788,12 @@ def _hom_of_sum(x: Module, y: Module) -> Matrix:
     field = x.algebra.field
     width = hom_width(x, y)
     coords = np.arange(width)
+    grids = [(v, grid[0]) for v, grid in _blocks(coords[None], x, y)]
     offsets = dict.fromkeys(x.algebra.vertices, 0)
     pieces = []
     for part in x.parts if at_source else y.parts:
         index = []
-        for v, off, r, c in Morphism.hom_dim_layout(x, y):
-            grid = coords[off : off + r * c].reshape(r, c)
+        for v, grid in grids:
             end = offsets[v] + part.dims[v]
             index.append((grid[:, offsets[v] : end] if at_source else grid[offsets[v] : end])
                          .reshape(-1))
@@ -866,15 +833,21 @@ def hom_width(x: Module, y: Module) -> int:
 
 
 def _blocks(rows: np.ndarray, x: Module, y: Module):
-    """Per vertex, the k x dims_y x dims_x stack of the rows' components."""
-    k = rows.shape[0]
-    for v, off, r, c in Morphism.hom_dim_layout(x, y):
+    """Per vertex, the k x dims_y x dims_x stack of the rows' components.
+
+    The one reader of the hom-row layout, whose one writer is
+    :func:`_flatten`: the components in vertex order, each row-major."""
+    k, off = rows.shape[0], 0
+    for v in x.algebra.vertices:
+        r, c = y.dims[v], x.dims[v]
         yield v, rows[:, off : off + r * c].reshape(k, r, c)
+        off += r * c
 
 
 def _flatten(field: Field, k: int, blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """k rows joining the row-major flattened blocks; explicit sizes, since
-    reshape(k, -1) is ambiguous for k = 0."""
+    """k rows joining the row-major flattened blocks (k x rows x cols, or
+    rows x cols for k = 1); explicit sizes, since reshape(k, -1) is
+    ambiguous for k = 0."""
     if not blocks:
         return np.empty((k, 0), dtype=field.dtype)
     return np.hstack([b.reshape(k, b.shape[-2] * b.shape[-1]) for b in blocks])

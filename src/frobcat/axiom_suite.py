@@ -47,15 +47,14 @@ from .homological import (
     in_add,
     injective_envelope,
     kills_stably,
+    left_approximation,
     projective_cover,
     solve_postcompose,
     stable_hom,
     syzygy,
 )
 from .rigid_model import (
-    LEFT,
     RigidContext,
-    approximation,
     are_homotopic,
     cofibrant_replacement,
     cone_of,
@@ -470,9 +469,12 @@ def _check_fib_cone_characterization(ctx, rng, samples, universe, pred) -> Itera
 
 def in_copr_mho(ctx: RigidContext, x: Module) -> bool:
     """Existence of an inflation into add(U) with cokernel in add(U), tested
-    on the left approximation by the summands of U (the co-evaluation, greedy
-    rather than minimal), through which every map into add(U) factors."""
-    coev = approximation(ctx, ctx.U_components, x, LEFT)
+    on the left approximation by the summands of U (greedy rather than
+    minimal), through which every map into add(U) factors. Any left
+    approximation gives this verdict: pushed out along a copresentation
+    x -> U0 -> U1, which factors through it, it gives U0 ⊕ its cokernel,
+    split also as its target ⊕ U1 since U is rigid (``mho_rigid``)."""
+    coev = left_approximation(ctx.U_components, x)
     if coev.target.is_zero():
         return x.is_zero()
     if not is_mono(coev):

@@ -78,6 +78,8 @@ def load_project(path: str) -> ProjectConfig:
     config = _json_typed(_load_json(config_file, "project.json"), dict, "project.json")
     _json_known(config, ("algebra", "modules", "M_gen", "mode", "options"), "key", "project.json")
     files = _json_typed(config.get("modules", {}), dict, "project.json: modules")
+    if "0" in files:
+        raise InputError('project.json: modules: "0" names the zero module, not a file')
     m_gen = config.get("M_gen", [])
     options = _json_known(_json_typed(config.get("options", {}), dict, "project.json: options"),
                           ("seed", "samples"), "key", "project.json: options")
@@ -142,8 +144,7 @@ def _verdict(report: Report, key: str, value: bool) -> int:
     return EXIT_OK if value else EXIT_FAIL
 
 
-def cmd_validate(args, report: Report) -> int:
-    project = load_project(args.project)
+def cmd_validate(args, project: ProjectConfig, report: Report) -> int:
     ctx = project.context()
     report.say(f"context accepted: mode={ctx.mode}")
     report.say(f"M_gen = {' + '.join(project.m_gen_names)}, dims {ctx.M_gen.dims_tuple()}")
@@ -161,8 +162,7 @@ def cmd_validate(args, report: Report) -> int:
     return EXIT_OK
 
 
-def cmd_hom(args, report: Report) -> int:
-    project = load_project(args.project)
+def cmd_hom(args, project: ProjectConfig, report: Report) -> int:
     basis = hom_basis(project.module(args.x), project.module(args.y))
     report.say(f"dim Hom({args.x}, {args.y}) = {len(basis)}")
     report.put("dim", len(basis))
@@ -170,34 +170,29 @@ def cmd_hom(args, report: Report) -> int:
     return EXIT_OK
 
 
-def cmd_ext(args, report: Report) -> int:
-    project = load_project(args.project)
+def cmd_ext(args, project: ProjectConfig, report: Report) -> int:
     d = ext1_dim(project.module(args.x), project.module(args.y))
     report.say(f"dim Ext^1({args.x}, {args.y}) = {d}")
     report.put("dim", d)
     return EXIT_OK
 
 
-def cmd_weq(args, report: Report) -> int:
-    project = load_project(args.project)
+def cmd_weq(args, project: ProjectConfig, report: Report) -> int:
     return _verdict(report, "weak_equivalence", is_weak_equivalence(
         project.context(), load_morphism(project, args.morphism)))
 
 
-def cmd_fib(args, report: Report) -> int:
-    project = load_project(args.project)
+def cmd_fib(args, project: ProjectConfig, report: Report) -> int:
     return _verdict(report, "fibration", is_fibration(
         project.context(), load_morphism(project, args.morphism)))
 
 
-def cmd_cofibrant(args, report: Report) -> int:
-    project = load_project(args.project)
+def cmd_cofibrant(args, project: ProjectConfig, report: Report) -> int:
     return _verdict(report, "cofibrant",
                     is_cofibrant(project.context(), project.module(args.x)))
 
 
-def cmd_replace(args, report: Report) -> int:
-    project = load_project(args.project)
+def cmd_replace(args, project: ProjectConfig, report: Report) -> int:
     rep = cofibrant_replacement(project.context(), project.module(args.x))
     report.say(f"replacement of {args.x}: dims {rep.a.dims_tuple()}")
     report.say(
@@ -211,9 +206,8 @@ def cmd_replace(args, report: Report) -> int:
     return EXIT_OK
 
 
-def cmd_factor(args, report: Report) -> int:
+def cmd_factor(args, project: ProjectConfig, report: Report) -> int:
     """factor1 or factor2, as args.command names."""
-    project = load_project(args.project)
     factorize = factorize1 if args.command == "factor1" else factorize2
     fac = factorize(project.context(), load_morphism(project, args.morphism))
     report.say(f"flavor: {fac.flavor}")
@@ -224,22 +218,19 @@ def cmd_factor(args, report: Report) -> int:
     return EXIT_OK
 
 
-def cmd_homotopic(args, report: Report) -> int:
-    project = load_project(args.project)
+def cmd_homotopic(args, project: ProjectConfig, report: Report) -> int:
     return _verdict(report, "homotopic", are_homotopic(
         project.context(), load_morphism(project, args.f), load_morphism(project, args.g)))
 
 
-def cmd_ho_hom(args, report: Report) -> int:
-    project = load_project(args.project)
+def cmd_ho_hom(args, project: ProjectConfig, report: Report) -> int:
     space = ho_hom(project.context(), project.module(args.x), project.module(args.y))
     report.say(f"dim Ho({args.x}, {args.y}) = {space.dim}")
     report.put("dim", space.dim)
     return EXIT_OK
 
 
-def cmd_dl_verify(args, report: Report) -> int:
-    project = load_project(args.project)
+def cmd_dl_verify(args, project: ProjectConfig, report: Report) -> int:
     ctx = project.context()
     if args.all_pairs:
         reports = dl_verify_all(ctx, sorted(project.modules.items()))
@@ -257,8 +248,7 @@ def cmd_dl_verify(args, report: Report) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_axioms(args, report: Report) -> int:
-    project = load_project(args.project)
+def cmd_axioms(args, project: ProjectConfig, report: Report) -> int:
     ctx = project.context()
     seed = args.seed if args.seed is not None else project.seed
     samples = args.samples if args.samples is not None else project.samples
@@ -288,7 +278,9 @@ def cmd_fixtures(args, report: Report) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser; each subcommand's handler is its ``run`` default."""
+    """The argument parser; each subcommand's handler is its ``run`` default,
+    called as run(args, report). Every subcommand but ``fixtures`` loads its
+    ``--project`` first and passes it on."""
     parser = argparse.ArgumentParser(
         prog="frobcat",
         description="homotopical structures on quiver-representation categories",
@@ -297,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, summary, *positionals):
+        """A subcommand on a project: run(args, project, report)."""
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
+        p.set_defaults(run=lambda args, report: run(args, load_project(args.project), report))
         p.add_argument("--project", required=True, help="project directory")
         for arg in positionals:
             p.add_argument(arg)

@@ -1,17 +1,19 @@
-"""Projective covers, injective envelopes, (co)syzygies, Ext^1, the
-subspaces of maps factoring through add(z) or through injectives, the one
-stable-kill test :func:`kills_stably` (the cone checks and the homotopy
-check), and :class:`QuotientHom`, the one quotient of a hom space: stable
-hom here, and the homotopy hom-sets of ``localization``.
+"""Projective covers, injective envelopes, (co)syzygies, add-approximations,
+Ext^1, the subspaces of maps factoring through add(z) or through
+injectives, the one stable-kill test :func:`kills_stably` (the cone checks
+and the homotopy check), and :class:`QuotientHom`, the one quotient of a
+hom space: stable hom here, and the homotopy hom-sets of ``localization``.
 
 All operations are pure functions over immutable values. Hom spaces
-(``hom_matrix``), projective covers, injective envelopes and the spans of
-:func:`through_injectives` are cached per algebra, keyed by module content;
-quotients are recomputed on every call.
+(``hom_matrix``), projective covers, injective envelopes, right
+approximations and the spans of :func:`through_injectives` are cached per
+algebra, keyed by module content; quotients are recomputed on every call.
+The left-handed constructions are their right-handed duals under
+D = Hom_k(-, k), taken over the opposite algebra and transposed back.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .algebra_repr import (
     is_mono,
     kernel,
     sum_module,
+    zero_module,
 )
 
 
@@ -130,6 +133,58 @@ def cosyzygy(x: Module) -> Tuple[Module, ShortExactSequence]:
     i, mono = injective_envelope(x)
     c, proj = cokernel(mono)
     return c, ShortExactSequence(mono, proj)
+
+
+# -- approximations ------------------------------------------------------------
+
+
+def approximation(components: Sequence[Module], x: Module) -> Morphism:
+    """A right add(T)-approximation ⊕kept -> x, for T the sum of components.
+
+    Hom-basis maps from the components to x are visited in a fixed order
+    (component order, then basis order); one is dropped when it already lies
+    in kept ∘ End(T). The choice is greedy, not minimal: against the
+    projectives of preprojective A3/F_2 the approximation of P3 has source
+    dims (3,4,3), where its projective cover has (1,1,1). Verdicts do not
+    depend on minimality; sizes and costs do. Cached per algebra by the
+    components' keys and x.key (not per context: a module over the opposite
+    algebra may share a key with one over the algebra): a hit returns the
+    cached map, whose target is a module with x's key, not necessarily x.
+    """
+    key = ("approx", tuple(c.key for c in components), x.key)
+    return _memo(x.algebra._module_cache, key, lambda: _greedy_approximation(components, x))
+
+
+def _greedy_approximation(components: Sequence[Module], x: Module) -> Morphism:
+    """The greedy pass of :func:`approximation`, one span per component c:
+    h is dropped when it lies in the span of k ∘ a, for k kept and a in
+    Hom(c, source of k), which holds iff h ∘ π_c lies in kept ∘ End(T)
+    (precompose with ι_c; conversely a gives ι ∘ a ∘ π_c)."""
+    kept: List[Morphism] = []
+    for comp in components:
+        span = RowSpan(x.algebra.field, hom_width(comp, x))
+        if kept:  # K ∘ Hom(c, K.source), for K the kept maps
+            k = Morphism.hstack(kept)
+            span.add(compose_basis(hom_matrix(comp, k.source).data, comp, k.source, left=k))
+        endo = hom_matrix(comp, comp).data
+        for h in hom_matrix(comp, x).data:
+            if span.contains(h):
+                continue
+            kept.append(Morphism.from_vec(comp, x, h))
+            span.add(compose_pairs(endo, comp, comp, h[None], x))
+    if not kept:  # no component has a nonzero map to x
+        return Morphism.zero(zero_module(x.algebra), x)
+    return Morphism.hstack(kept)
+
+
+def left_approximation(components: Sequence[Module], x: Module) -> Morphism:
+    """A left add(T)-approximation x -> ⊕kept: the transpose of the right
+    approximation of D(x) by the D(c), over the opposite algebra. D turns
+    maps x -> T into maps D(T) -> D(x), so a map out of x factors through
+    the transpose iff its dual factors through the right approximation."""
+    dual = approximation([dual_module(c) for c in components], dual_module(x))
+    return Morphism(x, dual_module(dual.source),
+                    {v: c.transpose() for v, c in dual.comps.items()}, check=False)
 
 
 # -- Ext^1 ---------------------------------------------------------------------

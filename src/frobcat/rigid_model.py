@@ -29,10 +29,10 @@ ker(a) is a summand of M1' ⊕ M0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import HypothesisError, InputError, InternalCheckError
-from .exact_linalg import Matrix, RowSpan
+from .exact_linalg import Matrix
 from .algebra_repr import (
     Algebra,
     Module,
@@ -42,18 +42,16 @@ from .algebra_repr import (
     cokernel,
     cokernel_factor,
     compose_basis,
-    compose_pairs,
     hom_matrix,
-    hom_width,
     is_epi,
     is_mono,
     kernel,
     pushout,
     sum_module,
-    zero_module,
 )
 from .homological import (
     QuotientHom,
+    approximation,
     cosyzygy,
     ext1_dim,
     factors_through_add,
@@ -97,7 +95,7 @@ class RigidContext:
     :meth:`stable_from_generator` takes stable hom. U_components are the
     summands of the class generator U: those cosyzygies, then the
     injectives, each key once. components and U_components are approximated
-    against by :func:`approximation`.
+    against by ``homological.approximation``.
     """
 
     def __init__(self, alg: Algebra, components: Sequence[Module], mode: str):
@@ -124,7 +122,6 @@ class RigidContext:
             "replacement": {},
             "cofibrant": {},
             "stable": {},
-            "approx": {},
             "endo": {},
             "ho_hom": {},
             "G": {},
@@ -178,62 +175,10 @@ def build_context(alg: Algebra, m_gen: Sequence[Module], mode: str) -> RigidCont
 
 # -- approximations ------------------------------------------------------------
 
-RIGHT = "right"
-LEFT = "left"
-
-
-def approximation(ctx: RigidContext, components: Sequence[Module], x: Module,
-                  side: str) -> Morphism:
-    """A right add(T)-approximation ⊕kept -> x (side RIGHT), or its dual, a
-    left approximation x -> ⊕kept (side LEFT), where T is the sum of
-    components.
-
-    Hom-basis maps between the components and x are visited in a fixed order
-    (component order, then basis order); one is dropped when it already lies
-    in kept ∘ End(T) (right) or End(T) ∘ kept (left). The choice is greedy,
-    not minimal: against the projectives of preprojective A3/F_2 the right
-    approximation of P3 has source dims (3,4,3), where its projective cover
-    has (1,1,1). Verdicts do not depend on minimality; sizes and costs do.
-    Cached per list, side and x.key: a hit returns the cached map, whose end
-    is a module with x's key, not necessarily x itself.
-    """
-    key = (tuple(c.key for c in components), side, x.key)
-    return _memo(ctx._caches["approx"], key,
-                 lambda: _greedy_approximation(ctx, components, x, side))
-
-
-def _greedy_approximation(ctx: RigidContext, components: Sequence[Module], x: Module,
-                          side: str) -> Morphism:
-    """The greedy pass of :func:`approximation`, one span per component c:
-    h is dropped when it lies in the span of k ∘ a, for k kept and a in
-    Hom(c, source of k), which holds iff h ∘ π_c lies in kept ∘ End(T)
-    (precompose with ι_c; conversely a gives ι ∘ a ∘ π_c). Dually on the left."""
-    right = side == RIGHT
-    kept: List[Morphism] = []
-    for comp in components:
-        ends = (comp, x) if right else (x, comp)
-        span = RowSpan(ctx.alg.field, hom_width(*ends))
-        if kept:  # K ∘ Hom(c, K.source), or Hom(K.target, c) ∘ K, for K the kept maps
-            k = Morphism.hstack(kept) if right else Morphism.vstack(kept)
-            span.add(compose_basis(hom_matrix(comp, k.source).data, comp, k.source, left=k)
-                     if right else
-                     compose_basis(hom_matrix(k.target, comp).data, k.target, comp, right=k))
-        endo = hom_matrix(comp, comp).data
-        for h in hom_matrix(*ends).data:
-            if span.contains(h):
-                continue
-            kept.append(Morphism.from_vec(*ends, h))
-            span.add(compose_pairs(endo, comp, comp, h[None], x) if right
-                     else compose_pairs(h[None], x, comp, endo, comp))
-    if not kept:  # no component has a nonzero map to (right) or from (left) x
-        none = zero_module(ctx.alg)
-        return Morphism.zero(none, x) if right else Morphism.zero(x, none)
-    return Morphism.hstack(kept) if right else Morphism.vstack(kept)
-
 
 def right_M_approximation(ctx: RigidContext, x: Module) -> Morphism:
     """A right add(M_gen)-approximation of x, epi since projectives lie in M."""
-    approx = approximation(ctx, ctx.components, x, RIGHT)
+    approx = approximation(ctx.components, x)
     if not is_epi(approx):
         raise InternalCheckError("M-approximation is not epi")
     return approx
@@ -241,7 +186,7 @@ def right_M_approximation(ctx: RigidContext, x: Module) -> Morphism:
 
 def mho_approximation(ctx: RigidContext, x: Module) -> Morphism:
     """A right approximation of x by the summands of the class generator U."""
-    return approximation(ctx, ctx.U_components, x, RIGHT)
+    return approximation(ctx.U_components, x)
 
 
 # -- cofibrant replacement --------------------------------------------------------

@@ -285,6 +285,9 @@ MALFORMED = {
     "morphism-null-comps": (_with_file("f.json", json.dumps(
         {"source": "S2", "target": "S2", "comps": {"2": None}})), WEQ,
         ("f.json", "component at vertex 2")),
+    # "0" names the zero module, so a project module of that name would be shadowed
+    "project-module-named-zero": (_edited("project.json", lambda d: d["modules"].update(
+        {"0": d["modules"]["S1"]})), ["hom", "0", "S1"], ("project.json", '"0"')),
     # a key outside an object's documented set is refused, not dropped
     "project-unknown-key": (_edited("project.json", lambda d: d.update(Mgen=d.pop("M_gen"))),
                             AXIOMS, ("project.json", "'Mgen'")),

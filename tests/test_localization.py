@@ -9,11 +9,13 @@ import pytest
 from frobcat.errors import InputError
 from frobcat.exact_linalg import Matrix
 from frobcat.algebra_repr import (
+    _blocks,
     Morphism,
     compose_pairs,
     direct_sum,
     hom_basis,
     hom_matrix,
+    hom_width,
     zero_module,
 )
 from frobcat.homological import cosyzygy, stable_hom
@@ -341,14 +343,13 @@ def _costable_coords(ctx):
     the rows and the columns of the components whose cosyzygy is nonzero."""
     m = ctx.M_gen
     index = []
-    for v, off, r, c in Morphism.hom_dim_layout(m, m):
+    for v, grid in _blocks(np.arange(hom_width(m, m))[None], m, m):
         kept, start = [], 0
         for comp in ctx.components:
             if not cosyzygy(comp)[0].is_zero():
                 kept += range(start, start + comp.dims[v])
             start += comp.dims[v]
-        grid = np.arange(off, off + r * c).reshape(r, c)
-        index += grid[np.ix_(kept, kept)].reshape(-1).tolist()
+        index += grid[0][np.ix_(kept, kept)].reshape(-1).tolist()
     return np.array(index, dtype=int)
 
 

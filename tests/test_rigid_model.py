@@ -12,6 +12,7 @@ from frobcat.algebra_repr import (
     compose_basis,
     compose_pairs,
     direct_sum,
+    dual_module,
     hom_basis,
     hom_matrix,
     hom_width,
@@ -23,15 +24,19 @@ from frobcat.algebra_repr import (
     zero_module,
 )
 from frobcat.exact_linalg import Matrix, RowSpan, prime_field
-from frobcat.homological import cosyzygy, ext1_dim, in_add, solve_postcompose
+from frobcat.homological import (
+    approximation,
+    cosyzygy,
+    ext1_dim,
+    in_add,
+    left_approximation,
+    solve_postcompose,
+)
 from frobcat.axiom_suite import default_objects, run_all, sample_universe
 from frobcat.rigid_model import (
     EXACT,
-    LEFT,
-    RIGHT,
     RigidContext,
     _post_map_surjective,
-    approximation,
     build_context,
     cofibrant_replacement,
     cone_of,
@@ -142,7 +147,7 @@ def test_summand_approximations_cover_the_block(pa3):
         a = mho_approximation(ctx, x)
         for h in hom_basis(mho, x):
             assert solve_postcompose(a, h) is not None
-        coev = approximation(ctx, ctx.U_components, x, LEFT)
+        coev = left_approximation(ctx.U_components, x)
         through = RowSpan(alg.field, hom_width(x, mho))
         through.add(compose_basis(hom_matrix(coev.target, mho).data, coev.target, mho,
                                   right=coev))
@@ -419,14 +424,18 @@ def test_weak_equivalence_matches_the_reference(row_case):
     assert (ranked > 0) == (ctx.stable_from_generator(ctx.M_gen).dim > 0)
 
 
-def _reference_greedy_approximation(ctx, components, x, side):
+RIGHT, LEFT = "right", "left"
+
+
+def _reference_greedy_approximation(components, x, side):
     """The greedy pass against the whole sum T of the components: a basis map
     h is dropped when h ∘ π_c (right), or ι_c ∘ h (left), lies in the span of
-    the kept maps, so composed, composed with End(T)."""
+    the kept maps, so composed, composed with End(T). Its left side is the
+    direct left pass that the dual construction replaced."""
     right = side == RIGHT
     total, injections, projections = direct_sum(list(components))
     endo = hom_matrix(total, total).data
-    span = RowSpan(ctx.alg.field, hom_width(total, x))
+    span = RowSpan(x.algebra.field, hom_width(total, x))
     kept = []
     for ci, comp in enumerate(components):
         ends = (comp, x) if right else (x, comp)
@@ -440,7 +449,7 @@ def _reference_greedy_approximation(ctx, components, x, side):
             span.add(compose_pairs(endo, total, total, hfull[None], x) if right
                      else compose_pairs(hfull[None], x, total, endo, total))
     if not kept:
-        none = zero_module(ctx.alg)
+        none = zero_module(x.algebra)
         return Morphism.zero(none, x) if right else Morphism.zero(x, none)
     return Morphism.hstack(kept) if right else Morphism.vstack(kept)
 
@@ -455,12 +464,16 @@ def _exact_map(f):
             [exact(end.action[a.name]) for end in (f.source, f.target) for a in alg.arrows])
 
 
-@given(data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_approximation_matches_the_whole_sum_reference(small_algebras, data):
-    """Both sides, against the components of M_gen and the summands of U, on
-    generators drawn with repeats (so later copies factor through earlier
-    ones), match the whole-T greedy pass byte for byte."""
+def _dual_map(f):
+    """D(f): D(target) -> D(source), over the opposite algebra."""
+    return Morphism(dual_module(f.target), dual_module(f.source),
+                    {v: c.transpose() for v, c in f.comps.items()}, check=False)
+
+
+def _draw_approximation_case(small_algebras, data):
+    """An algebra, generator components drawn with repeats (so later copies
+    factor through earlier ones), either those of M_gen or the summands of
+    U, and a sum of at most two simples, projectives and injectives."""
     alg = small_algebras[data.draw(st.sampled_from(sorted(small_algebras)))]
     pieces = alg.simples() + alg.projectives() + alg.injectives()
     ctx = RigidContext(alg, data.draw(st.lists(st.sampled_from(pieces), min_size=1,
@@ -468,10 +481,40 @@ def test_approximation_matches_the_whole_sum_reference(small_algebras, data):
     components = data.draw(st.sampled_from([ctx.components, ctx.U_components]))
     x = sum_module(data.draw(st.lists(st.sampled_from(pieces + [zero_module(alg)]),
                                       max_size=2)), alg)
-    side = data.draw(st.sampled_from([RIGHT, LEFT]))
-    got = approximation(ctx, components, x, side)
-    assert _exact_map(got) == _exact_map(_reference_greedy_approximation(ctx, components, x,
-                                                                          side))
+    return components, x
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_approximation_matches_the_whole_sum_reference(small_algebras, data):
+    """approximation is the right whole-T greedy pass byte for byte, and
+    left_approximation the dual of that pass over the opposite algebra."""
+    components, x = _draw_approximation_case(small_algebras, data)
+    assert _exact_map(approximation(components, x)) == _exact_map(
+        _reference_greedy_approximation(components, x, RIGHT))
+    dual = _reference_greedy_approximation([dual_module(c) for c in components],
+                                           dual_module(x), RIGHT)
+    assert _exact_map(_dual_map(left_approximation(components, x))) == _exact_map(dual)
+
+
+def _copresentation_verdict(coev, x, t):
+    """The in_copr_mho test on a left approximation coev against add(t)."""
+    if coev.target.is_zero():
+        return x.is_zero()
+    return is_mono(coev) and in_add(cokernel(coev)[0], t)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_left_approximation_gives_the_direct_left_pass_verdict(small_algebras, data):
+    """Whether the left approximation is mono with cokernel in add(T) does not
+    depend on which left approximation is taken: the dual one and the direct
+    left pass agree, rigid T or not."""
+    components, x = _draw_approximation_case(small_algebras, data)
+    t = sum_module(components, x.algebra)
+    assert (_copresentation_verdict(left_approximation(components, x), x, t)
+            == _copresentation_verdict(_reference_greedy_approximation(components, x, LEFT),
+                                       x, t))
 
 
 @pytest.mark.parametrize("field", ["F5", "F1048583", "Q"])
