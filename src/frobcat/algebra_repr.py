@@ -850,7 +850,7 @@ def _flatten(field: Field, k: int, blocks: Sequence[np.ndarray]) -> np.ndarray:
     ambiguous for k = 0."""
     if not blocks:
         return np.empty((k, 0), dtype=field.dtype)
-    return np.hstack([b.reshape(k, b.shape[-2] * b.shape[-1]) for b in blocks])
+    return np.concatenate([b.reshape(k, b.shape[-2] * b.shape[-1]) for b in blocks], axis=1)
 
 
 def compose_basis(rows: np.ndarray, x: Module, y: Module, left: Optional[Morphism] = None,
