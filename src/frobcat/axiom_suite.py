@@ -471,9 +471,9 @@ def in_copr_mho(ctx: RigidContext, x: Module) -> bool:
     """Existence of an inflation into add(U) with cokernel in add(U), tested
     on the left approximation by the summands of U (greedy rather than
     minimal), through which every map into add(U) factors. Any left
-    approximation gives this verdict: pushed out along a copresentation
-    x -> U0 -> U1, which factors through it, it gives U0 ⊕ its cokernel,
-    split also as its target ⊕ U1 since U is rigid (``mho_rigid``)."""
+    approximation a gives this verdict: its pushout with a copresentation
+    x -> U0 -> U1 is U0 ⊕ coker a, as x -> U0 factors through a, and also
+    a's target ⊕ U1, as U is rigid (``mho_rigid``)."""
     coev = left_approximation(ctx.U_components, x)
     if coev.target.is_zero():
         return x.is_zero()
