@@ -33,6 +33,13 @@ SHA-256 of the ``to_dict`` of every ``right_M_approximation`` and
 ``mho_approximation``, source included, and that of the ``in_copr_mho``
 verdicts.
 
+The ``verdicts`` key pins the three verdict stores of ``run_all`` at seed 42
+with 20 samples over the sorted modules of the pa2, pa2-deg and aus2
+fixtures: for each of ``fibration``, ``weq`` and ``rlp``, the entry count,
+the True count and the SHA-256 of the sorted (key, verdict) items. A
+verdict that flips on both sides of a check leaves the report text alone
+but shows here.
+
 Rewrite the file only in a change that means to alter these outputs:
 
     PYTHONPATH=src python tests/test_golden_outputs.py --record
@@ -260,6 +267,21 @@ def approximation_digests() -> dict:
     return out
 
 
+def verdict_digests() -> dict:
+    """{fixture: {store: [entries, True count, SHA-256 of the sorted items]}}
+    after the battery that ``violation_digests`` runs."""
+    out = {}
+    for tag in ("pa2", "pa2-deg", "aus2"):
+        ctx, modules = _fixture_context(tag)
+        run_all(ctx, 42, 20, sorted(modules.items()))
+        out[tag] = {}
+        for store in ("fibration", "weq", "rlp"):
+            items = sorted(ctx._caches[store].items())
+            out[tag][store] = [len(items), sum(v for _, v in items),
+                               hashlib.sha256(repr(items).encode()).hexdigest()]
+    return out
+
+
 def compute() -> dict:
     return {
         "hom_basis": {tag: hom_basis_digests(tag) for tag in ("pa2", "pa3")},
@@ -271,6 +293,7 @@ def compute() -> dict:
         "cli": cli_digests(),
         "violations": violation_digests(),
         "approximations": approximation_digests(),
+        "verdicts": verdict_digests(),
     }
 
 
@@ -315,6 +338,10 @@ def test_violation_text_unchanged(golden):
 
 def test_approximations_unchanged(golden):
     assert approximation_digests() == golden["approximations"]
+
+
+def test_verdicts_unchanged(golden):
+    assert verdict_digests() == golden["verdicts"]
 
 
 if __name__ == "__main__":
