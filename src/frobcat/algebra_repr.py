@@ -847,9 +847,12 @@ def _blocks(rows: np.ndarray, x: Module, y: Module):
 def _flatten(field: Field, k: int, blocks: Sequence[np.ndarray]) -> np.ndarray:
     """k rows joining the row-major flattened blocks (k x rows x cols, or
     rows x cols for k = 1); explicit sizes, since reshape(k, -1) is
-    ambiguous for k = 0."""
+    ambiguous for k = 0. One row (``Morphism.vec``, ``Morphism.key``) is
+    one join of flat views, the cheaper call."""
     if not blocks:
         return np.empty((k, 0), dtype=field.dtype)
+    if k == 1:
+        return np.concatenate([b.reshape(-1) for b in blocks])[None]
     return np.concatenate([b.reshape(k, b.shape[-2] * b.shape[-1]) for b in blocks], axis=1)
 
 

@@ -5,9 +5,10 @@ and the homotopy check), and :class:`QuotientHom`, the one quotient of a
 hom space: stable hom here, and the homotopy hom-sets of ``localization``.
 
 All operations are pure functions over immutable values. Hom spaces
-(``hom_matrix``), projective covers, injective envelopes, right
-approximations and the spans of :func:`through_injectives` are cached per
-algebra, keyed by module content; quotients are recomputed on every call.
+(``hom_matrix``), projective covers, the splits of
+:func:`projective_split`, injective envelopes, right approximations and the
+spans of :func:`through_injectives` are cached per algebra, keyed by module
+content; quotients are recomputed on every call.
 The left-handed constructions are their right-handed duals under
 D = Hom_k(-, k), taken over the opposite algebra and transposed back.
 """
@@ -60,6 +61,36 @@ def _checked_cover(x: Module) -> Tuple[Module, Morphism]:
     if not is_epi(cover):
         raise InternalCheckError("projective cover is not epi")
     return cover.source, cover
+
+
+def projective_split(x: Module) -> Tuple[Tuple[str, ...], Module]:
+    """x as its projective parts and the rest: the top vertices of the parts
+    of x (its ``parts``, else x itself) that are projective, in vertex order,
+    and the sum of the other nonzero parts. A part is projective iff its
+    projective cover has its dimensions (the test of
+    :func:`is_self_injective`), and its tops are those of the cover's
+    summands P_v.
+
+    Cached per algebra by content, like covers: a hit may return a rest
+    whose parts are other instances with the same keys.
+    """
+    return _memo(x.algebra._module_cache, ("projective_split", x.key),
+                 lambda: _build_projective_split(x))
+
+
+def _build_projective_split(x: Module) -> Tuple[Tuple[str, ...], Module]:
+    alg = x.algebra
+    vertex_of = {p.key: v for v, p in zip(alg.vertices, alg.projectives())}
+    tops, rest = set(), []
+    for part in x.parts or (x,):
+        if part.is_zero():
+            continue
+        cover = projective_cover(part)[0]
+        if cover.dims == part.dims:
+            tops.update(vertex_of[p.key] for p in cover.parts or (cover,))
+        else:
+            rest.append(part)
+    return tuple(v for v in alg.vertices if v in tops), sum_module(rest, alg)
 
 
 def injective_envelope(x: Module) -> Tuple[Module, Morphism]:

@@ -19,7 +19,19 @@ G-images and the dl-verify checksums do not move.
 
 Weak equivalences are the morphisms inverted by the stable-hom functor at
 the generator; fibrations are detected by surjectivity of Hom(U, -), an
-exact finite reduction of the defining lifting property. Cofibrancy is one
+exact finite reduction of the defining lifting property.
+
+Surjectivity of Hom(probe, f) for f: X -> Y is read off f_v at the
+projective summands of the probe, and solved as a hom rank only over the
+rest. Hom(⊕Q_i, f) is onto iff each Hom(Q_i, f) is, and Hom(P_v^n, f) iff
+Hom(P_v, f). By Yoneda, φ -> φ_v(e_v) is an isomorphism Hom(P_v, X) -> X_v
+natural in X, so Hom(P_v, f) is f_v: X_v -> Y_v, onto iff
+rank f_v = dim Y_v. The fibration test and lifting against 0 -> C (whose
+squares are the maps C -> Y, and whose lifts those into X) both go this
+way. The cone check of fibrations drops U's injective summands: a map b out
+of an injective summand I factors through I, so g ∘ b does too, and
+kills_stably(U, g) is kills_stably(mho_M_gen, g), the summands of U being
+those of mho_M_gen and the injectives. Cofibrancy is one
 presentation test: x is cofibrant iff the kernel of its right
 add(M_gen)-approximation a lies in add(M_gen). Any other presentation
 M0' -> x with kernel M1' factors through a, so the pullback of the two is
@@ -59,6 +71,7 @@ from .homological import (
     injective_envelope,
     is_self_injective,
     kills_stably,
+    projective_split,
     solve_postcompose,
     stable_hom,
 )
@@ -251,9 +264,16 @@ def _decide_weak_equivalence(ctx: RigidContext, f: Morphism) -> bool:
 
 
 def _post_map_surjective(ctx: RigidContext, probe: Module, f: Morphism) -> bool:
-    """Surjectivity of Hom(probe, source) -> Hom(probe, target), by rank."""
-    images = compose_basis(hom_matrix(probe, f.source).data, probe, f.source, left=f)
-    return Matrix(ctx.alg.field, images).rank() == hom_matrix(probe, f.target).rows
+    """Surjectivity of Hom(probe, source) -> Hom(probe, target): at the top
+    vertex v of each projective part, rank f_v = dim target_v (Yoneda, module
+    docstring); over the other parts, by the rank of the composites."""
+    tops, rest = projective_split(probe)
+    if any(f.comps[v].rank() != f.target.dims[v] for v in tops):
+        return False
+    if rest.is_zero():
+        return True
+    images = compose_basis(hom_matrix(rest, f.source).data, rest, f.source, left=f)
+    return Matrix(ctx.alg.field, images).rank() == hom_matrix(rest, f.target).rows
 
 
 def is_fibration(ctx: RigidContext, f: Morphism) -> bool:
@@ -280,10 +300,12 @@ def cone_of(ctx: RigidContext, f: Morphism) -> Tuple[Module, Morphism, Morphism]
 
 def fibration_via_cone(ctx: RigidContext, f: Morphism) -> bool:
     """Frobenius-mode cross-check: a deflation whose cone leg g kills the
-    cosyzygy class up to injectives, ``kills_stably(U, g)``."""
+    cosyzygy class up to injectives, ``kills_stably(mho_M_gen, g)``: U less
+    its injective summands, which change no stable-kill test (module
+    docstring)."""
     if ctx.mode != FROBENIUS:
         raise InputError("fibration_via_cone requires frobenius mode")
-    return is_epi(f) and kills_stably(ctx.U, cone_of(ctx, f)[1])
+    return is_epi(f) and kills_stably(ctx.mho_M_gen, cone_of(ctx, f)[1])
 
 
 def lift(ctx: RigidContext, g: Morphism, f: Morphism) -> Morphism:

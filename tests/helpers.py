@@ -3,16 +3,22 @@
 ``random_morphism`` draws ``_random_hom`` on the stream seeded by (seed, x,
 y); the golden digests pin that stream, so it must not change.
 ``search_fraction_witness`` is the tests' witness of right-fraction
-equality until the library constructs one."""
+equality until the library constructs one. The ``reference_*`` functions
+are the plain bodies that optimized library paths are checked against, and
+``draw_probe_case`` draws their inputs."""
 import random
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from hypothesis import strategies as st
 
-from frobcat.algebra_repr import Algebra, Module, Morphism, combine, compose_basis, hom_matrix
+from frobcat.algebra_repr import (Algebra, Module, Morphism, cokernel, combine, compose_basis,
+                                  hom_matrix, is_epi, kernel, sum_module, zero_module)
 from frobcat.axiom_suite import _derive_seed, _random_hom
 from frobcat.exact_linalg import Matrix
-from frobcat.rigid_model import RigidContext, cofibrant_replacement, is_weak_equivalence
+from frobcat.homological import injective_envelope, projective_cover, solve_postcompose
+from frobcat.rigid_model import (EXACT, RigidContext, cofibrant_replacement, is_weak_equivalence,
+                                 right_M_approximation)
 
 
 def path_basis(alg: Algebra) -> List[Tuple[str, Tuple[str, ...]]]:
@@ -80,3 +86,76 @@ def search_fraction_witness(ctx: RigidContext, left, right, seed: int = 0,
             if is_weak_equivalence(ctx, sp) and is_weak_equivalence(ctx, tp):
                 return c, sp, tp
     return None
+
+
+def reference_post_map_surjective(ctx: RigidContext, probe: Module, f: Morphism) -> bool:
+    """Surjectivity of Hom(probe, source) -> Hom(probe, target), by the rank
+    of the whole of Hom(probe, source) composed with f."""
+    images = compose_basis(hom_matrix(probe, f.source).data, probe, f.source, left=f)
+    return Matrix(ctx.alg.field, images).rank() == hom_matrix(probe, f.target).rows
+
+
+def reference_rlp_by_rank(ctx: RigidContext, g: Morphism, f: Morphism) -> bool:
+    """The right lifting property of f against g, for any g: the lifts
+    l -> (l∘g, f∘l) span the squares {(a, b) : f∘a = b∘g}."""
+    field = ctx.alg.field
+    homs_a = hom_matrix(g.source, f.source)
+    homs_b = hom_matrix(g.target, f.target)
+    system = np.vstack([compose_basis(homs_a.data, g.source, f.source, left=f),
+                        compose_basis(homs_b.data, g.target, f.target, right=g)])
+    dim_k = homs_a.rows + homs_b.rows - Matrix(field, system).rank()
+    if dim_k == 0:
+        return True
+    lifts = hom_matrix(g.target, f.source).data
+    image = np.hstack([compose_basis(lifts, g.target, f.source, right=g),
+                       compose_basis(lifts, g.target, f.source, left=f)])
+    return Matrix(field, image).rank() == dim_k
+
+
+def reference_tailored_lifting_elements(ctx: RigidContext, f: Morphism) -> List[Morphism]:
+    """The lifting elements built from ker f, one ``solve_postcompose`` per
+    map M_gen -> ker f -> f.source; a map that does not factor is skipped."""
+    if not is_epi(f):
+        return []
+    k, inc = kernel(f)
+    approx = right_M_approximation(ctx, f.source)
+    i_m, iota_m = injective_envelope(ctx.M_gen)
+    out = []
+    for b in compose_basis(hom_matrix(ctx.M_gen, k).data, ctx.M_gen, k, left=inc):
+        h = solve_postcompose(approx, Morphism.from_vec(ctx.M_gen, f.source, b))
+        if h is None:
+            continue
+        infl = Morphism.vstack([h, iota_m])
+        c, q = cokernel(infl)
+        i0, iota0 = injective_envelope(infl.target)
+        out.append(Morphism.vstack([q, iota0]))
+    return out
+
+
+def draw_probe_case(algebras, data):
+    """A context on a drawn algebra (over its projectives, exact mode,
+    unvalidated: the tests read only its field), a probe summing up to three
+    parts, each a simple, projective, injective or zero module or a sum of
+    two of them, and a map f: a random one, a split epi (h 1_y) or the
+    projective cover of y, so that both verdicts occur."""
+    alg = algebras[data.draw(st.sampled_from(sorted(algebras)))]
+    ctx = RigidContext(alg, alg.projectives(), EXACT)
+    pieces = alg.simples() + alg.projectives() + alg.injectives() + [zero_module(alg)]
+
+    def part():
+        if data.draw(st.booleans()):
+            return data.draw(st.sampled_from(pieces))
+        return sum_module([data.draw(st.sampled_from(pieces)) for _ in range(2)])
+
+    probe = sum_module([part() for _ in range(data.draw(st.integers(1, 3)))])
+    x, y = (sum_module(data.draw(st.lists(st.sampled_from(pieces), max_size=2)), alg)
+            for _ in range(2))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    kind = data.draw(st.sampled_from(["random", "split epi", "cover"]))
+    if kind == "random":
+        f = _random_hom(ctx, rng, x, y)
+    elif kind == "split epi":
+        f = Morphism.hstack([_random_hom(ctx, rng, x, y), Morphism.identity(y)])
+    else:
+        f = projective_cover(y)[1]
+    return ctx, probe, f

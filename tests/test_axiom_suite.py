@@ -2,13 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobcat import axiom_suite
-from frobcat.errors import InputError
+from frobcat.errors import InputError, InternalCheckError
 from frobcat.exact_linalg import Matrix, RowSpan, prime_field, rational_field
 from frobcat.fixtures import build_fixture
 from frobcat.algebra_repr import (Morphism, compose_basis, direct_sum, hom_basis, hom_matrix,
-                                  preprojective, pullback)
+                                  preprojective, pullback, zero_module)
 from frobcat.homological import kills_stably, projective_cover, through_injectives
 from frobcat.rigid_model import build_context, cone_of, is_weak_equivalence
 from frobcat.axiom_suite import (
@@ -24,7 +25,8 @@ from frobcat.axiom_suite import (
     weq_via_cones,
 )
 from frobcat.localization import fraction_to_ho
-from helpers import random_morphism, search_fraction_witness
+from helpers import (draw_probe_case, random_morphism, reference_rlp_by_rank,
+                     reference_tailored_lifting_elements, search_fraction_witness)
 
 ALL_CHECKS = [
     "two_out_of_three",
@@ -397,6 +399,65 @@ def test_lifting_verdicts_are_the_same_from_cold_and_warm_caches(sampled_maps):
         assert len(keys) < len(pairs)
         assert set(ctx._caches["rlp"]) == keys
     assert verdicts == {True, False}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_lifting_against_zero_to_c_matches_the_general_rank_test(small_algebras, data):
+    """Against 0 -> C, rlp_holds is the surjectivity of Hom(C, f), read off
+    vertex ranks at C's projective parts; the general rank test over the
+    squares gives the same verdict."""
+    ctx, probe, f = draw_probe_case(small_algebras, data)
+    g = Morphism.zero(zero_module(ctx.alg), probe)
+    assert rlp_holds(ctx, g, f) == reference_rlp_by_rank(ctx, g, f)
+
+
+@pytest.mark.parametrize("name", ["pa2", "pa3", "pa3+S1+S3"])
+def test_injective_summands_of_u_change_no_stable_kill(name, pa2_ctx, pa3_ctx, pa3_s_ctx,
+                                                       pa2, pa3):
+    """kills_stably(U, h) == kills_stably(mho_M_gen, h) on sampled maps and
+    their cone legs: a map out of an injective summand of U factors through
+    it. Over P1+P2+P3 on pa3, mho_M_gen is zero and U is injective."""
+    ctx, mods = {"pa2": (pa2_ctx, pa2[1]), "pa3": (pa3_ctx, pa3[1]),
+                 "pa3+S1+S3": (pa3_s_ctx, pa3[1])}[name]
+    rng = random.Random(5)
+    universe = sample_universe(ctx, sorted(mods.items()))
+    verdicts = set()
+    for _ in range(40):
+        f = _sample_morphism(ctx, rng, universe)
+        for h in (f, cone_of(ctx, f)[1]):
+            verdict = kills_stably(ctx.U, h)
+            assert verdict == kills_stably(ctx.mho_M_gen, h)
+            verdicts.add(verdict)
+    assert verdicts == ({True} if ctx.mho_M_gen.is_zero() else {True, False})
+
+
+def test_tailored_lifting_elements_match_the_per_row_reference(sampled_maps):
+    """The one batched solve gives the elements of one solve_postcompose per
+    row, in order and by Morphism.key, over F_5 and Q."""
+    built = 0
+    for alg, gen, mode, universe, maps in sampled_maps:
+        ctx = build_context(alg, gen, mode)
+        for f in maps:
+            got = axiom_suite._tailored_lifting_elements(ctx, f)
+            assert [g.key for g in got] == [
+                g.key for g in reference_tailored_lifting_elements(ctx, f)]
+            built += len(got)
+    assert built > 0
+
+
+def test_tailored_lifting_elements_refuse_a_non_approximation(pa2_ctx, pa2, monkeypatch):
+    """For S1 -> 0 on pa2 the kernel is S1; the identity on the S1 summand of
+    M_gen does not factor through the projective cover P1 -> S1, as
+    Hom(S1, P1) = 0, so the cover is no add(M_gen)-approximation and the
+    elements are refused rather than built from the maps that do factor."""
+    alg, mods = pa2
+    f = Morphism.zero(mods["S1"], zero_module(alg))
+    assert len(axiom_suite._tailored_lifting_elements(pa2_ctx, f)) == 2
+    monkeypatch.setattr(axiom_suite, "right_M_approximation",
+                        lambda ctx, x: projective_cover(x)[1])
+    with pytest.raises(InternalCheckError, match="does not factor"):
+        axiom_suite._tailored_lifting_elements(pa2_ctx, f)
 
 
 @pytest.mark.parametrize("tag", ["pa2", "aus2"])

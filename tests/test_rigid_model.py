@@ -53,7 +53,7 @@ from frobcat.rigid_model import (
     are_homotopic,
     right_M_approximation,
 )
-from helpers import random_morphism
+from helpers import draw_probe_case, random_morphism, reference_post_map_surjective
 
 
 def test_build_context_accepts_fixture(pa2_ctx):
@@ -207,6 +207,17 @@ def test_fibration_examples(pa2_ctx, pa2):
     assert is_fibration(pa2_ctx, Morphism.zero(mods["P1"], z))  # all objects fibrant
     assert is_fibration(pa2_ctx, Morphism.identity(mods["S2"]))
     assert not is_fibration(pa2_ctx, Morphism.zero(z, mods["S2"]))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_post_map_surjectivity_matches_the_whole_hom_reference(small_algebras, data):
+    """Vertex ranks at the tops of the probe's projective parts plus the hom
+    rank over the rest give the verdict of the rank over the whole of
+    Hom(probe, f.source), for probes built from projectives, injectives and
+    simples, nested sums among them."""
+    ctx, probe, f = draw_probe_case(small_algebras, data)
+    assert _post_map_surjective(ctx, probe, f) == reference_post_map_surjective(ctx, probe, f)
 
 
 def test_fibration_cone_characterization_agrees(pa2_ctx, pa2):
