@@ -824,6 +824,14 @@ def combine(x: Module, y: Module, coeffs: Sequence) -> Morphism:
 
 
 def hom_dim(x: Module, y: Module) -> int:
+    """dim Hom(x, y). For a sum (``parts`` set at the source, else at the
+    target) it is the sum over the parts, as Hom(⊕x_i, y) = ⊕Hom(x_i, y) and
+    Hom(x, ⊕y_j) = ⊕Hom(x, y_j): the sum's basis is neither assembled nor
+    cached. Other pairs read the rows of :func:`hom_matrix`."""
+    if x.parts is not None:
+        return sum(hom_dim(part, y) for part in x.parts)
+    if y.parts is not None:
+        return sum(hom_dim(x, part) for part in y.parts)
     return hom_matrix(x, y).rows
 
 

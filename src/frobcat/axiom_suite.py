@@ -28,6 +28,7 @@ from .algebra_repr import (
     Module,
     Morphism,
     _memo,
+    _split,
     cokernel,
     combine,
     compose_basis,
@@ -261,11 +262,27 @@ def _sample_composable(ctx: RigidContext, rng: random.Random, universe):
 
 
 def rlp_holds(ctx: RigidContext, g: Morphism, f: Morphism) -> bool:
-    """Exact right-lifting-property test of f against g.
+    """Exact right-lifting-property test of f: E -> F against g: A -> B.
 
-    Linear formulation: l -> (l∘g, f∘l) maps Hom(g.target, f.source) into the
-    space K of squares {(a, b) : f∘a = b∘g}, so every square has a lift iff
-    the image has dimension dim K. Both sides are ranks; no square sampling.
+    Linear formulation: l -> (l∘g, f∘l) maps Hom(B, E) into the space K of
+    squares {(a, b) : f∘a = b∘g}, so every square has a lift iff the image
+    has dimension dim K. Both sides are counts; no square sampling.
+
+    dim K is dim Hom(A, E) + dim Hom(B, F) less the rank of
+    (a, b) -> f∘a - b∘g. For B = ⊕B_i (its ``parts``), the basis of
+    Hom(B, F) is the bases of the Hom(B_i, F) scattered into the sum's
+    coordinates (``hom_matrix``), and a scattered b = (0 … b_i … 0) has
+    b∘g = b_i∘g_i for the row block g_i: A -> B_i of g. So the rows b_i∘g_i,
+    one part at a time, are the rows b∘g in another order: the rank is the
+    same, and the basis of Hom(B, F) is never assembled.
+
+    The image has dimension dim Hom(B, E) - dim Hom(coker g, ker f), as the
+    kernel {l : l∘g = 0, f∘l = 0} is Hom(coker g, ker f): l∘g = 0 iff
+    l = m'∘q for a unique m': coker g -> E (q the projection, epi), and then
+    f∘l = 0 iff f∘m' = 0 iff m' = ι∘m for a unique m: coker g -> ker f
+    (ι the inclusion, mono). The two modules are kept per ``Morphism.key``
+    in ``ctx._caches["rlp_coker"]`` and ``ctx._caches["rlp_ker"]``.
+
     The verdict depends only on the content of g and f and on the context,
     so it is cached per ``(g.key, f.key)`` in ``ctx._caches["rlp"]``.
     """
@@ -275,18 +292,20 @@ def rlp_holds(ctx: RigidContext, g: Morphism, f: Morphism) -> bool:
 def _rlp_by_rank(ctx: RigidContext, g: Morphism, f: Morphism) -> bool:
     if g.source.is_zero():  # a square is a map g.target -> f.target, a lift one into f.source
         return _post_map_surjective(ctx, g.target, f)
-    field = ctx.alg.field
     homs_a = hom_matrix(g.source, f.source)
-    homs_b = hom_matrix(g.target, f.target)
-    system = np.vstack([compose_basis(homs_a.data, g.source, f.source, left=f),
-                        compose_basis(homs_b.data, g.target, f.target, right=g)])
-    dim_k = homs_a.rows + homs_b.rows - Matrix(field, system).rank()
+    rows = [compose_basis(homs_a.data, g.source, f.source, left=f)]
+    count = homs_a.rows
+    b = g.target
+    for part, g_i in zip(b.parts, _split(g, b.parts, at_source=False)) if b.parts else [(b, g)]:
+        homs = hom_matrix(part, f.target)
+        rows.append(compose_basis(homs.data, part, f.target, right=g_i))
+        count += homs.rows
+    dim_k = count - Matrix(ctx.alg.field, np.vstack(rows)).rank()
     if dim_k == 0:
         return True
-    lifts = hom_matrix(g.target, f.source).data
-    image = np.hstack([compose_basis(lifts, g.target, f.source, right=g),
-                       compose_basis(lifts, g.target, f.source, left=f)])
-    return Matrix(field, image).rank() == dim_k
+    coker = _memo(ctx._caches["rlp_coker"], g.key, lambda: cokernel(g)[0])
+    ker = _memo(ctx._caches["rlp_ker"], f.key, lambda: kernel(f)[0])
+    return hom_dim(b, f.source) - hom_dim(coker, ker) == dim_k
 
 
 def _presentation_element(ctx: RigidContext, pres) -> Morphism:

@@ -5,7 +5,7 @@ and the homotopy check), and :class:`QuotientHom`, the one quotient of a
 hom space: stable hom here, and the homotopy hom-sets of ``localization``.
 
 All operations are pure functions over immutable values. Hom spaces
-(``hom_matrix``), projective covers, the splits of
+(``hom_matrix``), projective covers, syzygies, the splits of
 :func:`projective_split`, injective envelopes, right approximations and the
 spans of :func:`through_injectives` are cached per algebra, keyed by module
 content; quotients are recomputed on every call.
@@ -153,7 +153,16 @@ def _cover_map(x: Module) -> Morphism:
 
 
 def syzygy(x: Module) -> Tuple[Module, ShortExactSequence]:
-    """Kernel of the projective cover, with its witness sequence."""
+    """Kernel of the projective cover, with its witness sequence.
+
+    Cached per algebra by module content, like covers: a hit may return a
+    sequence whose ends are earlier instances with the same keys, not x
+    itself.
+    """
+    return _memo(x.algebra._module_cache, ("syzygy", x.key), lambda: _build_syzygy(x))
+
+
+def _build_syzygy(x: Module) -> Tuple[Module, ShortExactSequence]:
     p, cover = projective_cover(x)
     k, inc = kernel(cover)
     return k, ShortExactSequence(inc, cover)
@@ -277,7 +286,10 @@ def _build_through_injectives(x: Module, y: Module) -> RowSpan:
 
 def kills_stably(z: Module, h: Morphism) -> bool:
     """True iff every h ∘ b, for b: z -> h.source, factors through an
-    injective: h kills Hom(z, -) in the stable category."""
+    injective: h kills Hom(z, -) in the stable category. For z = 0 there is
+    no such b besides zero, so nothing is solved or cached."""
+    if z.is_zero():
+        return True
     return through_injectives(z, h.target).contains(
         compose_basis(hom_matrix(z, h.source).data, z, h.source, left=h))
 

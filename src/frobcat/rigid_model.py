@@ -4,7 +4,9 @@ A :class:`RigidContext` fixes the additive generator of the rigid class,
 validates the standing hypotheses, and caches the derived structures: the
 cosyzygy generator, the class generator U whose add-closure is the homotopy
 ideal, cofibrant replacements, the stable hom spaces from the generator, and
-the fibration and weak-equivalence verdicts per ``Morphism.key``.
+the fibration and weak-equivalence verdicts per ``Morphism.key``; the axiom
+battery keeps its lifting verdicts, and the kernel and cokernel modules they
+read, here too.
 
 Stable hom from the generator is taken from its costable part, the sum of
 the components with nonzero cosyzygy, that is, the non-injective ones; the
@@ -54,6 +56,7 @@ from .algebra_repr import (
     cokernel,
     cokernel_factor,
     compose_basis,
+    hom_dim,
     hom_matrix,
     is_epi,
     is_mono,
@@ -142,6 +145,8 @@ class RigidContext:
             "fibration": {},
             "weq": {},
             "rlp": {},
+            "rlp_ker": {},
+            "rlp_coker": {},
         }
 
     def stable_from_generator(self, x: Module) -> QuotientHom:
@@ -273,7 +278,7 @@ def _post_map_surjective(ctx: RigidContext, probe: Module, f: Morphism) -> bool:
     if rest.is_zero():
         return True
     images = compose_basis(hom_matrix(rest, f.source).data, rest, f.source, left=f)
-    return Matrix(ctx.alg.field, images).rank() == hom_matrix(rest, f.target).rows
+    return Matrix(ctx.alg.field, images).rank() == hom_dim(rest, f.target)
 
 
 def is_fibration(ctx: RigidContext, f: Morphism) -> bool:

@@ -660,12 +660,9 @@ def _exact(m):
     return m.data.dtype.str, m.data.shape, [repr(e) for e in m.data.reshape(-1)]
 
 
-@given(name=st.sampled_from(sorted(_HOM_SUM_ALGEBRAS)), data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_hom_of_a_sum_matches_the_direct_solve(name, data):
-    """hom_matrix on sums at the source, at the target and at both ends, with
-    nested sums and zero parts, byte for byte against the direct solve. The
-    hom cache is cleared first, so every pair goes through the assembly."""
+def _draw_sum_pair(name, data):
+    """An algebra of ``_HOM_SUM_ALGEBRAS`` and modules x, y with a sum at the
+    source, at the target or at both ends, nested sums and zero parts."""
     alg = _HOM_SUM_ALGEBRAS[name]
     pieces = alg.simples() + alg.projectives() + alg.injectives() + [zero_module(alg)]
 
@@ -682,8 +679,36 @@ def test_hom_of_a_sum_matches_the_direct_solve(name, data):
         x = data.draw(st.sampled_from(pieces))
     elif ends == "source":
         y = data.draw(st.sampled_from(pieces))
+    return alg, x, y
+
+
+@given(name=st.sampled_from(sorted(_HOM_SUM_ALGEBRAS)), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_hom_of_a_sum_matches_the_direct_solve(name, data):
+    """hom_matrix on drawn sums byte for byte against the direct solve. The
+    hom cache is cleared first, so every pair goes through the assembly."""
+    alg, x, y = _draw_sum_pair(name, data)
     alg._hom_cache.clear()
     assert _exact(hom_matrix(x, y)) == _exact(_reference_hom(x, y))
+
+
+def _leaves(m):
+    return [leaf for part in m.parts for leaf in _leaves(part)] if m.parts else [m]
+
+
+@given(name=st.sampled_from(sorted(_HOM_SUM_ALGEBRAS)), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_hom_dim_of_a_sum_adds_its_parts_without_assembling(name, data):
+    """hom_dim on drawn sums is the number of rows of hom_matrix. From a
+    cleared cache it solves only the pairs of leaves (the parts of parts,
+    down to modules that are no sums), so it leaves no entry for the pair
+    itself unless that pair's keys are those of a pair of leaves."""
+    alg, x, y = _draw_sum_pair(name, data)
+    alg._hom_cache.clear()
+    dim = hom_dim(x, y)
+    leaf_pairs = {(a.key, b.key) for a in _leaves(x) for b in _leaves(y)}
+    assert set(alg._hom_cache) == leaf_pairs
+    assert dim == hom_matrix(x, y).rows
 
 
 def _reference_sum(parts):

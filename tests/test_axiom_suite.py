@@ -8,13 +8,15 @@ from frobcat import axiom_suite
 from frobcat.errors import InputError, InternalCheckError
 from frobcat.exact_linalg import Matrix, RowSpan, prime_field, rational_field
 from frobcat.fixtures import build_fixture
-from frobcat.algebra_repr import (Morphism, compose_basis, direct_sum, hom_basis, hom_matrix,
-                                  preprojective, pullback, zero_module)
+from frobcat.algebra_repr import (Morphism, cokernel, compose_basis, direct_sum, hom_basis,
+                                  hom_dim, hom_matrix, kernel, preprojective, pullback,
+                                  sum_module, zero_module)
 from frobcat.homological import kills_stably, projective_cover, through_injectives
-from frobcat.rigid_model import build_context, cone_of, is_weak_equivalence
+from frobcat.rigid_model import EXACT, RigidContext, build_context, cone_of, is_weak_equivalence
 from frobcat.axiom_suite import (
     CheckRun,
     PredicateSet,
+    _random_hom,
     _sample_morphism,
     default_objects,
     registered_checks,
@@ -410,6 +412,62 @@ def test_lifting_against_zero_to_c_matches_the_general_rank_test(small_algebras,
     ctx, probe, f = draw_probe_case(small_algebras, data)
     g = Morphism.zero(zero_module(ctx.alg), probe)
     assert rlp_holds(ctx, g, f) == reference_rlp_by_rank(ctx, g, f)
+
+
+def _draw_lifting_case(algebras, data):
+    """A context on a drawn algebra over F_2, F_5 or Q (its projectives,
+    exact mode, unvalidated: rlp_holds reads its field and stores) and a
+    pair g: A -> B, f: E -> F. Each end is zero one time in six, else a
+    simple, projective, injective or zero module, or a sum of two or three
+    of these drawn the same way, nested at most two deep. g is a random map
+    (often not mono), a zero map or a split mono (1; h); f is a random map
+    (often not epi), a split epi (h 1) or a projective cover, so that both
+    verdicts occur."""
+    alg = algebras[data.draw(st.sampled_from(
+        sorted(k for k in algebras if k.endswith(("/F2", "/F5", "/Q")))))]
+    ctx = RigidContext(alg, alg.projectives(), EXACT)
+    pieces = alg.simples() + alg.projectives() + alg.injectives() + [zero_module(alg)]
+
+    def module(depth=0):
+        if depth < 2 and data.draw(st.booleans()):
+            return sum_module([module(depth + 1) for _ in range(data.draw(st.integers(2, 3)))])
+        return data.draw(st.sampled_from(pieces))
+
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    a, b, e, t = (zero_module(alg) if data.draw(st.integers(0, 5)) == 0 else module()
+                  for _ in range(4))
+    g_kind = data.draw(st.sampled_from(["random", "zero", "split mono"]))
+    if g_kind == "random":
+        g = _random_hom(ctx, rng, a, b)
+    elif g_kind == "zero":
+        g = Morphism.zero(a, b)
+    else:
+        g = Morphism.vstack([Morphism.identity(a), _random_hom(ctx, rng, a, b)])
+    f_kind = data.draw(st.sampled_from(["random", "split epi", "cover"]))
+    if f_kind == "random":
+        f = _random_hom(ctx, rng, e, t)
+    elif f_kind == "split epi":
+        f = Morphism.hstack([_random_hom(ctx, rng, e, t), Morphism.identity(t)])
+    else:
+        f = projective_cover(t)[1]
+    return ctx, g, f
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_rlp_holds_matches_the_rank_reference_on_arbitrary_pairs(small_algebras, data):
+    """rlp_holds on drawn pairs (zero ends, nested sums at both ends of g,
+    g not mono, f not epi) gives the verdict of the reference, which ranks
+    the lift map over the assembled Hom(g.target, f.source); and that rank
+    is dim Hom(g.target, f.source) - dim Hom(coker g, ker f), the count
+    rlp_holds takes in its place."""
+    ctx, g, f = _draw_lifting_case(small_algebras, data)
+    assert rlp_holds(ctx, g, f) == reference_rlp_by_rank(ctx, g, f)
+    b, e = g.target, f.source
+    lifts = hom_matrix(b, e).data
+    image = np.hstack([compose_basis(lifts, b, e, right=g), compose_basis(lifts, b, e, left=f)])
+    rank = Matrix(ctx.alg.field, image).rank()
+    assert rank == hom_dim(b, e) - hom_dim(cokernel(g)[0], kernel(f)[0])
 
 
 @pytest.mark.parametrize("name", ["pa2", "pa3", "pa3+S1+S3"])

@@ -39,6 +39,7 @@ from frobcat.homological import (
     in_add,
     injective_envelope,
     is_self_injective,
+    kills_stably,
     projective_cover,
     solve_postcompose,
     stable_hom,
@@ -46,6 +47,7 @@ from frobcat.homological import (
     through_injectives,
 )
 from frobcat.rigid_model import build_context
+from helpers import random_morphism
 
 
 def test_cover_of_zero(pa2):
@@ -90,6 +92,31 @@ def test_syzygies(pa2):
     mho, ses2 = cosyzygy(mods["S1"])
     assert mho.key == mods["S2"].key
     ses2.validate()
+
+
+def test_syzygy_is_cached_per_module_key(pa2):
+    """A second call, with x or with another instance of x's key, returns
+    the pair that the first call built."""
+    alg, mods = pa2
+    x = mods["S2"]
+    first = syzygy(x)
+    assert syzygy(x) is first
+    assert syzygy(Module(alg, x.dims, x.action, check=False)) is first
+
+
+def test_kills_stably_on_a_zero_generator_solves_nothing():
+    """On a fresh pa2-deg (generator P1+P2, every summand injective) the
+    costable generator is zero: kills_stably is True on every map, and
+    neither the hom cache nor the module cache grows."""
+    alg = preprojective(2, prime_field(5))
+    ctx = build_context(alg, alg.projectives(), "frobenius")
+    assert ctx.costable_gen.is_zero()
+    objects = alg.simples() + alg.projectives()
+    maps = [random_morphism(ctx, x, y, seed)
+            for x in objects for y in objects for seed in range(2)]
+    sizes = len(alg._hom_cache), len(alg._module_cache)
+    assert all(kills_stably(ctx.costable_gen, h) for h in maps)
+    assert (len(alg._hom_cache), len(alg._module_cache)) == sizes
 
 
 def test_cosyzygy_of_injective_vanishes(pa2):
