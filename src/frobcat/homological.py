@@ -314,7 +314,7 @@ class QuotientHom:
 
     def __init__(self, x: Module, y: Module, sub: RowSpan):
         self.x, self.y, self.sub = x, y, sub
-        basis = hom_matrix(x, y).data
+        basis = hom_matrix(x, y).data if sub.width else sub.rows  # width 0: no solve
         canonicals = sub.reduce(basis)
         self.rep_indices = RowSpan(sub.field, sub.width).independent(canonicals)
         self.rep_rows = basis[self.rep_indices]
@@ -336,7 +336,10 @@ class QuotientHom:
 
 
 def stable_hom(x: Module, y: Module) -> QuotientHom:
-    """Hom(x, y) modulo the maps factoring through injectives."""
+    """Hom(x, y) modulo the maps factoring through injectives. From a zero x
+    it is the zero space, and no span is built or cached."""
+    if x.is_zero():
+        return QuotientHom(x, y, RowSpan(x.algebra.field, 0))
     return QuotientHom(x, y, through_injectives(x, y))
 
 

@@ -8,9 +8,9 @@ on entry. The module side (intertwiner solving over the stable endomorphism
 algebra) is computed by an independent code path so the two sides of the
 equivalence can be compared pair by pair.
 
-``ho_hom`` returns the ``homological.QuotientHom`` between the fixed
-replacements, the type stable hom has too, and :func:`ho_class` takes a
-representative to its class. The mod Ē side is held as arrays, as the E side
+``ho_hom`` builds the ``homological.QuotientHom`` between the fixed
+replacements, the type stable hom has too, on every call (dl-verify asks
+once per pair), and :func:`ho_class` takes a representative to its class. The mod Ē side is held as arrays, as the E side
 is: the structure constants are one (k, k, k) table, a module's action is one
 (k, n, n) stack, and ``ebar_hom_basis`` returns basis rows, one row-major
 module map per row, as ``hom_matrix`` does. The G side is one routine,
@@ -180,12 +180,10 @@ class HoClass:
 
 def ho_hom(ctx: RigidContext, x: Module, y: Module) -> QuotientHom:
     """Hom in the localized category: Hom between the fixed replacements of
-    x and y, modulo the maps factoring through the cosyzygy-class generator U."""
-    def build() -> QuotientHom:
-        a_x, a_y = cofibrant_replacement(ctx, x).a, cofibrant_replacement(ctx, y).a
-        return QuotientHom(a_x, a_y, factors_through_add(a_x, ctx.U, a_y))
-
-    return _memo(ctx._caches["ho_hom"], (x.key, y.key), build)
+    x and y, modulo the maps factoring through the cosyzygy-class generator U.
+    Built on every call; the replacements and hom bases it reads are cached."""
+    a_x, a_y = cofibrant_replacement(ctx, x).a, cofibrant_replacement(ctx, y).a
+    return QuotientHom(a_x, a_y, factors_through_add(a_x, ctx.U, a_y))
 
 
 def ho_class(ctx: RigidContext, x: Module, y: Module, rep: Morphism) -> HoClass:

@@ -1,12 +1,13 @@
 """The homotopical layer over a rigid subcategory of a module category.
 
 A :class:`RigidContext` fixes the additive generator of the rigid class,
-validates the standing hypotheses, and caches the derived structures: the
-cosyzygy generator, the class generator U whose add-closure is the homotopy
-ideal, cofibrant replacements, the stable hom spaces from the generator, and
-the fibration and weak-equivalence verdicts per ``Morphism.key``; the axiom
-battery keeps its lifting verdicts, and the kernel and cokernel modules they
-read, here too.
+validates the standing hypotheses, and derives the cosyzygy generator and
+the class generator U whose add-closure is the homotopy ideal. Its
+``_caches`` holds one dict per store, made on first use, so a store is named
+only at the ``_memo`` call that fills it; this module's stores hold the
+cofibrant replacements and presentations per module key, the stable hom
+spaces from the generator, and the fibration and weak-equivalence verdicts
+per ``Morphism.key``.
 
 Stable hom from the generator is taken from its costable part, the sum of
 the components with nonzero cosyzygy, that is, the non-injective ones; the
@@ -42,6 +43,7 @@ ker(a) is a summand of M1' ⊕ M0.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -119,9 +121,8 @@ class RigidContext:
         self.components = list(components)
         self.mode = mode
         self.M_gen = sum_module(self.components)
-        self.injectives = alg.injectives()
-        self.projectives = alg.projectives()
-        injective_keys = {i.key for i in self.injectives}
+        injectives = alg.injectives()
+        injective_keys = {i.key for i in injectives}
         cosyzygies = {c.key: cosyzygy(c)[0] for c in self.components
                       if c.key not in injective_keys}
         costable = [c for c in self.components
@@ -130,24 +131,11 @@ class RigidContext:
         mhos = [cosyzygies[c.key] for c in costable]
         self.mho_M_gen = sum_module(mhos, alg)
         unique: Dict[tuple, Module] = {}
-        for c in mhos + self.injectives:
+        for c in mhos + injectives:
             unique.setdefault(c.key, c)
         self.U_components = list(unique.values())
         self.U = sum_module(self.U_components)
-        self._caches: Dict[str, dict] = {
-            "replacement": {},
-            "cofibrant": {},
-            "stable": {},
-            "endo": {},
-            "ho_hom": {},
-            "G": {},
-            "G_phi": {},
-            "fibration": {},
-            "weq": {},
-            "rlp": {},
-            "rlp_ker": {},
-            "rlp_coker": {},
-        }
+        self._caches: Dict[str, dict] = defaultdict(dict)
 
     def stable_from_generator(self, x: Module) -> QuotientHom:
         """Stable Hom(costable_gen, x), cached per x.key (module docstring)."""
@@ -176,11 +164,11 @@ def build_context(alg: Algebra, m_gen: Sequence[Module], mode: str) -> RigidCont
     violations = []
     if ext1_dim(ctx.M_gen, ctx.M_gen) != 0:
         violations.append("M_gen is not rigid: Ext^1(M_gen, M_gen) != 0")
-    for v, inj in zip(alg.vertices, ctx.injectives):
+    for v, inj in zip(alg.vertices, alg.injectives()):
         if not in_add(inj, ctx.M_gen):
             violations.append(f"injective at vertex {v} is not in add(M_gen)")
     if mode == EXACT:
-        for v, proj in zip(alg.vertices, ctx.projectives):
+        for v, proj in zip(alg.vertices, alg.projectives()):
             if not in_add(proj, ctx.M_gen):
                 violations.append(f"projective at vertex {v} is not in add(M_gen)")
     else:

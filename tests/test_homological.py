@@ -119,6 +119,26 @@ def test_kills_stably_on_a_zero_generator_solves_nothing():
     assert (len(alg._hom_cache), len(alg._module_cache)) == sizes
 
 
+@pytest.mark.parametrize("field", [prime_field(5), rational_field()], ids=["F5", "Q"])
+def test_stable_hom_from_a_zero_generator_solves_nothing(field):
+    """Over preprojective A2 with generator P1+P2 (pa2-deg) the costable
+    generator is zero: stable hom from it is the zero space, built without
+    growing the hom cache or the module cache, and equal row for row to the
+    quotient by the span of maps through injectives."""
+    alg = preprojective(2, field)
+    ctx = build_context(alg, alg.projectives(), "frobenius")
+    z = ctx.costable_gen
+    objects = alg.simples() + alg.projectives() + [sum_module(alg.simples())]
+    sizes = len(alg._hom_cache), len(alg._module_cache)
+    spaces = [ctx.stable_from_generator(y) for y in objects]
+    assert (len(alg._hom_cache), len(alg._module_cache)) == sizes
+    for y, space in zip(objects, spaces):
+        old = QuotientHom(z, y, through_injectives(z, y))
+        assert space.dim == old.dim == 0
+        for a, b in ((space.rep_rows, old.rep_rows), (space.sub.rows, old.sub.rows)):
+            assert a.shape == b.shape and a.dtype == b.dtype
+
+
 def test_cosyzygy_of_injective_vanishes(pa2):
     alg, mods = pa2
     for v in alg.vertices:

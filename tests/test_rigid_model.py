@@ -33,6 +33,7 @@ from frobcat.homological import (
     solve_postcompose,
 )
 from frobcat.axiom_suite import default_objects, run_all, sample_universe
+from frobcat.localization import dl_verify_all
 from frobcat.rigid_model import (
     EXACT,
     RigidContext,
@@ -547,6 +548,22 @@ def test_morphism_key_is_the_content_of_the_map_and_its_ends(small_algebras, fie
         target = Module.from_dict(alg, f.target.to_dict())
         again = Morphism.from_dict(f.to_dict("s", "t"), source, target)
         assert again is not f and again.key == f.key
+
+
+def test_one_battery_and_dl_verify_make_exactly_the_named_stores(pa2):
+    """RigidContext declares no store: each is made by the first ``_memo``
+    call that names it, so a misspelt store name shows here. One pa2 battery
+    at 5 samples plus dl-verify over all pairs fills exactly these stores;
+    ``ho_hom`` is built on every call and keeps none."""
+    alg, mods = pa2
+    ctx = build_context(alg, [mods["P1"], mods["P2"], mods["S1"]], "frobenius")
+    assert not ctx._caches
+    named = sorted(mods.items())
+    run_all(ctx, 42, 5, named)
+    dl_verify_all(ctx, named)
+    assert set(ctx._caches) == {"replacement", "cofibrant", "stable", "G", "G_phi",
+                                "fibration", "weq", "rlp", "rlp_ker", "rlp_coker"}
+    assert all(ctx._caches.values())
 
 
 def test_predicate_verdicts_are_the_same_from_cold_and_warm_caches(sampled_maps):
