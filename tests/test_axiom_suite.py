@@ -11,7 +11,8 @@ from frobcat.fixtures import build_fixture
 from frobcat.algebra_repr import (Morphism, cokernel, compose_basis, direct_sum, hom_basis,
                                   hom_dim, hom_matrix, kernel, preprojective, pullback,
                                   sum_module, zero_module)
-from frobcat.homological import kills_stably, projective_cover, through_injectives
+from frobcat.homological import (cosyzygy, ext1_dim, ext1_dim_via_copresentation, kills_stably,
+                                 projective_cover, stable_hom, through_injectives)
 from frobcat.rigid_model import EXACT, RigidContext, build_context, cone_of, is_weak_equivalence
 from frobcat.axiom_suite import (
     CheckRun,
@@ -323,6 +324,18 @@ def test_mho_rigid_is_falsifiable(pa2_ctx, pa2):
     assert not run.passed
 
 
+def test_mho_rigid_reads_ext1_in_exact_mode():
+    """On aus2 (exact mode, not self-injective) stable Hom(U, cosyzygy U)
+    is zero, but Ext^1(U, U) is 1 by both routes: mho_rigid reports one
+    violation, observing 1."""
+    alg, mods, project = build_fixture("aus2")
+    ctx = build_context(alg, [mods[n] for n in project["M_gen"]], project["mode"])
+    assert stable_hom(ctx.U, cosyzygy(ctx.U)[0]).dim == 0
+    assert ext1_dim(ctx.U, ctx.U) == ext1_dim_via_copresentation(ctx.U, ctx.U) == 1
+    run = run_check(ctx, "mho_rigid", 42, 20, sorted(mods.items()))
+    assert [v.observed for v in run.violations] == ["1"]
+
+
 def test_default_objects(pa2_ctx):
     names = [n for n, _ in default_objects(pa2_ctx)]
     assert names == ["S1", "S2", "P1", "P2"]  # injectives deduplicate away
@@ -521,8 +534,8 @@ def test_tailored_lifting_elements_refuse_a_non_approximation(pa2_ctx, pa2, monk
 @pytest.mark.parametrize("tag", ["pa2", "aus2"])
 def test_run_all_is_the_same_on_a_context_that_already_ran_it(tag):
     """The battery at seed 42 with 20 samples reports the same on a warm
-    context as on the fresh one (aus2 reports its known cone-check defect
-    both times)."""
+    context as on the fresh one (aus2 reports its known cone-check defect,
+    and that its U is not rigid, both times)."""
     alg, mods, project = build_fixture(tag)
     ctx = build_context(alg, [mods[n] for n in project["M_gen"]], project["mode"])
     first = run_all(ctx, 42, 20, sorted(mods.items()))
