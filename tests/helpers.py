@@ -29,6 +29,16 @@ def path_basis(alg: Algebra) -> List[Tuple[str, Tuple[str, ...]]]:
     ]
 
 
+def truncated_linear(n: int, l: int, field) -> Algebra:
+    """kA_n/rad^l: linear A_n, 1 -> 2 -> ... -> n by arrows a1, a2, ..., with
+    one zero relation per path of length l. Not self-injective for
+    1 < l < n; the tests use it in exact mode with generator P ⊕ I."""
+    vertices = [str(v) for v in range(1, n + 1)]
+    arrows = [(f"a{v}", str(v), str(v + 1)) for v in range(1, n)]
+    relations = [[("1", tuple(f"a{w}" for w in range(v, v + l)))] for v in range(1, n - l + 1)]
+    return Algebra(field, vertices, arrows, relations)
+
+
 def random_morphism(ctx: RigidContext, x: Module, y: Module, seed: int) -> Morphism:
     """Pseudorandom combination of the hom basis, deterministic in (seed, x, y)."""
     rng = random.Random(_derive_seed(seed, x.key, y.key))
