@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from frobcat.axiom_suite import run_all, run_check
 from frobcat.cli import build_parser, dispatch
-from frobcat.fixtures import FIXTURE_TAGS, emit_fixture
+from frobcat.fixtures import FIXTURE_TAGS, build_fixture, emit_fixture
+from frobcat.rigid_model import build_context
 
 
 @pytest.fixture(scope="module")
@@ -391,3 +393,25 @@ def test_dl_verify_json_reports_sub_verdicts(pa2_project, capsys):
         parts = [p["dim_ho"] == p["dim_mod"]] + [
             p[k] for k in ("well_defined", "in_mod_span", "injective", "composition_ok")]
         assert p["pass"] is all(parts) is True
+
+
+@pytest.mark.parametrize("tag,checks", [("pa2", 14), ("aus2", 12)])
+def test_each_check_alone_reports_its_block_of_the_battery(tmp_path, capsys, tag, checks):
+    """At seed 42 with 20 samples, each check run alone on a fresh context
+    reports what it reported inside one run_all, whose context was warm from
+    the checks before it; ``axioms --check`` prints that run and exits 1
+    exactly when it has violations."""
+    alg, mods, project = build_fixture(tag)
+    gen = [mods[n] for n in project["M_gen"]]
+    objects = sorted(mods.items())
+    battery = run_all(build_context(alg, gen, project["mode"]), 42, 20, objects)
+    assert len(battery.runs) == checks
+    dest = str(tmp_path / tag)
+    emit_fixture(tag, dest)
+    for run in battery.runs:
+        cold = run_check(build_context(alg, gen, project["mode"]), run.check_name, 42, 20, objects)
+        assert cold == run
+        code = dispatch(["axioms", "--project", dest, "--seed", "42", "--samples", "20",
+                         "--check", run.check_name])
+        assert code == (1 if run.violations else 0)
+        assert capsys.readouterr().out == run.to_text() + "\n"
