@@ -10,18 +10,20 @@ equivalence can be compared pair by pair.
 
 ``ho_hom`` builds the ``homological.QuotientHom`` between the fixed
 replacements, the type stable hom has too, on every call (dl-verify asks
-once per pair), and :func:`ho_class` takes a representative to its class. The mod Ē side is held as arrays, as the E side
-is: the structure constants are one (k, k, k) table, a module's action is one
-(k, n, n) stack, and ``ebar_hom_basis`` returns basis rows, one row-major
-module map per row, as ``hom_matrix`` does. The G side is one routine,
-:func:`_g_images`: the G-images of a stack of maps, as rows of their hom
-basis, are one ``compose_pairs`` with the stable representatives and one
-``coords``, and an empty side gives a zero stack of the field's dtype. The
-stable endomorphism table is ``_g_images`` of its own representatives, G(x)
-that of the representatives into x, each read along other axes; dl-verify
-conjugates such stacks by the replacement maps' G-images (:func:`_transport`).
+once per pair), and :func:`ho_class` takes a representative to its class.
+The mod Ē side is held as arrays, as the E side is: the structure constants
+are one (k, k, k) table, a module's action is one (k, n, n) stack, and
+``ebar_hom_basis`` returns basis rows, one row-major module map per row, as
+``hom_matrix`` does. The G side is one routine, :func:`_g_images`: the
+G-images of a stack of maps, as rows of their hom basis, are one
+``compose_pairs`` with the stable representatives and one ``coords``, and an
+empty side gives a zero stack of the field's dtype. The stable endomorphism
+table is ``_g_images`` of its own representatives, G(x) that of the
+representatives into x, each read along other axes; dl-verify conjugates
+such stacks by the replacement maps' G-images (:func:`_transport`).
 
-Each object's G side is built once per context and cached per module key:
+This module's context stores are ``endo``, ``G`` and ``G_phi``. Each
+object's G side is built once per context and cached per module key:
 G(x) in ``ctx._caches["G"]``, and the pair (G(φ_x), G(φ_x)^-1) in
 ``ctx._caches["G_phi"]``, so dl-verify over n objects builds n of each, not
 one per pair. Each cached value is a function of x.key alone: G(x) reads
