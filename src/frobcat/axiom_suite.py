@@ -44,6 +44,7 @@ from .algebra_repr import (
     zero_module,
 )
 from .homological import (
+    cone_sequence,
     ext1_dim,
     in_add,
     injective_envelope,
@@ -57,7 +58,6 @@ from .rigid_model import (
     _post_map_surjective,
     are_homotopic,
     cofibrant_replacement,
-    cone_of,
     factorize1,
     factorize2,
     fibration_via_cone,
@@ -307,12 +307,12 @@ def _rlp_by_rank(ctx: RigidContext, g: Morphism, f: Morphism) -> bool:
     return hom_dim(b, f.source) - hom_dim(coker, ker) == dim_k
 
 
-def _presentation_element(ctx: RigidContext, pres) -> Morphism:
-    """The inflation (deflation; envelope): M0 -> X ⊕ I0 attached to a
-    two-step presentation."""
-    m0 = pres.middle
-    i0, iota0 = injective_envelope(m0)
-    return Morphism.vstack([pres.p, iota0])
+def _presentation_element(p: Morphism) -> Morphism:
+    """(p; ι): M0 -> X ⊕ I(M0) for a deflation p, ι the envelope of M0: the
+    inflation of p's ``cone_sequence`` with its blocks swapped and no sign.
+    In the cone's order (ι; -p) the verdicts stay, but the tailored elements'
+    cokernels no longer coincide, and ``a4f2-battery`` slows by 16-21%."""
+    return Morphism.vstack([p, injective_envelope(p.source)[1]])
 
 
 def _base_lifting_elements(ctx: RigidContext, universe) -> List[Morphism]:
@@ -327,7 +327,7 @@ def _base_lifting_elements(ctx: RigidContext, universe) -> List[Morphism]:
         seen.add(x.key)
         pres = presentation_of_cofibrant(ctx, x)
         if pres is not None:
-            elements.append(_presentation_element(ctx, pres))
+            elements.append(_presentation_element(pres.p))
     return elements
 
 
@@ -347,14 +347,8 @@ def _tailored_lifting_elements(ctx: RigidContext, f: Morphism) -> List[Morphism]
     coeffs = solve_in_span(ctx.alg.field, lifts, rhs)
     if coeffs is None:
         raise InternalCheckError("a map from M_gen does not factor through its approximation")
-    i_m, iota_m = injective_envelope(m)
-    out = []
-    for row in coeffs:
-        infl = Morphism.vstack([combine(m, m0, row), iota_m])
-        c, q = cokernel(infl)
-        i0, iota0 = injective_envelope(infl.target)
-        out.append(Morphism.vstack([q, iota0]))
-    return out
+    inflations = [_presentation_element(combine(m, m0, row)) for row in coeffs]
+    return [_presentation_element(cokernel(infl)[1]) for infl in inflations]
 
 
 # -- the checks -------------------------------------------------------------------------
@@ -470,17 +464,17 @@ def _check_sq_J_in_W(ctx, rng, samples, universe, pred) -> Iterator[Violation]:
 
 
 def weq_via_cones(ctx: RigidContext, f: Morphism) -> bool:
-    """The cone characterization of weak equivalences: the pushout cone of
-    the source envelope and the pullback of the target cover both kill maps
-    from the generator up to injectives, each tested by ``kills_stably``.
+    """The cone characterization of weak equivalences: the projection of f's
+    cone sequence (the pushout legs) and the kernel inclusion of (f -π), π
+    the target's projective cover (the pullback legs), both kill maps from
+    the generator up to injectives, each tested by ``kills_stably``.
     Maps out of its injective summands factor through one, so the costable
     generator is enough; ``through_injectives(costable_gen, t)`` is the span
     that ``stable_from_generator(t).sub`` caches."""
-    _, g, u = cone_of(ctx, f)
-    if not kills_stably(ctx.costable_gen, Morphism.hstack([u, g])):
+    if not kills_stably(ctx.costable_gen, cone_sequence(f).p):
         return False
-    _, gt, ut = pullback(f, projective_cover(f.target)[1])
-    return kills_stably(ctx.costable_gen, Morphism.vstack([gt, ut]))
+    cover = projective_cover(f.target)[1]
+    return kills_stably(ctx.costable_gen, kernel(Morphism.hstack([f, -cover]))[1])
 
 
 def _check_weq_cone_characterization(ctx, rng, samples, universe, pred) -> Iterator[Violation]:

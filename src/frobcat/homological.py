@@ -175,6 +175,14 @@ def cosyzygy(x: Module) -> Tuple[Module, ShortExactSequence]:
     return c, ShortExactSequence(mono, proj)
 
 
+def cone_sequence(f: Morphism) -> ShortExactSequence:
+    """The cone of f: X -> Y, the conflation X -> I(X) ⊕ Y -> Z with
+    inflation (ι_X; -f) and its cokernel as projection, whose column blocks
+    I(X) -> Z and Y -> Z are the pushout legs of ι_X along f."""
+    u = Morphism.vstack([injective_envelope(f.source)[1], -f])
+    return ShortExactSequence(u, cokernel(u)[1])
+
+
 # -- approximations ------------------------------------------------------------
 
 

@@ -7,7 +7,9 @@ the class generator U whose add-closure is the homotopy ideal. Its
 only at the ``_memo`` call that fills it; this module's stores hold the
 cofibrant replacements and presentations per module key, the stable hom
 spaces from the generator, and the fibration and weak-equivalence verdicts
-per ``Morphism.key``.
+per ``Morphism.key``. The cofibrant replacement of x is the cone of
+M1 -> K0 -> M0, for right add(M_gen)-approximations a: M0 -> x and
+M1 -> K0 = ker a: the end of ``homological.cone_sequence``, the one cone.
 
 Stable hom from the generator is taken from its costable part, the sum of
 the components with nonzero cosyzygy, that is, the non-injective ones; the
@@ -55,6 +57,7 @@ from .algebra_repr import (
     Morphism,
     ShortExactSequence,
     _memo,
+    _split,
     cokernel,
     cokernel_factor,
     compose_basis,
@@ -63,17 +66,16 @@ from .algebra_repr import (
     is_epi,
     is_mono,
     kernel,
-    pushout,
     sum_module,
 )
 from .homological import (
     QuotientHom,
     approximation,
+    cone_sequence,
     cosyzygy,
     ext1_dim,
     factors_through_add,
     in_add,
-    injective_envelope,
     is_self_injective,
     kills_stably,
     projective_split,
@@ -199,10 +201,10 @@ def mho_approximation(ctx: RigidContext, x: Module) -> Morphism:
 
 
 def cofibrant_replacement(ctx: RigidContext, x: Module) -> Replacement:
-    """The pushout replacement: approximate, take the kernel, approximate it,
-    push the kernel's envelope out along the composed map.
+    """The cone M1 -> I(M1) ⊕ M0 -> A of M1 -> K0 -> M0 (module docstring),
+    with phi: A -> x induced by (0 a), which kills the image of M1.
 
-    phi: A -> x is verified to be a trivial fibration (and epi) before return.
+    phi is verified to be a trivial fibration (and epi) before return.
     Cached per x.key, so the replacement's x may be another module with x's key.
     """
     return _memo(ctx._caches["replacement"], x.key, lambda: _build_replacement(ctx, x))
@@ -210,24 +212,18 @@ def cofibrant_replacement(ctx: RigidContext, x: Module) -> Replacement:
 
 def _build_replacement(ctx: RigidContext, x: Module) -> Replacement:
     a_map = right_M_approximation(ctx, x)  # a: M0 -> x, epi
-    m0 = a_map.source
     k0, inc_k0 = kernel(a_map)
     alpha = right_M_approximation(ctx, k0)  # M1 -> K0
-    m1 = alpha.source
-    b_alpha = inc_k0 @ alpha  # M1 -> M0
-    i_m1, iota = injective_envelope(m1)
-    u = Morphism.vstack([iota, -b_alpha])  # M1 -> I ⊕ M0
-    a_obj, q = cokernel(u)
-    # phi: A -> x induced by (0 a) on I ⊕ M0, which kills the image of M1
-    phi = cokernel_factor(q, Morphism.hstack([Morphism.zero(i_m1, x), a_map]))
-    witness = ShortExactSequence(u, q).validate()
+    witness = cone_sequence(inc_k0 @ alpha).validate()
+    i_m1 = witness.middle.parts[0]
+    phi = cokernel_factor(witness.p, Morphism.hstack([Morphism.zero(i_m1, x), a_map]))
     if not is_epi(phi):
         raise InternalCheckError("replacement map is not epi")
     if not is_fibration(ctx, phi):
         raise InternalCheckError("replacement map is not a fibration")
     if not is_weak_equivalence(ctx, phi):
         raise InternalCheckError("replacement map is not a weak equivalence")
-    return Replacement(a_obj, phi, witness)
+    return Replacement(witness.p.target, phi, witness)
 
 
 # -- the two predicate classes ------------------------------------------------------
@@ -282,13 +278,13 @@ def is_trivial_fibration(ctx: RigidContext, f: Morphism) -> bool:
 
 
 def cone_of(ctx: RigidContext, f: Morphism) -> Tuple[Module, Morphism, Morphism]:
-    """Pushout of the injective envelope of the source along f.
+    """Pushout of the source's envelope along f: ``cone_sequence(f)``'s legs.
 
     Returns (Z, g: target -> Z, u: I_X -> Z); g is a cone of f.
     """
-    i_x, iota = injective_envelope(f.source)
-    z, u, g = pushout(iota, f)
-    return z, g, u
+    seq = cone_sequence(f)
+    u, g = _split(seq.p, seq.middle.parts, at_source=True)
+    return seq.p.target, g, u
 
 
 def fibration_via_cone(ctx: RigidContext, f: Morphism) -> bool:
@@ -372,8 +368,7 @@ def factorize2(ctx: RigidContext, f: Morphism) -> Factorization:
     pres = presentation_of_cofibrant(ctx, x)
     if pres is None:
         raise InputError("factorize2 requires a cofibrant domain")
-    i0, iota0 = injective_envelope(pres.middle)
-    d, eps, _ = pushout(pres.p, iota0)  # d = cosyzygy of the presentation kernel
+    d, eps, _ = cone_of(ctx, pres.p)  # d = cosyzygy of the presentation kernel
     rep = cofibrant_replacement(ctx, y)
     r = lift(ctx, f, rep.phi)
     left = Morphism.vstack([r, eps])

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from frobcat.algebra_repr import (Algebra, Module, Morphism, cokernel, combine, compose_basis,
-                                  hom_matrix, is_epi, kernel, sum_module, zero_module)
+                                  hom_matrix, is_epi, kernel, pushout, sum_module, zero_module)
 from frobcat.axiom_suite import _derive_seed, _random_hom
 from frobcat.exact_linalg import Matrix
 from frobcat.homological import injective_envelope, projective_cover, solve_postcompose
@@ -120,6 +120,13 @@ def reference_rlp_by_rank(ctx: RigidContext, g: Morphism, f: Morphism) -> bool:
     image = np.hstack([compose_basis(lifts, g.target, f.source, right=g),
                        compose_basis(lifts, g.target, f.source, left=f)])
     return Matrix(field, image).rank() == dim_k
+
+
+def reference_cone_legs(f: Morphism) -> Tuple[Module, Morphism, Morphism]:
+    """The cone of f as two legs: the injective envelope ι of the source,
+    then ``pushout(ι, f)``, which returns (Z, I(X) -> Z, Y -> Z)."""
+    i_x, iota = injective_envelope(f.source)
+    return pushout(iota, f)
 
 
 def reference_tailored_lifting_elements(ctx: RigidContext, f: Morphism) -> List[Morphism]:

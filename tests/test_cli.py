@@ -374,8 +374,9 @@ def test_validate_reports_summed_cosyzygy(tmp_path, capsys):
 
 
 def test_validate_reports_the_costable_generator(tmp_path, capsys):
-    # S1 is the one summand of pa2's generator that is not injective; pa2-deg has none
-    for tag, dims in [("pa2", [1, 0]), ("pa2-deg", [0, 0])]:
+    # S1 is the one summand of pa2's generator that is not injective, pa2-deg has none,
+    # and P3 is the one of aus2's
+    for tag, dims in [("pa2", [1, 0]), ("pa2-deg", [0, 0]), ("aus2", [0, 0, 1])]:
         dest = tmp_path / tag
         emit_fixture(tag, str(dest))
         assert dispatch(["--json", "validate", "--project", str(dest)]) == 0

@@ -4,7 +4,8 @@ benchmark: a name that only tests call belongs in the tests.
 A name counts as used when it appears, outside its own definition, as a
 name, an attribute, an imported name or a dotted part of a string constant
 (the benchmark's tracer binds its targets by strings) in ``src/frobcat`` or
-in ``bench/*.py``.
+in ``bench/*.py``. Since an imported name counts, a second test fails on
+any name that a ``src/frobcat`` module imports and never reads.
 """
 import ast
 from collections import Counter
@@ -62,3 +63,30 @@ def test_every_public_name_has_a_library_or_benchmark_caller():
             if used[name] - _names(node)[name] <= 0 and qualified not in ALLOWED:
                 unused.append(f"{path.name}: {qualified}")
     assert unused == []
+
+
+# Imported names that their module never reads, each with its reason.
+UNREAD_IMPORTS = {
+    # The benchmark's tracer test asserts that the tracer rebinds it there.
+    ("homological.py", "hom_basis"),
+}
+
+
+def test_every_imported_name_is_read_by_its_module():
+    """An import keeps a name in use for the test above, so a public name
+    whose last call is deleted would pass while its import stays: each name
+    a ``src/frobcat`` module imports must be read in that module."""
+    unread = set()
+    for path in sorted((ROOT / "src" / "frobcat").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unread.add((path.name, name))
+    assert unread == UNREAD_IMPORTS

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from frobcat.algebra_repr import (
     cokernel_factor,
     combine,
     compose_pairs,
+    _split,
     direct_sum,
     dual_module,
     hom_basis,
@@ -32,6 +34,7 @@ from frobcat.algebra_repr import (
 )
 from frobcat.homological import (
     QuotientHom,
+    cone_sequence,
     cosyzygy,
     ext1_dim,
     ext1_dim_via_copresentation,
@@ -47,7 +50,7 @@ from frobcat.homological import (
     through_injectives,
 )
 from frobcat.rigid_model import build_context
-from helpers import random_morphism
+from helpers import random_morphism, reference_cone_legs
 
 
 def test_cover_of_zero(pa2):
@@ -495,6 +498,26 @@ def test_through_injectives_matches_the_pairwise_span(small_algebras, data):
     assert [repr(e) for e in got.rows.reshape(-1)] == [repr(e) for e in want.rows.reshape(-1)]
     assert got.pivots == want.pivots
     assert stable_hom(x, y).rep_indices == QuotientHom(x, y, want).rep_indices
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_cone_sequence_matches_the_pushout_legs(small_algebras, data):
+    """The cone sequence of f: X -> Y is exact with inflation (ι_X; -f), and
+    the column blocks of its projection are the legs of the pushout of ι_X
+    along f, equal by ``Morphism.key``; X and Y are zero, one or a sum of
+    two simples, projectives, injectives or zero modules."""
+    alg = small_algebras[data.draw(st.sampled_from(sorted(small_algebras)))]
+    pieces = alg.simples() + alg.projectives() + alg.injectives() + [zero_module(alg)]
+    x, y = (sum_module(data.draw(st.lists(st.sampled_from(pieces), max_size=2)), alg)
+            for _ in range(2))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    f = combine(x, y, [alg.field.sample(rng) for _ in range(hom_dim(x, y))])
+    seq = cone_sequence(f).validate()
+    i_x, iota = injective_envelope(x)
+    assert seq.i.key == Morphism.vstack([iota, -f]).key
+    z, u, g = reference_cone_legs(f)
+    assert [leg.key for leg in _split(seq.p, [i_x, y], at_source=True)] == [u.key, g.key]
 
 
 def test_self_injectivity_matches_the_add_form(small_algebras):
