@@ -311,7 +311,7 @@ def _presentation_element(p: Morphism) -> Morphism:
     """(p; ι): M0 -> X ⊕ I(M0) for a deflation p, ι the envelope of M0: the
     inflation of p's ``cone_sequence`` with its blocks swapped and no sign.
     In the cone's order (ι; -p) the verdicts stay, but the tailored elements'
-    cokernels no longer coincide, and ``a4f2-battery`` slows by 16-21%."""
+    cokernels no longer coincide, and ``a4f2-battery`` slows by 9-14%."""
     return Morphism.vstack([p, injective_envelope(p.source)[1]])
 
 

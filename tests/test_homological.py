@@ -13,11 +13,11 @@ from frobcat.algebra_repr import (
     Module,
     Morphism,
     ShortExactSequence,
+    _split,
     cokernel,
     cokernel_factor,
     combine,
     compose_pairs,
-    _split,
     direct_sum,
     dual_module,
     hom_basis,
