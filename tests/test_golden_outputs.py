@@ -34,6 +34,15 @@ SHA-256 of the ``to_dict`` of every ``right_M_approximation`` and
 ``mho_approximation``, source included, and that of the ``in_copr_mho``
 verdicts.
 
+The ``approximations_pa3`` key pins the same maps over pa3's
+``sample_universe``, the one F_2 context, which the ``approximations`` key
+does not reach.
+
+The ``covers`` key pins the SHA-256 of the ``to_dict`` of every
+``projective_cover`` and ``injective_envelope`` map, with the cover's
+source and the envelope's target, over the sample universes of pa2, pa3,
+aus2 and the A2/Q context.
+
 The ``verdicts`` key pins the three verdict stores of ``run_all`` at seed 42
 with 20 samples over the sorted modules of the pa2, pa2-deg and aus2
 fixtures: for each of ``fibration``, ``weq`` and ``rlp``, the entry count,
@@ -62,6 +71,7 @@ from frobcat.axiom_suite import (default_objects, in_copr_mho, run_all, run_chec
 from frobcat.cli import dispatch
 from frobcat.exact_linalg import rational_field
 from frobcat.fixtures import build_fixture, emit_fixture
+from frobcat.homological import injective_envelope, projective_cover
 from frobcat.localization import dl_verify_all, ho_class_of
 from frobcat.rigid_model import (build_context, cofibrant_replacement, mho_approximation,
                                  right_M_approximation)
@@ -248,23 +258,52 @@ def _json_digest(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def _sample_contexts(tags) -> dict:
+    """{tag: (context, its sample universe)} for fixture tags and "a2q"."""
+    out = {}
+    for tag in tags:
+        if tag == "a2q":
+            out[tag] = _a2q_context()
+        else:
+            ctx, modules = _fixture_context(tag)
+            out[tag] = ctx, sample_universe(ctx, sorted(modules.items()))
+    return out
+
+
+def _approximation_maps_digest(ctx, universe) -> str:
+    return _json_digest([[name, f.source.to_dict(), f.to_dict("approximation", name)]
+                         for name, x in universe
+                         for f in (right_M_approximation(ctx, x), mho_approximation(ctx, x))])
+
+
 def approximation_digests() -> dict:
     """{context: SHA-256 of the approximations' to_dict, and of the
     in_copr_mho verdicts, over its sample universe}."""
-    contexts = {tag: _fixture_context(tag) for tag in ("pa2", "aus2")}
-    universes = {tag: sample_universe(ctx, sorted(modules.items()))
-                 for tag, (ctx, modules) in contexts.items()}
-    contexts["a2q"] = _a2q_context()
-    universes["a2q"] = contexts["a2q"][1]
+    return {tag: {"maps": _approximation_maps_digest(ctx, universe),
+                  "in_copr_mho": _json_digest([[name, in_copr_mho(ctx, x)]
+                                               for name, x in universe])}
+            for tag, (ctx, universe) in _sample_contexts(("pa2", "aus2", "a2q")).items()}
+
+
+def pa3_approximation_digest() -> dict:
+    """{"maps": SHA-256 of the approximations' to_dict over pa3's sample universe}."""
+    ctx, universe = _sample_contexts(("pa3",))["pa3"]
+    return {"maps": _approximation_maps_digest(ctx, universe)}
+
+
+def cover_digests() -> dict:
+    """{context: SHA-256 of the projective cover and injective envelope maps'
+    to_dict, with the cover's source and the envelope's target, over its
+    sample universe}."""
     out = {}
-    for tag, universe in universes.items():
-        ctx = contexts[tag][0]
-        maps = [[name, f.source.to_dict(), f.to_dict("approximation", name)]
-                for name, x in universe
-                for f in (right_M_approximation(ctx, x), mho_approximation(ctx, x))]
-        out[tag] = {"maps": _json_digest(maps),
-                    "in_copr_mho": _json_digest([[name, in_copr_mho(ctx, x)]
-                                                 for name, x in universe])}
+    for tag, (_, universe) in _sample_contexts(("pa2", "pa3", "aus2", "a2q")).items():
+        maps = []
+        for name, x in universe:
+            p, cover = projective_cover(x)
+            i, envelope = injective_envelope(x)
+            maps.append([name, p.to_dict(), cover.to_dict("cover", name),
+                         i.to_dict(), envelope.to_dict(name, "envelope")])
+        out[tag] = _json_digest(maps)
     return out
 
 
@@ -294,6 +333,8 @@ def compute() -> dict:
         "cli": cli_digests(),
         "violations": violation_digests(),
         "approximations": approximation_digests(),
+        "approximations_pa3": pa3_approximation_digest(),
+        "covers": cover_digests(),
         "verdicts": verdict_digests(),
     }
 
@@ -339,6 +380,14 @@ def test_violation_text_unchanged(golden):
 
 def test_approximations_unchanged(golden):
     assert approximation_digests() == golden["approximations"]
+
+
+def test_pa3_approximations_unchanged(golden):
+    assert pa3_approximation_digest() == golden["approximations_pa3"]
+
+
+def test_covers_unchanged(golden):
+    assert cover_digests() == golden["covers"]
 
 
 def test_verdicts_unchanged(golden):
