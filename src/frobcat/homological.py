@@ -118,7 +118,8 @@ def _cover_map(x: Module) -> Morphism:
 
     Generators are deterministic: at each vertex, in vertex order, the
     standard vectors that complete rad(x) (the sum of the images of the
-    incoming arrows) in order. A path b out of v, a basis vector of P_v at
+    incoming arrows) in order, found by one elimination of the images
+    stacked above the identity. A path b out of v, a basis vector of P_v at
     b's target, goes to the action of b on the generator. The action on x
     of each path out of v is computed once, from the path one arrow shorter,
     and the copy of P_v for generator i takes column i of those actions.
@@ -128,12 +129,11 @@ def _cover_map(x: Module) -> Morphism:
     parts: List[Module] = []
     blocks: Dict[str, List[np.ndarray]] = {w: [] for w in alg.vertices}
     for vi, v in enumerate(alg.vertices):
-        radical = RowSpan(field, x.dims[v])
-        for a in alg.arrows:
-            if a.target == v:
-                radical.add(x.action[a.name].data.T)
+        images = [x.action[a.name].data.T for a in alg.arrows if a.target == v]
         ident = Matrix.identity(field, x.dims[v])
-        gens = radical.independent(ident.data)
+        rad = sum(len(i) for i in images)
+        gens = [p - rad for p in RowSpan(field, x.dims[v]).independent(
+            np.vstack(images + [ident.data])) if p >= rad]
         if not gens:
             continue
         parts += [alg.projective(v)] * len(gens)
@@ -191,38 +191,52 @@ def approximation(components: Sequence[Module], x: Module) -> Morphism:
 
     Hom-basis maps from the components to x are visited in a fixed order
     (component order, then basis order); one is dropped when it already lies
-    in kept ∘ End(T). The choice is greedy, not minimal: against the
-    projectives of preprojective A3/F_2 the approximation of P3 has source
-    dims (3,4,3), where its projective cover has (1,1,1). Verdicts do not
-    depend on minimality; sizes and costs do. Cached per algebra by the
-    components' keys and x.key (not per context: a module over the opposite
-    algebra may share a key with one over the algebra): a hit returns the
-    cached map, whose target is a module with x's key, not necessarily x.
+    in kept ∘ End(T). One elimination per component decides its maps (see
+    :func:`_greedy_approximation`). The choice is greedy, not minimal:
+    against the projectives of preprojective A3/F_2 the approximation of P3
+    has source dims (3,4,3), where its projective cover has (1,1,1).
+    Verdicts do not depend on minimality; sizes and costs do. Cached per
+    algebra by the components' keys and x.key (not per context: a module
+    over the opposite algebra may share a key with one over the algebra): a
+    hit returns the cached map, whose target is a module with x's key, not
+    necessarily x.
     """
     key = ("approx", tuple(c.key for c in components), x.key)
     return _memo(x.algebra._module_cache, key, lambda: _greedy_approximation(components, x))
 
 
 def _greedy_approximation(components: Sequence[Module], x: Module) -> Morphism:
-    """The greedy pass of :func:`approximation`, one span per component c:
-    h is dropped when it lies in the span of k ∘ a, for k kept and a in
-    Hom(c, source of k), which holds iff h ∘ π_c lies in kept ∘ End(T)
-    (precompose with ι_c; conversely a gives ι ∘ a ∘ π_c)."""
-    kept: List[Morphism] = []
+    """The greedy pass of :func:`approximation`, one ``RowSpan.independent``
+    per component c with Hom(c, x) nonzero. For h_1 … h_n the basis of
+    Hom(c, x), the candidates are S, the composites k ∘ a of the maps k kept
+    from each earlier component c' with a in Hom(c, c'), then h_1,
+    h_1 ∘ End(c), h_2, h_2 ∘ End(c), …; h_j is kept iff its position is
+    returned, i.e. iff h_j lies outside S + Σ_{i<j} h_i ∘ End(c). That is
+    the rule that sums over the kept h_i only: S + Σ_{i<j, h_i kept}
+    h_i ∘ End(c) is a right End(c)-submodule, so a dropped h_i, which lies
+    in it, adds nothing with its orbit. And h lies in S + kept ∘ End(c) iff
+    h ∘ π_c lies in kept ∘ End(T) (precompose with ι_c; conversely a gives
+    ι ∘ a ∘ π_c). No sum of the kept sources is built before the end."""
+    kept: List[Tuple[Module, np.ndarray]] = []  # (component, its kept rows of Hom(c, x))
     for comp in components:
-        span = RowSpan(x.algebra.field, hom_width(comp, x))
-        if kept:  # K ∘ Hom(c, K.source), for K the kept maps
-            k = Morphism.hstack(kept)
-            span.add(compose_basis(hom_matrix(comp, k.source).data, comp, k.source, left=k))
+        homs = hom_matrix(comp, x).data
+        if not len(homs):
+            continue
+        earlier = [compose_pairs(hom_matrix(comp, prev).data, comp, prev, rows, x)
+                   for prev, rows in kept]
         endo = hom_matrix(comp, comp).data
-        for h in hom_matrix(comp, x).data:
-            if span.contains(h):
-                continue
-            kept.append(Morphism.from_vec(comp, x, h))
-            span.add(compose_pairs(endo, comp, comp, h[None], x))
+        orbits = compose_pairs(endo, comp, comp, homs, x).reshape(len(endo), len(homs), -1)
+        step = len(endo) + 1  # row j * step of own is h_j, then its orbit h_j ∘ End(c)
+        own = np.concatenate([homs[:, None], orbits.transpose(1, 0, 2)], axis=1)
+        s = sum(len(e) for e in earlier)
+        picked = RowSpan(x.algebra.field, homs.shape[1]).independent(
+            np.vstack(earlier + [own.reshape(len(homs) * step, -1)]))
+        rows = [(p - s) // step for p in picked if p >= s and (p - s) % step == 0]
+        if rows:
+            kept.append((comp, homs[rows]))
     if not kept:  # no component has a nonzero map to x
         return Morphism.zero(zero_module(x.algebra), x)
-    return Morphism.hstack(kept)
+    return Morphism.hstack([Morphism.from_vec(comp, x, h) for comp, rows in kept for h in rows])
 
 
 def left_approximation(components: Sequence[Module], x: Module) -> Morphism:

@@ -7,15 +7,16 @@ equality until the library constructs one. The ``reference_*`` functions
 are the plain bodies that optimized library paths are checked against, and
 ``draw_probe_case`` draws their inputs."""
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from hypothesis import strategies as st
 
 from frobcat.algebra_repr import (Algebra, Module, Morphism, cokernel, combine, compose_basis,
-                                  hom_matrix, is_epi, kernel, pushout, sum_module, zero_module)
+                                  compose_pairs, hom_matrix, hom_width, is_epi, kernel, pushout,
+                                  sum_module, zero_module)
 from frobcat.axiom_suite import _derive_seed, _random_hom
-from frobcat.exact_linalg import Matrix
+from frobcat.exact_linalg import Matrix, RowSpan
 from frobcat.homological import injective_envelope, projective_cover, solve_postcompose
 from frobcat.rigid_model import (EXACT, RigidContext, cofibrant_replacement, is_weak_equivalence,
                                  right_M_approximation)
@@ -127,6 +128,61 @@ def reference_cone_legs(f: Morphism) -> Tuple[Module, Morphism, Morphism]:
     then ``pushout(ι, f)``, which returns (Z, I(X) -> Z, Y -> Z)."""
     i_x, iota = injective_envelope(f.source)
     return pushout(iota, f)
+
+
+def reference_greedy_approximation(components: Sequence[Module], x: Module) -> Morphism:
+    """The greedy pass one map at a time: per component c, a span starts
+    from the kept maps K composed with Hom(c, K.source), and each basis map
+    of Hom(c, x) not yet in it is kept and its orbit h ∘ End(c) added."""
+    kept: List[Morphism] = []
+    for comp in components:
+        span = RowSpan(x.algebra.field, hom_width(comp, x))
+        if kept:
+            k = Morphism.hstack(kept)
+            span.add(compose_basis(hom_matrix(comp, k.source).data, comp, k.source, left=k))
+        endo = hom_matrix(comp, comp).data
+        for h in hom_matrix(comp, x).data:
+            if span.contains(h):
+                continue
+            kept.append(Morphism.from_vec(comp, x, h))
+            span.add(compose_pairs(endo, comp, comp, h[None], x))
+    if not kept:
+        return Morphism.zero(zero_module(x.algebra), x)
+    return Morphism.hstack(kept)
+
+
+def reference_cover_map(x: Module) -> Morphism:
+    """The projective cover map of x with its radical built one incoming
+    arrow at a time: the image of each arrow into v is added to a span in
+    turn, and the generators at v are the standard vectors it leaves
+    independent. Each path out of v then acts on the generators."""
+    alg = x.algebra
+    field = alg.field
+    parts: List[Module] = []
+    blocks: Dict[str, List[np.ndarray]] = {w: [] for w in alg.vertices}
+    for vi, v in enumerate(alg.vertices):
+        radical = RowSpan(field, x.dims[v])
+        for a in alg.arrows:
+            if a.target == v:
+                radical.add(x.action[a.name].data.T)
+        ident = Matrix.identity(field, x.dims[v])
+        gens = radical.independent(ident.data)
+        if not gens:
+            continue
+        parts += [alg.projective(v)] * len(gens)
+        acts = {(): ident}
+        paths: Dict[str, List[np.ndarray]] = {w: [] for w in alg.vertices}
+        for e in alg._elts:
+            if e.source == vi:
+                if e.length:
+                    step = x.action[alg.arrows[e.path[-1]].name]
+                    acts[e.path] = step @ acts[e.path[:-1]] if e.length > 1 else step
+                paths[alg.vertices[e.target]].append(acts[e.path].data[:, gens])
+        for w, cols in paths.items():
+            if cols:
+                blocks[w].append(np.stack(cols, axis=2).reshape(x.dims[w], len(gens) * len(cols)))
+    return Morphism(sum_module(parts, alg), x,
+                    {w: Matrix(field, np.hstack(b)) for w, b in blocks.items() if b}, check=False)
 
 
 def reference_tailored_lifting_elements(ctx: RigidContext, f: Morphism) -> List[Morphism]:

@@ -34,6 +34,9 @@ from frobcat.algebra_repr import (
 )
 from frobcat.homological import (
     QuotientHom,
+    _cover_map,
+    _greedy_approximation,
+    approximation,
     cone_sequence,
     cosyzygy,
     ext1_dim,
@@ -50,7 +53,8 @@ from frobcat.homological import (
     through_injectives,
 )
 from frobcat.rigid_model import build_context
-from helpers import random_morphism, reference_cone_legs
+from helpers import (random_morphism, reference_cone_legs, reference_cover_map,
+                     reference_greedy_approximation)
 
 
 def test_cover_of_zero(pa2):
@@ -527,3 +531,70 @@ def test_self_injectivity_matches_the_add_form(small_algebras):
         assert verdicts[name] == _reference_is_self_injective(alg), name
     assert {name for name, yes in verdicts.items() if yes} == {
         name for name in small_algebras if name.startswith(("pa2/", "cycle3/"))}
+
+
+# the greedy approximation and the cover's generators, one elimination each,
+# against the one-map-at-a-time bodies kept in helpers
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_approximation_and_cover_match_the_one_map_at_a_time_references(small_algebras, data):
+    """The greedy pass equals the pass that tests and adds one basis map at a
+    time, and the cover map the one that adds one incoming arrow's image at
+    a time, by ``Morphism.key``, over F_2, F_5 and Q. Components repeat and
+    may be zero; x is a drawn sum, zero, or a sum of components (in add(T))."""
+    names = sorted(n for n in small_algebras if n.endswith(("/F2", "/F5", "/Q")))
+    alg = small_algebras[data.draw(st.sampled_from(names))]
+    pieces = alg.simples() + alg.projectives() + alg.injectives() + [zero_module(alg)]
+    components = data.draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        components.append(data.draw(st.sampled_from(components)))
+    kind = data.draw(st.sampled_from(["drawn", "zero", "in add(T)"]))
+    if kind == "zero":
+        x = zero_module(alg)
+    else:
+        x = sum_module(data.draw(st.lists(st.sampled_from(
+            components if kind == "in add(T)" else pieces), min_size=1, max_size=2)), alg)
+    assert (_greedy_approximation(components, x).key
+            == reference_greedy_approximation(components, x).key)
+    for y in (x, dual_module(x)):
+        assert _cover_map(y).key == reference_cover_map(y).key
+
+
+class _Counted:
+    """Counts the calls of the ``RowSpan`` methods it wraps."""
+
+    def __init__(self, monkeypatch, names):
+        self.calls = dict.fromkeys(names, 0)
+        for name in names:
+            monkeypatch.setattr(RowSpan, name, self._wrap(name, getattr(RowSpan, name)))
+
+    def _wrap(self, name, method):
+        def counted(span, *args, **kwargs):
+            self.calls[name] += 1
+            return method(span, *args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("field", [prime_field(2), rational_field()], ids=["F2", "Q"])
+def test_approximation_and_cover_eliminate_once_per_component_and_vertex(monkeypatch, field):
+    """A cold approximation makes one ``RowSpan.independent`` per component
+    with a nonzero map to x and never adds to or tests a span, and a cover
+    map never adds to a span: on preprojective A3 with repeated and zero
+    components."""
+    alg = preprojective(3, field)
+    zero = zero_module(alg)
+    components = alg.projectives() + [alg.simple("2"), alg.projective("1"), zero]
+    x = sum_module([alg.simple("1"), alg.projective("2")])
+    dual = dual_module(x)
+    dual.algebra.projectives()  # built before counting: building a projective adds to spans
+    nonzero = sum(hom_matrix(c, x).rows > 0 for c in components)
+    counted = _Counted(monkeypatch, ("add", "contains", "independent"))
+    approximation(components, x)
+    assert counted.calls == {"add": 0, "contains": 0, "independent": nonzero}
+    approximation(components, x)  # a hit eliminates nothing
+    assert counted.calls["independent"] == nonzero
+    _cover_map(x)
+    _cover_map(dual)
+    assert counted.calls["add"] == 0
