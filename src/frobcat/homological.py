@@ -206,17 +206,16 @@ def approximation(components: Sequence[Module], x: Module) -> Morphism:
 
 
 def _greedy_approximation(components: Sequence[Module], x: Module) -> Morphism:
-    """The greedy pass of :func:`approximation`, one ``RowSpan.independent``
-    per component c with Hom(c, x) nonzero. For h_1 … h_n the basis of
-    Hom(c, x), the candidates are S, the composites k ∘ a of the maps k kept
-    from each earlier component c' with a in Hom(c, c'), then h_1,
-    h_1 ∘ End(c), h_2, h_2 ∘ End(c), …; h_j is kept iff its position is
-    returned, i.e. iff h_j lies outside S + Σ_{i<j} h_i ∘ End(c). That is
-    the rule that sums over the kept h_i only: S + Σ_{i<j, h_i kept}
-    h_i ∘ End(c) is a right End(c)-submodule, so a dropped h_i, which lies
-    in it, adds nothing with its orbit. And h lies in S + kept ∘ End(c) iff
-    h ∘ π_c lies in kept ∘ End(T) (precompose with ι_c; conversely a gives
-    ι ∘ a ∘ π_c). No sum of the kept sources is built before the end."""
+    """The greedy pass of :func:`approximation`: one ``RowSpan.independent``
+    per component c with Hom(c, x) ≠ 0, over S (the maps kept from each
+    earlier c' composed with Hom(c, c')), then h_1, h_1 ∘ End(c), h_2,
+    h_2 ∘ End(c), … for h_1 … h_n the basis of Hom(c, x). h_j is kept iff
+    its position is returned, iff it lies outside S + Σ_{i<j} h_i ∘ End(c).
+    That sum is S + Σ_{i<j, h_i kept} h_i ∘ End(c), the span of testing one
+    map at a time, as it is a right End(c)-submodule and so holds each
+    dropped h_i with its orbit. And h lies in S + kept ∘ End(c) iff h ∘ π_c
+    lies in kept ∘ End(T) (precompose with ι_c; conversely a gives
+    ι ∘ a ∘ π_c). The kept maps are stacked once, at the end."""
     kept: List[Tuple[Module, np.ndarray]] = []  # (component, its kept rows of Hom(c, x))
     for comp in components:
         homs = hom_matrix(comp, x).data

@@ -7,7 +7,7 @@ equality until the library constructs one. The ``reference_*`` functions
 are the plain bodies that optimized library paths are checked against, and
 ``draw_probe_case`` draws their inputs."""
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -149,40 +149,6 @@ def reference_greedy_approximation(components: Sequence[Module], x: Module) -> M
     if not kept:
         return Morphism.zero(zero_module(x.algebra), x)
     return Morphism.hstack(kept)
-
-
-def reference_cover_map(x: Module) -> Morphism:
-    """The projective cover map of x with its radical built one incoming
-    arrow at a time: the image of each arrow into v is added to a span in
-    turn, and the generators at v are the standard vectors it leaves
-    independent. Each path out of v then acts on the generators."""
-    alg = x.algebra
-    field = alg.field
-    parts: List[Module] = []
-    blocks: Dict[str, List[np.ndarray]] = {w: [] for w in alg.vertices}
-    for vi, v in enumerate(alg.vertices):
-        radical = RowSpan(field, x.dims[v])
-        for a in alg.arrows:
-            if a.target == v:
-                radical.add(x.action[a.name].data.T)
-        ident = Matrix.identity(field, x.dims[v])
-        gens = radical.independent(ident.data)
-        if not gens:
-            continue
-        parts += [alg.projective(v)] * len(gens)
-        acts = {(): ident}
-        paths: Dict[str, List[np.ndarray]] = {w: [] for w in alg.vertices}
-        for e in alg._elts:
-            if e.source == vi:
-                if e.length:
-                    step = x.action[alg.arrows[e.path[-1]].name]
-                    acts[e.path] = step @ acts[e.path[:-1]] if e.length > 1 else step
-                paths[alg.vertices[e.target]].append(acts[e.path].data[:, gens])
-        for w, cols in paths.items():
-            if cols:
-                blocks[w].append(np.stack(cols, axis=2).reshape(x.dims[w], len(gens) * len(cols)))
-    return Morphism(sum_module(parts, alg), x,
-                    {w: Matrix(field, np.hstack(b)) for w, b in blocks.items() if b}, check=False)
 
 
 def reference_tailored_lifting_elements(ctx: RigidContext, f: Morphism) -> List[Morphism]:
