@@ -1,7 +1,9 @@
 """Behaviour oracle: outputs recorded in ``golden_outputs.json`` must not move.
 
 The recorded values are hom-basis digests for every ordered pair of the pa2
-and pa3 fixture modules, the ``dl-verify --all-pairs --json`` checksums of
+and pa3 fixture modules, of the A2/Q context's sample universe and of the
+default objects of preprojective A3/Q with generator P1+P2+P3+S1 (the
+``a3q-dlverify`` benchmark's inputs), the ``dl-verify --all-pairs --json`` checksums of
 both fixtures, digests of seeded ``random_morphism`` draws over all pa2
 pairs, and the canonical homotopy-class forms of the pa2 replacement maps.
 Hom-basis order feeds the seeded sampling, so any change to it shows here.
@@ -80,6 +82,7 @@ from test_axiom_suite import _corruptions
 
 GOLDEN = Path(__file__).resolve().with_name("golden_outputs.json")
 SEEDS = range(5)
+HOM_BASIS_TAGS = ("pa2", "pa3", "a2q", "a3q")
 
 
 def _digest(morphisms) -> str:
@@ -98,8 +101,15 @@ def _pairs(modules):
 
 
 def hom_basis_digests(tag: str) -> dict:
-    _, modules, _ = build_fixture(tag)
-    return {f"{xn}->{yn}": _digest(hom_basis(x, y)) for xn, x, yn, y in _pairs(modules)}
+    """{pair: digest of its hom basis} over a fixture's modules or a rational
+    context's objects ("a2q", "a3q")."""
+    if tag == "a2q":
+        named = _a2q_context()[1]
+    elif tag == "a3q":
+        named = _a3q_objects()
+    else:
+        named = sorted(build_fixture(tag)[1].items())
+    return {f"{xn}->{yn}": _digest(hom_basis(x, y)) for xn, x in named for yn, y in named}
 
 
 def dl_verify_checksums(tag: str) -> dict:
@@ -149,6 +159,12 @@ def _a2q_context():
     ctx = build_context(alg, [alg.projective("1"), alg.projective("2"), alg.simple("1")],
                         "frobenius")
     return ctx, sample_universe(ctx, None)
+
+
+def _a3q_objects():
+    alg = preprojective(3, rational_field())
+    gen = alg.projectives() + [alg.simple("1")]
+    return default_objects(build_context(alg, gen, "frobenius"))
 
 
 def a2q_outputs() -> dict:
@@ -324,7 +340,7 @@ def verdict_digests() -> dict:
 
 def compute() -> dict:
     return {
-        "hom_basis": {tag: hom_basis_digests(tag) for tag in ("pa2", "pa3")},
+        "hom_basis": {tag: hom_basis_digests(tag) for tag in HOM_BASIS_TAGS},
         "dl_verify": {tag: dl_verify_checksums(tag) for tag in ("pa2", "pa3")},
         "random_morphism": random_morphism_digests(),
         "ho_class_of_phi": ho_class_canonicals(),
@@ -344,7 +360,7 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("tag", ["pa2", "pa3"])
+@pytest.mark.parametrize("tag", HOM_BASIS_TAGS)
 def test_hom_bases_unchanged(golden, tag):
     assert hom_basis_digests(tag) == golden["hom_basis"][tag]
 
