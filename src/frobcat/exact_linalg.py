@@ -1,14 +1,24 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
-Rational entries are ``fractions.Fraction`` values; prime-field entries are
-canonical integer residues in ``[0, p)``.  Matrices wrap numpy arrays purely
-as exact containers: residues live in int64 arrays (reduced mod p after
-every operation), rationals in object arrays.  No floating point anywhere.
+A rational entry is a Python ``int`` when it is whole and a
+``fractions.Fraction`` when it is not; prime-field entries are canonical
+integer residues in ``[0, p)``.  Matrices wrap numpy arrays purely as exact
+containers: residues live in int64 arrays (reduced mod p after every
+operation), rationals in object arrays.  No floating point anywhere: an
+entry meets ``/`` only as a ``Fraction`` (``Field.inv``), and a quotient of
+integers is built by ``_q``, an int when the division is exact and a
+``Fraction`` otherwise. Both forms of a whole value
+are equal and print alike (``str(3) == str(Fraction(3))``), so signatures and
+formatted outputs do not depend on the form; a sum of two Fractions may be a
+whole ``Fraction``, and the kernels below clear it like any other entry.
 
 Rational elimination and products run fraction-free: rows and operands are
 cleared of denominators into Python integers, eliminated by cross-multiplying
 (Bareiss-style, with each updated row divided by the gcd of its entries) or
-multiplied as integers, and one ``Fraction`` per entry is built at the end.
+multiplied as integers. An eliminated row is divided by its pivot and a
+product by its operands' common denominator through ``_q``, so a ``Fraction``
+is built only for an entry that is not whole; a product of operands with no
+denominators is the integer product itself.
 
 F_2 elimination runs on bit-packed rows, one Python int per row with bit j
 for column j, combined by XOR and keyed by their lowest set bit
@@ -104,20 +114,21 @@ class Field:
         return np.int64 if self._int64 else object
 
     def zero(self):
-        return 0 if self.kind == PRIME else Fraction(0)
+        return 0
 
     def one(self):
-        return 1 if self.kind == PRIME else Fraction(1)
+        return 1
 
     def coerce(self, x):
         if self.kind == PRIME:
             return int(x) % self.characteristic
-        return Fraction(x)
+        f = Fraction(x)  # a numpy integer's numerator is a numpy integer
+        return _q(int(f.numerator), int(f.denominator))
 
     def neg(self, x):
         if self.kind == PRIME:
             return (-int(x)) % self.characteristic
-        return -Fraction(x)
+        return -self.coerce(x)
 
     def inv(self, x):
         if self.kind == PRIME:
@@ -139,7 +150,7 @@ class Field:
         """Pseudorandom element; small integers keep rational growth tame."""
         if self.kind == PRIME:
             return rng.randrange(self.characteristic)
-        return Fraction(rng.randrange(-3, 4))
+        return rng.randrange(-3, 4)
 
     def sample_nonzero(self, rng):
         while True:
@@ -224,6 +235,12 @@ def _cleared(values: list) -> Tuple[List[int], int]:
     return [n * (d // q) for n, q in ratios], d
 
 
+def _q(n: int, d: int):
+    """The rational n / d: an int when d divides n, else a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 def _object_array(values: list, shape) -> np.ndarray:
     out = np.empty(shape, dtype=object)
     out.reshape(-1)[:] = values
@@ -231,13 +248,16 @@ def _object_array(values: list, shape) -> np.ndarray:
 
 
 def _rational_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.matmul(a, b) over Q: the operands cleared of denominators and
+    multiplied as integers, each entry then divided by the common denominator
+    through ``_q``."""
     ia, da = _cleared(a.reshape(-1).tolist())
     ib, db = _cleared(b.reshape(-1).tolist())
     prod = np.matmul(_object_array(ia, a.shape), _object_array(ib, b.shape))
     d = da * db
-    if d == 1:  # Fraction(x) skips the gcd that Fraction(x, d) takes
-        return _object_array([Fraction(x) for x in prod.reshape(-1).tolist()], prod.shape)
-    return _object_array([Fraction(x, d) for x in prod.reshape(-1).tolist()], prod.shape)
+    if d == 1:
+        return prod
+    return _object_array([_q(x, d) for x in prod.reshape(-1).tolist()], prod.shape)
 
 
 def _primitive(row: List[int]) -> List[int]:
@@ -273,12 +293,11 @@ def _rref_rational(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], 
         r += 1
     if not reduced:
         return None, pivots
-    zero = Fraction(0)
     out = np.empty((nrows, ncols), dtype=object)
     for i, c in enumerate(pivots):
         p = rows[i][c]
-        out[i] = [Fraction(u, p) if u else zero for u in rows[i]]
-    out[r:] = zero
+        out[i] = [_q(u, p) if u else 0 for u in rows[i]]
+    out[r:] = 0
     return out, pivots
 
 

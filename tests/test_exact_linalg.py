@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcat import exact_linalg
+from frobcat.algebra_repr import preprojective
+from frobcat.axiom_suite import default_objects, run_all
 from frobcat.errors import InputError
 from frobcat.exact_linalg import (
     Field,
@@ -16,6 +19,8 @@ from frobcat.exact_linalg import (
     prime_field,
     rational_field,
 )
+from frobcat.localization import dl_verify_all
+from frobcat.rigid_model import build_context
 
 F5 = prime_field(5)
 Q = rational_field()
@@ -395,6 +400,163 @@ def test_intertwiners_match_the_reference(name, data):
              data.draw(_shaped(field, dy[t], dy[s])).data) for s, t in ends]
     assert _same(exact_linalg.intertwiners(field, dx, dy, maps),
                  _reference_intertwiners(field, dx, dy, maps))
+
+
+# The Fraction-building bodies of `_rational_matmul` and of the output step of
+# `_rref_rational` from before whole rationals were stored as Python ints: one
+# Fraction per entry, whole or not. Values and strings must be the same.
+
+
+def _fraction_matmul(a, b):
+    ia, da = exact_linalg._cleared(a.reshape(-1).tolist())
+    ib, db = exact_linalg._cleared(b.reshape(-1).tolist())
+    prod = np.matmul(exact_linalg._object_array(ia, a.shape),
+                     exact_linalg._object_array(ib, b.shape))
+    d = da * db
+    if d == 1:
+        return exact_linalg._object_array([Fraction(x) for x in prod.reshape(-1).tolist()],
+                                          prod.shape)
+    return exact_linalg._object_array([Fraction(x, d) for x in prod.reshape(-1).tolist()],
+                                      prod.shape)
+
+
+def _fraction_rref(a):
+    nrows, ncols = a.shape
+    rows = [exact_linalg._primitive(exact_linalg._cleared(row)[0]) for row in a.tolist()]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(nrows):
+            row = rows[i]
+            x = row[c]
+            if x and i != r:
+                g = gcd(p, x)
+                m, n = p // g, x // g
+                rows[i] = exact_linalg._primitive([m * u - n * v for u, v in zip(row, prow)])
+        pivots.append(c)
+        r += 1
+    zero = Fraction(0)
+    out = np.empty((nrows, ncols), dtype=object)
+    for i, c in enumerate(pivots):
+        p = rows[i][c]
+        out[i] = [Fraction(u, p) if u else zero for u in rows[i]]
+    out[r:] = zero
+    return out, pivots
+
+
+def _stored_as_the_rule(arr):
+    """Every entry is a Python int, or a Fraction that is not whole."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+               for x in arr.reshape(-1))
+
+
+@st.composite
+def _fraction_array(draw, rows, cols):
+    """A rows x cols object array of Fractions, whole ones included, as every
+    rational was stored before: integer, fractional, zero, of deficient rank,
+    or with no positive entry, so that its pivots are negative."""
+    kind = draw(st.sampled_from(["integer", "fractional", "zero", "deficient", "nonpositive"]))
+    if kind == "deficient":
+        inner = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
+        return _fraction_matmul(draw(_fraction_array(rows, inner)),
+                                draw(_fraction_array(inner, cols)))
+    entry = {"integer": st.builds(Fraction, st.integers(-9, 9)),
+             "fractional": st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+             "zero": st.just(Fraction(0)),
+             "nonpositive": st.builds(Fraction, st.integers(-9, 0), st.integers(1, 3))}[kind]
+    values = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return exact_linalg._object_array(values, (rows, cols))
+
+
+def _same_values_and_strings(got, want):
+    return (got.shape == want.shape and bool(np.array_equal(got, want))
+            and Matrix(Q, got).signature() == Matrix(Q, want).signature())
+
+
+@given(rows=st.integers(0, 5), cols=st.integers(0, 5), width=st.integers(0, 4), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_whole_rationals_are_ints_with_the_fraction_references_values(rows, cols, width, data):
+    """Over Q, `matmul` (batched too) and `rref` agree with the Fraction-building
+    references by value and by string, on any side possibly 0, and what
+    `matmul`, `rref`, `kernel`, `solve_cols`, `inverse` and `intertwiners`
+    return holds each whole rational as an int."""
+    a = data.draw(_fraction_array(rows, cols))
+    m = Matrix(Q, a)
+    red, pivots, _ = m.rref()
+    want, want_pivots = _fraction_rref(a)
+    assert pivots == want_pivots and _same_values_and_strings(red.data, want)
+    other = data.draw(_fraction_array(cols, width))
+    stack = np.stack([data.draw(_fraction_array(2, cols)) for _ in range(3)])
+    products = [Q.matmul(left, other) for left in (a, stack)]
+    for left, got in zip((a, stack), products):
+        assert _same_values_and_strings(got, _fraction_matmul(left, other))
+    b = Matrix(Q, data.draw(_fraction_array(rows, width)))
+    square = Matrix(Q, data.draw(_fraction_array(cols, cols)))
+    outputs = products + [red.data, m.kernel().data]
+    outputs += [x.data for x in (m.solve_cols(b), square.inverse()) if x is not None]
+    nv = data.draw(st.integers(1, 3))
+    dx = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
+    dy = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
+    ends = data.draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
+                              max_size=3))
+    maps = [(s, t, data.draw(_fraction_array(dx[t], dx[s])),
+             data.draw(_fraction_array(dy[t], dy[s]))) for s, t in ends]
+    outputs.append(exact_linalg.intertwiners(Q, dx, dy, maps).data)
+    assert all(_stored_as_the_rule(out) for out in outputs)
+
+
+def _object_entries(value, seen):
+    """Every entry of every object array reachable from `value` through
+    containers and the attributes of frobcat's own objects."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        if value.dtype == object:
+            yield from value.reshape(-1)
+        return
+    if isinstance(value, dict):
+        children = list(value.values())
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        children = list(value)
+    elif type(value).__module__.startswith("frobcat"):
+        slots = [s for k in type(value).__mro__ for s in getattr(k, "__slots__", ())]
+        children = [getattr(value, s) for s in slots if hasattr(value, s)]
+        children += list(getattr(value, "__dict__", {}).values())
+    else:
+        return
+    for child in children:
+        yield from _object_entries(child, seen)
+
+
+def test_rational_caches_hold_only_ints_and_fractions():
+    """After dl-verify on the a3q-dlverify benchmark's inputs and criterion 8's
+    battery on preprojective A3/Q, every entry of every object array in the
+    algebra's hom and module stores and in both contexts' stores is a Python
+    int or a Fraction of Python ints: never a float, a bool or a numpy scalar,
+    and never an int64 carried in from an empty product."""
+    alg = preprojective(3, Q)
+    dl_ctx = build_context(alg, alg.projectives() + [alg.simple("1")], "frobenius")
+    assert all(r.passed for r in dl_verify_all(dl_ctx, default_objects(dl_ctx)))
+    battery_ctx = build_context(alg, alg.projectives(), "frobenius")
+    assert run_all(battery_ctx, 42, 5, default_objects(battery_ctx)).passed
+    seen = set()
+    entries = [x for store in (alg._hom_cache, alg._module_cache,
+                               dl_ctx._caches, battery_ctx._caches)
+               for x in _object_entries(store, seen)]
+    assert len(entries) > 10_000
+    bad = {type(x).__name__ for x in entries
+           if not (type(x) is int or (type(x) is Fraction and type(x.numerator) is int
+                                      and type(x.denominator) is int))}
+    assert not bad
 
 
 class _ReferenceRowSpan:

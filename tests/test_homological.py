@@ -348,8 +348,9 @@ def _reference_envelope(x):
 
 
 def _exact(m):
-    """A matrix byte for byte: dtype, shape and the repr of every entry, so an
-    int in place of a Fraction, or of an int64, shows."""
+    """A matrix byte for byte: dtype, shape and the repr of every entry, so a
+    Fraction in place of an int (how a whole rational is stored), or an int
+    in place of an int64, shows."""
     return m.data.dtype.str, m.data.shape, [repr(e) for e in m.data.reshape(-1)]
 
 
