@@ -372,13 +372,16 @@ class Algebra:
 
 def _json_scalar(x, what: str, parse):
     """parse(x) for a string or an integer read from a JSON file. Anything
-    else, such as 1.5 or true, is refused rather than truncated to an int."""
+    else, such as 1.5 or true, is refused rather than truncated to an int,
+    and so is a rational with a zero denominator, such as "1/0"."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise InputError(f"{what} must be an integer or a string, got {x!r}")
     try:
         return parse(x)
     except ValueError as e:
         raise InputError(f"{what}: {e}") from e
+    except ZeroDivisionError as e:
+        raise InputError(f"{what}: {x!r} has a zero denominator") from e
 
 
 def _json_name(x, what: str) -> str:

@@ -201,6 +201,15 @@ def _edited(name, edit):
     return mutate
 
 
+def _rational(mutate):
+    """The project over Q, where pa2's relations and modules hold as well,
+    then `mutate`."""
+    def over_q(root):
+        _edited("algebra.json", lambda d: d.update(field={"kind": "rational"}))(root)
+        mutate(root)
+    return over_q
+
+
 AXIOMS = ["axioms", "--check", "mho_rigid"]
 WEQ = ["weq", "--morphism", "{root}/f.json"]
 HOM = ["hom", "S1", "P1"]
@@ -339,6 +348,16 @@ MALFORMED = {
     "project-not-utf8": (_with_bytes("project.json", b'{"mode": "\xff"}'), HOM,
                          ("project.json", "utf-8")),
     "morphism-directory": (None, ["weq", "--morphism", "{root}"], "morphism file"),
+    # over Q, a zero denominator is refused naming its key, not raised as ZeroDivisionError
+    "q-module-zero-denominator": (
+        _rational(_edited("P1.json", lambda d: d["action"].update(a1=["1/0"]))), HOM,
+        ("P1.json", "action of a1", "zero denominator")),
+    "q-morphism-zero-denominator": (_rational(_with_file("f.json", json.dumps(
+        {"source": "S2", "target": "S2", "comps": {"2": ["1/0"]}}))), WEQ,
+        ("f.json", "component at vertex 2", "zero denominator")),
+    "q-relation-zero-denominator": (
+        _rational(_edited("algebra.json", lambda d: d["relations"][0][0].update(coeff="1/0"))),
+        HOM, ("algebra.json", "relation 0: coefficient", "zero denominator")),
 }
 
 
@@ -359,6 +378,17 @@ def test_malformed_input_exits_2_with_one_line(pa2_project, tmp_path, capsys, ca
     assert len(lines) == 1 and lines[0].startswith("error: ")
     for part in (named,) if isinstance(named, str) else named or ():
         assert part in lines[0]
+
+
+def test_the_rational_project_of_the_zero_denominator_cases_loads(pa2_project, tmp_path, capsys):
+    import shutil
+    root = tmp_path / "q"
+    shutil.copytree(pa2_project, root)
+    _rational(_with_file("f.json", json.dumps(
+        {"source": "S2", "target": "S2", "comps": {"2": ["1/2"]}})))(root)
+    assert dispatch(HOM + ["--project", str(root)]) == 0
+    assert dispatch([a.format(root=root) for a in WEQ] + ["--project", str(root)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["dim Hom(S1, P1) = 0", "true"]
 
 
 def test_validate_reports_summed_cosyzygy(tmp_path, capsys):
