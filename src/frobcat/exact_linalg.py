@@ -1,16 +1,14 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
 A rational entry is a Python ``int`` when it is whole and a
-``fractions.Fraction`` when it is not; prime-field entries are canonical
-integer residues in ``[0, p)``.  Matrices wrap numpy arrays purely as exact
-containers: residues live in int64 arrays (reduced mod p after every
-operation), rationals in object arrays.  No floating point anywhere: an
-entry meets ``/`` only as a ``Fraction`` (``Field.inv``), and a quotient of
-integers is built by ``_q``, an int when the division is exact and a
-``Fraction`` otherwise. Both forms of a whole value
-are equal and print alike (``str(3) == str(Fraction(3))``), so signatures and
-formatted outputs do not depend on the form; a sum of two Fractions may be a
-whole ``Fraction``, and the kernels below clear it like any other entry.
+``fractions.Fraction`` when it is not (a sum of Fractions may still be a whole
+``Fraction``); both forms of a whole value are equal and print alike, so no
+signature or formatted output depends on the form. Prime-field entries are
+canonical integer residues in ``[0, p)``.  Matrices wrap numpy arrays purely
+as exact containers: residues live in int64 arrays (reduced mod p after
+every operation), rationals in object arrays.  No floating point anywhere:
+entries meet ``/`` only as Fractions (``Field.inv``), and a quotient of
+integers is built by ``_q``.
 
 Rational elimination and products run fraction-free: rows and operands are
 cleared of denominators into Python integers, eliminated by cross-multiplying
