@@ -15,6 +15,8 @@ The opposite convention is obtained by transposing all matrices.
 from __future__ import annotations
 
 import itertools
+import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -370,18 +372,43 @@ class Algebra:
         return f"Algebra({len(self.vertices)} vertices, {len(self.arrows)} arrows, dim {self.dim})"
 
 
+# the exponent of a decimal such as "1e5000", as Fraction's string parser reads it
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def _json_scalar(x, what: str, parse):
     """parse(x) for a string or an integer read from a JSON file. Anything
     else, such as 1.5 or true, is refused rather than truncated to an int,
-    and so is a rational with a zero denominator, such as "1/0"."""
+    and so is a rational with a zero denominator, such as "1/0", or with a
+    numerator or denominator of more digits than Python converts to a string
+    (``sys.get_int_max_str_digits()``, 0 for no limit), such as "1e5000".
+
+    An exponent e with |e| > limit + len(x) is refused before parsing, so no
+    power of ten is built: a nonzero mantissa of n digits, d after the point,
+    times 10^e has at least e - d + 1 digits for e > 0, and for e < 0 a
+    denominator in lowest terms above 10^(|e| - n). A zero mantissa with
+    such an exponent is refused too."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise InputError(f"{what} must be an integer or a string, got {x!r}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    exponent = _EXPONENT.search(x) if limit and isinstance(x, str) else None
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        bound = limit + len(x)
+        if len(digits) > len(str(bound)) or int(digits or 0) > bound:
+            raise InputError(f"{what}: {x!r} has more than {limit} digits")
     try:
-        return parse(x)
+        value = parse(x)
     except ValueError as e:
         raise InputError(f"{what}: {e}") from e
     except ZeroDivisionError as e:
         raise InputError(f"{what}: {x!r} has a zero denominator") from e
+    if limit:
+        # 10^limit has more than 3 * limit bits, so shorter values pass unpowered
+        big = max(abs(value.numerator), value.denominator)
+        if big.bit_length() > 3 * limit and big >= 10 ** limit:
+            raise InputError(f"{what}: {x!r} has more than {limit} digits")
+    return value
 
 
 def _json_name(x, what: str) -> str:

@@ -6,9 +6,10 @@ hom space: stable hom here, and the homotopy hom-sets of ``localization``.
 
 All operations are pure functions over immutable values. Hom spaces
 (``hom_matrix``), projective covers, syzygies, the splits of
-:func:`projective_split`, injective envelopes, right approximations and the
-spans of :func:`through_injectives` are cached per algebra, keyed by module
-content; quotients are recomputed on every call.
+:func:`projective_split`, injective envelopes, right approximations, the
+spans of :func:`through_injectives` and the verdicts of :func:`in_add` are
+cached per algebra, keyed by module content; quotients are recomputed on
+every call.
 The left-handed constructions are their right-handed duals under
 D = Hom_k(-, k), taken over the opposite algebra and transposed back.
 """
@@ -273,10 +274,28 @@ def factors_through_add(x: Module, z: Module, y: Module) -> RowSpan:
     """The subspace of Hom(x, y), in ``Morphism.vec()`` coordinates, of the
     morphisms factoring through a finite power of z.
 
-    A morphism lies in the span of the pairwise composites iff it factors
-    through z^n for some finite n, so the linear test is exact. For a sum z
-    the composites are taken within one part at a time: b ∘ a is the sum
-    over the parts z_i of (b ι_i)(π_i a), so the span is the same.
+    When x or y lies in add(z) (:func:`in_add`) this is all of Hom(x, y),
+    and the span of its basis is returned without composing. If
+    id_x = Σ b_i ∘ a_i with a_i: x -> z_i, then every f: x -> y equals
+    Σ (f ∘ b_i) ∘ a_i, which factors through ⊕ z_i; for y in add(z), write
+    id_y so and compose on the left. The two spans are then one space, and
+    its reduced row echelon form is unique, so ``rows`` and ``pivots`` are
+    those of the pairwise span. Otherwise the pairwise span is built
+    (:func:`_pairwise_span`).
+    """
+    if in_add(x, z) or in_add(y, z):
+        span = RowSpan(x.algebra.field, hom_width(x, y))
+        span.add(hom_matrix(x, y).data)
+        return span
+    return _pairwise_span(x, z, y)
+
+
+def _pairwise_span(x: Module, z: Module, y: Module) -> RowSpan:
+    """The span of the composites b ∘ a of basis maps a: x -> z and
+    b: z -> y. A morphism lies in it iff it factors through z^n for some
+    finite n, so the linear test is exact. For a sum z the composites are
+    taken within one part at a time: b ∘ a is the sum over the parts z_i of
+    (b ι_i)(π_i a), so the span is the same.
     """
     bases = [(part, hom_matrix(x, part).data, hom_matrix(part, y).data)
              for part in z.parts or (z,)]
@@ -316,10 +335,14 @@ def kills_stably(z: Module, h: Morphism) -> bool:
 
 
 def in_add(x: Module, z: Module) -> bool:
-    """True iff x is a direct summand of a finite power of z."""
+    """True iff x is a direct summand of a finite power of z: id_x lies in
+    the pairwise span through z (:func:`_pairwise_span`, never
+    :func:`factors_through_add`, which asks this). Cached per algebra by
+    (x.key, z.key); the zero module is in every add(z) and caches nothing."""
     if x.is_zero():
         return True
-    return factors_through_add(x, z, x).contains(Morphism.identity(x).vec())
+    return _memo(x.algebra._module_cache, ("in_add", x.key, z.key),
+                 lambda: _pairwise_span(x, z, x).contains(Morphism.identity(x).vec()))
 
 
 class QuotientHom:

@@ -183,7 +183,10 @@ class HoClass:
 def ho_hom(ctx: RigidContext, x: Module, y: Module) -> QuotientHom:
     """Hom in the localized category: Hom between the fixed replacements of
     x and y, modulo the maps factoring through the cosyzygy-class generator U.
-    Built on every call; the replacements and hom bases it reads are cached."""
+    Built on every call; the replacements, hom bases and add(U) verdicts it
+    reads are cached. Where either replacement lies in add(U) the whole hom
+    space factors through U, so the quotient is zero and no composite is
+    formed (:func:`~frobcat.homological.factors_through_add`)."""
     a_x, a_y = cofibrant_replacement(ctx, x).a, cofibrant_replacement(ctx, y).a
     return QuotientHom(a_x, a_y, factors_through_add(a_x, ctx.U, a_y))
 

@@ -358,6 +358,14 @@ MALFORMED = {
     "q-relation-zero-denominator": (
         _rational(_edited("algebra.json", lambda d: d["relations"][0][0].update(coeff="1/0"))),
         HOM, ("algebra.json", "relation 0: coefficient", "zero denominator")),
+    # over Q, a numerator or denominator longer than Python prints is refused naming its key,
+    # not loaded for str() to raise on, and a large exponent is refused before 10^n is built
+    "q-module-exponent-5000": (
+        _rational(_edited("P1.json", lambda d: d["action"].update(a1=["1e5000"]))), HOM,
+        ("P1.json", "action of a1", "digits")),
+    "q-relation-exponent-5000": (
+        _rational(_edited("algebra.json", lambda d: d["relations"][0][0].update(coeff="1e5000"))),
+        HOM, ("algebra.json", "relation 0: coefficient", "digits")),
 }
 
 

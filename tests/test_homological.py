@@ -424,10 +424,12 @@ def test_cokernel_and_cover_match_the_references(name, data):
         _same_map(got[1], want[1])
 
 
-# add-factoring within one part at a time against the whole-z pairwise span;
-# F_1048583 runs the object-dtype residue path
+# add-factoring, within one part at a time or as all of Hom(x, y) when an end is
+# in add(z), against the whole-z pairwise span; F_1048583 runs the object-dtype
+# residue path, and the Auslander algebra of kA2 is not self-injective
 _ADD_FIELDS = {"F2": prime_field(2), "F5": prime_field(5), "F1048583": prime_field(1048583),
                "Q": rational_field()}
+_AUS = "aus-kA2/F5"
 
 
 @functools.lru_cache(maxsize=None)
@@ -436,6 +438,12 @@ def _add_context(name):
     alg = preprojective(2, _ADD_FIELDS[name])
     return build_context(alg, [alg.projective("1"), alg.projective("2"), alg.simple("1")],
                          "frobenius")
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_add_context(alg):
+    """alg in exact mode with generator the projectives and S1, built on first use."""
+    return build_context(alg, alg.projectives() + [alg.simple("1")], "exact")
 
 
 def _reference_factors_through_add(x, z, y):
@@ -447,19 +455,15 @@ def _reference_factors_through_add(x, z, y):
     return span
 
 
-@given(name=st.sampled_from(sorted(_ADD_FIELDS)), data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_factors_through_add_matches_the_whole_pairwise_span(name, data):
+@given(name=st.sampled_from(sorted(_ADD_FIELDS) + [_AUS]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_factors_through_add_matches_the_whole_pairwise_span(small_algebras, name, data):
     """Rows and pivots of the per-part span equal those of the whole-z span,
-    for z a module without parts, a sum with a zero part, and U."""
-    ctx = _add_context(name)
+    for z a module without parts, a sum with a zero part, and U; in half of
+    the draws x or y is a part of z or a sum of z's parts, so in add(z)."""
+    ctx = _exact_add_context(small_algebras[_AUS]) if name == _AUS else _add_context(name)
     alg = ctx.alg
     pieces = alg.simples() + alg.projectives() + alg.injectives() + [zero_module(alg)]
-
-    def module():
-        return sum_module(data.draw(st.lists(st.sampled_from(pieces), max_size=2)), alg)
-
-    x, y = module(), module()
     kind = data.draw(st.sampled_from(["whole", "zero part", "U"]))
     if kind == "whole":
         z = data.draw(st.sampled_from(pieces))
@@ -468,6 +472,18 @@ def test_factors_through_add_matches_the_whole_pairwise_span(name, data):
     else:
         z = ctx.U
     assert (z.parts is None) == (kind == "whole")
+
+    def module(choices, min_size=0):
+        return sum_module(data.draw(st.lists(st.sampled_from(choices), min_size=min_size,
+                                             max_size=2)), alg)
+
+    x, y = module(pieces), module(pieces)
+    end = data.draw(st.sampled_from(["neither", "neither", "x", "y"]))
+    if end == "x":
+        x = module(z.parts or [z], 1)
+    elif end == "y":
+        y = module(z.parts or [z], 1)
+    assert end == "neither" or in_add(x if end == "x" else y, z)
     got, want = factors_through_add(x, z, y), _reference_factors_through_add(x, z, y)
     assert got.rows.dtype == want.rows.dtype and got.rows.shape == want.rows.shape
     assert [repr(e) for e in got.rows.reshape(-1)] == [repr(e) for e in want.rows.reshape(-1)]

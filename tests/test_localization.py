@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from frobcat.errors import InputError
-from frobcat.exact_linalg import Matrix
+from frobcat.exact_linalg import Matrix, rational_field
 from frobcat.algebra_repr import (
     _blocks,
     Morphism,
@@ -16,9 +16,11 @@ from frobcat.algebra_repr import (
     hom_basis,
     hom_matrix,
     hom_width,
+    preprojective,
     zero_module,
 )
-from frobcat.homological import cosyzygy, stable_hom
+from frobcat import homological
+from frobcat.homological import cosyzygy, in_add, stable_hom
 from frobcat.axiom_suite import _sample_morphism, default_objects, sample_universe
 from frobcat.rigid_model import build_context, cofibrant_replacement, is_weak_equivalence
 from frobcat.localization import (
@@ -260,6 +262,31 @@ def test_dl_verify_is_the_same_from_cold_and_warm_caches(pa2, pa3, a2q, small_al
         assert all(r.passed for r in warm)
         keys = {x.key for _, x in named}
         assert set(ctx._caches["G"]) == set(ctx._caches["G_phi"]) == keys
+
+
+def test_dl_verify_builds_one_pairwise_span_per_object_in_add_and_per_other_pair(monkeypatch):
+    """On the a3q-dlverify benchmark's inputs (preprojective A3/Q, generator
+    P1+P2+P3+S1, its default objects) dl-verify builds 7 pairwise spans, not
+    one per pair: 6 for the in_add verdicts of the distinct replacements and
+    1 for (S1, S1), the one pair with neither end in add(U). The in_add
+    verdicts, on those replacements and on U's components, are the same from
+    a cleared module store as after the run."""
+    alg = preprojective(3, rational_field())
+    ctx = build_context(alg, alg.projectives() + [alg.simple("1")], "frobenius")
+    named = default_objects(ctx)
+    pairwise, calls = homological._pairwise_span, []
+    monkeypatch.setattr(homological, "_pairwise_span",
+                        lambda *args: calls.append(args) or pairwise(*args))
+    assert all(r.passed for r in dl_verify_all(ctx, named))
+    assert len(named) == 7 and len(calls) == 7
+    replacements = [cofibrant_replacement(ctx, x).a for _, x in named]
+    assert [in_add(a, ctx.U) for a in replacements] == [name != "S1" for name, _ in named]
+    assert len(calls) == 7  # the run cached each of these verdicts
+    modules = replacements + list(ctx.U.parts)
+    warm = [in_add(m, ctx.U) for m in modules]
+    alg._module_cache.clear()
+    assert [in_add(m, ctx.U) for m in modules] == warm
+    assert all(warm[len(replacements):])
 
 
 def test_ebar_hom_matches_report(pa2_ctx, pa2):
