@@ -1,12 +1,15 @@
 """Behaviour oracle: outputs recorded in ``golden_outputs.json`` must not move.
 
 The recorded values are hom-basis digests for every ordered pair of the pa2
-and pa3 fixture modules, of the A2/Q context's sample universe and of the
+and pa3 fixture modules, of the A2/Q context's sample universe, of the
 default objects of preprojective A3/Q with generator P1+P2+P3+S1 (the
-``a3q-dlverify`` benchmark's inputs), the ``dl-verify --all-pairs --json`` checksums of
-both fixtures, digests of seeded ``random_morphism`` draws over all pa2
-pairs, and the canonical homotopy-class forms of the pa2 replacement maps.
-Hom-basis order feeds the seeded sampling, so any change to it shows here.
+``a3q-dlverify`` benchmark's inputs) and of the cofibrant replacements of the
+simples and projectives of preprojective A4/F_2 with generator P1..P4 (the
+``a4f2-battery`` context, where the widest hom spaces pass 63 columns), the
+``dl-verify --all-pairs --json`` checksums of both fixtures, digests of
+seeded ``random_morphism`` draws over all pa2 pairs, and the canonical
+homotopy-class forms of the pa2 replacement maps. Hom-basis order feeds the
+seeded sampling, so any change to it shows here.
 
 Over Q, the preprojective A2 context with generator P1+P2+S1 pins the
 rational path: ``dl_verify_all`` checksums over the sample universe
@@ -71,7 +74,7 @@ from frobcat.algebra_repr import direct_sum, hom_basis, preprojective
 from frobcat.axiom_suite import (default_objects, in_copr_mho, run_all, run_check,
                                  sample_universe)
 from frobcat.cli import dispatch
-from frobcat.exact_linalg import rational_field
+from frobcat.exact_linalg import prime_field, rational_field
 from frobcat.fixtures import build_fixture, emit_fixture
 from frobcat.homological import injective_envelope, projective_cover
 from frobcat.localization import dl_verify_all, ho_class_of
@@ -82,7 +85,7 @@ from test_axiom_suite import _corruptions
 
 GOLDEN = Path(__file__).resolve().with_name("golden_outputs.json")
 SEEDS = range(5)
-HOM_BASIS_TAGS = ("pa2", "pa3", "a2q", "a3q")
+HOM_BASIS_TAGS = ("pa2", "pa3", "a2q", "a3q", "a4f2")
 
 
 def _digest(morphisms) -> str:
@@ -101,12 +104,14 @@ def _pairs(modules):
 
 
 def hom_basis_digests(tag: str) -> dict:
-    """{pair: digest of its hom basis} over a fixture's modules or a rational
-    context's objects ("a2q", "a3q")."""
+    """{pair: digest of its hom basis} over a fixture's modules, a rational
+    context's objects ("a2q", "a3q") or the A4/F_2 replacements ("a4f2")."""
     if tag == "a2q":
         named = _a2q_context()[1]
     elif tag == "a3q":
         named = _a3q_objects()
+    elif tag == "a4f2":
+        named = _a4f2_replacements()
     else:
         named = sorted(build_fixture(tag)[1].items())
     return {f"{xn}->{yn}": _digest(hom_basis(x, y)) for xn, x in named for yn, y in named}
@@ -165,6 +170,18 @@ def _a3q_objects():
     alg = preprojective(3, rational_field())
     gen = alg.projectives() + [alg.simple("1")]
     return default_objects(build_context(alg, gen, "frobenius"))
+
+
+def _a4f2_replacements():
+    """The replacement objects A of the simples and projectives of
+    preprojective A4/F_2 with generator P1..P4: the pairs (P3, P3), (P3, P4),
+    (P4, P3) and (P4, P4) have hom width 68 to 104, two 63-bit words."""
+    alg = preprojective(4, prime_field(2))
+    ctx = build_context(alg, alg.projectives(), "frobenius")
+    named = [(f"{prefix}{v}", m) for prefix, mods in (("S", alg.simples()),
+                                                      ("P", alg.projectives()))
+             for v, m in zip(alg.vertices, mods)]
+    return [(name, cofibrant_replacement(ctx, x).a) for name, x in named]
 
 
 def a2q_outputs() -> dict:
