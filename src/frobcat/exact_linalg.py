@@ -21,7 +21,12 @@ denominators is the integer product itself.
 F_2 elimination runs on bit-packed rows, one Python int per row with bit j
 for column j, combined by XOR and keyed by their lowest set bit
 (``_rref_bits``); rows are packed as 63-bit int64 words, one integer product
-per word, and unpacked by shifts. F_2 residues are reduced by ``& 1``. For
+per word, and unpacked by shifts. The hom-space equations of
+:func:`intertwiners` over F_2 are packed one Python int each, straight from
+the action matrices, into the same table, and their kernel basis is read off
+its RREF: no dense system is built, and the basis is the dense system's, as
+an RREF does not depend on the order of the rows. F_2 residues are reduced by
+``& 1``. For
 p > 2, matrices up to ``_ROW_CELLS`` cells are eliminated on Python-int rows
 and larger ones on the array.
 
@@ -317,13 +322,10 @@ def _rref_bits(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], List
     ``a & 1`` is one Python int with bit j holding column j.
 
     Each run of ``_WORD`` columns is packed by one int64 product with the bit
-    weights, and the words of a wider row are joined by shifts; pivot rows are
-    unpacked a word at a time by one ``>>``/``& 1`` broadcast. Rows are
-    inserted one at a time into a table keyed by lowest set bit: a row whose
-    lowest bit is taken is XORed with that bit's row, which clears it and
-    leaves a higher lowest bit, until the row is zero or its lowest bit is
-    new. The keys are the pivot columns. The reduced form clears every pivot
-    row at the higher pivots, highest pivot first, and so is the unique RREF.
+    weights, and the words of a wider row are joined by shifts. The rows go
+    into a table keyed by lowest set bit (``_insert_bits``), whose keys are
+    the pivot columns; the reduced form is the table back-substituted
+    (``_reduce_bits``), the unique RREF, unpacked by ``_unpack_bits``.
     """
     nrows, ncols = a.shape
     bits = a & 1  # callers may pass unreduced residues such as -1
@@ -335,7 +337,21 @@ def _rref_bits(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], List
             word = (bits[:, s:s + _WORD] @ _WEIGHTS[:ncols - s]).tolist()
             packed = [x | y << s for x, y in zip(packed, word)]
     table = {}
-    for row in packed:
+    _insert_bits(table, packed)
+    if not reduced:
+        return None, sorted(table)
+    pivots = _reduce_bits(table)
+    out = np.zeros((nrows, ncols), dtype=a.dtype)
+    _unpack_bits(out, [table[c] for c in pivots])
+    return out, pivots
+
+
+def _insert_bits(table: dict, rows) -> None:
+    """Insert packed F_2 rows into a table keyed by lowest set bit: a row
+    whose lowest bit is taken is XORed with that bit's row, which clears it
+    and leaves a higher lowest bit, until the row is zero or its lowest bit
+    is new. The table's rows then span the rows inserted, in echelon form."""
+    for row in rows:
         while row:
             low = (row & -row).bit_length() - 1
             prow = table.get(low)
@@ -343,9 +359,13 @@ def _rref_bits(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], List
                 table[low] = row
                 break
             row ^= prow
+
+
+def _reduce_bits(table: dict) -> List[int]:
+    """Clear every row of an `_insert_bits` table at the higher pivots,
+    highest pivot first, which leaves the unique RREF of its span; returns
+    the pivots in order."""
     pivots = sorted(table)
-    if not reduced:
-        return None, pivots
     mask = 0
     for c in reversed(pivots):
         row = table[c]
@@ -356,12 +376,16 @@ def _rref_bits(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], List
             hits ^= 1 << h
         table[c] = row
         mask |= 1 << c
-    out = np.zeros((nrows, ncols), dtype=a.dtype)
-    rows = [table[c] for c in pivots]
+    return pivots
+
+
+def _unpack_bits(out: np.ndarray, rows: List[int]) -> None:
+    """Write packed F_2 rows into the top rows of `out`, bit j to column j, a
+    word at a time by one ``>>``/``& 1`` broadcast."""
+    ncols = out.shape[1]
     for s in range(0, ncols if rows else 0, _WORD):
         word = np.array(rows if ncols <= _WORD else [row >> s & _WORD_MASK for row in rows])
         out[:len(rows), s:s + _WORD] = word[:, None] >> _SHIFTS[:ncols - s] & 1
-    return out, pivots
 
 
 def _rref_residues(field: Field, a: np.ndarray,
@@ -628,12 +652,27 @@ def intertwiners(field: Field, dx: Sequence[int], dy: Sequence[int],
     C_t A = B C_s for every (s, t, A, B) in `maps`, in ``Morphism.vec()``
     order: row-major C_0, C_1, ...
 
-    Each map's dy[t] * dx[s] equations go straight into one zero array: A^T
-    onto the diagonal of a (dy[t], dx[s], dy[t], dx[t]) view of C_t's columns,
-    then B subtracted through a (dy[t], dx[s], dy[s], dx[s]) view of C_s's.
-    Subtracted, not assigned: on a loop (s == t) both land on the same entries.
+    The basis is ``Matrix.kernel``'s of the equations, transposed: for each
+    free column c of their RREF, 1 at c and minus column c of the reduced
+    rows at the pivots. For p > 2 and over Q, each map's dy[t] * dx[s]
+    equations go straight into one zero array: A^T onto the diagonal of a
+    (dy[t], dx[s], dy[t], dx[t]) view of C_t's columns, then B subtracted
+    through a (dy[t], dx[s], dy[s], dx[s]) view of C_s's. Subtracted, not
+    assigned: on a loop (s == t) both land on the same entries.
+
+    Over F_2 no array is built (``_intertwiners_bits``). Equation (i, j) of
+    (s, t, A, B) is one Python int: column j of A, as bits, placed at C_t's
+    row i (bit ``offsets[t] + i * dx[t]``), XOR row i of B spread at stride
+    dx[s] and placed at C_s's column j (bit ``offsets[s] + j``). As -1 = 1,
+    on a loop the XOR combines the terms that overlap exactly as the
+    subtraction does. The equations are eliminated in the table of
+    ``_rref_bits``. The RREF of a row space does not depend on the order of
+    its rows, so the pivots, the free columns and the basis are those of the
+    dense system, byte for byte.
     """
     offsets = [0, *accumulate(m * n for m, n in zip(dy, dx))]
+    if field.characteristic == 2:
+        return Matrix(field, _intertwiners_bits(dx, dy, maps, offsets))
     heights = [dy[t] * dx[s] for s, t, _, _ in maps]
     system = Matrix.zeros(field, sum(heights), offsets[-1]).data
     top = 0
@@ -647,6 +686,38 @@ def intertwiners(field: Field, dx: Sequence[int], dy: Sequence[int],
         cs[:, diag, :, diag] -= b
         top += h
     return Matrix(field, field.reduce(system)).kernel().transpose()
+
+
+def _intertwiners_bits(dx, dy, maps, offsets) -> np.ndarray:
+    """`intertwiners` over F_2, on packed equations. In the RREF, the row of
+    pivot p has bit p and otherwise only free bits above p, so the basis
+    vector of free column c is bit c plus bit p for each pivot p whose row
+    has bit c."""
+    table = {}
+    for s, t, a, b in maps:
+        cols, spread = [0] * dx[s], [0] * dy[t]
+        for k, row in enumerate(a.tolist()):
+            for j, v in enumerate(row):
+                if v & 1:
+                    cols[j] |= 1 << k
+        for i, row in enumerate(b.tolist()):
+            for l, v in enumerate(row):
+                if v & 1:
+                    spread[i] |= 1 << l * dx[s]
+        base_t, base_s = offsets[t], offsets[s]
+        _insert_bits(table, (col << (base_t + i * dx[t]) ^ spread[i] << (base_s + j)
+                             for i in range(dy[t]) for j, col in enumerate(cols)))
+    pivots = _reduce_bits(table)
+    basis = {c: 1 << c for c in range(offsets[-1]) if c not in table}
+    for p in pivots:
+        hits = table[p] ^ 1 << p
+        while hits:
+            c = hits.bit_length() - 1
+            basis[c] |= 1 << p
+            hits ^= 1 << c
+    out = np.zeros((len(basis), offsets[-1]), dtype=np.int64)
+    _unpack_bits(out, list(basis.values()))
+    return out
 
 
 def solve_in_span(field: Field, images: Sequence[np.ndarray],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from frobcat import algebra_repr
+from frobcat import algebra_repr, exact_linalg
 from frobcat.errors import InputError
 from frobcat.exact_linalg import (Matrix, RowSpan, intertwiners, prime_field, rational_field,
                                   solve_in_span)
@@ -690,6 +690,30 @@ def test_hom_of_a_sum_matches_the_direct_solve(name, data):
     alg, x, y = _draw_sum_pair(name, data)
     alg._hom_cache.clear()
     assert _exact(hom_matrix(x, y)) == _exact(_reference_hom(x, y))
+
+
+@pytest.mark.parametrize("field, kernels", [(prime_field(2), 0), (prime_field(5), 1),
+                                             (rational_field(), 1)], ids=["F2", "F5", "Q"])
+def test_a_cold_hom_space_over_f2_builds_no_dense_system(monkeypatch, field, kernels):
+    """Over F_2 the hom equations are packed straight into the bit table, so
+    a cold hom_matrix of two modules that are no sums calls neither
+    Matrix.kernel nor _rref_bits; over F_5 and Q it solves the dense system
+    with one Matrix.kernel."""
+    alg = preprojective(3, field)
+    x, y = alg.projective("2"), alg.injective("2")
+    calls = {"kernel": 0, "_rref_bits": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "kernel", counted("kernel", Matrix.kernel))
+    monkeypatch.setattr(exact_linalg, "_rref_bits", counted("_rref_bits", exact_linalg._rref_bits))
+    alg._hom_cache.clear()
+    assert hom_matrix(x, y).rows == 2
+    assert calls == {"kernel": kernels, "_rref_bits": 0}
 
 
 def _leaves(m):

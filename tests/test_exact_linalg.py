@@ -385,15 +385,22 @@ def _reference_intertwiners(field, dx, dy, maps):
     return _reference_kernel(system).transpose()
 
 
-@given(name=st.sampled_from(sorted(FIELDS)), data=st.data())
-@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(FIELDS) + ["F2-wide"]), data=st.data())
+@settings(max_examples=250, deadline=None)
 def test_intertwiners_match_the_reference(name, data):
     # with at most 3 vertices and 4 maps, loops (s == t) and parallel maps
-    # are frequent; one vertex makes every map a loop
-    field = FIELDS[name]
-    nv = data.draw(st.integers(1, 3))
-    dx = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
-    dy = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
+    # are frequent; one vertex makes every map a loop. "F2-wide" gives two
+    # vertices dims 6 to 8 and a third 0 to 3, so a hom width of 72 to 137:
+    # each packed F_2 equation and basis row spans two or three 63-bit words
+    field = FIELDS[name.removesuffix("-wide")]
+    if name == "F2-wide":
+        dims = [st.integers(6, 8), st.integers(6, 8), st.integers(0, 3)]
+        nv = len(dims)
+        dx, dy = (data.draw(st.tuples(*dims)) for _ in range(2))
+    else:
+        nv = data.draw(st.integers(1, 3))
+        dx = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
+        dy = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
     ends = data.draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
                               max_size=4))
     maps = [(s, t, data.draw(_shaped(field, dx[t], dx[s])).data,
