@@ -21,14 +21,12 @@ denominators is the integer product itself.
 F_2 elimination runs on bit-packed rows, one Python int per row with bit j
 for column j, combined by XOR and keyed by their lowest set bit
 (``_rref_bits``); rows are packed as 63-bit int64 words, one integer product
-per word, and unpacked by shifts. The hom-space equations of
-:func:`intertwiners` over F_2 are packed one Python int each, straight from
-the action matrices, into the same table, and their kernel basis is read off
-its RREF: no dense system is built, and the basis is the dense system's, as
-an RREF does not depend on the order of the rows. F_2 residues are reduced by
-``& 1``. For
-p > 2, matrices up to ``_ROW_CELLS`` cells are eliminated on Python-int rows
-and larger ones on the array.
+per word, and unpacked by shifts. Over F_2, :func:`intertwiners` packs each
+hom-space equation into one Python int straight from the action matrices and
+eliminates it in the same table, building no dense system; its basis is the
+dense system's, as an RREF does not depend on the order of the rows. F_2
+residues are reduced by ``& 1``. For p > 2, matrices up to ``_ROW_CELLS``
+cells are eliminated on Python-int rows and larger ones on the array.
 
 :meth:`Matrix.rref` and :meth:`Matrix.rank` share one elimination routine;
 ``rank`` runs it forward only. A :class:`RowSpan` is the unique RREF of the
@@ -660,11 +658,11 @@ def intertwiners(field: Field, dx: Sequence[int], dy: Sequence[int],
     through a (dy[t], dx[s], dy[s], dx[s]) view of C_s's. Subtracted, not
     assigned: on a loop (s == t) both land on the same entries.
 
-    Over F_2 no array is built (``_intertwiners_bits``). Equation (i, j) of
-    (s, t, A, B) is one Python int: column j of A, as bits, placed at C_t's
-    row i (bit ``offsets[t] + i * dx[t]``), XOR row i of B spread at stride
-    dx[s] and placed at C_s's column j (bit ``offsets[s] + j``). As -1 = 1,
-    on a loop the XOR combines the terms that overlap exactly as the
+    Over F_2 no dense system is built (``_intertwiners_bits``). Equation
+    (i, j) of (s, t, A, B) is one Python int: column j of A, as bits, placed
+    at C_t's row i (bit ``offsets[t] + i * dx[t]``), XOR row i of B spread at
+    stride dx[s] and placed at C_s's column j (bit ``offsets[s] + j``). As
+    -1 = 1, on a loop the XOR combines the terms that overlap exactly as the
     subtraction does. The equations are eliminated in the table of
     ``_rref_bits``. The RREF of a row space does not depend on the order of
     its rows, so the pivots, the free columns and the basis are those of the
@@ -688,7 +686,9 @@ def intertwiners(field: Field, dx: Sequence[int], dy: Sequence[int],
     return Matrix(field, field.reduce(system)).kernel().transpose()
 
 
-def _intertwiners_bits(dx, dy, maps, offsets) -> np.ndarray:
+def _intertwiners_bits(dx: Sequence[int], dy: Sequence[int],
+                       maps: Sequence[Tuple[int, int, np.ndarray, np.ndarray]],
+                       offsets: List[int]) -> np.ndarray:
     """`intertwiners` over F_2, on packed equations. In the RREF, the row of
     pivot p has bit p and otherwise only free bits above p, so the basis
     vector of free column c is bit c plus bit p for each pivot p whose row
