@@ -28,11 +28,17 @@ dense system's, as an RREF does not depend on the order of the rows. F_2
 residues are reduced by ``& 1``. For p > 2, matrices up to ``_ROW_CELLS``
 cells are eliminated on Python-int rows and larger ones on the array.
 
-:meth:`Matrix.rref` and :meth:`Matrix.rank` share one elimination routine;
-``rank`` runs it forward only. A :class:`RowSpan` is the unique RREF of the
-vectors inserted into it, built by one ``rref`` per insertion of a vector or
-a stack; its canonical forms are one :meth:`Field.matmul` against the stored
-rows. :func:`intertwiners` solves the linear systems of hom spaces.
+For p > 2 and over Q, :func:`intertwiners` writes each hom-space equation
+as one Python row, and it and :meth:`Matrix.kernel` read their basis off
+the pivot rows of the elimination :meth:`Matrix.rref` runs
+(``_null_rows``), building no dense system and no reduced matrix.
+
+:meth:`Matrix.rref`, :meth:`Matrix.rank` and :meth:`Matrix.kernel` share
+one elimination routine per field kind; ``rank`` runs it forward only. A
+:class:`RowSpan` is the unique RREF of the vectors inserted into it, built
+by one ``rref`` per insertion of a vector or a stack; its canonical forms
+are one :meth:`Field.matmul` against the stored rows. :func:`intertwiners`
+solves the linear systems of hom spaces.
 
 All operations are pure and all values are immutable by convention, so they
 can be shared freely across concurrent tasks.
@@ -267,11 +273,14 @@ def _primitive(row: List[int]) -> List[int]:
     return row if g <= 1 else [u // g for u in row]
 
 
-def _rref_rational(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
-    """Fraction-free Gauss-Jordan elimination on integer rows; without
-    `reduced`, forward elimination only, and no matrix is returned."""
-    nrows, ncols = a.shape
-    rows = [_primitive(_cleared(row)[0]) for row in a.tolist()]
+def _rref_rational(rows: list, reduced: bool) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss-Jordan elimination of rational rows: each row is
+    cleared of denominators into integers and divided by their gcd, and rows
+    are combined by cross-multiplying. Returns the integer rows and the pivot
+    columns; row i < rank is its reduced row times its entry at pivot i.
+    Without `reduced`, forward elimination only."""
+    rows = [_primitive(_cleared(row)[0]) for row in rows]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
@@ -292,14 +301,7 @@ def _rref_rational(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], 
                 rows[i] = _primitive([m * u - n * v for u, v in zip(row, prow)])
         pivots.append(c)
         r += 1
-    if not reduced:
-        return None, pivots
-    out = np.empty((nrows, ncols), dtype=object)
-    for i, c in enumerate(pivots):
-        p = rows[i][c]
-        out[i] = [_q(u, p) if u else 0 for u in rows[i]]
-    out[r:] = 0
-    return out, pivots
+    return rows, pivots
 
 
 # For p > 2: up to this many cells a residue matrix is eliminated on Python-int
@@ -396,7 +398,8 @@ def _rref_residues(field: Field, a: np.ndarray,
     if field.characteristic == 2:
         return _rref_bits(a, reduced)
     if a.size <= _ROW_CELLS:
-        return _rref_residue_rows(field, a, reduced)
+        rows, pivots = _rref_residue_rows(field.characteristic, a.tolist(), reduced)
+        return (np.array(rows, dtype=a.dtype).reshape(a.shape) if reduced else None), pivots
     a = a.copy()
     nrows, ncols = a.shape
     pivots: List[int] = []
@@ -422,16 +425,15 @@ def _rref_residues(field: Field, a: np.ndarray,
     return (a if reduced else None), pivots
 
 
-def _rref_residue_rows(field: Field, a: np.ndarray,
-                       reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
-    """`_rref_residues` on Python-int rows, updated whole: left of the pivot
-    column every row below the pivot row is zero, and every row above it is
-    already reduced. An entry may be any integer that is not a nonzero
+def _rref_residue_rows(p: int, rows: list, reduced: bool) -> Tuple[list, List[int]]:
+    """Gauss-Jordan elimination over F_p, p > 2, on Python-int rows, which it
+    reorders and replaces; returns them and the pivot columns, row i < rank
+    being the reduced row of pivot i. Rows are updated whole: left of the
+    pivot column every row below the pivot row is zero, and every row above
+    it is already reduced. An entry may be any integer that is not a nonzero
     multiple of p, such as -1 or p + 1: the pivot is inverted inline by
     Fermat, pow(x, p - 2, p), which returns 0 for such a multiple."""
-    p = field.characteristic
-    nrows, ncols = a.shape
-    rows = a.tolist()
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
@@ -453,9 +455,43 @@ def _rref_residue_rows(field: Field, a: np.ndarray,
                 rows[i] = [(u - x * v) % p for u, v in zip(row, prow)]
         pivots.append(c)
         r += 1
-    if not reduced:
-        return None, pivots
-    return np.array(rows, dtype=a.dtype).reshape(nrows, ncols), pivots
+    return rows, pivots
+
+
+def _null_rows(field: Field, rows: list, ncols: int) -> np.ndarray:
+    """Basis rows of the right null space of Python rows `ncols` wide, as a
+    (nullity, ncols) array: for each free column c of their RREF, 1 at c and
+    minus the reduced entry at c of each pivot row, at that row's pivot.
+
+    The rows are eliminated as :meth:`Matrix.rref` would eliminate them,
+    and only the entries at free columns of the pivot rows are read. Over Q
+    those rows are fraction-free, so the entry u at c over the entry d at
+    the pivot gives ``_q(-u, d)``; over F_p the pivot is 1 and the entry is
+    ``-u % p``. Over F_2, and for p > 2 above ``_ROW_CELLS`` cells, the rows
+    are eliminated on the array and its pivot rows read back as lists.
+    """
+    p = field.characteristic
+    if p is None:
+        rows, pivots = _rref_rational(rows, True)
+    elif p > 2 and len(rows) * ncols <= _ROW_CELLS:
+        rows, pivots = _rref_residue_rows(p, rows, True)
+    else:
+        a = np.array(rows, dtype=field.dtype).reshape(len(rows), ncols)
+        red, pivots = _rref_residues(field, a, True)
+        rows = red[:len(pivots)].tolist()
+    taken = set(pivots)
+    free = [c for c in range(ncols) if c not in taken]
+    basis = [[0] * ncols for _ in free]
+    for vec, c in zip(basis, free):
+        vec[c] = 1
+    for row, pc in zip(rows, pivots):
+        d = row[pc]
+        for vec, c in zip(basis, free):
+            u = row[c]
+            if u:
+                vec[pc] = -u % p if p else _q(-u, d)
+    # no reshape, whose view would keep a second array object alive in the hom cache
+    return np.array(basis, dtype=field.dtype) if basis else np.empty((0, ncols), field.dtype)
 
 
 def rational_field() -> Field:
@@ -599,26 +635,27 @@ class Matrix:
         return len(self._eliminate(reduced=False)[1])
 
     def _eliminate(self, reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
-        if self.field.kind == RATIONAL:
-            return _rref_rational(self.data, reduced)
-        return _rref_residues(self.field, self.data, reduced)
+        if self.field.kind != RATIONAL:
+            return _rref_residues(self.field, self.data, reduced)
+        rows, pivots = _rref_rational(self.data.tolist(), reduced)
+        if not reduced:
+            return None, pivots
+        out = np.empty(self.data.shape, dtype=object)
+        for i, c in enumerate(pivots):
+            d = rows[i][c]
+            out[i] = [_q(u, d) if u else 0 for u in rows[i]]
+        out[len(pivots):] = 0
+        return out, pivots
 
     def kernel(self) -> "Matrix":
         """Basis of the right null space, one column per basis vector.
 
         The basis follows the standard pivot convention: each free column c
         yields a vector with 1 at c and minus the reduced column above the
-        pivots.
+        pivots. It is the transpose of ``_null_rows``, which reads it off the
+        eliminated rows, building no reduced matrix.
         """
-        field = self.field
-        red, pivots, rank = self.rref()
-        taken = set(pivots)
-        free = [c for c in range(self.cols) if c not in taken]
-        out = Matrix.zeros(field, self.cols, len(free))
-        ks = np.arange(len(free))
-        out.data[free, ks] = field.one()
-        out.data[pivots] = field.reduce(-red.data[:rank, free])
-        return out
+        return Matrix(self.field, _null_rows(self.field, self.data.tolist(), self.cols)).transpose()
 
     def solve_cols(self, b: "Matrix") -> Optional["Matrix"]:
         """Particular solution X with self @ X = b, or None if inconsistent."""
@@ -652,38 +689,56 @@ def intertwiners(field: Field, dx: Sequence[int], dy: Sequence[int],
 
     The basis is ``Matrix.kernel``'s of the equations, transposed: for each
     free column c of their RREF, 1 at c and minus column c of the reduced
-    rows at the pivots. For p > 2 and over Q, each map's dy[t] * dx[s]
-    equations go straight into one zero array: A^T onto the diagonal of a
-    (dy[t], dx[s], dy[t], dx[t]) view of C_t's columns, then B subtracted
-    through a (dy[t], dx[s], dy[s], dx[s]) view of C_s's. Subtracted, not
-    assigned: on a loop (s == t) both land on the same entries.
+    rows at the pivots. No dense system is built. For p > 2 and over Q,
+    equation (i, j) of (s, t, A, B) is one Python row (``_equation_rows``):
+    column j of A at C_t's row i, minus row i of B at C_s's column j;
+    ``_null_rows`` eliminates the rows and reads the basis off them.
 
-    Over F_2 no dense system is built (``_intertwiners_bits``). Equation
-    (i, j) of (s, t, A, B) is one Python int: column j of A, as bits, placed
-    at C_t's row i (bit ``offsets[t] + i * dx[t]``), XOR row i of B spread at
-    stride dx[s] and placed at C_s's column j (bit ``offsets[s] + j``). As
-    -1 = 1, on a loop the XOR combines the terms that overlap exactly as the
-    subtraction does. The equations are eliminated in the table of
-    ``_rref_bits``. The RREF of a row space does not depend on the order of
-    its rows, so the pivots, the free columns and the basis are those of the
-    dense system, byte for byte.
+    Over F_2 (``_intertwiners_bits``) equation (i, j) is one Python int:
+    column j of A, as bits, placed at C_t's row i (bit
+    ``offsets[t] + i * dx[t]``), XOR row i of B spread at stride dx[s] and
+    placed at C_s's column j (bit ``offsets[s] + j``). As -1 = 1, on a loop
+    the XOR combines the terms that overlap exactly as the subtraction does.
+    The equations are eliminated in the table of ``_rref_bits``.
+
+    The RREF of a row space does not depend on the order of its rows, so
+    the pivots, the free columns and the basis are those of the dense system
+    that stacks the equations, byte for byte.
     """
     offsets = [0, *accumulate(m * n for m, n in zip(dy, dx))]
     if field.characteristic == 2:
         return Matrix(field, _intertwiners_bits(dx, dy, maps, offsets))
-    heights = [dy[t] * dx[s] for s, t, _, _ in maps]
-    system = Matrix.zeros(field, sum(heights), offsets[-1]).data
-    top = 0
-    for (s, t, a, b), h in zip(maps, heights):
-        block = system[top : top + h]
-        ct = block[:, offsets[t] : offsets[t + 1]].reshape(dy[t], dx[s], dy[t], dx[t])
-        diag = np.arange(dy[t])
-        ct[diag, :, diag, :] = a.T
-        cs = block[:, offsets[s] : offsets[s + 1]].reshape(dy[t], dx[s], dy[s], dx[s])
-        diag = np.arange(dx[s])
-        cs[:, diag, :, diag] -= b
-        top += h
-    return Matrix(field, field.reduce(system)).kernel().transpose()
+    return Matrix(field, _null_rows(field, _equation_rows(field, dx, dy, maps, offsets),
+                                    offsets[-1]))
+
+
+def _equation_rows(field: Field, dx: Sequence[int], dy: Sequence[int],
+                   maps: Sequence[Tuple[int, int, np.ndarray, np.ndarray]],
+                   offsets: List[int]) -> List[list]:
+    """The equation rows of `intertwiners` for p > 2 and over Q, row i of -B
+    spread at stride dx[s]. Over F_p, -B is reduced once per map, and on a
+    loop (s == t), where the two terms of an equation (i, j) meet at one
+    unknown, C_t[i, j], their sum A[j, j] - B[i, i] is reduced once, so
+    every entry is a residue."""
+    p = field.characteristic
+    width = offsets[-1]
+    rows = []
+    for s, t, a, b in maps:
+        cols = a.T.tolist()
+        neg = (-b if p is None else -b % p).tolist()
+        step, span = dx[s], dy[s] * dx[s]
+        for i, brow in enumerate(neg):
+            at = offsets[t] + i * dx[t]
+            for j, col in enumerate(cols):
+                row = [0] * width
+                row[at:at + dx[t]] = col
+                bs = offsets[s] + j
+                row[bs:bs + span:step] = brow
+                if s == t:
+                    x = col[j] + brow[i]
+                    row[at + j] = x if p is None else x % p
+                rows.append(row)
+    return rows
 
 
 def _intertwiners_bits(dx: Sequence[int], dy: Sequence[int],

@@ -385,28 +385,109 @@ def _reference_intertwiners(field, dx, dy, maps):
     return _reference_kernel(system).transpose()
 
 
-@given(name=st.sampled_from(sorted(FIELDS) + ["F2-wide"]), data=st.data())
-@settings(max_examples=250, deadline=None)
-def test_intertwiners_match_the_reference(name, data):
-    # with at most 3 vertices and 4 maps, loops (s == t) and parallel maps
-    # are frequent; one vertex makes every map a loop. "F2-wide" gives two
-    # vertices dims 6 to 8 and a third 0 to 3, so a hom width of 72 to 137:
-    # each packed F_2 equation and basis row spans two or three 63-bit words
+def _draw_hom_system(name, data):
+    """(field, dx, dy, maps) for `intertwiners`. With at most 3 vertices and
+    4 maps, loops (s == t) and parallel maps are frequent; one vertex makes
+    every map a loop. A "-wide" kind gives two vertices dims 6 to 8 and a
+    third 0 to 3, so a hom width of 72 to 137, and its first map joins the
+    two wide vertices, so at least 36 equations: over F_2 each packed
+    equation and basis row spans two or three 63-bit words, and for p > 2
+    the system has more than _ROW_CELLS cells."""
     field = FIELDS[name.removesuffix("-wide")]
-    if name == "F2-wide":
+    if name.endswith("-wide"):
         dims = [st.integers(6, 8), st.integers(6, 8), st.integers(0, 3)]
         nv = len(dims)
         dx, dy = (data.draw(st.tuples(*dims)) for _ in range(2))
+        first = [data.draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))]
     else:
         nv = data.draw(st.integers(1, 3))
         dx = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
         dy = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
-    ends = data.draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
-                              max_size=4))
+        first = []
+    ends = first + data.draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
+                                      max_size=4 - len(first)))
     maps = [(s, t, data.draw(_shaped(field, dx[t], dx[s])).data,
              data.draw(_shaped(field, dy[t], dy[s])).data) for s, t in ends]
-    assert _same(exact_linalg.intertwiners(field, dx, dy, maps),
-                 _reference_intertwiners(field, dx, dy, maps))
+    return field, dx, dy, maps
+
+
+def _cells(dx, dy, maps):
+    return sum(dy[t] * dx[s] for s, t, _, _ in maps) * sum(m * n for m, n in zip(dx, dy))
+
+
+@given(name=st.sampled_from(sorted(FIELDS) + ["F2-wide", "F5-wide"]), data=st.data(),
+       row_cells=st.sampled_from([0, exact_linalg._ROW_CELLS]))
+@settings(max_examples=300, deadline=None)
+def test_intertwiners_match_the_reference(name, data, row_cells):
+    # row_cells = 0 sends small p > 2 systems down the array branch too
+    field, dx, dy, maps = _draw_hom_system(name, data)
+    if name == "F5-wide":
+        assert _cells(dx, dy, maps) > exact_linalg._ROW_CELLS
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_linalg, "_ROW_CELLS", row_cells)
+        got = exact_linalg.intertwiners(field, dx, dy, maps)
+    assert _same(got, _reference_intertwiners(field, dx, dy, maps))
+
+
+# The dense hom build and the kernel that `intertwiners` and `Matrix.kernel`
+# replaced for p > 2 and over Q, copied unchanged: each map's equations
+# written into one zero array through reshaped views of the unknowns'
+# columns, and the basis laid out from the full RREF by fancy indexing.
+
+
+def _parent_kernel(m):
+    field = m.field
+    red, pivots, rank = m.rref()
+    taken = set(pivots)
+    free = [c for c in range(m.cols) if c not in taken]
+    out = Matrix.zeros(field, m.cols, len(free))
+    ks = np.arange(len(free))
+    out.data[free, ks] = field.one()
+    out.data[pivots] = field.reduce(-red.data[:rank, free])
+    return out
+
+
+def _parent_system(field, dx, dy, maps):
+    offsets = [0]
+    for m, n in zip(dy, dx):
+        offsets.append(offsets[-1] + m * n)
+    heights = [dy[t] * dx[s] for s, t, _, _ in maps]
+    system = Matrix.zeros(field, sum(heights), offsets[-1]).data
+    top = 0
+    for (s, t, a, b), h in zip(maps, heights):
+        block = system[top : top + h]
+        ct = block[:, offsets[t] : offsets[t + 1]].reshape(dy[t], dx[s], dy[t], dx[t])
+        diag = np.arange(dy[t])
+        ct[diag, :, diag, :] = a.T
+        cs = block[:, offsets[s] : offsets[s + 1]].reshape(dy[t], dx[s], dy[s], dx[s])
+        diag = np.arange(dx[s])
+        cs[:, diag, :, diag] -= b
+        top += h
+    return Matrix(field, field.reduce(system))
+
+
+def _same_types(got, want):
+    """`_same`, and every entry of the same Python type: over Q an int, or
+    a Fraction that is not whole, in both."""
+    return _same(got, want) and ([type(x) for x in got.data.reshape(-1).tolist()]
+                                 == [type(x) for x in want.data.reshape(-1).tolist()])
+
+
+@given(name=st.sampled_from(["F5", "Q", "F5-wide"]), data=st.data(),
+       row_cells=st.sampled_from([0, exact_linalg._ROW_CELLS]))
+@settings(max_examples=150, deadline=None)
+def test_row_hom_solve_matches_its_parent(name, data, row_cells):
+    """`intertwiners` and `Matrix.kernel` of its dense system against the
+    parent's dense build and kernel kept above: the same dtype, signature
+    and, over Q, entry types."""
+    field, dx, dy, maps = _draw_hom_system(name, data)
+    system = _parent_system(field, dx, dy, maps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_linalg, "_ROW_CELLS", row_cells)
+        got, kernel = exact_linalg.intertwiners(field, dx, dy, maps), system.kernel()
+    want = _parent_kernel(system)
+    assert _same_types(kernel, want)
+    assert _same_types(got, want.transpose())
 
 
 # The Fraction-building bodies of `_rational_matmul` and of the output step of
@@ -917,16 +998,21 @@ def test_residue_row_kernel_matches_its_parent(case):
     multiple of p, such as -1 or p + 1. The kernel inverts each pivot inline
     as pow(x, p - 2, p), which must never see a nonzero multiple of p: it
     would return 0 where the parent's Field.inv raised.
+
+    The kernel takes and returns Python rows, where the parent took and
+    returned arrays: its reduced rows go back into an array of the input's
+    dtype for the comparison.
     """
     field, a = case
     for reduced in (False, True):
-        got = exact_linalg._rref_residue_rows(field, a, reduced)
+        rows, pivots = exact_linalg._rref_residue_rows(field.characteristic, a.tolist(), reduced)
         want = _rref_residue_rows(field, a, reduced)
-        assert got[1] == want[1]
+        assert pivots == want[1]
         if reduced:
-            assert _same(Matrix(field, got[0]), Matrix(field, want[0]))
+            got = np.array(rows, dtype=a.dtype).reshape(a.shape)
+            assert _same(Matrix(field, got), Matrix(field, want[0]))
         else:
-            assert got[0] is want[0] is None
+            assert want[0] is None
 
 
 # The bit packing that the word packing of `_rref_bits` replaced, copied
