@@ -28,17 +28,19 @@ dense system's, as an RREF does not depend on the order of the rows. F_2
 residues are reduced by ``& 1``. For p > 2, matrices up to ``_ROW_CELLS``
 cells are eliminated on Python-int rows and larger ones on the array.
 
-For p > 2 and over Q, :func:`intertwiners` writes each hom-space equation
-as one Python row, and it and :meth:`Matrix.kernel` read their basis off
-the pivot rows of the elimination :meth:`Matrix.rref` runs
-(``_null_rows``), building no dense system and no reduced matrix.
+Over Q, :func:`intertwiners` writes each hom-space equation as one Python
+row and reads its basis off the eliminated rows as :meth:`Matrix.kernel`
+does (``_null_basis``), building no dense system; for p > 2 it writes the
+equations into one zero array and takes its ``Matrix.kernel``.
 
 :meth:`Matrix.rref`, :meth:`Matrix.rank` and :meth:`Matrix.kernel` share
-one elimination routine per field kind; ``rank`` runs it forward only. A
-:class:`RowSpan` is the unique RREF of the vectors inserted into it, built
-by one ``rref`` per insertion of a vector or a stack; its canonical forms
-are one :meth:`Field.matmul` against the stored rows. :func:`intertwiners`
-solves the linear systems of hom spaces.
+one elimination routine per field kind (``Matrix._eliminate``); ``rank``
+runs it forward only, and ``kernel`` reads the null space off its pivot
+rows, building no reduced matrix. A :class:`RowSpan` is the unique RREF of
+the vectors inserted into it, built by one ``rref`` per insertion of a
+vector or a stack; its canonical forms are one :meth:`Field.matmul` against
+the stored rows. :func:`intertwiners` solves the linear systems of hom
+spaces.
 
 All operations are pure and all values are immutable by convention, so they
 can be shared freely across concurrent tasks.
@@ -389,17 +391,19 @@ def _unpack_bits(out: np.ndarray, rows: List[int]) -> None:
 
 
 def _rref_residues(field: Field, a: np.ndarray,
-                   reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
+                   reduced: bool) -> Tuple[Optional[Sequence], List[int]]:
     """Gauss-Jordan elimination: over F_2 on bit-packed rows (`_rref_bits`);
-    otherwise on the array or on Python-int rows by size, touching only the
-    rows nonzero in the pivot column and only from the pivot column on (left
-    of it the pivot row is zero). Without `reduced`, only the rows below each
-    pivot are cleared and no matrix is returned."""
+    otherwise on Python-int rows up to ``_ROW_CELLS`` cells
+    (`_rref_residue_rows`) and on the array above, touching only the rows
+    nonzero in the pivot column and only from the pivot column on (left of it
+    the pivot row is zero). Returns the rows, as lists or as an array, row
+    i < rank being the reduced row of pivot i, and the pivots. Without
+    `reduced`, only the rows below each pivot are cleared and the rows are
+    not to be read."""
     if field.characteristic == 2:
         return _rref_bits(a, reduced)
     if a.size <= _ROW_CELLS:
-        rows, pivots = _rref_residue_rows(field.characteristic, a.tolist(), reduced)
-        return (np.array(rows, dtype=a.dtype).reshape(a.shape) if reduced else None), pivots
+        return _rref_residue_rows(field.characteristic, a.tolist(), reduced)
     a = a.copy()
     nrows, ncols = a.shape
     pivots: List[int] = []
@@ -422,7 +426,7 @@ def _rref_residues(field: Field, a: np.ndarray,
             a[hit, c:] = field.reduce(a[hit, c:] - np.outer(a[hit, c], a[r, c:]))
         pivots.append(c)
         r += 1
-    return (a if reduced else None), pivots
+    return a, pivots
 
 
 def _rref_residue_rows(p: int, rows: list, reduced: bool) -> Tuple[list, List[int]]:
@@ -458,29 +462,23 @@ def _rref_residue_rows(p: int, rows: list, reduced: bool) -> Tuple[list, List[in
     return rows, pivots
 
 
-def _null_rows(field: Field, rows: list, ncols: int) -> np.ndarray:
-    """Basis rows of the right null space of Python rows `ncols` wide, as a
-    (nullity, ncols) array: for each free column c of their RREF, 1 at c and
-    minus the reduced entry at c of each pivot row, at that row's pivot.
-
-    The rows are eliminated as :meth:`Matrix.rref` would eliminate them,
-    and only the entries at free columns of the pivot rows are read. Over Q
-    those rows are fraction-free, so the entry u at c over the entry d at
-    the pivot gives ``_q(-u, d)``; over F_p the pivot is 1 and the entry is
-    ``-u % p``. Over F_2, and for p > 2 above ``_ROW_CELLS`` cells, the rows
-    are eliminated on the array and its pivot rows read back as lists.
-    """
+def _null_basis(field: Field, rows: Sequence, pivots: List[int], ncols: int) -> np.ndarray:
+    """Basis rows of the right null space, as a (nullity, ncols) array, read
+    off the rows and pivots of an elimination of the field kind
+    (:meth:`Matrix._eliminate`): for each free column c, 1 at c and minus the
+    reduced entry at c of each pivot row, at that row's pivot. Only the
+    entries at free columns of the pivot rows are read: from an array by one
+    fancy index, from Python rows one by one. Over Q the rows are
+    fraction-free, so the entry u at c over the entry d at the pivot gives
+    ``_q(-u, d)``; over F_p the pivot is 1 and the entry is ``-u % p``."""
     p = field.characteristic
-    if p is None:
-        rows, pivots = _rref_rational(rows, True)
-    elif p > 2 and len(rows) * ncols <= _ROW_CELLS:
-        rows, pivots = _rref_residue_rows(p, rows, True)
-    else:
-        a = np.array(rows, dtype=field.dtype).reshape(len(rows), ncols)
-        red, pivots = _rref_residues(field, a, True)
-        rows = red[:len(pivots)].tolist()
     taken = set(pivots)
     free = [c for c in range(ncols) if c not in taken]
+    if isinstance(rows, np.ndarray):
+        out = np.zeros((len(free), ncols), dtype=field.dtype)
+        out[np.arange(len(free)), free] = 1
+        out[:, pivots] = field.reduce(-rows[:len(pivots), free]).T
+        return out
     basis = [[0] * ncols for _ in free]
     for vec, c in zip(basis, free):
         vec[c] = 1
@@ -626,7 +624,15 @@ class Matrix:
         Pivot choice is deterministic: leftmost nonzero column, topmost row.
         Returns (reduced matrix, pivot column list, rank).
         """
-        red, pivots = self._eliminate(reduced=True)
+        rows, pivots = self._eliminate(reduced=True)
+        if self.field.kind == RATIONAL:
+            red = np.empty(self.data.shape, dtype=object)
+            for i, c in enumerate(pivots):
+                d = rows[i][c]
+                red[i] = [_q(u, d) if u else 0 for u in rows[i]]
+            red[len(pivots):] = 0
+        else:
+            red = np.asarray(rows, dtype=self.data.dtype).reshape(self.data.shape)
         return Matrix(self.field, red), pivots, len(pivots)
 
     def rank(self) -> int:
@@ -634,28 +640,23 @@ class Matrix:
         rows below each pivot and builds no reduced matrix."""
         return len(self._eliminate(reduced=False)[1])
 
-    def _eliminate(self, reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
-        if self.field.kind != RATIONAL:
-            return _rref_residues(self.field, self.data, reduced)
-        rows, pivots = _rref_rational(self.data.tolist(), reduced)
-        if not reduced:
-            return None, pivots
-        out = np.empty(self.data.shape, dtype=object)
-        for i, c in enumerate(pivots):
-            d = rows[i][c]
-            out[i] = [_q(u, d) if u else 0 for u in rows[i]]
-        out[len(pivots):] = 0
-        return out, pivots
+    def _eliminate(self, reduced: bool) -> Tuple[Optional[Sequence], List[int]]:
+        """The one elimination of the field kind: the rows and the pivots
+        of `_rref_rational` over Q, of `_rref_residues` over F_p."""
+        if self.field.kind == RATIONAL:
+            return _rref_rational(self.data.tolist(), reduced)
+        return _rref_residues(self.field, self.data, reduced)
 
     def kernel(self) -> "Matrix":
         """Basis of the right null space, one column per basis vector.
 
         The basis follows the standard pivot convention: each free column c
         yields a vector with 1 at c and minus the reduced column above the
-        pivots. It is the transpose of ``_null_rows``, which reads it off the
+        pivots. It is the transpose of ``_null_basis``, which reads it off the
         eliminated rows, building no reduced matrix.
         """
-        return Matrix(self.field, _null_rows(self.field, self.data.tolist(), self.cols)).transpose()
+        basis = _null_basis(self.field, *self._eliminate(reduced=True), self.cols)
+        return Matrix(self.field, basis).transpose()
 
     def solve_cols(self, b: "Matrix") -> Optional["Matrix"]:
         """Particular solution X with self @ X = b, or None if inconsistent."""
@@ -689,10 +690,19 @@ def intertwiners(field: Field, dx: Sequence[int], dy: Sequence[int],
 
     The basis is ``Matrix.kernel``'s of the equations, transposed: for each
     free column c of their RREF, 1 at c and minus column c of the reduced
-    rows at the pivots. No dense system is built. For p > 2 and over Q,
-    equation (i, j) of (s, t, A, B) is one Python row (``_equation_rows``):
-    column j of A at C_t's row i, minus row i of B at C_s's column j;
-    ``_null_rows`` eliminates the rows and reads the basis off them.
+    rows at the pivots.
+
+    For p > 2, each map's dy[t] * dx[s] equations go straight into one zero
+    array: A^T onto the diagonal of a (dy[t], dx[s], dy[t], dx[t]) view of
+    C_t's columns, then B subtracted through a (dy[t], dx[s], dy[s], dx[s])
+    view of C_s's. Subtracted, not assigned: on a loop (s == t) both land on
+    the same entries. The basis is ``Matrix.kernel`` of that array,
+    transposed.
+
+    Over Q no dense system is built: equation (i, j) of (s, t, A, B) is one
+    Python row (``_equation_rows``), column j of A at C_t's row i minus row
+    i of B at C_s's column j, and ``_null_basis`` reads the basis off the
+    rows ``_rref_rational`` eliminates, as ``Matrix.kernel`` does.
 
     Over F_2 (``_intertwiners_bits``) equation (i, j) is one Python int:
     column j of A, as bits, placed at C_t's row i (bit
@@ -702,30 +712,40 @@ def intertwiners(field: Field, dx: Sequence[int], dy: Sequence[int],
     The equations are eliminated in the table of ``_rref_bits``.
 
     The RREF of a row space does not depend on the order of its rows, so
-    the pivots, the free columns and the basis are those of the dense system
-    that stacks the equations, byte for byte.
+    over Q and F_2 the pivots, the free columns and the basis are those of
+    the dense system that stacks the equations, byte for byte.
     """
     offsets = [0, *accumulate(m * n for m, n in zip(dy, dx))]
     if field.characteristic == 2:
         return Matrix(field, _intertwiners_bits(dx, dy, maps, offsets))
-    return Matrix(field, _null_rows(field, _equation_rows(field, dx, dy, maps, offsets),
-                                    offsets[-1]))
+    if field.kind == RATIONAL:
+        rows = _equation_rows(dx, dy, maps, offsets)
+        return Matrix(field, _null_basis(field, *_rref_rational(rows, True), offsets[-1]))
+    heights = [dy[t] * dx[s] for s, t, _, _ in maps]
+    system = Matrix.zeros(field, sum(heights), offsets[-1]).data
+    top = 0
+    for (s, t, a, b), h in zip(maps, heights):
+        block = system[top : top + h]
+        ct = block[:, offsets[t] : offsets[t + 1]].reshape(dy[t], dx[s], dy[t], dx[t])
+        diag = np.arange(dy[t])
+        ct[diag, :, diag, :] = a.T
+        cs = block[:, offsets[s] : offsets[s + 1]].reshape(dy[t], dx[s], dy[s], dx[s])
+        diag = np.arange(dx[s])
+        cs[:, diag, :, diag] -= b
+        top += h
+    return Matrix(field, field.reduce(system)).kernel().transpose()
 
 
-def _equation_rows(field: Field, dx: Sequence[int], dy: Sequence[int],
+def _equation_rows(dx: Sequence[int], dy: Sequence[int],
                    maps: Sequence[Tuple[int, int, np.ndarray, np.ndarray]],
                    offsets: List[int]) -> List[list]:
-    """The equation rows of `intertwiners` for p > 2 and over Q, row i of -B
-    spread at stride dx[s]. Over F_p, -B is reduced once per map, and on a
-    loop (s == t), where the two terms of an equation (i, j) meet at one
-    unknown, C_t[i, j], their sum A[j, j] - B[i, i] is reduced once, so
-    every entry is a residue."""
-    p = field.characteristic
+    """The rational equation rows of `intertwiners`, row i of -B spread at
+    stride dx[s]. On a loop (s == t) the two terms of an equation (i, j)
+    meet at one unknown, C_t[i, j], which holds their sum A[j, j] - B[i, i]."""
     width = offsets[-1]
     rows = []
     for s, t, a, b in maps:
-        cols = a.T.tolist()
-        neg = (-b if p is None else -b % p).tolist()
+        cols, neg = a.T.tolist(), (-b).tolist()
         step, span = dx[s], dy[s] * dx[s]
         for i, brow in enumerate(neg):
             at = offsets[t] + i * dx[t]
@@ -735,8 +755,7 @@ def _equation_rows(field: Field, dx: Sequence[int], dy: Sequence[int],
                 bs = offsets[s] + j
                 row[bs:bs + span:step] = brow
                 if s == t:
-                    x = col[j] + brow[i]
-                    row[at + j] = x if p is None else x % p
+                    row[at + j] = col[j] + brow[i]
                 rows.append(row)
     return rows
 

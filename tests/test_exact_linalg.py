@@ -389,21 +389,22 @@ def _draw_hom_system(name, data):
     """(field, dx, dy, maps) for `intertwiners`. With at most 3 vertices and
     4 maps, loops (s == t) and parallel maps are frequent; one vertex makes
     every map a loop. A "-wide" kind gives two vertices dims 6 to 8 and a
-    third 0 to 3, so a hom width of 72 to 137, and its first map joins the
-    two wide vertices, so at least 36 equations: over F_2 each packed
-    equation and basis row spans two or three 63-bit words, and for p > 2
-    the system has more than _ROW_CELLS cells."""
+    third 0 to 3, so a hom width of 72 to 137: over F_2 each packed
+    equation and basis row spans two or three 63-bit words. The first map
+    of "F5-wide" joins the two wide vertices, so at least 36 equations and
+    more than _ROW_CELLS cells."""
     field = FIELDS[name.removesuffix("-wide")]
+    first = []
     if name.endswith("-wide"):
         dims = [st.integers(6, 8), st.integers(6, 8), st.integers(0, 3)]
         nv = len(dims)
         dx, dy = (data.draw(st.tuples(*dims)) for _ in range(2))
-        first = [data.draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))]
+        if name == "F5-wide":
+            first = [data.draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))]
     else:
         nv = data.draw(st.integers(1, 3))
         dx = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
         dy = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
-        first = []
     ends = first + data.draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
                                       max_size=4 - len(first)))
     maps = [(s, t, data.draw(_shaped(field, dx[t], dx[s])).data,
@@ -429,10 +430,10 @@ def test_intertwiners_match_the_reference(name, data, row_cells):
     assert _same(got, _reference_intertwiners(field, dx, dy, maps))
 
 
-# The dense hom build and the kernel that `intertwiners` and `Matrix.kernel`
-# replaced for p > 2 and over Q, copied unchanged: each map's equations
-# written into one zero array through reshaped views of the unknowns'
-# columns, and the basis laid out from the full RREF by fancy indexing.
+# The dense hom build that `intertwiners` replaced over Q and the kernel that
+# `Matrix.kernel` replaced, copied unchanged: each map's equations written
+# into one zero array through reshaped views of the unknowns' columns, and
+# the basis laid out from the full RREF by fancy indexing.
 
 
 def _parent_kernel(m):
@@ -476,10 +477,11 @@ def _same_types(got, want):
 @given(name=st.sampled_from(["F5", "Q", "F5-wide"]), data=st.data(),
        row_cells=st.sampled_from([0, exact_linalg._ROW_CELLS]))
 @settings(max_examples=150, deadline=None)
-def test_row_hom_solve_matches_its_parent(name, data, row_cells):
+def test_hom_solve_and_kernel_match_their_parent(name, data, row_cells):
     """`intertwiners` and `Matrix.kernel` of its dense system against the
     parent's dense build and kernel kept above: the same dtype, signature
-    and, over Q, entry types."""
+    and, over Q, entry types. `row_cells` = 0 sends small p > 2 systems
+    down the array branch of the elimination too."""
     field, dx, dy, maps = _draw_hom_system(name, data)
     system = _parent_system(field, dx, dy, maps)
     with pytest.MonkeyPatch.context() as mp:
