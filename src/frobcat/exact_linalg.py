@@ -16,7 +16,11 @@ cleared of denominators into Python integers, eliminated by cross-multiplying
 multiplied as integers. An eliminated row is divided by its pivot and a
 product by its operands' common denominator through ``_q``, so a ``Fraction``
 is built only for an entry that is not whole; a product of operands with no
-denominators is the integer product itself.
+denominators is the integer product itself. A row or operand whose entries
+are all Python ints is already cleared and passes through unchanged: no new
+list, and an object operand is multiplied as it is (an int64 one is still
+copied into Python ints, so that no product overflows). A whole ``Fraction``
+still takes the clearing path, which stores it as an int.
 
 F_2 elimination runs on bit-packed rows, one Python int per row with bit j
 for column j, combined by XOR and keyed by their lowest set bit
@@ -236,7 +240,13 @@ def _chunked_matmul(a: np.ndarray, b: np.ndarray, p: int, chunk: int) -> np.ndar
 
 
 def _cleared(values: list) -> Tuple[List[int], int]:
-    """(integers, d) with values = integers / d, d the lcm of the denominators."""
+    """(integers, d) with values = integers / d, d the lcm of the denominators.
+
+    A list of Python ints only is already cleared: it is returned itself,
+    with d = 1. Any other entry, a whole ``Fraction``, a bool or a numpy
+    integer included, takes the clearing path, which returns new ints."""
+    if set(map(type, values)) <= {int}:
+        return values, 1
     ratios = [x.as_integer_ratio() for x in values]
     d = lcm(*[q for _, q in ratios])
     if d == 1:
@@ -256,13 +266,26 @@ def _object_array(values: list, shape) -> np.ndarray:
     return out
 
 
+def _integer_operand(arr: np.ndarray) -> Tuple[np.ndarray, int]:
+    """(integers, d) with arr = integers / d as an object array of Python
+    ints: `arr` itself when it is an object array of Python ints only, which
+    ``_cleared`` passes through, else a new array of the cleared entries. An
+    int64 array is always copied, so that no product of it can overflow."""
+    values = arr.reshape(-1).tolist()
+    ints, d = _cleared(values)
+    if ints is values and arr.dtype == object:
+        return arr, 1
+    return _object_array(ints, arr.shape), d
+
+
 def _rational_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.matmul(a, b) over Q: the operands cleared of denominators and
     multiplied as integers, each entry then divided by the common denominator
-    through ``_q``."""
-    ia, da = _cleared(a.reshape(-1).tolist())
-    ib, db = _cleared(b.reshape(-1).tolist())
-    prod = np.matmul(_object_array(ia, a.shape), _object_array(ib, b.shape))
+    through ``_q``. An object operand of Python ints only is multiplied as it
+    is; one holding a whole ``Fraction`` is cleared into new ints first."""
+    ia, da = _integer_operand(a)
+    ib, db = _integer_operand(b)
+    prod = np.matmul(ia, ib)
     d = da * db
     if d == 1:
         return prod
@@ -277,10 +300,11 @@ def _primitive(row: List[int]) -> List[int]:
 
 def _rref_rational(rows: list, reduced: bool) -> Tuple[List[List[int]], List[int]]:
     """Fraction-free Gauss-Jordan elimination of rational rows: each row is
-    cleared of denominators into integers and divided by their gcd, and rows
-    are combined by cross-multiplying. Returns the integer rows and the pivot
-    columns; row i < rank is its reduced row times its entry at pivot i.
-    Without `reduced`, forward elimination only."""
+    cleared of denominators into integers (``_cleared``, which passes a row
+    of Python ints through) and divided by their gcd, and rows are combined
+    by cross-multiplying. Returns the integer rows and the pivot columns;
+    row i < rank is its reduced row times its entry at pivot i. Without
+    `reduced`, forward elimination only."""
     rows = [_primitive(_cleared(row)[0]) for row in rows]
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots: List[int] = []

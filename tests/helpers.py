@@ -7,6 +7,7 @@ equality until the library constructs one. The ``reference_*`` functions
 are the plain bodies that optimized library paths are checked against, and
 ``draw_probe_case`` draws their inputs."""
 import random
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,6 +98,17 @@ def search_fraction_witness(ctx: RigidContext, left, right, seed: int = 0,
             if is_weak_equivalence(ctx, sp) and is_weak_equivalence(ctx, tp):
                 return c, sp, tp
     return None
+
+
+def reference_cleared(values: list) -> Tuple[List[int], int]:
+    """(integers, d) with values = integers / d, d the lcm of the denominators:
+    the clearing body of ``exact_linalg._cleared``, which builds a new list
+    of ints for every input, a list of ints included."""
+    ratios = [x.as_integer_ratio() for x in values]
+    d = lcm(*[q for _, q in ratios])
+    if d == 1:
+        return [n for n, _ in ratios], 1
+    return [n * (d // q) for n, q in ratios], d
 
 
 def reference_post_map_surjective(ctx: RigidContext, probe: Module, f: Morphism) -> bool:

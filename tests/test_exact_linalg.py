@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcat import exact_linalg
-from frobcat.algebra_repr import preprojective
+from frobcat.algebra_repr import Module, preprojective
 from frobcat.axiom_suite import default_objects, run_all
 from frobcat.errors import InputError
 from frobcat.exact_linalg import (
@@ -21,6 +21,7 @@ from frobcat.exact_linalg import (
 )
 from frobcat.localization import dl_verify_all
 from frobcat.rigid_model import build_context
+from helpers import reference_cleared
 
 F5 = prime_field(5)
 Q = rational_field()
@@ -492,23 +493,27 @@ def test_hom_solve_and_kernel_match_their_parent(name, data, row_cells):
     assert _same_types(got, want.transpose())
 
 
-# The Fraction-building bodies of `_rational_matmul` and of the output step of
-# `_rref_rational` from before whole rationals were stored as Python ints: one
-# Fraction per entry, whole or not. Values and strings must be the same.
+# The bodies of `_rational_matmul` and `_rref_rational`, with the output step
+# of `Matrix.rref`, from before integral operands passed through: every
+# operand and row cleared by the reference clearing into new ints. With
+# `quotient` = Fraction and `zero` = Fraction(0) they are the Fraction-building
+# bodies from before whole rationals were stored as Python ints, one Fraction
+# per entry, whole or not; with `exact_linalg._q` and 0, the bodies that the
+# pass-through replaced, whose values and entry types must be kept.
 
 
-def _fraction_matmul(a, b):
-    ia, da = exact_linalg._cleared(a.reshape(-1).tolist())
-    ib, db = exact_linalg._cleared(b.reshape(-1).tolist())
+def _cleared_matmul(a, b, quotient=Fraction):
+    ia, da = reference_cleared(a.reshape(-1).tolist())
+    ib, db = reference_cleared(b.reshape(-1).tolist())
     prod = np.matmul(exact_linalg._object_array(ia, a.shape),
                      exact_linalg._object_array(ib, b.shape))
-    return exact_linalg._object_array([Fraction(x, da * db) for x in prod.reshape(-1).tolist()],
+    return exact_linalg._object_array([quotient(x, da * db) for x in prod.reshape(-1).tolist()],
                                       prod.shape)
 
 
-def _fraction_rref(a):
+def _cleared_rref(a, quotient=Fraction, zero=Fraction(0)):
     nrows, ncols = a.shape
-    rows = [exact_linalg._primitive(exact_linalg._cleared(row)[0]) for row in a.tolist()]
+    rows = [exact_linalg._primitive(reference_cleared(row)[0]) for row in a.tolist()]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -529,13 +534,25 @@ def _fraction_rref(a):
                 rows[i] = exact_linalg._primitive([m * u - n * v for u, v in zip(row, prow)])
         pivots.append(c)
         r += 1
-    zero = Fraction(0)
     out = np.empty((nrows, ncols), dtype=object)
     for i, c in enumerate(pivots):
         p = rows[i][c]
-        out[i] = [Fraction(u, p) if u else zero for u in rows[i]]
+        out[i] = [quotient(u, p) if u else zero for u in rows[i]]
     out[r:] = zero
     return out, pivots
+
+
+def _cleared_kernel(a):
+    """The kernel basis, one column per free column, laid out from the
+    reduced rows of ``_cleared_rref`` with ints kept whole."""
+    red, pivots = _cleared_rref(a, exact_linalg._q, 0)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    out = Matrix.zeros(Q, a.shape[1], len(free)).data
+    for k, c in enumerate(free):
+        out[c, k] = 1
+        for i, pc in enumerate(pivots):
+            out[pc, k] = -red[i, c]
+    return out
 
 
 def _stored_as_the_rule(arr):
@@ -552,8 +569,8 @@ def _fraction_array(draw, rows, cols):
     kind = draw(st.sampled_from(["integer", "fractional", "zero", "deficient", "nonpositive"]))
     if kind == "deficient":
         inner = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
-        return _fraction_matmul(draw(_fraction_array(rows, inner)),
-                                draw(_fraction_array(inner, cols)))
+        return _cleared_matmul(draw(_fraction_array(rows, inner)),
+                               draw(_fraction_array(inner, cols)))
     entry = {"integer": st.builds(Fraction, st.integers(-9, 9)),
              "fractional": st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
              "zero": st.just(Fraction(0)),
@@ -572,13 +589,13 @@ def test_whole_rationals_are_ints_with_the_fraction_references_values(rows, cols
     a = data.draw(_fraction_array(rows, cols))
     m = Matrix(Q, a)
     red, pivots, _ = m.rref()
-    want, want_pivots = _fraction_rref(a)
+    want, want_pivots = _cleared_rref(a)
     assert pivots == want_pivots and _same(red, Matrix(Q, want))
     other = data.draw(_fraction_array(cols, width))
     stack = np.stack([data.draw(_fraction_array(2, cols)) for _ in range(3)])
     products = [Q.matmul(left, other) for left in (a, stack)]
     for left, got in zip((a, stack), products):
-        assert _same(Matrix(Q, got), Matrix(Q, _fraction_matmul(left, other)))
+        assert _same(Matrix(Q, got), Matrix(Q, _cleared_matmul(left, other)))
     b = Matrix(Q, data.draw(_fraction_array(rows, width)))
     square = Matrix(Q, data.draw(_fraction_array(cols, cols)))
     outputs = products + [red.data, m.kernel().data]
@@ -592,6 +609,76 @@ def test_whole_rationals_are_ints_with_the_fraction_references_values(rows, cols
              data.draw(_fraction_array(dy[t], dy[s]))) for s, t in ends]
     outputs.append(exact_linalg.intertwiners(Q, dx, dy, maps).data)
     assert all(_stored_as_the_rule(out) for out in outputs)
+
+
+_INTEGRAL = st.one_of(st.integers(-9, 9), st.integers(-2**40, 2**40))
+_WHOLE = st.builds(Fraction, st.integers(-9, 9))
+_OPERAND_ENTRIES = {
+    "int": _INTEGRAL,
+    "mixed": st.one_of(_INTEGRAL, _WHOLE, st.builds(Fraction, st.integers(-9, 9),
+                                                    st.integers(1, 6)), st.booleans()),
+    "whole": _WHOLE,
+    "zero": st.sampled_from([0, Fraction(0)]),
+}
+
+
+@st.composite
+def _operand(draw, rows, cols):
+    """A rows x cols rational operand as callers may pass it: an object array
+    of Python ints only (entries up to 2^40, so that an int64 product of two
+    overflows), of mixed entries (ints, Fractions whole or not, bools), of
+    whole Fractions, of zeros, or an int64 array."""
+    kind = draw(st.sampled_from(sorted(_OPERAND_ENTRIES) + ["int64"]))
+    entry = _OPERAND_ENTRIES["int" if kind == "int64" else kind]
+    values = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    if kind == "int64":
+        return np.array(values, dtype=np.int64).reshape(rows, cols)
+    return exact_linalg._object_array(values, (rows, cols))
+
+
+@given(rows=st.integers(0, 4), cols=st.integers(0, 4), width=st.integers(0, 3), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_integral_pass_through_matches_the_clearing_reference(rows, cols, width, data):
+    """`_cleared`, `Q.matmul` (plain and batched), `Matrix.rref` and
+    `Matrix.kernel` against the bodies that clear every operand into new ints
+    (`reference_cleared`): equal values and the same type for every entry, so
+    a whole Fraction, a bool or an int64 operand cannot pass through as it is."""
+    a = data.draw(_operand(rows, cols))
+    values = a.reshape(-1).tolist()
+    got, want = exact_linalg._cleared(values), reference_cleared(values)
+    assert got == want and [type(x) for x in got[0]] == [type(x) for x in want[0]]
+    assert type(got[1]) is int
+    other = data.draw(_operand(cols, width))
+    stack = np.stack([data.draw(_operand(2, cols)) for _ in range(3)])
+    for left in (a, stack):
+        assert _same_types(Matrix(Q, Q.matmul(left, other)),
+                           Matrix(Q, _cleared_matmul(left, other, exact_linalg._q)))
+    m = Matrix(Q, a)
+    red, pivots, _ = m.rref()
+    want_red, want_pivots = _cleared_rref(a, exact_linalg._q, 0)
+    assert pivots == want_pivots and _same_types(red, Matrix(Q, want_red))
+    assert _same_types(m.kernel(), Matrix(Q, _cleared_kernel(a)))
+
+
+def test_integral_operands_pass_through_uncopied(monkeypatch):
+    """An all-int list is `_cleared`'s own answer, over denominator 1, and a
+    product of two all-int object arrays builds no object array but the
+    product; one holding a whole Fraction is still cleared into a new one."""
+    values = [3, -1, 0, 2**70]
+    ints, d = exact_linalg._cleared(values)
+    assert ints is values and d == 1
+    built = []
+    make = exact_linalg._object_array
+    monkeypatch.setattr(exact_linalg, "_object_array",
+                        lambda *args: built.append(args) or make(*args))
+    a = make([1, 2, 3, 4, 5, 6], (2, 3))
+    b = make([1, 0, -1, 2, 0, 1], (3, 2))
+    assert Q.matmul(a, b).tolist() == [[-1, 7], [-1, 16]]
+    assert not built
+    b[0, 0] = Fraction(2, 2)
+    prod = Q.matmul(a, b)
+    assert prod.tolist() == [[-1, 7], [-1, 16]] and len(built) == 1
+    assert {type(x) for x in prod.reshape(-1)} == {int}
 
 
 def _object_entries(value, seen):
@@ -634,10 +721,70 @@ def test_rational_caches_hold_only_ints_and_fractions():
                                dl_ctx._caches, battery_ctx._caches)
                for x in _object_entries(store, seen)]
     assert len(entries) > 10_000
-    bad = {type(x).__name__ for x in entries
-           if not (type(x) is int or (type(x) is Fraction and type(x.numerator) is int
-                                      and type(x.denominator) is int))}
-    assert not bad
+    assert not _not_rational(entries)
+
+
+def _not_rational(entries):
+    """The type names of the entries that are neither a Python int nor a
+    Fraction of Python ints."""
+    return {type(x).__name__ for x in entries
+            if not (type(x) is int or (type(x) is Fraction and type(x.numerator) is int
+                                       and type(x.denominator) is int))}
+
+
+def _rebased(module, vertex, diag):
+    """`module` in the basis given at `vertex` by the columns of diag(`diag`):
+    each arrow into the vertex is multiplied by diag^-1 on the left, each
+    arrow out of it by diag on the right. An isomorphic module."""
+    field = module.algebra.field
+    d, d_inv = (Matrix.zeros(field, len(diag), len(diag)) for _ in range(2))
+    for i, x in enumerate(diag):
+        d.data[i, i], d_inv.data[i, i] = x, field.coerce(field.inv(x))
+    action = {}
+    for arrow in module.algebra.arrows:
+        m = module.action[arrow.name]
+        if arrow.target == vertex:
+            m = d_inv @ m
+        if arrow.source == vertex:
+            m = m @ d
+        action[arrow.name] = m
+    return Module(module.algebra, module.dims, action)
+
+
+def test_dl_verify_with_a_summand_in_a_fractional_basis(monkeypatch):
+    """dl-verify on preprojective A3/Q over P1+P2'+P3+S1, P2' being P2 given
+    in the basis diag(1/2, 3) at vertex 2, so that its action holds 1/3 and
+    1/2: every pair of the default objects passes with the same Ho dimension
+    as over the integral generator P1+P2+P3+S1. `_cleared` passes rows of
+    ints through and clears Fractions within the one run, and the caches
+    hold only Python ints and Fractions of them."""
+    def run(rebase):
+        alg = preprojective(3, Q)
+        p1, p2, p3 = alg.projectives()
+        gen = [p1, _rebased(p2, "2", [Fraction(1, 2), 3]) if rebase else p2, p3,
+               alg.simple("1")]
+        ctx = build_context(alg, gen, "frobenius")
+        return alg, ctx, dl_verify_all(ctx, default_objects(ctx))
+
+    integral = run(False)[2]
+    clear, branches = exact_linalg._cleared, set()
+
+    def cleared(values):
+        out = clear(values)
+        branches.add(out[0] is values)
+        return out
+
+    monkeypatch.setattr(exact_linalg, "_cleared", cleared)
+    alg, ctx, mixed = run(True)
+    assert {type(x) for x in ctx.components[1].action["a1*"].data.reshape(-1)} == {Fraction, int}
+    assert all(r.passed for r in mixed)
+    assert [(r.pair, r.dim_ho) for r in mixed] == [(r.pair, r.dim_ho) for r in integral]
+    assert branches == {True, False}
+    seen = set()
+    entries = [x for store in (alg._hom_cache, alg._module_cache, ctx._caches)
+               for x in _object_entries(store, seen)]
+    assert any(type(x) is Fraction for x in entries)
+    assert not _not_rational(entries)
 
 
 class _ReferenceRowSpan:
