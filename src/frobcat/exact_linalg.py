@@ -25,10 +25,11 @@ still takes the clearing path, which stores it as an int.
 F_2 elimination runs on bit-packed rows, one Python int per row with bit j
 for column j, combined by XOR and keyed by their lowest set bit
 (``_rref_bits``); rows are packed as 63-bit int64 words, one integer product
-per word, and unpacked by shifts. Over F_2, :func:`intertwiners` packs each
-hom-space equation into one Python int straight from the action matrices and
-eliminates it in the same table, building no dense system; its basis is the
-dense system's, as an RREF does not depend on the order of the rows. F_2
+per word (``_pack_bits``), and unpacked by shifts. Over F_2, :func:`intertwiners`
+packs each hom-space equation into one Python int straight from the action
+matrices and eliminates it in the same table, building no dense system; its
+basis is the dense system's, as an RREF does not depend on the order of the
+rows. A :class:`RowSpan` over F_2 keeps its RREF in that table too. F_2
 residues are reduced by ``& 1``. For p > 2, matrices up to ``_ROW_CELLS``
 cells are eliminated on Python-int rows and larger ones on the array.
 
@@ -41,10 +42,12 @@ equations into one zero array and takes its ``Matrix.kernel``.
 one elimination routine per field kind (``Matrix._eliminate``); ``rank``
 runs it forward only, and ``kernel`` reads the null space off its pivot
 rows, building no reduced matrix. A :class:`RowSpan` is the unique RREF of
-the vectors inserted into it, built by one ``rref`` per insertion of a
-vector or a stack; its canonical forms are one :meth:`Field.matmul` against
-the stored rows. :func:`intertwiners` solves the linear systems of hom
-spaces.
+the vectors inserted into it. Over F_2 it is held packed: an insertion
+inserts only the new rows into the table, and a canonical form XORs table
+rows. Over F_p, p > 2, and Q it is built by one ``rref`` per insertion of a
+vector or a stack, and its canonical forms are one :meth:`Field.matmul`
+against the stored rows. :func:`intertwiners` solves the linear systems of
+hom spaces.
 
 All operations are pure and all values are immutable by convention, so they
 can be shared freely across concurrent tasks.
@@ -244,10 +247,13 @@ def _cleared(values: list) -> Tuple[List[int], int]:
 
     A list of Python ints only is already cleared: it is returned itself,
     with d = 1. Any other entry, a whole ``Fraction``, a bool or a numpy
-    integer included, takes the clearing path, which returns new ints."""
+    integer included, takes the clearing path, which returns new ints; a
+    numpy integer, which may have no ``as_integer_ratio``, is read by
+    ``int`` there, as ``Field.coerce`` reads it."""
     if set(map(type, values)) <= {int}:
         return values, 1
-    ratios = [x.as_integer_ratio() for x in values]
+    ratios = [(int(x), 1) if isinstance(x, np.integer) else x.as_integer_ratio()
+              for x in values]
     d = lcm(*[q for _, q in ratios])
     if d == 1:
         return [n for n, _ in ratios], 1
@@ -343,31 +349,36 @@ _WEIGHTS = 1 << _SHIFTS
 _WORD_MASK = (1 << _WORD) - 1
 
 
-def _rref_bits(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
-    """Gauss-Jordan elimination over F_2 on bit-packed rows: each row of
-    ``a & 1`` is one Python int with bit j holding column j.
+def _pack_bits(a: np.ndarray) -> List[int]:
+    """The rows of ``a & 1`` as Python ints, bit j holding column j.
 
     Each run of ``_WORD`` columns is packed by one int64 product with the bit
-    weights, and the words of a wider row are joined by shifts. The rows go
-    into a table keyed by lowest set bit (``_insert_bits``), whose keys are
-    the pivot columns; the reduced form is the table back-substituted
-    (``_reduce_bits``), the unique RREF, unpacked by ``_unpack_bits``.
-    """
-    nrows, ncols = a.shape
+    weights, and the words of a wider row are joined by shifts."""
     bits = a & 1  # callers may pass unreduced residues such as -1
+    ncols = a.shape[1]
     if ncols <= _WORD:  # one word a row, nothing to join
-        packed = (bits @ _WEIGHTS[:ncols]).tolist()
-    else:
-        packed = [0] * nrows
-        for s in range(0, ncols, _WORD):
-            word = (bits[:, s:s + _WORD] @ _WEIGHTS[:ncols - s]).tolist()
-            packed = [x | y << s for x, y in zip(packed, word)]
+        return (bits @ _WEIGHTS[:ncols]).tolist()
+    packed = [0] * a.shape[0]
+    for s in range(0, ncols, _WORD):
+        word = (bits[:, s:s + _WORD] @ _WEIGHTS[:ncols - s]).tolist()
+        packed = [x | y << s for x, y in zip(packed, word)]
+    return packed
+
+
+def _rref_bits(a: np.ndarray, reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
+    """Gauss-Jordan elimination over F_2 on bit-packed rows (``_pack_bits``).
+
+    The rows go into a table keyed by lowest set bit (``_insert_bits``),
+    whose keys are the pivot columns; the reduced form is the table
+    back-substituted (``_reduce_bits``), the unique RREF, unpacked by
+    ``_unpack_bits``.
+    """
     table = {}
-    _insert_bits(table, packed)
+    _insert_bits(table, _pack_bits(a))
     if not reduced:
         return None, sorted(table)
     pivots = _reduce_bits(table)
-    out = np.zeros((nrows, ncols), dtype=a.dtype)
+    out = np.zeros(a.shape, dtype=a.dtype)
     _unpack_bits(out, [table[c] for c in pivots])
     return out, pivots
 
@@ -842,51 +853,110 @@ class RowSpan:
     """The row space of the vectors inserted so far, held as its unique reduced
     row echelon form: ``rows`` (rank x width) with pivot columns ``pivots``.
 
-    Every insertion is one :meth:`Matrix.rref` of the stored rows stacked on
-    the new ones, so the result does not depend on how insertions are batched
-    and canonical forms are reproducible across runs. Methods take one vector
-    or a stack of them.
+    Over F_2 the RREF is a table of packed rows, one Python int per pivot
+    (the table of ``_insert_bits``, back-substituted by ``_reduce_bits``):
+    an insertion packs and inserts only the new vectors, a canonical form
+    XORs the table rows at the pivot bits it holds, and ``rows`` is unpacked
+    on its first read after a change. Over F_p, p > 2, and Q every insertion
+    is one :meth:`Matrix.rref` of the stored rows stacked on the new ones,
+    and a canonical form is one :meth:`Field.matmul` against them. Either
+    way the RREF is unique, so the result does not depend on how insertions
+    are batched and canonical forms are reproducible across runs. Methods
+    take one vector or a stack of them.
     """
 
     def __init__(self, field: Field, width: int):
         self.field = field
         self.width = width
-        self.rows = Matrix.zeros(field, 0, width).data
         self.pivots: List[int] = []
+        self._rows = Matrix.zeros(field, 0, width).data  # None: the table is not unpacked
+        self._bits = {} if field.characteristic == 2 else None
+        self._mask = 0  # over F_2, the pivot bits
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            self._rows = np.zeros((self.rank, self.width), dtype=np.int64)
+            _unpack_bits(self._rows, [self._bits[c] for c in self.pivots])
+        return self._rows
+
     def _stack(self, vectors) -> np.ndarray:
         return self.field.reduce(np.asarray(vectors, dtype=self.field.dtype)).reshape(
             -1, self.width)
 
+    def _packed(self, vectors) -> List[int]:
+        return _pack_bits(np.asarray(vectors, dtype=np.int64).reshape(-1, self.width))
+
+    def _reduce_packed(self, v) -> List[int]:
+        """Over F_2, the packed canonical forms of the rows of v: each row
+        XORed with the table row of each pivot bit it holds, which holds no
+        other pivot bit."""
+        table, mask, out = self._bits, self._mask, []
+        for row in self._packed(v):
+            hits = row & mask
+            while hits:
+                low = hits & -hits
+                row ^= table[low.bit_length() - 1]
+                hits ^= low
+            out.append(row)
+        return out
+
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """The canonical form of v modulo the span, row by row for a stack."""
         field = self.field
-        v = field.reduce(np.asarray(v, dtype=field.dtype))
-        return field.reduce(v - field.matmul(v[..., self.pivots], self.rows))
+        if not self._bits:  # p > 2, Q, or an empty span
+            v = field.reduce(np.asarray(v, dtype=field.dtype))
+            return field.reduce(v - field.matmul(v[..., self.pivots], self.rows))
+        v = np.asarray(v, dtype=np.int64)
+        out = np.zeros(v.shape, dtype=np.int64)
+        _unpack_bits(out.reshape(-1, self.width), self._reduce_packed(v))
+        return out
 
     def contains(self, v: np.ndarray) -> bool:
         """True iff v (every row of a stack) lies in the span."""
-        return not np.any(self.reduce(v) != 0)
+        if not self._bits:
+            return not np.any(self.reduce(v) != 0)
+        return not any(self._reduce_packed(v))
 
     def add(self, vectors) -> int:
         """Insert a vector or a stack; returns how much the rank grew."""
         if not self.width:
             return 0
         before = self.rank
+        if self._bits is not None:
+            _insert_bits(self._bits, self._packed(vectors))
+            if len(self._bits) > before:
+                self.pivots = _reduce_bits(self._bits)
+                self._mask = sum(1 << c for c in self.pivots)
+                self._rows = None
+            return self.rank - before
         red, self.pivots, rank = Matrix(
             self.field, np.vstack([self.rows, self._stack(vectors)])).rref()
-        self.rows = red.data[:rank].copy()
+        self._rows = red.data[:rank].copy()
         return rank - before
 
     def independent(self, candidates) -> List[int]:
         """Positions of the candidates that would enlarge the span if inserted
         in order: the pivot columns, past the span's own rows, of one rref of
-        the column stack. The span is left unchanged."""
+        the column stack. The span is left unchanged.
+
+        Over F_2 the candidates are inserted one at a time into a copy of the
+        table instead, keeping a position when its insertion adds a pivot.
+        Both pick exactly the candidates outside the span of the rows and
+        the candidates before them."""
         if not self.width:
             return []
+        if self._bits is not None:
+            table, picked = dict(self._bits), []
+            for i, row in enumerate(self._packed(candidates)):
+                rank = len(table)
+                _insert_bits(table, (row,))
+                if len(table) > rank:
+                    picked.append(i)
+            return picked
         cols = Matrix(self.field, np.vstack([self.rows, self._stack(candidates)]).T)
         return [c - self.rank for c in cols.rref()[1][self.rank:]]

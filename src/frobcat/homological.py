@@ -336,13 +336,33 @@ def kills_stably(z: Module, h: Morphism) -> bool:
 
 def in_add(x: Module, z: Module) -> bool:
     """True iff x is a direct summand of a finite power of z: id_x lies in
-    the pairwise span through z (:func:`_pairwise_span`, never
-    :func:`factors_through_add`, which asks this). Cached per algebra by
-    (x.key, z.key); the zero module is in every add(z) and caches nothing."""
+    the span of the composites x -> z -> x, the span of
+    :func:`_pairwise_span` (never :func:`factors_through_add`, which asks
+    this). Cached per algebra by (x.key, z.key); the zero module is in every
+    add(z) and caches nothing.
+
+    The span is built one part of z at a time (:func:`_identity_through`),
+    and the test stops at the first part after which it holds id_x. The span
+    only grows, and after the last part it is the whole pairwise span, so
+    an early True is the whole span's verdict, and a False is reached only
+    on the whole span."""
     if x.is_zero():
         return True
     return _memo(x.algebra._module_cache, ("in_add", x.key, z.key),
-                 lambda: _pairwise_span(x, z, x).contains(Morphism.identity(x).vec()))
+                 lambda: _identity_through(x, z))
+
+
+def _identity_through(x: Module, z: Module) -> bool:
+    """The verdict of :func:`in_add`: the composites Hom(part, x) ∘
+    Hom(x, part) inserted part by part, with id_x tested after each part."""
+    ident = Morphism.identity(x).vec()
+    span = RowSpan(x.algebra.field, hom_width(x, x))
+    for part in z.parts or (z,):
+        a, b = hom_matrix(x, part).data, hom_matrix(part, x).data
+        if len(a) and len(b):
+            if span.add(compose_pairs(a, x, part, b, x)) and span.contains(ident):
+                return True
+    return False
 
 
 class QuotientHom:

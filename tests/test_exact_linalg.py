@@ -681,6 +681,25 @@ def test_integral_operands_pass_through_uncopied(monkeypatch):
     assert {type(x) for x in prod.reshape(-1)} == {int}
 
 
+def test_numpy_integers_in_object_arrays_take_the_clearing_path():
+    """A numpy integer in an object array is cleared by ``int``, as
+    ``Field.coerce`` reads it: `_cleared`, `Matrix.rref`, `Q.matmul` and
+    `RowSpan.add` give the values and entry types of the same array holding
+    Python ints, with a Fraction beside it or with ints only."""
+    for values, cleared in (([2, 1, Fraction(1, 2), 3], ([4, 2, 1, 6], 2)),
+                            ([2, 1, 0, 3], ([2, 1, 0, 3], 1))):
+        ints = exact_linalg._object_array(values, (2, 2))
+        mixed = ints.copy()
+        mixed[0, 0] = np.int64(2)
+        got = exact_linalg._cleared(mixed.reshape(-1).tolist())
+        assert got == cleared and {type(x) for x in got[0]} == {int}
+        assert _same_types(Matrix(Q, mixed).rref()[0], Matrix(Q, ints).rref()[0])
+        assert _same_types(Matrix(Q, Q.matmul(mixed, mixed)), Matrix(Q, Q.matmul(ints, ints)))
+        spans = [RowSpan(Q, 2), RowSpan(Q, 2)]
+        assert [span.add(a) for span, a in zip(spans, (mixed, ints))] == [2, 2]
+        assert _same_types(Matrix(Q, spans[0].rows), Matrix(Q, spans[1].rows))
+
+
 def _object_entries(value, seen):
     """Every entry of every object array reachable from `value` through
     containers and the attributes of frobcat's own objects."""
@@ -856,14 +875,29 @@ def _check_span(span, ref, probe):
         assert span.contains(row) == ref.contains(row)
 
 
-@given(name=st.sampled_from(sorted(FIELDS)), width=st.integers(0, 5),
+# F_2 widths on either side of the 63-bit word and of two words
+_F2_SPAN_WIDTHS = [62, 63, 64, 126, 127, 130]
+
+
+@given(name=st.sampled_from(sorted(FIELDS) + ["F2-wide"]), width=st.integers(0, 5),
        count=st.integers(0, 8), data=st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=240, deadline=None)
 def test_rowspan_matches_the_reference(name, width, count, data):
     # random vectors inserted in random batch splits, some batches empty and
-    # some of one vector given unstacked
-    field = FIELDS[name]
-    vectors = data.draw(_shaped(field, count, width)).data
+    # some of one vector given unstacked; "F2-wide" spans one to three packed
+    # words, with unreduced residues such as -1 and 3
+    if name == "F2-wide":
+        field, width = FIELDS["F2"], data.draw(st.sampled_from(_F2_SPAN_WIDTHS))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+        def shaped(rows):
+            return Matrix(field, _f2_array(data.draw, rng, rows, width))
+    else:
+        field = FIELDS[name]
+
+        def shaped(rows):
+            return data.draw(_shaped(field, rows, width))
+    vectors = shaped(count).data
     cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=4)))
     span, ref = RowSpan(field, width), _ReferenceRowSpan(field, width)
     for lo, hi in zip([0] + cuts, cuts + [count]):
@@ -873,7 +907,7 @@ def test_rowspan_matches_the_reference(name, width, count, data):
         grew = [ref.add(v) for v in vectors[lo:hi]]
         assert span.independent(batch) == [i for i, g in enumerate(grew) if g]
         assert span.add(batch) == sum(grew)
-        _check_span(span, ref, data.draw(_shaped(field, data.draw(st.integers(0, 4)), width)))
+        _check_span(span, ref, shaped(data.draw(st.integers(0, 4))))
     assert span.contains(vectors)
 
 
@@ -894,6 +928,30 @@ def test_rowspan_edge_cases(name):
     assert span.independent(ident) == [0, 1, 2] and span.rank == 0
     assert span.add(ident[1]) == 1 and span.independent(ident) == [0, 2]
     assert span.add(ident) == 2 and span.contains(ident) and span.pivots == [0, 1, 2]
+
+
+def test_f2_rowspan_works_on_the_packed_table_with_no_rref(monkeypatch):
+    """Over F_2, RowSpan.add, independent, reduce and contains, across three
+    packed words, call no Matrix.rref and no _rref_bits; over F_5 each add and
+    independent is one Matrix.rref."""
+    calls = []
+    rref, rref_bits = Matrix.rref, exact_linalg._rref_bits
+    monkeypatch.setattr(Matrix, "rref", lambda self: calls.append("rref") or rref(self))
+    monkeypatch.setattr(exact_linalg, "_rref_bits",
+                        lambda *args: calls.append("bits") or rref_bits(*args))
+    rng = np.random.default_rng(0)
+    vectors = rng.integers(0, 2, (6, 130))
+    span = RowSpan(FIELDS["F2"], 130)
+    assert span.independent(vectors) == list(range(6))
+    assert span.add(vectors[:4]) == 4 and span.add(vectors[2:]) == 2
+    assert span.contains(vectors) and not span.reduce(vectors).any()
+    assert span.reduce(np.eye(130, dtype=np.int64)).shape == (130, 130)
+    assert not calls
+    span = RowSpan(F5, 130)
+    span.add(vectors)
+    span.independent(vectors)
+    span.reduce(vectors)
+    assert calls == ["rref", "rref"]
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobcat import homological
 from frobcat.errors import InputError
 from frobcat.exact_linalg import Matrix, RowSpan, prime_field, rational_field
 from frobcat.algebra_repr import (
@@ -223,6 +224,45 @@ def test_in_add(pa2):
     assert in_add(mods["S1"], t) and in_add(t, t)
     big, _, _ = direct_sum([t, mods["P2"]])
     assert in_add(mods["S1"], big)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_in_add_matches_the_whole_pairwise_span(small_algebras, data):
+    """in_add, which stops at the first part of z whose composites hold
+    id_x, gives the verdict of the whole pairwise span through z, cold as
+    well as cached, over F_2, F_5 and Q; z is one module or a sum that may
+    hold zero parts, and x is zero, a sum of z's parts or of any two pieces."""
+    names = [n for n in sorted(small_algebras) if n.split("/")[1] in ("F2", "F5", "Q")]
+    alg = small_algebras[data.draw(st.sampled_from(names))]
+    pieces = alg.simples() + alg.projectives() + alg.injectives() + [zero_module(alg)]
+    z = sum_module(data.draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=4)), alg)
+    choices = data.draw(st.sampled_from([pieces, list(z.parts or [z])]))
+    x = sum_module(data.draw(st.lists(st.sampled_from(choices), max_size=2)), alg)
+    want = homological._pairwise_span(x, z, x).contains(Morphism.identity(x).vec())
+    assert in_add(x, z) == want
+    assert x.is_zero() or homological._identity_through(x, z) == want
+
+
+def test_in_add_stops_after_the_first_part_that_holds_the_identity(monkeypatch):
+    """Against z = P1+P2+P3+S1 over preprojective A3/F_2, where every pair of
+    projectives has maps both ways, P1 composes through P1 alone and P3
+    through P1, P2 and P3, not through the parts after the one whose
+    composites hold the identity. P1+S2, outside add(z), composes through
+    every part with maps both ways: the three projectives, as Hom(S1, x) = 0."""
+    alg = preprojective(3, prime_field(2))
+    z = sum_module(alg.projectives() + [alg.simple("1")], alg)
+    compose, parts = homological.compose_pairs, []
+    monkeypatch.setattr(homological, "compose_pairs",
+                        lambda *args: parts.append(args[2]) or compose(*args))
+    names = {p.key: n for p, n in zip(z.parts, ["P1", "P2", "P3", "S1"])}
+    outside = sum_module([alg.projective("1"), alg.simple("2")], alg)
+    for x, holds, through in ((alg.projective("1"), True, ["P1"]),
+                              (alg.projective("3"), True, ["P1", "P2", "P3"]),
+                              (outside, False, ["P1", "P2", "P3"])):
+        parts.clear()
+        assert in_add(x, z) == holds
+        assert [names[p.key] for p in parts] == through
 
 
 def test_self_injectivity(pa2, ka2):

@@ -266,22 +266,28 @@ def test_dl_verify_is_the_same_from_cold_and_warm_caches(pa2, pa3, a2q, small_al
 
 def test_dl_verify_builds_one_pairwise_span_per_object_in_add_and_per_other_pair(monkeypatch):
     """On the a3q-dlverify benchmark's inputs (preprojective A3/Q, generator
-    P1+P2+P3+S1, its default objects) dl-verify builds 7 pairwise spans, not
-    one per pair: 6 for the in_add verdicts of the distinct replacements and
-    1 for (S1, S1), the one pair with neither end in add(U). The in_add
-    verdicts, on those replacements and on U's components, are the same from
-    a cleared module store as after the run."""
+    P1+P2+P3+S1, its default objects) dl-verify builds 7 spans of
+    composites, not one per pair: 6 in_add spans for the verdicts of the
+    distinct replacements and 1 pairwise span for (S1, S1), the one pair
+    with neither end in add(U). The in_add verdicts, on those replacements
+    and on U's components, are the same from a cleared module store as
+    after the run."""
     alg = preprojective(3, rational_field())
     ctx = build_context(alg, alg.projectives() + [alg.simple("1")], "frobenius")
     named = default_objects(ctx)
     pairwise, calls = homological._pairwise_span, []
     monkeypatch.setattr(homological, "_pairwise_span",
                         lambda *args: calls.append(args) or pairwise(*args))
+    through, builds = homological._identity_through, []
+    monkeypatch.setattr(homological, "_identity_through",
+                        lambda *args: builds.append(args) or through(*args))
     assert all(r.passed for r in dl_verify_all(ctx, named))
-    assert len(named) == 7 and len(calls) == 7
+    assert len(named) == 7 and len(builds) == 6 and len(calls) == 1
     replacements = [cofibrant_replacement(ctx, x).a for _, x in named]
+    s1 = replacements[[name for name, _ in named].index("S1")]
+    assert calls[0][0].key == calls[0][2].key == s1.key
     assert [in_add(a, ctx.U) for a in replacements] == [name != "S1" for name, _ in named]
-    assert len(calls) == 7  # the run cached each of these verdicts
+    assert len(builds) == 6  # the run cached each of these verdicts
     modules = replacements + list(ctx.U.parts)
     warm = [in_add(m, ctx.U) for m in modules]
     alg._module_cache.clear()
