@@ -310,7 +310,7 @@ class Algebra:
 
     def simple(self, v: str) -> "Module":
         return _memo(self._module_cache, f"S:{v}", lambda: Module(
-            self, {w: int(w == v) for w in self.vertices}, {}, check=False))
+            self, {w: int(w == v) for w in self.vertices}, {}))
 
     def projective(self, v: str) -> "Module":
         """The indecomposable projective at v: path representatives out of v."""
@@ -332,7 +332,7 @@ class Algebra:
                 for tid, cf in self._mult[(ai, eid)].items():
                     m.data[pos[tid], col] = cf
             action[arrow.name] = m
-        return Module(self, dims, action, check=False)
+        return Module(self, dims, action)
 
     def injective(self, v: str) -> "Module":
         """The indecomposable injective at v, dual of the opposite projective."""
@@ -494,6 +494,8 @@ def preprojective(n: int, field: Field) -> Algebra:
 class Module:
     """A finite-dimensional representation: dims per vertex, matrix per arrow.
 
+    Construction checks shapes only; :meth:`from_dict` also checks relations.
+
     ``parts`` is the tuple of summands when :func:`sum_module` built the
     module from two or more, else None. It is a hint for solving hom spaces
     and never enters ``key``, equality or ``to_dict``.
@@ -501,8 +503,7 @@ class Module:
 
     __slots__ = ("algebra", "dims", "action", "parts", "_key")
 
-    def __init__(self, algebra: Algebra, dims: Mapping[str, int], action: Mapping[str, Matrix],
-                 check: bool = True):
+    def __init__(self, algebra: Algebra, dims: Mapping[str, int], action: Mapping[str, Matrix]):
         self.algebra = algebra
         self.dims = {}
         for v in algebra.vertices:
@@ -523,10 +524,6 @@ class Module:
             self.action[a.name] = m
         self.parts: Optional[Tuple["Module", ...]] = None
         self._key = None
-        if check:
-            bad = relation_violations(self)
-            if bad:
-                raise InputError("module violates relations: " + "; ".join(bad))
 
     @property
     def total_dim(self) -> int:
@@ -571,14 +568,18 @@ class Module:
                     [_json_scalar(s, f"action of {a.name}", algebra.field.coerce)
                      for s in _json_typed(given[a.name], list, f"action of {a.name}")],
                 )
-        return Module(algebra, dims, action)
+        module = Module(algebra, dims, action)
+        bad = relation_violations(module)
+        if bad:
+            raise InputError("module violates relations: " + "; ".join(bad))
+        return module
 
     def __repr__(self):
         return f"Module(dims={self.dims_tuple()})"
 
 
 def zero_module(algebra: Algebra) -> Module:
-    return Module(algebra, {}, {}, check=False)
+    return Module(algebra, {}, {})
 
 
 def path_matrix(module: Module, path: Sequence[int]) -> Matrix:
@@ -610,16 +611,16 @@ def dual_module(m: Module) -> Module:
     """Vector-space dual, a module over the opposite algebra."""
     op = m.algebra.opposite()
     action = {a.name: m.action[a.name].transpose() for a in m.algebra.arrows}
-    return Module(op, dict(m.dims), action, check=False)
+    return Module(op, dict(m.dims), action)
 
 
 class Morphism:
-    """A vertex-indexed family of matrices intertwining two representations."""
+    """A vertex-indexed family of matrices intertwining two representations:
+    :meth:`from_dict` checks that it does; construction checks shapes only."""
 
     __slots__ = ("source", "target", "comps", "_key")
 
-    def __init__(self, source: Module, target: Module, comps: Mapping[str, Matrix],
-                 check: bool = True):
+    def __init__(self, source: Module, target: Module, comps: Mapping[str, Matrix]):
         if source.algebra is not target.algebra:
             raise InputError("source and target live over different algebras")
         self.source = source
@@ -637,8 +638,6 @@ class Morphism:
                 )
             self.comps[v] = c
         self._key = None
-        if check and not self.intertwines():
-            raise InputError("components do not intertwine the arrow actions")
 
     @property
     def key(self) -> tuple:
@@ -664,12 +663,11 @@ class Morphism:
     @staticmethod
     def identity(x: Module) -> "Morphism":
         field = x.algebra.field
-        return Morphism(x, x, {v: Matrix.identity(field, x.dims[v]) for v in x.algebra.vertices},
-                        check=False)
+        return Morphism(x, x, {v: Matrix.identity(field, x.dims[v]) for v in x.algebra.vertices})
 
     @staticmethod
     def zero(source: Module, target: Module) -> "Morphism":
-        return Morphism(source, target, {}, check=False)
+        return Morphism(source, target, {})
 
     @staticmethod
     def hstack(maps: Sequence["Morphism"]) -> "Morphism":
@@ -686,7 +684,7 @@ class Morphism:
         if other.target.key != self.source.key:
             raise InputError("morphisms are not composable")
         comps = {v: self.comps[v] @ other.comps[v] for v in self.source.algebra.vertices}
-        return Morphism(other.source, self.target, comps, check=False)
+        return Morphism(other.source, self.target, comps)
 
     def _check_parallel(self, other: "Morphism") -> None:
         if other.source.key != self.source.key or other.target.key != self.target.key:
@@ -695,21 +693,20 @@ class Morphism:
     def __add__(self, other: "Morphism") -> "Morphism":
         self._check_parallel(other)
         comps = {v: self.comps[v] + other.comps[v] for v in self.source.algebra.vertices}
-        return Morphism(self.source, self.target, comps, check=False)
+        return Morphism(self.source, self.target, comps)
 
     def __sub__(self, other: "Morphism") -> "Morphism":
         self._check_parallel(other)
         comps = {v: self.comps[v] - other.comps[v] for v in self.source.algebra.vertices}
-        return Morphism(self.source, self.target, comps, check=False)
+        return Morphism(self.source, self.target, comps)
 
     def __neg__(self) -> "Morphism":
         return Morphism(self.source, self.target,
-                        {v: -self.comps[v] for v in self.source.algebra.vertices}, check=False)
+                        {v: -self.comps[v] for v in self.source.algebra.vertices})
 
     def scale(self, c) -> "Morphism":
         return Morphism(self.source, self.target,
-                        {v: self.comps[v].scale(c) for v in self.source.algebra.vertices},
-                        check=False)
+                        {v: self.comps[v].scale(c) for v in self.source.algebra.vertices})
 
     def is_zero(self) -> bool:
         return all(self.comps[v].is_zero() for v in self.source.algebra.vertices)
@@ -732,7 +729,7 @@ class Morphism:
         field = source.algebra.field
         return Morphism(source, target,
                         {vertex: Matrix(field, field.reduce(np.array(block[0], dtype=field.dtype)))
-                         for vertex, block in _blocks(v[None], source, target)}, check=False)
+                         for vertex, block in _blocks(v[None], source, target)})
 
     def to_dict(self, source_name: str, target_name: str) -> dict:
         return {
@@ -755,7 +752,10 @@ class Morphism:
                     [_json_scalar(s, f"component at vertex {v}", alg.field.coerce)
                      for s in _json_typed(given[v], list, f"component at vertex {v}")],
                 )
-        return Morphism(source, target, comps)
+        f = Morphism(source, target, comps)
+        if not f.intertwines():
+            raise InputError("components do not intertwine the arrow actions")
+        return f
 
     def __repr__(self):
         return f"Morphism({self.source.dims_tuple()} -> {self.target.dims_tuple()})"
@@ -773,8 +773,8 @@ def _stack(maps: Sequence[Morphism], along_source: bool) -> Morphism:
     stack = Matrix.hstack if along_source else Matrix.vstack
     comps = {v: stack([f.comps[v] for f in maps]) for v in total.algebra.vertices}
     if along_source:
-        return Morphism(total, shared[0], comps, check=False)
-    return Morphism(shared[0], total, comps, check=False)
+        return Morphism(total, shared[0], comps)
+    return Morphism(shared[0], total, comps)
 
 
 # -- hom spaces ----------------------------------------------------------------
@@ -943,8 +943,8 @@ def kernel(f: Morphism) -> Tuple[Module, Morphism]:
         if bases[a.target] @ sol != img:
             raise InternalCheckError("kernel is not arrow-stable")
         action[a.name] = sol
-    k = Module(alg, dims, action, check=False)
-    inc = Morphism(k, f.source, dict(bases), check=False)
+    k = Module(alg, dims, action)
+    inc = Morphism(k, f.source, dict(bases))
     return k, inc
 
 
@@ -973,8 +973,8 @@ def cokernel(f: Morphism) -> Tuple[Module, Morphism]:
     for a in alg.arrows:  # q_t Y_a on the cokernel's basis at the source
         cols = f.target.action[a.name].data[:, complements[a.source]]
         action[a.name] = quots[a.target] @ Matrix(field, cols)
-    c = Module(alg, {v: len(complements[v]) for v in alg.vertices}, action, check=False)
-    return c, Morphism(f.target, c, quots, check=False)
+    c = Module(alg, {v: len(complements[v]) for v in alg.vertices}, action)
+    return c, Morphism(f.target, c, quots)
 
 
 def cokernel_factor(proj: Morphism, g: Morphism) -> Morphism:
@@ -989,7 +989,7 @@ def cokernel_factor(proj: Morphism, g: Morphism) -> Morphism:
     for v, q in proj.comps.items():
         leads = [int(np.flatnonzero(row)[0]) for row in q.data]
         comps[v] = Matrix(field, g.comps[v].data[:, leads])
-    h = Morphism(proj.target, g.target, comps, check=False)
+    h = Morphism(proj.target, g.target, comps)
     if h @ proj != g:
         raise InputError("morphism does not factor through the cokernel")
     return h
@@ -1022,7 +1022,7 @@ def _build_sum(parts: Sequence[Module]) -> Module:
     dims = {v: sum(p.dims[v] for p in parts) for v in alg.vertices}
     action = {a.name: Matrix.block_diag(alg.field, [p.action[a.name] for p in parts])
               for a in alg.arrows}
-    total = Module(alg, dims, action, check=False)
+    total = Module(alg, dims, action)
     total.parts = tuple(parts)
     return total
 
@@ -1049,8 +1049,8 @@ def _split(f: Morphism, parts: Sequence[Module], at_source: bool) -> List[Morphi
             data = f.comps[v].data
             comps[v] = Matrix(field, (data[:, off:end] if at_source else data[off:end]).copy())
             offsets[v] = end
-        out.append(Morphism(part, f.target, comps, check=False) if at_source
-                   else Morphism(f.source, part, comps, check=False))
+        out.append(Morphism(part, f.target, comps) if at_source
+                   else Morphism(f.source, part, comps))
     return out
 
 
@@ -1173,6 +1173,6 @@ def enumerate_submodules(x: Module) -> List[Tuple[Module, Morphism]]:
                 break
             action[a.name] = sol
         else:
-            sub = Module(alg, {v: family[v].cols for v in alg.vertices}, action, check=False)
-            results.append((sub, Morphism(sub, x, family, check=False)))
+            sub = Module(alg, {v: family[v].cols for v in alg.vertices}, action)
+            results.append((sub, Morphism(sub, x, family)))
     return results

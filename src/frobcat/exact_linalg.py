@@ -941,8 +941,9 @@ class RowSpan:
 
     def independent(self, candidates) -> List[int]:
         """Positions of the candidates that would enlarge the span if inserted
-        in order: the pivot columns, past the span's own rows, of one rref of
-        the column stack. The span is left unchanged.
+        in order: the pivot columns of one rref of the column stack of their
+        canonical forms, as reducing is linear with kernel the span. The span
+        is left unchanged.
 
         Over F_2 the candidates are inserted one at a time into a copy of the
         table instead, keeping a position when its insertion adds a pivot.
@@ -958,5 +959,5 @@ class RowSpan:
                 if len(table) > rank:
                     picked.append(i)
             return picked
-        cols = Matrix(self.field, np.vstack([self.rows, self._stack(candidates)]).T)
-        return [c - self.rank for c in cols.rref()[1][self.rank:]]
+        rows = np.asarray(candidates, dtype=self.field.dtype).reshape(-1, self.width)
+        return Matrix(self.field, self.reduce(rows).T).rref()[1]

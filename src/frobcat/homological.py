@@ -106,7 +106,7 @@ def injective_envelope(x: Module) -> Tuple[Module, Morphism]:
 def _checked_envelope(x: Module) -> Tuple[Module, Morphism]:
     cover = _cover_map(dual_module(x))
     env = dual_module(cover.source)  # over alg: opposite() links both ways
-    mono = Morphism(x, env, {v: c.transpose() for v, c in cover.comps.items()}, check=False)
+    mono = Morphism(x, env, {v: c.transpose() for v, c in cover.comps.items()})
     if not mono.intertwines():
         raise InternalCheckError("injective envelope does not intertwine")
     if not is_mono(mono):
@@ -150,7 +150,7 @@ def _cover_map(x: Module) -> Morphism:
             if cols:  # column i * len(cols) + j: generator i, the j-th path to w
                 blocks[w].append(np.stack(cols, axis=2).reshape(x.dims[w], len(gens) * len(cols)))
     return Morphism(sum_module(parts, alg), x,
-                    {w: Matrix(field, np.hstack(b)) for w, b in blocks.items() if b}, check=False)
+                    {w: Matrix(field, np.hstack(b)) for w, b in blocks.items() if b})
 
 
 def syzygy(x: Module) -> Tuple[Module, ShortExactSequence]:
@@ -246,7 +246,7 @@ def left_approximation(components: Sequence[Module], x: Module) -> Morphism:
     the transpose iff its dual factors through the right approximation."""
     dual = approximation([dual_module(c) for c in components], dual_module(x))
     return Morphism(x, dual_module(dual.source),
-                    {v: c.transpose() for v, c in dual.comps.items()}, check=False)
+                    {v: c.transpose() for v, c in dual.comps.items()})
 
 
 # -- Ext^1 ---------------------------------------------------------------------
@@ -379,10 +379,9 @@ class QuotientHom:
     def __init__(self, x: Module, y: Module, sub: RowSpan):
         self.x, self.y, self.sub = x, y, sub
         basis = hom_matrix(x, y).data if sub.width else sub.rows  # width 0: no solve
-        canonicals = sub.reduce(basis)
-        self.rep_indices = RowSpan(sub.field, sub.width).independent(canonicals)
+        self.rep_indices = sub.independent(basis)  # reduce is linear with kernel sub
         self.rep_rows = basis[self.rep_indices]
-        self.rep_canonicals = canonicals[self.rep_indices]
+        self.rep_canonicals = sub.reduce(self.rep_rows)
 
     @property
     def dim(self) -> int:

@@ -277,7 +277,7 @@ def is_trivial_fibration(ctx: RigidContext, f: Morphism) -> bool:
     return is_fibration(ctx, f) and is_weak_equivalence(ctx, f)
 
 
-def cone_of(ctx: RigidContext, f: Morphism) -> Tuple[Module, Morphism, Morphism]:
+def cone_of(f: Morphism) -> Tuple[Module, Morphism, Morphism]:
     """Pushout of the source's envelope along f: ``cone_sequence(f)``'s legs.
 
     Returns (Z, g: target -> Z, u: I_X -> Z); g is a cone of f.
@@ -294,7 +294,7 @@ def fibration_via_cone(ctx: RigidContext, f: Morphism) -> bool:
     docstring)."""
     if ctx.mode != FROBENIUS:
         raise InputError("fibration_via_cone requires frobenius mode")
-    return is_epi(f) and kills_stably(ctx.mho_M_gen, cone_of(ctx, f)[1])
+    return is_epi(f) and kills_stably(ctx.mho_M_gen, cone_of(f)[1])
 
 
 def lift(ctx: RigidContext, g: Morphism, f: Morphism) -> Morphism:
@@ -368,7 +368,7 @@ def factorize2(ctx: RigidContext, f: Morphism) -> Factorization:
     pres = presentation_of_cofibrant(ctx, x)
     if pres is None:
         raise InputError("factorize2 requires a cofibrant domain")
-    d, eps, _ = cone_of(ctx, pres.p)  # d = cosyzygy of the presentation kernel
+    d, eps, _ = cone_of(pres.p)  # d = cosyzygy of the presentation kernel
     rep = cofibrant_replacement(ctx, y)
     r = lift(ctx, f, rep.phi)
     left = Morphism.vstack([r, eps])

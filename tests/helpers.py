@@ -3,7 +3,8 @@
 ``random_morphism`` draws ``_random_hom`` on the stream seeded by (seed, x,
 y); the golden digests pin that stream, so it must not change.
 ``search_fraction_witness`` is the tests' witness of right-fraction
-equality until the library constructs one. The ``reference_*`` functions
+equality until the library constructs one. ``rebased`` gives a module in
+a diagonal change of basis, fractional over Q. The ``reference_*`` functions
 are the plain bodies that optimized library paths are checked against, and
 ``draw_probe_case`` draws their inputs."""
 import random
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from frobcat.algebra_repr import (Algebra, Module, Morphism, cokernel, combine, compose_basis,
                                   compose_pairs, hom_matrix, hom_width, is_epi, kernel, pushout,
-                                  sum_module, zero_module)
+                                  relation_violations, sum_module, zero_module)
 from frobcat.axiom_suite import _derive_seed, _random_hom
 from frobcat.exact_linalg import Matrix, RowSpan
 from frobcat.homological import injective_envelope, projective_cover, solve_postcompose
@@ -100,6 +101,28 @@ def search_fraction_witness(ctx: RigidContext, left, right, seed: int = 0,
     return None
 
 
+def rebased(module: Module, vertex: str, diag: Sequence) -> Module:
+    """`module` in the basis given at `vertex` by the columns of diag(`diag`):
+    each arrow into the vertex is multiplied by diag^-1 on the left, each
+    arrow out of it by diag on the right. An isomorphic module, checked to
+    satisfy the relations, as a module built directly is not."""
+    field = module.algebra.field
+    d, d_inv = (Matrix.zeros(field, len(diag), len(diag)) for _ in range(2))
+    for i, x in enumerate(diag):
+        d.data[i, i], d_inv.data[i, i] = x, field.coerce(field.inv(x))
+    action = {}
+    for arrow in module.algebra.arrows:
+        m = module.action[arrow.name]
+        if arrow.target == vertex:
+            m = d_inv @ m
+        if arrow.source == vertex:
+            m = m @ d
+        action[arrow.name] = m
+    out = Module(module.algebra, module.dims, action)
+    assert relation_violations(out) == []
+    return out
+
+
 def reference_cleared(values: list) -> Tuple[List[int], int]:
     """(integers, d) with values = integers / d, d the lcm of the denominators:
     the clearing body of ``exact_linalg._cleared``, which builds a new list
@@ -109,6 +132,16 @@ def reference_cleared(values: list) -> Tuple[List[int], int]:
     if d == 1:
         return [n for n, _ in ratios], 1
     return [n * (d // q) for n, q in ratios], d
+
+
+def reference_quotient_reps(x: Module, y: Module, sub: RowSpan):
+    """(rep_indices, rep_rows, rep_canonicals) of ``QuotientHom(x, y, sub)``
+    chosen on the canonical forms: the whole basis reduced modulo sub, then
+    the forms independent in a fresh span of the same width."""
+    basis = hom_matrix(x, y).data if sub.width else sub.rows
+    canonicals = sub.reduce(basis)
+    indices = RowSpan(sub.field, sub.width).independent(canonicals)
+    return indices, basis[indices], canonicals[indices]
 
 
 def reference_post_map_surjective(ctx: RigidContext, probe: Module, f: Morphism) -> bool:

@@ -137,11 +137,8 @@ def test_preprojective_small():
 
 def test_validate_module(pa2):
     alg, mods = pa2
-    with pytest.raises(InputError, match="relation"):
-        Module(alg, {"1": 1, "2": 1}, {
-            "a1": Matrix.from_entries(F5, 1, 1, [1]),
-            "a1*": Matrix.from_entries(F5, 1, 1, [1]),
-        })
+    with pytest.raises(InputError, match="module violates relations: relation"):
+        Module.from_dict(alg, {"dims": {"1": 1, "2": 1}, "action": {"a1": [1], "a1*": [1]}})
 
 
 def test_hom_dims_table(pa2):
@@ -255,7 +252,7 @@ def test_pushout_inflation_gives_exact_sequence(pa2):
 
 def _proj_of(total, parts, index):
     _, _, projections = direct_sum(parts)
-    return Morphism(total, projections[index].target, projections[index].comps, check=False)
+    return Morphism(total, projections[index].target, projections[index].comps)
 
 
 def test_pullback_of_epi_along_zero(pa2):
@@ -323,11 +320,8 @@ def test_module_morphism_round_trip(pa2):
 
 def test_morphism_intertwiner_enforced(pa2):
     alg, mods = pa2
-    with pytest.raises(InputError):
-        Morphism(mods["P1"], mods["P1"], {
-            "1": Matrix.from_entries(F5, 1, 1, [1]),
-            "2": Matrix.from_entries(F5, 1, 1, [2]),
-        })
+    with pytest.raises(InputError, match="components do not intertwine the arrow actions"):
+        Morphism.from_dict({"comps": {"1": [1], "2": [2]}}, mods["P1"], mods["P1"])
 
 
 def test_sum_and_difference_refuse_maps_that_are_not_parallel(pa2):
@@ -529,7 +523,7 @@ def _reference_direct_sum(parts):
     dims = {v: sum(p.dims[v] for p in parts) for v in alg.vertices}
     action = {a.name: Matrix.block_diag(field, [p.action[a.name] for p in parts])
               for a in alg.arrows}
-    total = Module(alg, dims, action, check=False)
+    total = Module(alg, dims, action)
     injections, projections = [], []
     for k, part in enumerate(parts):
         inj = {}
@@ -538,9 +532,8 @@ def _reference_direct_sum(parts):
             inj[v] = Matrix.zeros(field, dims[v], part.dims[v])
             for i in range(part.dims[v]):
                 inj[v].data[before + i, i] = field.one()
-        injections.append(Morphism(part, total, inj, check=False))
-        projections.append(Morphism(total, part, {v: m.transpose() for v, m in inj.items()},
-                                    check=False))
+        injections.append(Morphism(part, total, inj))
+        projections.append(Morphism(total, part, {v: m.transpose() for v, m in inj.items()}))
     return total, injections, projections
 
 
@@ -752,7 +745,7 @@ def _reference_sum(parts):
             m.data[row:row + block.shape[0], col:col + block.shape[1]] = block
             row, col = row + block.shape[0], col + block.shape[1]
         action[a.name] = m
-    return Module(alg, dims, action, check=False)
+    return Module(alg, dims, action)
 
 
 @given(data=st.data())
@@ -788,7 +781,7 @@ def test_sum_module_matches_a_fresh_block_build(small_algebras, data):
         assert [p.key for p in got.parts] == [p.key for p in parts]
         for arrow in alg.arrows:
             assert _exact(got.action[arrow.name]) == _exact(want.action[arrow.name])
-        copies = [Module(alg, p.dims, p.action, check=False) for p in parts]
+        copies = [Module(alg, p.dims, p.action) for p in parts]
         assert sum_module(copies) is got
         sums.append(got)
     if shape == "both orders":
@@ -1121,7 +1114,7 @@ def _reference_build_projective(self, v: str) -> Module:
             for tid, cf in self._mult[(ai, eid)].items():
                 m.data[pos[tid], col] = cf
         action[arrow.name] = m
-    return Module(self, dims, action, check=False)
+    return Module(self, dims, action)
 
 
 def test_projectives_match_the_per_target_scan(small_algebras):

@@ -261,7 +261,7 @@ def _kills_the_representatives(ctx, h):
 def _cone_leg_kills_u(ctx, f):
     """Reference: the span through injectives of Hom(U, Z), built inline,
     against Hom(U, f.target) composed with the cone leg g: f.target -> Z."""
-    z, g, _ = cone_of(ctx, f)
+    z, g, _ = cone_of(f)
     return through_injectives(ctx.U, z).contains(
         compose_basis(hom_matrix(ctx.U, f.target).data, ctx.U, f.target, left=g))
 
@@ -275,7 +275,7 @@ def _assert_kills_stably_matches_the_references(ctx, objects, seed, draws=60):
     from_gen, from_u = set(), set()
     for _ in range(draws):
         f = _sample_morphism(ctx, rng, universe)
-        _, g, u = cone_of(ctx, f)
+        _, g, u = cone_of(f)
         _, gt, ut = pullback(f, projective_cover(f.target)[1])
         halves = []
         for h in (f, Morphism.hstack([u, g]), Morphism.vstack([gt, ut])):
@@ -496,7 +496,7 @@ def test_injective_summands_of_u_change_no_stable_kill(name, pa2_ctx, pa3_ctx, p
     verdicts = set()
     for _ in range(40):
         f = _sample_morphism(ctx, rng, universe)
-        for h in (f, cone_of(ctx, f)[1]):
+        for h in (f, cone_of(f)[1]):
             verdict = kills_stably(ctx.U, h)
             assert verdict == kills_stably(ctx.mho_M_gen, h)
             verdicts.add(verdict)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcat import exact_linalg
-from frobcat.algebra_repr import Module, preprojective
+from frobcat.algebra_repr import preprojective
 from frobcat.axiom_suite import default_objects, run_all
 from frobcat.errors import InputError
 from frobcat.exact_linalg import (
@@ -21,7 +21,7 @@ from frobcat.exact_linalg import (
 )
 from frobcat.localization import dl_verify_all
 from frobcat.rigid_model import build_context
-from helpers import reference_cleared
+from helpers import rebased, reference_cleared
 
 F5 = prime_field(5)
 Q = rational_field()
@@ -751,25 +751,6 @@ def _not_rational(entries):
                                        and type(x.denominator) is int))}
 
 
-def _rebased(module, vertex, diag):
-    """`module` in the basis given at `vertex` by the columns of diag(`diag`):
-    each arrow into the vertex is multiplied by diag^-1 on the left, each
-    arrow out of it by diag on the right. An isomorphic module."""
-    field = module.algebra.field
-    d, d_inv = (Matrix.zeros(field, len(diag), len(diag)) for _ in range(2))
-    for i, x in enumerate(diag):
-        d.data[i, i], d_inv.data[i, i] = x, field.coerce(field.inv(x))
-    action = {}
-    for arrow in module.algebra.arrows:
-        m = module.action[arrow.name]
-        if arrow.target == vertex:
-            m = d_inv @ m
-        if arrow.source == vertex:
-            m = m @ d
-        action[arrow.name] = m
-    return Module(module.algebra, module.dims, action)
-
-
 def test_dl_verify_with_a_summand_in_a_fractional_basis(monkeypatch):
     """dl-verify on preprojective A3/Q over P1+P2'+P3+S1, P2' being P2 given
     in the basis diag(1/2, 3) at vertex 2, so that its action holds 1/3 and
@@ -780,7 +761,7 @@ def test_dl_verify_with_a_summand_in_a_fractional_basis(monkeypatch):
     def run(rebase):
         alg = preprojective(3, Q)
         p1, p2, p3 = alg.projectives()
-        gen = [p1, _rebased(p2, "2", [Fraction(1, 2), 3]) if rebase else p2, p3,
+        gen = [p1, rebased(p2, "2", [Fraction(1, 2), 3]) if rebase else p2, p3,
                alg.simple("1")]
         ctx = build_context(alg, gen, "frobenius")
         return alg, ctx, dl_verify_all(ctx, default_objects(ctx))
@@ -1127,20 +1108,35 @@ def _f2_array(draw, rng, rows, cols):
     return a
 
 
-def _f2_outcome(m, b, x, vectors, cuts, probe):
-    """rref, rank, kernel, solve_cols for b and for the consistent m @ x, and
-    a RowSpan built from `vectors` in batches split at `cuts`; each matrix as
-    its dtype, shape and bytes."""
-    def sig(x):
-        return None if x is None else (x.data.dtype.str, x.data.shape, x.data.tobytes())
+def _sig(x):
+    """A matrix as its dtype, shape and bytes."""
+    return None if x is None else (x.data.dtype.str, x.data.shape, x.data.tobytes())
 
+
+def _f2_outcome(m, b, x):
+    """rref, rank, kernel, solve_cols for b and for the consistent m @ x."""
     red, pivots, rank = m.rref()
-    out = [sig(red), pivots, rank, m.rank(), Matrix.vstack([m, m]).rank(),
-           sig(m.kernel()), sig(m.solve_cols(b)), sig(m.solve_cols(m @ x))]
-    span = RowSpan(m.field, m.cols)
+    return [_sig(red), pivots, rank, m.rank(), Matrix.vstack([m, m]).rank(),
+            _sig(m.kernel()), _sig(m.solve_cols(b)), _sig(m.solve_cols(m @ x))]
+
+
+def _f2_span_outcome(span, vectors, cuts, probe):
+    """A span fed `vectors` in batches split at `cuts`: after each batch, the
+    positions that grew it, the growth, the pivots, the rows and whether it
+    holds the probe and each probe row. `span` is a RowSpan, or a
+    _ReferenceRowSpan, which takes the vectors one at a time."""
+    out = []
     for lo, hi in zip([0] + cuts, cuts + [len(vectors)]):
-        out += [span.independent(vectors[lo:hi]), span.add(vectors[lo:hi]), list(span.pivots),
-                sig(Matrix(m.field, span.rows)), span.contains(probe),
+        batch = vectors[lo:hi]
+        if isinstance(span, RowSpan):
+            picked, grew = span.independent(batch), span.add(batch)
+            rows, whole = Matrix(span.field, span.rows), span.contains(probe)
+        else:
+            flags = [span.add(v) for v in batch]
+            picked, grew = [i for i, g in enumerate(flags) if g], sum(flags)
+            rows = _rows_matrix(span.field, span.width, span.rows)
+            whole = all(span.contains(row) for row in probe)
+        out += [picked, grew, list(span.pivots), _sig(rows), whole,
                 [span.contains(row) for row in probe]]
     return out
 
@@ -1158,11 +1154,12 @@ def test_f2_bit_rows_match_the_residue_reference(rows, cols, seed, data):
     vectors = _f2_array(data.draw, rng, data.draw(st.integers(0, 70)), cols)
     cuts = sorted(data.draw(st.lists(st.integers(0, len(vectors)), max_size=3)))
     probe = _f2_array(data.draw, rng, data.draw(st.integers(0, 4)), cols)
-    got = _f2_outcome(m, b, x, vectors, cuts, probe)
+    got = _f2_outcome(m, b, x) + _f2_span_outcome(RowSpan(field, cols), vectors, cuts, probe)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact_linalg, "_rref_residues",
                    lambda field, a, reduced: _rref_residues(field, a % 2, reduced))
-        want = _f2_outcome(m, b, x, vectors, cuts, probe)
+        want = _f2_outcome(m, b, x)
+    want += _f2_span_outcome(_ReferenceRowSpan(field, cols), vectors, cuts, probe)
     assert got == want
 
 

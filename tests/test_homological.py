@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,7 +55,8 @@ from frobcat.homological import (
     through_injectives,
 )
 from frobcat.rigid_model import build_context
-from helpers import random_morphism, reference_cone_legs, reference_greedy_approximation
+from helpers import (random_morphism, rebased, reference_cone_legs,
+                     reference_greedy_approximation, reference_quotient_reps)
 
 
 def test_cover_of_zero(pa2):
@@ -108,7 +110,7 @@ def test_syzygy_is_cached_per_module_key(pa2):
     x = mods["S2"]
     first = syzygy(x)
     assert syzygy(x) is first
-    assert syzygy(Module(alg, x.dims, x.action, check=False)) is first
+    assert syzygy(Module(alg, x.dims, x.action)) is first
 
 
 def test_kills_stably_on_a_zero_generator_solves_nothing():
@@ -323,8 +325,8 @@ def _reference_cokernel(f):
         dims[v] = len(complement)
     action = {a.name: quots[a.target][0] @ f.target.action[a.name] @ quots[a.source][1]
               for a in alg.arrows}
-    c = Module(alg, dims, action, check=False)
-    return c, Morphism(f.target, c, {v: quots[v][0] for v in alg.vertices}, check=False)
+    c = Module(alg, dims, action)
+    return c, Morphism(f.target, c, {v: quots[v][0] for v in alg.vertices})
 
 
 def _reference_kernel(f):
@@ -335,8 +337,8 @@ def _reference_kernel(f):
     for a in alg.arrows:
         action[a.name] = bases[a.target].solve_cols(f.source.action[a.name] @ bases[a.source])
         assert action[a.name] is not None
-    k = Module(alg, {v: b.cols for v, b in bases.items()}, action, check=False)
-    return k, Morphism(k, f.source, bases, check=False)
+    k = Module(alg, {v: b.cols for v, b in bases.items()}, action)
+    return k, Morphism(k, f.source, bases)
 
 
 def _reference_cokernel_factor(proj, g):
@@ -346,7 +348,7 @@ def _reference_cokernel_factor(proj, g):
         sol = proj.comps[v].transpose().solve_cols(g.comps[v].transpose())
         assert sol is not None
         comps[v] = sol.transpose()
-    return Morphism(proj.target, g.target, comps, check=False)
+    return Morphism(proj.target, g.target, comps)
 
 
 def _reference_generator_map(x, v, gen):
@@ -359,7 +361,7 @@ def _reference_generator_map(x, v, gen):
             cols[alg.vertices[e.target]].append(
                 path_matrix(x, e.path) @ column if e.length else column)
     comps = {w: Matrix.hstack(c) for w, c in cols.items() if c}
-    return Morphism(alg.projective(v), x, comps, check=False)
+    return Morphism(alg.projective(v), x, comps)
 
 
 def _reference_cover(x):
@@ -375,7 +377,7 @@ def _reference_cover(x):
         generators += [(v, ident[i]) for i in radical.independent(ident)]
     if not generators:
         p = zero_module(alg)
-        return p, Morphism(p, x, {}, check=False)
+        return p, Morphism(p, x, {})
     cover = Morphism.hstack([_reference_generator_map(x, v, g) for v, g in generators])
     return cover.source, cover
 
@@ -383,8 +385,7 @@ def _reference_cover(x):
 def _reference_envelope(x):
     p, cover = _reference_cover(dual_module(x))
     env = dual_module(p)
-    return env, Morphism(x, env, {v: cover.comps[v].transpose() for v in x.algebra.vertices},
-                         check=False)
+    return env, Morphism(x, env, {v: cover.comps[v].transpose() for v in x.algebra.vertices})
 
 
 def _exact(m):
@@ -558,6 +559,73 @@ def test_through_injectives_matches_the_pairwise_span(small_algebras, data):
     assert [repr(e) for e in got.rows.reshape(-1)] == [repr(e) for e in want.rows.reshape(-1)]
     assert got.pivots == want.pivots
     assert stable_hom(x, y).rep_indices == QuotientHom(x, y, want).rep_indices
+
+
+def _assert_quotient_matches_the_reference(x, y, sub):
+    """QuotientHom(x, y, sub) against the choice on canonical forms: the
+    same indices, and rows and canonical forms of the same dtype, shape and
+    entry reprs (``_exact``)."""
+    got = QuotientHom(x, y, sub)
+    indices, rows, canonicals = reference_quotient_reps(x, y, sub)
+    assert got.rep_indices == indices
+    for a, b in ((got.rep_rows, rows), (got.rep_canonicals, canonicals)):
+        assert _exact(Matrix(sub.field, a)) == _exact(Matrix(sub.field, b))
+    return got
+
+
+def _in_a_fractional_basis(m):
+    """m in the basis diag(1/2, 3/2, ...) at its first nonzero vertex."""
+    v = next(v for v in m.algebra.vertices if m.dims[v])
+    return rebased(m, v, [Fraction(2 * i + 1, 2) for i in range(m.dims[v])])
+
+
+def test_quotient_hom_matches_the_reference_on_the_row_cases(row_case):
+    """Hom, stable hom and the quotient by add(U) on every pair of the
+    objects and a zero module, whose hom spaces have width 0. Over Q the
+    objects come also in a fractional basis, so that some canonical forms
+    hold Fractions."""
+    ctx, mods = row_case
+    field = ctx.alg.field
+    objects = list(mods.values()) + [zero_module(ctx.alg)]
+    if field.characteristic is None:
+        objects += [_in_a_fractional_basis(m) for m in mods.values()]
+    dims, fractions = set(), False
+    for x, y in itertools.product(objects, repeat=2):
+        for sub in (RowSpan(field, hom_width(x, y)), through_injectives(x, y),
+                    factors_through_add(x, ctx.U, y)):
+            q = _assert_quotient_matches_the_reference(x, y, sub)
+            dims.add(q.dim)
+            fractions |= any(type(e) is Fraction for e in q.rep_canonicals.reshape(-1))
+    assert 0 in dims
+    assert fractions == (field.characteristic is None)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_quotient_hom_matches_the_reference(small_algebras, data):
+    """Hom(x, y) modulo the maps through z, x and y zero, one or a sum of
+    two simples, projectives, injectives or zero modules, and z one of those
+    or x itself, so that the quotient is zero; and modulo the empty span.
+    Over Q, x and y may be given in a fractional basis."""
+    name = data.draw(st.sampled_from(sorted(small_algebras)))
+    alg = small_algebras[name]
+    pieces = alg.simples() + alg.projectives() + alg.injectives() + [zero_module(alg)]
+
+    def module():
+        m = sum_module(data.draw(st.lists(st.sampled_from(pieces), max_size=2)), alg)
+        if name.endswith("/Q") and not m.is_zero() and data.draw(st.booleans()):
+            m = _in_a_fractional_basis(m)
+        return m
+
+    x, y = module(), module()
+    z = data.draw(st.sampled_from(pieces + [x]))
+    through = data.draw(st.booleans())
+    sub = factors_through_add(x, z, y) if through else RowSpan(alg.field, hom_width(x, y))
+    dim = _assert_quotient_matches_the_reference(x, y, sub).dim
+    if not through:
+        assert dim == hom_dim(x, y)
+    elif z is x:
+        assert dim == 0
 
 
 @given(data=st.data())

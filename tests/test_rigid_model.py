@@ -398,9 +398,9 @@ def test_functor_kills_cosyzygy_class(pa2_ctx, pa2):
         assert pa2_ctx.stable_from_generator(c).dim == 0
 
 
-def test_cone_of_identity_is_the_envelope(pa2_ctx, pa2):
+def test_cone_of_identity_is_the_envelope(pa2):
     alg, mods = pa2
-    z, g, u = cone_of(pa2_ctx, Morphism.identity(mods["S1"]))
+    z, g, u = cone_of(Morphism.identity(mods["S1"]))
     # pushing the envelope out along an iso changes nothing: u is an iso onto
     # P2, and g is the envelope inclusion transported along it
     assert z.dims_tuple() == (1, 1)
@@ -479,7 +479,7 @@ def _exact_map(f):
 def _dual_map(f):
     """D(f): D(target) -> D(source), over the opposite algebra."""
     return Morphism(dual_module(f.target), dual_module(f.source),
-                    {v: c.transpose() for v, c in f.comps.items()}, check=False)
+                    {v: c.transpose() for v, c in f.comps.items()})
 
 
 def _draw_approximation_case(small_algebras, data):
