@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from .errors import HypothesisError, InputError, InternalCheckError
 from .exact_linalg import Matrix
@@ -192,9 +192,10 @@ def right_M_approximation(ctx: RigidContext, x: Module) -> Morphism:
     return approx
 
 
-def mho_approximation(ctx: RigidContext, x: Module) -> Morphism:
-    """A right approximation of x by the summands of the class generator U."""
-    return approximation(ctx.U_components, x)
+def _presentation(ctx: RigidContext, x: Module) -> ShortExactSequence:
+    """0 -> ker a -> M0 -> x -> 0 for a = ``right_M_approximation(ctx, x)``."""
+    a_map = right_M_approximation(ctx, x)
+    return ShortExactSequence(kernel(a_map)[1], a_map)
 
 
 # -- cofibrant replacement --------------------------------------------------------
@@ -211,12 +212,11 @@ def cofibrant_replacement(ctx: RigidContext, x: Module) -> Replacement:
 
 
 def _build_replacement(ctx: RigidContext, x: Module) -> Replacement:
-    a_map = right_M_approximation(ctx, x)  # a: M0 -> x, epi
-    k0, inc_k0 = kernel(a_map)
-    alpha = right_M_approximation(ctx, k0)  # M1 -> K0
-    witness = cone_sequence(inc_k0 @ alpha).validate()
+    pres = _presentation(ctx, x)  # K0 -> M0 -> x
+    alpha = right_M_approximation(ctx, pres.sub)  # M1 -> K0
+    witness = cone_sequence(pres.i @ alpha).validate()
     i_m1 = witness.middle.parts[0]
-    phi = cokernel_factor(witness.p, Morphism.hstack([Morphism.zero(i_m1, x), a_map]))
+    phi = cokernel_factor(witness.p, Morphism.hstack([Morphism.zero(i_m1, x), pres.p]))
     if not is_epi(phi):
         raise InternalCheckError("replacement map is not epi")
     if not is_fibration(ctx, phi):
@@ -277,24 +277,14 @@ def is_trivial_fibration(ctx: RigidContext, f: Morphism) -> bool:
     return is_fibration(ctx, f) and is_weak_equivalence(ctx, f)
 
 
-def cone_of(f: Morphism) -> Tuple[Module, Morphism, Morphism]:
-    """Pushout of the source's envelope along f: ``cone_sequence(f)``'s legs.
-
-    Returns (Z, g: target -> Z, u: I_X -> Z); g is a cone of f.
-    """
-    seq = cone_sequence(f)
-    u, g = _split(seq.p, seq.middle.parts, at_source=True)
-    return seq.p.target, g, u
-
-
 def fibration_via_cone(ctx: RigidContext, f: Morphism) -> bool:
-    """Frobenius-mode cross-check: a deflation whose cone leg g kills the
-    cosyzygy class up to injectives, ``kills_stably(mho_M_gen, g)``: U less
-    its injective summands, which change no stable-kill test (module
-    docstring)."""
+    """Frobenius-mode cross-check: a deflation whose cone projection (u g)
+    kills mho_M_gen stably (U less its injective summands, which change no
+    stable-kill test: module docstring). It does iff its leg g does, as the
+    block u out of I(X) factors through an injective."""
     if ctx.mode != FROBENIUS:
         raise InputError("fibration_via_cone requires frobenius mode")
-    return is_epi(f) and kills_stably(ctx.mho_M_gen, cone_of(f)[1])
+    return is_epi(f) and kills_stably(ctx.mho_M_gen, cone_sequence(f).p)
 
 
 def lift(ctx: RigidContext, g: Morphism, f: Morphism) -> Morphism:
@@ -319,14 +309,12 @@ def lift(ctx: RigidContext, g: Morphism, f: Morphism) -> Morphism:
 
 
 def presentation_of_cofibrant(ctx: RigidContext, x: Module) -> Optional[ShortExactSequence]:
-    """0 -> ker a -> M0 -> x -> 0 for a the right add(M_gen)-approximation,
-    when ker a lies in add(M_gen); None when it does not, and then (by the
-    module docstring) x has no two-step presentation in add(M_gen) at all.
-    Cached per x.key."""
+    """``_presentation(ctx, x)`` when ker a lies in add(M_gen); None when it
+    does not, and then (by the module docstring) x has no two-step
+    presentation in add(M_gen) at all. Cached per x.key."""
     def build():
-        a_map = right_M_approximation(ctx, x)
-        k0, inc = kernel(a_map)
-        return ShortExactSequence(inc, a_map) if in_add(k0, ctx.M_gen) else None
+        pres = _presentation(ctx, x)
+        return pres if in_add(pres.sub, ctx.M_gen) else None
     return _memo(ctx._caches["cofibrant"], x.key, build)
 
 
@@ -343,7 +331,7 @@ def factorize1(ctx: RigidContext, f: Morphism) -> Factorization:
     target; the left map is the canonical injection (1; 0) and the right map
     (f alpha)."""
     x, y = f.source, f.target
-    alpha = mho_approximation(ctx, y)
+    alpha = approximation(ctx.U_components, y)
     left = Morphism.vstack([Morphism.identity(x), Morphism.zero(x, alpha.source)])
     right = Morphism.hstack([f, alpha])
     if (right @ left) != f:
@@ -368,11 +356,12 @@ def factorize2(ctx: RigidContext, f: Morphism) -> Factorization:
     pres = presentation_of_cofibrant(ctx, x)
     if pres is None:
         raise InputError("factorize2 requires a cofibrant domain")
-    d, eps, _ = cone_of(pres.p)  # d = cosyzygy of the presentation kernel
+    cone = cone_sequence(pres.p)  # ends in the cosyzygy of the presentation kernel
+    _, eps = _split(cone.p, cone.middle.parts, at_source=True)
     rep = cofibrant_replacement(ctx, y)
     r = lift(ctx, f, rep.phi)
     left = Morphism.vstack([r, eps])
-    right = Morphism.hstack([rep.phi, Morphism.zero(d, y)])
+    right = Morphism.hstack([rep.phi, Morphism.zero(cone.p.target, y)])
     if (right @ left) != f:
         raise InternalCheckError("factorization does not recompose")
     if not is_mono(left):

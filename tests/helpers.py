@@ -4,7 +4,11 @@
 y); the golden digests pin that stream, so it must not change.
 ``search_fraction_witness`` is the tests' witness of right-fraction
 equality until the library constructs one. ``rebased`` gives a module in
-a diagonal change of basis, fractional over Q. The ``reference_*`` functions
+a diagonal change of basis, fractional over Q. ``cone_legs`` reads the two
+legs of ``cone_sequence``'s projection, and ``mho_approximation`` is the
+approximation by the summands of U. ``weq_via_projective_cover`` is the
+cone check that read the projective cover, kept to show that the tests of
+its mend can fail. The ``reference_*`` functions
 are the plain bodies that optimized library paths are checked against, and
 ``draw_probe_case`` draws their inputs."""
 import random
@@ -14,12 +18,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from hypothesis import strategies as st
 
-from frobcat.algebra_repr import (Algebra, Module, Morphism, cokernel, combine, compose_basis,
-                                  compose_pairs, hom_matrix, hom_width, is_epi, kernel, pushout,
-                                  relation_violations, sum_module, zero_module)
+from frobcat.algebra_repr import (Algebra, Module, Morphism, _split, cokernel, combine,
+                                  compose_basis, compose_pairs, hom_matrix, hom_width, is_epi,
+                                  kernel, pushout, relation_violations, sum_module, zero_module)
 from frobcat.axiom_suite import _derive_seed, _random_hom
 from frobcat.exact_linalg import Matrix, RowSpan
-from frobcat.homological import injective_envelope, projective_cover, solve_postcompose
+from frobcat.homological import (approximation, cone_sequence, injective_envelope, kills_stably,
+                                 projective_cover, solve_postcompose)
 from frobcat.rigid_model import (EXACT, RigidContext, cofibrant_replacement, is_weak_equivalence,
                                  right_M_approximation)
 
@@ -121,6 +126,33 @@ def rebased(module: Module, vertex: str, diag: Sequence) -> Module:
     out = Module(module.algebra, module.dims, action)
     assert relation_violations(out) == []
     return out
+
+
+def cone_legs(f: Morphism) -> Tuple[Module, Morphism, Morphism]:
+    """Pushout of the source's envelope along f: ``cone_sequence(f)``'s legs.
+
+    Returns (Z, g: target -> Z, u: I_X -> Z); g is a cone of f.
+    """
+    seq = cone_sequence(f)
+    u, g = _split(seq.p, seq.middle.parts, at_source=True)
+    return seq.p.target, g, u
+
+
+def mho_approximation(ctx: RigidContext, x: Module) -> Morphism:
+    """A right approximation of x by the summands of the class generator U."""
+    return approximation(ctx.U_components, x)
+
+
+def weq_via_projective_cover(ctx: RigidContext, f: Morphism) -> bool:
+    """The cone check with π the target's projective cover in place of an
+    approximation by injectives: the cone projection and the kernel
+    inclusion of (f -π) both kill the costable generator stably. Right in
+    frobenius mode; in exact mode it refuses weak equivalences into a
+    projective that is not injective."""
+    if not kills_stably(ctx.costable_gen, cone_sequence(f).p):
+        return False
+    cover = projective_cover(f.target)[1]
+    return kills_stably(ctx.costable_gen, kernel(Morphism.hstack([f, -cover]))[1])
 
 
 def reference_cleared(values: list) -> Tuple[List[int], int]:

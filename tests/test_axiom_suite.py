@@ -9,11 +9,11 @@ from frobcat.errors import InputError, InternalCheckError
 from frobcat.exact_linalg import Matrix, RowSpan, prime_field, rational_field
 from frobcat.fixtures import build_fixture
 from frobcat.algebra_repr import (Morphism, cokernel, compose_basis, direct_sum, hom_basis,
-                                  hom_dim, hom_matrix, kernel, preprojective, pullback,
-                                  sum_module, zero_module)
-from frobcat.homological import (cosyzygy, ext1_dim, ext1_dim_via_copresentation, kills_stably,
-                                 projective_cover, stable_hom, through_injectives)
-from frobcat.rigid_model import EXACT, RigidContext, build_context, cone_of, is_weak_equivalence
+                                  hom_dim, hom_matrix, kernel, preprojective, sum_module,
+                                  zero_module)
+from frobcat.homological import (approximation, cosyzygy, ext1_dim, ext1_dim_via_copresentation,
+                                 kills_stably, projective_cover, stable_hom, through_injectives)
+from frobcat.rigid_model import EXACT, RigidContext, build_context, is_weak_equivalence
 from frobcat.axiom_suite import (
     CheckRun,
     PredicateSet,
@@ -28,7 +28,7 @@ from frobcat.axiom_suite import (
     weq_via_cones,
 )
 from frobcat.localization import fraction_to_ho
-from helpers import (draw_probe_case, random_morphism, reference_rlp_by_rank,
+from helpers import (cone_legs, draw_probe_case, random_morphism, reference_rlp_by_rank,
                      reference_tailored_lifting_elements, search_fraction_witness)
 
 ALL_CHECKS = [
@@ -261,29 +261,29 @@ def _kills_the_representatives(ctx, h):
 def _cone_leg_kills_u(ctx, f):
     """Reference: the span through injectives of Hom(U, Z), built inline,
     against Hom(U, f.target) composed with the cone leg g: f.target -> Z."""
-    z, g, _ = cone_of(f)
+    z, g, _ = cone_legs(f)
     return through_injectives(ctx.U, z).contains(
         compose_basis(hom_matrix(ctx.U, f.target).data, ctx.U, f.target, left=g))
 
 
 def _assert_kills_stably_matches_the_references(ctx, objects, seed, draws=60):
-    """kills_stably against the references on sampled morphisms f and on the
-    maps both halves of weq_via_cones test; returns the verdicts seen, from
-    the generator and from U."""
+    """kills_stably against the references on sampled morphisms f, on their
+    cone projections and on the kernel inclusion of (f -r), r the
+    approximation of f.target by injectives, which weq_via_cones tests; and
+    weq_via_cones against the predicate on every draw. Returns the verdicts
+    seen, from the generator and from U."""
     rng = random.Random(seed)
     universe = sample_universe(ctx, objects)
     from_gen, from_u = set(), set()
     for _ in range(draws):
         f = _sample_morphism(ctx, rng, universe)
-        _, g, u = cone_of(f)
-        _, gt, ut = pullback(f, projective_cover(f.target)[1])
-        halves = []
-        for h in (f, Morphism.hstack([u, g]), Morphism.vstack([gt, ut])):
+        _, g, u = cone_legs(f)
+        r = approximation(ctx.alg.injectives(), f.target)
+        for h in (f, Morphism.hstack([u, g]), kernel(Morphism.hstack([f, -r]))[1]):
             verdict = kills_stably(ctx.costable_gen, h)
             assert verdict == _kills_on_the_cached_sub(ctx, h) == _kills_the_representatives(ctx, h)
             from_gen.add(verdict)
-            halves.append(verdict)
-        assert weq_via_cones(ctx, f) == (halves[1] and halves[2])
+        assert weq_via_cones(ctx, f) == is_weak_equivalence(ctx, f)
         verdict = kills_stably(ctx.U, g)
         assert verdict == _cone_leg_kills_u(ctx, f)
         from_u.add(verdict)
@@ -311,6 +311,16 @@ def test_checks_are_falsifiable(pa2_ctx, pa2, name):
     corrupted = _corruptions()[name]
     run = run_check(pa2_ctx, name, 42, 40, _objects(pa2), predicates=corrupted)
     assert not run.passed, f"{name} did not notice a corrupted predicate"
+
+
+def test_weq_check_reports_a_cone_projection_that_does_not_kill(pa2_ctx, pa2):
+    """Under a predicate that calls every map a weak equivalence, the second
+    kind of violation of weq_cone_characterization fires: on the draws whose
+    cone projection does not kill the generator stably."""
+    always = PredicateSet(weq=lambda ctx, f: True)
+    run = run_check(pa2_ctx, "weq_cone_characterization", 42, 40, _objects(pa2), always)
+    assert "weak equivalence whose cone projection does not kill the generator stably" in {
+        v.description for v in run.violations}
 
 
 def test_mho_rigid_is_falsifiable(pa2_ctx, pa2):
@@ -496,7 +506,7 @@ def test_injective_summands_of_u_change_no_stable_kill(name, pa2_ctx, pa3_ctx, p
     verdicts = set()
     for _ in range(40):
         f = _sample_morphism(ctx, rng, universe)
-        for h in (f, cone_of(f)[1]):
+        for h in (f, cone_legs(f)[1]):
             verdict = kills_stably(ctx.U, h)
             assert verdict == kills_stably(ctx.mho_M_gen, h)
             verdicts.add(verdict)
@@ -534,22 +544,20 @@ def test_tailored_lifting_elements_refuse_a_non_approximation(pa2_ctx, pa2, monk
 @pytest.mark.parametrize("tag", ["pa2", "aus2"])
 def test_run_all_is_the_same_on_a_context_that_already_ran_it(tag):
     """The battery at seed 42 with 20 samples reports the same on a warm
-    context as on the fresh one (aus2 reports its known cone-check defect,
-    and that its U is not rigid, both times)."""
+    context as on the fresh one (aus2 reports that its U is not rigid, both
+    times)."""
     alg, mods, project = build_fixture(tag)
     ctx = build_context(alg, [mods[n] for n in project["M_gen"]], project["mode"])
     first = run_all(ctx, 42, 20, sorted(mods.items()))
     assert run_all(ctx, 42, 20, sorted(mods.items())) == first
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 1: in exact mode on a non-self-injective algebra the cone "
-    "characterization refuses id_S3, which is a weak equivalence"))
 def test_weq_verdicts_agree_on_the_auslander_algebra_of_ka2(small_algebras):
     """The Auslander algebra of kA2 over F_5, generator P1+P2+P3+S1, exact
-    mode: the stable-hom predicate accepts the identity of S3 = P3, but the
-    pullback half of the cones asks that maps from the generator into P3
-    factor through an injective, and P3 is not injective."""
+    mode: the stable-hom predicate accepts the identity of S3 = P3. A
+    pullback along the projective cover of S3 asked that maps from the
+    generator into P3 factor through an injective, and P3 is not injective;
+    the approximation by injectives of P3 is zero, and asks nothing."""
     alg = small_algebras["aus-kA2/F5"]
     ctx = build_context(alg, alg.projectives() + [alg.simple("1")], "exact")
     f = Morphism.identity(alg.simple("3"))

@@ -78,9 +78,8 @@ from frobcat.exact_linalg import prime_field, rational_field
 from frobcat.fixtures import build_fixture, emit_fixture
 from frobcat.homological import injective_envelope, projective_cover
 from frobcat.localization import dl_verify_all, ho_class_of
-from frobcat.rigid_model import (build_context, cofibrant_replacement, mho_approximation,
-                                 right_M_approximation)
-from helpers import random_morphism
+from frobcat.rigid_model import build_context, cofibrant_replacement, right_M_approximation
+from helpers import mho_approximation, random_morphism
 from test_axiom_suite import _corruptions
 
 GOLDEN = Path(__file__).resolve().with_name("golden_outputs.json")

@@ -40,7 +40,6 @@ from frobcat.rigid_model import (
     _post_map_surjective,
     build_context,
     cofibrant_replacement,
-    cone_of,
     factorize1,
     factorize2,
     fibration_via_cone,
@@ -49,12 +48,12 @@ from frobcat.rigid_model import (
     is_trivial_fibration,
     is_weak_equivalence,
     lift,
-    mho_approximation,
     presentation_of_cofibrant,
     are_homotopic,
     right_M_approximation,
 )
-from helpers import draw_probe_case, random_morphism, reference_post_map_surjective
+from helpers import (cone_legs, draw_probe_case, mho_approximation, random_morphism,
+                     reference_post_map_surjective)
 
 
 def test_build_context_accepts_fixture(pa2_ctx):
@@ -400,7 +399,7 @@ def test_functor_kills_cosyzygy_class(pa2_ctx, pa2):
 
 def test_cone_of_identity_is_the_envelope(pa2):
     alg, mods = pa2
-    z, g, u = cone_of(Morphism.identity(mods["S1"]))
+    z, g, u = cone_legs(Morphism.identity(mods["S1"]))
     # pushing the envelope out along an iso changes nothing: u is an iso onto
     # P2, and g is the envelope inclusion transported along it
     assert z.dims_tuple() == (1, 1)
