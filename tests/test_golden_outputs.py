@@ -28,8 +28,8 @@ as ``--json``.
 
 The ``violations`` key pins the battery's violation text: the SHA-256 of
 ``to_text()`` for ``run_all`` at seed 42 with 20 samples on the pa2 and aus2
-fixtures (aus2 reports its known cone-check defect, and that its U is not
-rigid: Ext^1(U, U) = 1), for each corrupted-predicate run of
+fixtures (aus2 reports only that its U is not rigid: Ext^1(U, U) = 1), for
+each corrupted-predicate run of
 ``test_checks_are_falsifiable``, and for ``mho_rigid`` on a context whose
 cosyzygy class is not rigid.
 
