@@ -23,7 +23,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .exact_linalg import Field, Matrix, RowSpan, intertwiners, prime_field, rational_field
+from .exact_linalg import (Field, Matrix, RowSpan, intertwiners, prime_field, rational_field,
+                           solve_in_span)
 
 # Refused as possibly infinite-dimensional: a basis path of LENGTH_CAP
 # arrows, or more than DIM_CAP basis paths.
@@ -1168,10 +1169,11 @@ def enumerate_submodules(x: Module) -> List[Tuple[Module, Morphism]]:
         family = dict(zip(alg.vertices, combo))
         action = {}
         for a in alg.arrows:  # stable iff every arrow's system is solvable; keep the solutions
-            sol = family[a.target].solve_cols(x.action[a.name] @ family[a.source])
+            image = x.action[a.name] @ family[a.source]
+            sol = solve_in_span(field, family[a.target].data.T, image.data.T)
             if sol is None:
                 break
-            action[a.name] = sol
+            action[a.name] = Matrix(field, sol).transpose()
         else:
             sub = Module(alg, {v: family[v].cols for v in alg.vertices}, action)
             results.append((sub, Morphism(sub, x, family)))

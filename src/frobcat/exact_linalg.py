@@ -40,14 +40,15 @@ equations into one zero array and takes its ``Matrix.kernel``.
 
 :meth:`Matrix.rref`, :meth:`Matrix.rank` and :meth:`Matrix.kernel` share
 one elimination routine per field kind (``Matrix._eliminate``); ``rank``
-runs it forward only, and ``kernel`` reads the null space off its pivot
-rows, building no reduced matrix. A :class:`RowSpan` is the unique RREF of
+and ``RowSpan.independent`` run it forward only, and ``kernel`` reads the
+null space off its pivot rows, building no reduced matrix. A :class:`RowSpan` is the unique RREF of
 the vectors inserted into it. Over F_2 it is held packed: an insertion
 inserts only the new rows into the table, and a canonical form XORs table
 rows. Over F_p, p > 2, and Q it is built by one ``rref`` per insertion of a
 vector or a stack, and its canonical forms are one :meth:`Field.matmul`
 against the stored rows. :func:`intertwiners` solves the linear systems of
-hom spaces.
+hom spaces, and :func:`solve_in_span`, one ``rref``, is the one solve for
+coefficients in a span.
 
 All operations are pure and all values are immutable by convention, so they
 can be shared freely across concurrent tasks.
@@ -693,29 +694,6 @@ class Matrix:
         basis = _null_basis(self.field, *self._eliminate(reduced=True), self.cols)
         return Matrix(self.field, basis).transpose()
 
-    def solve_cols(self, b: "Matrix") -> Optional["Matrix"]:
-        """Particular solution X with self @ X = b, or None if inconsistent."""
-        if b.rows != self.rows:
-            raise InputError(f"rhs has {b.rows} rows, expected {self.rows}")
-        aug = Matrix.hstack([self, b])
-        red, pivots, _ = aug.rref()
-        if any(p >= self.cols for p in pivots):
-            return None
-        x = Matrix.zeros(self.field, self.cols, b.cols)
-        for i, pc in enumerate(pivots):
-            x.data[pc, :] = red.data[i, self.cols :]
-        return x
-
-    def inverse(self) -> Optional["Matrix"]:
-        if self.rows != self.cols:
-            return None
-        inv = self.solve_cols(Matrix.identity(self.field, self.rows))
-        if inv is None:
-            return None
-        if (self @ inv) != Matrix.identity(self.field, self.rows):
-            return None
-        return inv
-
 
 def intertwiners(field: Field, dx: Sequence[int], dy: Sequence[int],
                  maps: Sequence[Tuple[int, int, np.ndarray, np.ndarray]]) -> Matrix:
@@ -832,21 +810,31 @@ def _intertwiners_bits(dx: Sequence[int], dy: Sequence[int],
 def solve_in_span(field: Field, images: Sequence[np.ndarray],
                   rhs: np.ndarray) -> Optional[np.ndarray]:
     """Coefficients c with sum_k c[k] * images[k] = rhs, or None when rhs is
-    outside their span. For a stack of right-hand sides, one row of
-    coefficients per row of rhs, in one elimination; None when any row is
-    outside.
+    outside their span; an rhs whose width is not the images' raises
+    InputError. For a stack of right-hand sides, one row of coefficients per
+    row of rhs, in one elimination; None when any row is outside.
 
-    The solution is the particular one of :meth:`Matrix.solve_cols` (free
-    coefficients zero), so callers recombining a basis get reproducible
-    witnesses.
+    The library's one linear solve: one :meth:`Matrix.rref` of
+    [images^T | rhs^T], which has a pivot in the rhs columns iff rhs is
+    outside. The solution is read off the pivot rows with free coefficients
+    zero, so callers recombining a basis get reproducible witnesses.
     """
     rows = np.atleast_2d(rhs)  # not reshape(-1, width): it raises for width 0
-    if len(images):
-        found = Matrix(field, np.vstack(images).T).solve_cols(Matrix(field, rows.T))
-        sol = None if found is None else found.data.T
+    a = np.vstack(images) if len(images) else np.asarray(images)  # [] has no width
+    if a.ndim == 2 and a.shape[1] != rows.shape[1]:
+        raise InputError(f"rhs has width {rows.shape[1]}, expected {a.shape[1]}")
+    k = len(a)
+    if k:
+        red, pivots, rank = Matrix(field, np.vstack([a, rows]).T).rref()
+        if rank and pivots[-1] >= k:
+            return None
+        sol = Matrix.zeros(field, rows.shape[0], k).data
+        sol[:, pivots] = red.data[:rank, k:].T
+    elif np.any(rows != 0):
+        return None
     else:
-        sol = None if np.any(rows != 0) else np.empty((rows.shape[0], 0), dtype=field.dtype)
-    return sol if sol is None or rhs.ndim == 2 else sol[0]
+        sol = np.empty((rows.shape[0], 0), dtype=field.dtype)
+    return sol if rhs.ndim == 2 else sol[0]
 
 
 class RowSpan:
@@ -941,9 +929,9 @@ class RowSpan:
 
     def independent(self, candidates) -> List[int]:
         """Positions of the candidates that would enlarge the span if inserted
-        in order: the pivot columns of one rref of the column stack of their
-        canonical forms, as reducing is linear with kernel the span. The span
-        is left unchanged.
+        in order: the pivot columns of the column stack of their canonical
+        forms, as reducing is linear with kernel the span, read off the forward
+        elimination that :meth:`Matrix.rank` runs. The span is left unchanged.
 
         Over F_2 the candidates are inserted one at a time into a copy of the
         table instead, keeping a position when its insertion adds a pivot.
@@ -960,4 +948,4 @@ class RowSpan:
                     picked.append(i)
             return picked
         rows = np.asarray(candidates, dtype=self.field.dtype).reshape(-1, self.width)
-        return Matrix(self.field, self.reduce(rows).T).rref()[1]
+        return Matrix(self.field, self.reduce(rows).T)._eliminate(reduced=False)[1]

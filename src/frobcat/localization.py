@@ -45,13 +45,8 @@ from .errors import InputError, InternalCheckError
 from .exact_linalg import Matrix, RowSpan, intertwiners, solve_in_span
 from .algebra_repr import (Module, Morphism, _memo, combine, compose_basis, compose_pairs,
                            hom_matrix)
-from .homological import QuotientHom, factors_through_add
-from .rigid_model import (
-    RigidContext,
-    cofibrant_replacement,
-    is_weak_equivalence,
-    solve_postcompose,
-)
+from .homological import QuotientHom, factors_through_add, solve_postcompose
+from .rigid_model import RigidContext, cofibrant_replacement, is_weak_equivalence
 
 
 @dataclass
@@ -176,9 +171,6 @@ class HoClass:
             and self.canonical == other.canonical
         )
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.canonical)
-
 
 def ho_hom(ctx: RigidContext, x: Module, y: Module) -> QuotientHom:
     """Hom in the localized category: Hom between the fixed replacements of
@@ -289,10 +281,12 @@ def _G_replacement(ctx: RigidContext, x: Module) -> Tuple[np.ndarray, np.ndarray
     x.key (module docstring)."""
     def build() -> Tuple[np.ndarray, np.ndarray]:
         g = G_morphism(ctx, cofibrant_replacement(ctx, x).phi)
-        inv = g.inverse()
-        if inv is None:
+        one = Matrix.identity(g.field, g.rows)
+        # for square g, the c with c g = 1 is its inverse; g c = 1 is checked as well
+        inv = solve_in_span(g.field, g.data, one.data) if g.rows == g.cols else None
+        if inv is None or g @ Matrix(g.field, inv) != one:
             raise InternalCheckError("replacement does not induce an invertible G-image")
-        return g.data, inv.data
+        return g.data, inv
 
     return _memo(ctx._caches["G_phi"], x.key, build)
 

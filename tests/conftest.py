@@ -115,14 +115,27 @@ def pa2_ss_ctx(pa2):
     return build_context(alg, [mods[n] for n in ("P1", "P2", "S1", "S1")], "frobenius")
 
 
-@pytest.fixture(params=["pa2", "pa2-deg", "pa2+S1+S1", "pa3+S1+S3", "a2q"])
-def row_case(request, pa2, pa2_ctx, pa2_deg_ctx, pa2_ss_ctx, pa3, pa3_s_ctx, a2q):
+@pytest.fixture(scope="session")
+def pa2_big():
+    """pa2 over F_1048583, the smallest prime whose residues are Python ints in
+    object arrays, with its generator P1+P2+S1 and its four indecomposables."""
+    alg = preprojective(2, prime_field(1048583))
+    mods = {"S1": alg.simple("1"), "S2": alg.simple("2"),
+            "P1": alg.projective("1"), "P2": alg.projective("2")}
+    return build_context(alg, [mods["P1"], mods["P2"], mods["S1"]], "frobenius"), mods
+
+
+@pytest.fixture(params=["pa2", "pa2-deg", "pa2+S1+S1", "pa3+S1+S3", "a2q", "pa2/F1048583"])
+def row_case(request, pa2, pa2_ctx, pa2_deg_ctx, pa2_ss_ctx, pa3, pa3_s_ctx, a2q, pa2_big):
     """A context and its objects: the pa2 and pa3 fixtures (pa3 with S1+S3
     added, whose G-image is 2-dimensional), A2/Q with S1+S1, pa2 over the
-    generator P1+P2+S1+S1 with S1+S1 added, and pa2-deg, where the stable
-    category is zero and every stack is empty."""
+    generator P1+P2+S1+S1 with S1+S1 added, pa2-deg, where the stable
+    category is zero and every stack is empty, and pa2 over F_1048583, on
+    the object-residue path."""
     if request.param == "a2q":
         return a2q
+    if request.param == "pa2/F1048583":
+        return pa2_big
     if request.param == "pa3+S1+S3":
         mods = dict(pa3[1])
         mods["S1+S3"] = direct_sum([mods["S1"], mods["S3"]])[0]

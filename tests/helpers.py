@@ -8,9 +8,11 @@ a diagonal change of basis, fractional over Q. ``cone_legs`` reads the two
 legs of ``cone_sequence``'s projection, and ``mho_approximation`` is the
 approximation by the summands of U. ``weq_via_projective_cover`` is the
 cone check that read the projective cover, kept to show that the tests of
-its mend can fail. The ``reference_*`` functions
-are the plain bodies that optimized library paths are checked against, and
-``draw_probe_case`` draws their inputs."""
+its mend can fail. ``ho_class_is_zero`` tests a localized class for zero.
+The ``reference_*`` functions are the plain bodies that optimized library
+paths are checked against, and ``draw_probe_case`` draws their inputs;
+``reference_solve_cols`` and ``reference_inverse`` solve m X = b and invert m
+on the rref of [m | b], a route apart from ``solve_in_span``'s."""
 import random
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
@@ -22,6 +24,7 @@ from frobcat.algebra_repr import (Algebra, Module, Morphism, _split, cokernel, c
                                   compose_basis, compose_pairs, hom_matrix, hom_width, is_epi,
                                   kernel, pushout, relation_violations, sum_module, zero_module)
 from frobcat.axiom_suite import _derive_seed, _random_hom
+from frobcat.errors import InputError
 from frobcat.exact_linalg import Matrix, RowSpan
 from frobcat.homological import (approximation, cone_sequence, injective_envelope, kills_stably,
                                  projective_cover, solve_postcompose)
@@ -153,6 +156,38 @@ def weq_via_projective_cover(ctx: RigidContext, f: Morphism) -> bool:
         return False
     cover = projective_cover(f.target)[1]
     return kills_stably(ctx.costable_gen, kernel(Morphism.hstack([f, -cover]))[1])
+
+
+def ho_class_is_zero(cls) -> bool:
+    """Whether a localized class (``localization.HoClass``) is zero: its
+    canonical coset form is."""
+    return all(c == 0 for c in cls.canonical)
+
+
+def reference_solve_cols(m: Matrix, b: Matrix) -> Optional[Matrix]:
+    """Particular solution X with m @ X = b, or None if inconsistent."""
+    if b.rows != m.rows:
+        raise InputError(f"rhs has {b.rows} rows, expected {m.rows}")
+    aug = Matrix.hstack([m, b])
+    red, pivots, _ = aug.rref()
+    if any(p >= m.cols for p in pivots):
+        return None
+    x = Matrix.zeros(m.field, m.cols, b.cols)
+    for i, pc in enumerate(pivots):
+        x.data[pc, :] = red.data[i, m.cols :]
+    return x
+
+
+def reference_inverse(m: Matrix) -> Optional[Matrix]:
+    """The inverse of m by ``reference_solve_cols`` of the identity, or None."""
+    if m.rows != m.cols:
+        return None
+    inv = reference_solve_cols(m, Matrix.identity(m.field, m.rows))
+    if inv is None:
+        return None
+    if (m @ inv) != Matrix.identity(m.field, m.rows):
+        return None
+    return inv
 
 
 def reference_cleared(values: list) -> Tuple[List[int], int]:

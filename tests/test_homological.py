@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from frobcat import homological
 from frobcat.errors import InputError
-from frobcat.exact_linalg import Matrix, RowSpan, prime_field, rational_field
+from frobcat.exact_linalg import Matrix, RowSpan, prime_field, rational_field, solve_in_span
 from frobcat.algebra_repr import (
     Algebra,
     Module,
@@ -307,7 +307,9 @@ def test_ses_split(pa2):
 
 def _reference_cokernel(f):
     """q_v is the bottom rows of the inverse of [img | sel]: an image basis
-    among the columns of f_v, then the standard vectors completing it."""
+    among the columns of f_v, then the standard vectors completing it. The
+    square [img | sel] is invertible, so its inverse is the solution c of
+    c [img | sel] = 1."""
     alg = f.source.algebra
     field = alg.field
     quots, dims = {}, {}
@@ -319,9 +321,10 @@ def _reference_cokernel(f):
         sel = Matrix.zeros(field, fv.rows, len(complement))
         for k, i in enumerate(complement):
             sel.data[i, k] = field.one()
-        tinv = Matrix(field, np.hstack([img, sel.data])).inverse()
+        one = Matrix.identity(field, fv.rows).data
+        tinv = solve_in_span(field, np.hstack([img, sel.data]), one)
         assert tinv is not None
-        quots[v] = (Matrix(field, tinv.data[img.shape[1]:, :].copy()), sel)
+        quots[v] = (Matrix(field, tinv[img.shape[1]:, :].copy()), sel)
         dims[v] = len(complement)
     action = {a.name: quots[a.target][0] @ f.target.action[a.name] @ quots[a.source][1]
               for a in alg.arrows}
@@ -330,24 +333,28 @@ def _reference_cokernel(f):
 
 
 def _reference_kernel(f):
-    """The induced action solved column by column: K_t A = X_a K_s."""
+    """The induced action solved column by column: K_t A = X_a K_s, each
+    column of X_a K_s in the span of the columns of K_t."""
     alg = f.source.algebra
     bases = {v: f.comps[v].kernel() for v in alg.vertices}
     action = {}
     for a in alg.arrows:
-        action[a.name] = bases[a.target].solve_cols(f.source.action[a.name] @ bases[a.source])
-        assert action[a.name] is not None
+        image = f.source.action[a.name] @ bases[a.source]
+        sol = solve_in_span(alg.field, bases[a.target].data.T, image.data.T)
+        assert sol is not None
+        action[a.name] = Matrix(alg.field, sol).transpose()
     k = Module(alg, {v: b.cols for v, b in bases.items()}, action)
     return k, Morphism(k, f.source, bases)
 
 
 def _reference_cokernel_factor(proj, g):
-    """h with h @ proj = g, solved vertex by vertex on the transposes."""
-    comps = {}
+    """h with h @ proj = g, solved vertex by vertex: each row of g_v in the
+    span of the rows of proj_v."""
+    field, comps = proj.source.algebra.field, {}
     for v in proj.source.algebra.vertices:
-        sol = proj.comps[v].transpose().solve_cols(g.comps[v].transpose())
+        sol = solve_in_span(field, proj.comps[v].data, g.comps[v].data)
         assert sol is not None
-        comps[v] = sol.transpose()
+        comps[v] = Matrix(field, sol)
     return Morphism(proj.target, g.target, comps)
 
 
